@@ -6,7 +6,7 @@ GO ?= go
 HOTPATH_PKGS = ./internal/eventsim ./internal/wire
 BENCHTIME ?= 2s
 
-.PHONY: fast full fuzz bench bench-sched bench-select bench-shard bench-telemetry bench-fault bench-cdn bench-scenarios bench-compare bench-baseline clean
+.PHONY: fast full perf-test fuzz bench bench-e2e bench-sched bench-select bench-shard bench-telemetry bench-fault bench-cdn bench-scenarios bench-compare bench-baseline clean
 
 # Fast lane: static checks plus every -short test under the race detector.
 # Scenario-scale tests skip themselves in -short mode, so this finishes in
@@ -18,9 +18,21 @@ fast:
 # Full lane: build everything and run the whole suite, including the
 # multi-minute scenario tests (tier-1 verify). internal/core alone exceeds
 # go test's default 10m timeout on slow single-core machines, so raise it.
-full:
+full: perf-test
 	$(GO) build ./...
 	$(GO) test -timeout 30m ./...
+
+# The performance ledger under perf/ is its own module (BENCHMARK.json runs
+# it from source), so `./...` above never builds it: this is the step that
+# notices an internal API change breaking the benchmark.
+perf-test:
+	cd perf && $(GO) vet ./... && $(GO) test ./...
+
+# End-to-end ledger: the four pinned BENCHMARK.json workloads, one child
+# process each (about two minutes), written to perf/out/current.json. Compare
+# two such files with `bash perf/run.sh -compare a.json b.json`.
+bench-e2e:
+	bash perf/run.sh -workload all -out perf/out/current.json
 
 # Short coverage-guided fuzz pass over the wire codec, seeded from the
 # committed golden-trace corpus (internal/wire/testdata/fuzz). CI runs this on
@@ -68,20 +80,12 @@ bench-sched:
 	  END { print "\n]" }' bench_sched.txt > BENCH_sched.json
 	@echo "wrote BENCH_sched.json"
 
-# Sharded-engine wall-clock benchmark: the paper-scale popular scenario run
-# three times on the SAME partition (SHARD_WORKERS event-loop shards) at
-# GOMAXPROCS 1, 2, and 4, exported as BENCH_shard.json. Holding the
-# partition fixed and varying only the core count is what makes the entries
-# comparable: the events/continuity/locality fields must be identical across
-# all three (the trajectory is worker-count invariant — benchdiff -shard
-# enforces this), and only wall_seconds may differ. The gomaxprocs field in
-# each entry records how many cores that run had, so downstream comparisons
-# (benchdiff -shard baseline current) match like-for-like (workers,
-# gomaxprocs) pairs instead of conflating parity runs with regressions.
-# Each run is a full ~2-hour-virtual scenario, so this takes serious wall
-# time. SHARD_WORKERS=12 engages the scaled partition (7 TELE address-range
-# sub-shards + infrastructure domain); values <= 6 use the legacy ISP
-# partition.
+# Sharded-engine wall-clock benchmark at paper scale: one ~2-hour-virtual
+# run per GOMAXPROCS 1, 2, 4 on the same SHARD_WORKERS-domain partition,
+# exported as BENCH_shard.json (benchdiff -shard checks the trajectory fields
+# are identical and compares wall_seconds like-for-like). This takes hours;
+# `make bench-e2e` answers "does the second core pay" in minutes
+# (popular_full_sharded row). SHARD_WORKERS > 6 engages the scaled partition.
 SHARD_WORKERS ?= 12
 
 bench-shard:

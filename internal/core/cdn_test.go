@@ -145,6 +145,7 @@ func TestCDNGoldenDigest(t *testing.T) {
 // a shared one, so the trajectory cannot depend on which goroutine executes
 // a domain's window.
 func TestFlashCrowdWorkerInvariance(t *testing.T) {
+	realWorkers(t, 4)
 	build := func(workers int) Scenario {
 		return Scenario{
 			Name: "two-isp-flash",

@@ -154,7 +154,9 @@ type Scenario struct {
 	// Workers, when non-zero, decouples the number of worker goroutines from
 	// the partition degree: a Shards=12 world can be driven by Workers=1 to
 	// check that a scaled partition's trajectory is worker-count invariant.
-	// Zero means Workers = Shards.
+	// Zero means Workers = Shards. Either way eventsim.Group caps the
+	// goroutines it starts at GOMAXPROCS, so a default Shards=12 run on a
+	// 2-core machine uses two, not twelve.
 	Workers int
 
 	// ArrivalWindow spreads the initial population's joins.
@@ -359,6 +361,10 @@ type Result struct {
 	Elapsed time.Duration
 	// EventsProcessed is the engine's event count (for benchmarks).
 	EventsProcessed uint64
+	// LateInjects counts cross-shard datagrams that reached their destination
+	// engine after their delivery time (simnet.World.LateInjects): 0 unless
+	// the partition's lookahead was violated.
+	LateInjects uint64
 	// PeersSpawned counts background viewers ever created.
 	PeersSpawned int
 	// Switches counts channel-switch events across all viewers; Switchers
@@ -983,6 +989,7 @@ func (s *Sim) Run() (*Result, error) {
 		FaultWindows:    faultWindows,
 		Elapsed:         s.world.Now(),
 		EventsProcessed: s.world.EventsProcessed(),
+		LateInjects:     s.world.LateInjects(),
 		PeersSpawned:    spawned,
 		Switches:        switches,
 		Switchers:       switchers,

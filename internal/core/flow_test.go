@@ -70,6 +70,7 @@ type flowSummary struct {
 
 func runFlowScaled(t *testing.T, sc Scenario, shards, workers int) flowSummary {
 	t.Helper()
+	realWorkers(t, workers)
 	sc.Shards = shards
 	sc.Workers = workers
 	res, err := RunScenario(sc)

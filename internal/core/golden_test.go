@@ -3,6 +3,7 @@ package core
 import (
 	"hash/fnv"
 	"os"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -12,9 +13,15 @@ import (
 // goldenDigest condenses a run into one number: a FNV-1a hash over every
 // field of every probe-captured record plus the engine's event count. Any
 // behavioural change — one datagram more, one byte different, one event
-// reordered — changes the digest.
+// reordered — changes the digest. Every digest-compared run is also held to
+// the lookahead contract: a cross-shard datagram injected after its delivery
+// time would be clamped by the engine and delivered late but reproducibly,
+// which no digest comparison can see.
 func goldenDigest(t *testing.T, res *Result) uint64 {
 	t.Helper()
+	if res.LateInjects != 0 {
+		t.Errorf("%s: %d cross-shard datagrams arrived inside the lookahead", res.Scenario.Name, res.LateInjects)
+	}
 	h := fnv.New64a()
 	var buf [8]byte
 	put := func(v uint64) {
@@ -57,7 +64,21 @@ func goldenWorkers(t *testing.T) int {
 	if err != nil || n < 1 {
 		t.Fatalf("bad PPLIVE_SHARD_WORKERS %q", v)
 	}
+	realWorkers(t, n)
 	return n
+}
+
+// realWorkers raises GOMAXPROCS to n for the rest of the test when the
+// machine offers fewer. eventsim.Group never starts more workers than
+// GOMAXPROCS, so without this a "1 vs 4 workers" comparison on a 2-core
+// runner compares 1 with 2, and on one core compares 1 with 1. No test that
+// calls it runs in parallel with another.
+func realWorkers(t *testing.T, n int) {
+	t.Helper()
+	if prev := runtime.GOMAXPROCS(0); prev < n {
+		runtime.GOMAXPROCS(n)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	}
 }
 
 // TestGoldenTraceDigest pins the exact behaviour of the simulation at fixed

@@ -155,6 +155,7 @@ func TestTwoChannelSwitching(t *testing.T) {
 // direct rejoins — still runs under the race detector on every push without
 // multi-minute watches.
 func TestTwoChannelShardEquivalence(t *testing.T) {
+	realWorkers(t, 4)
 	sc := twoChannelScenario(11)
 	if testing.Short() {
 		sc.ArrivalWindow = 45 * time.Second

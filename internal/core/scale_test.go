@@ -26,6 +26,7 @@ type scaledSummary struct {
 
 func runScaled(t *testing.T, sc Scenario, shards, workers int) scaledSummary {
 	t.Helper()
+	realWorkers(t, workers)
 	sc.Shards = shards
 	sc.Workers = workers
 	res, err := RunScenario(sc)
@@ -42,10 +43,11 @@ func runScaled(t *testing.T, sc Scenario, shards, workers int) scaledSummary {
 
 // TestScaledPartitionEquivalence runs the small churning scenario on a
 // 12-domain scaled partition (7 TELE sub-shards + infra) and demands the
-// trajectory be identical at 1 and 4 workers. The digest differs from the
-// legacy-partition goldens — the scaled partition widens the synthetic
-// lookahead, which is the point — but it must be a pure function of the
-// partition, never of the worker count.
+// trajectory be identical at 1 and 4 workers, and at the Workers=0 default
+// (Workers = Shards = 12, which eventsim.Group caps at GOMAXPROCS). The
+// digest differs from the legacy-partition goldens — the scaled partition
+// widens the synthetic lookahead, which is the point — but it must be a pure
+// function of the partition, never of the worker count.
 func TestScaledPartitionEquivalence(t *testing.T) {
 	sc := smallScenario(7)
 	sc.Name = "scaled-equivalence"
@@ -55,6 +57,9 @@ func TestScaledPartitionEquivalence(t *testing.T) {
 	s4 := runScaled(t, sc, 12, 4)
 	if s1 != s4 {
 		t.Errorf("scaled partition diverges across workers:\n  1 worker : %+v\n  4 workers: %+v", s1, s4)
+	}
+	if s0 := runScaled(t, sc, 12, 0); s0 != s1 {
+		t.Errorf("scaled partition diverges at the default worker count:\n  1 worker : %+v\n  default  : %+v", s1, s0)
 	}
 	if s1.continuity < 0.9 {
 		t.Errorf("scaled-partition continuity = %.3f, want >= 0.9 (probe must stream normally across sub-shards)", s1.continuity)

@@ -36,6 +36,7 @@ func TestBiasedGoldenDigest(t *testing.T) {
 // reply composition must be a pure function of (candidate set, requester,
 // owning-domain RNG stream), never of which goroutine executed the window.
 func TestBiasedSelectionWorkerInvariance(t *testing.T) {
+	realWorkers(t, 4)
 	build := func(workers int) Scenario {
 		return Scenario{
 			Name: "two-isp-quota",

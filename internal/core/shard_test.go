@@ -21,6 +21,7 @@ import (
 // workers, so the parallel barrier/flush machinery is exercised under the
 // race detector on every CI push.
 func TestShardEquivalence(t *testing.T) {
+	realWorkers(t, 4)
 	seeds := []int64{7, 11, 23}
 	if testing.Short() {
 		seeds = seeds[:1]

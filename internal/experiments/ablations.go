@@ -43,8 +43,8 @@ func (r *Runner) ablationScenario(name string, seedOffset int64, behaviour core.
 }
 
 // localityOf runs a scenario and returns the TELE probe's traffic locality.
-func localityOf(sc core.Scenario) (float64, error) {
-	out, err := runScenario(sc)
+func localityOf(sc core.Scenario, procs int) (float64, error) {
+	out, err := runScenario(sc, procs)
 	if err != nil {
 		return 0, err
 	}
@@ -59,8 +59,8 @@ func localityOf(sc core.Scenario) (float64, error) {
 // concurrently (they are independent simulations).
 func (r *Runner) localityPair(base, ablated core.Scenario) (baseLoc, ablatedLoc float64, err error) {
 	err = parallelDo(r.Workers,
-		func() (err error) { baseLoc, err = localityOf(base); return },
-		func() (err error) { ablatedLoc, err = localityOf(ablated); return },
+		func(procs int) (err error) { baseLoc, err = localityOf(base, procs); return },
+		func(procs int) (err error) { ablatedLoc, err = localityOf(ablated, procs); return },
 	)
 	return baseLoc, ablatedLoc, err
 }
@@ -72,15 +72,15 @@ func (r *Runner) AblationReferral() (AblationOutcome, error) {
 	var base, ablated float64
 	var bt *bittorrent.LocalityResult
 	err := parallelDo(r.Workers,
-		func() (err error) {
-			base, err = localityOf(r.ablationScenario("ablate-referral-base", 0, core.Behaviour{}))
+		func(procs int) (err error) {
+			base, err = localityOf(r.ablationScenario("ablate-referral-base", 0, core.Behaviour{}), procs)
 			return
 		},
-		func() (err error) {
-			ablated, err = localityOf(r.ablationScenario("ablate-referral", 1, core.Behaviour{DisableReferral: true}))
+		func(procs int) (err error) {
+			ablated, err = localityOf(r.ablationScenario("ablate-referral", 1, core.Behaviour{DisableReferral: true}), procs)
 			return
 		},
-		func() (err error) {
+		func(int) (err error) {
 			btViewers := workload.PopularPopulation().Scale(r.Scale.Fig6Population)
 			bt, err = bittorrent.RunLocality(r.Seed+777, btViewers, isp.TELE, r.Scale.Fig6Watch+10*time.Minute)
 			return
@@ -153,10 +153,10 @@ func (f FidelityOutcome) Render() string {
 // AblationFidelity validates the coarse-background substitution on a small
 // scenario: probe-side locality must be comparable while event counts drop.
 func (r *Runner) AblationFidelity() (FidelityOutcome, error) {
-	mk := func(full bool, seedOffset int64) (float64, uint64, error) {
+	mk := func(full bool, seedOffset int64, procs int) (float64, uint64, error) {
 		sc := r.ablationScenario("fidelity", 30+seedOffset, core.Behaviour{FullFidelityBackground: full})
 		sc.Viewers = workload.PopularPopulation().Scale(r.Scale.Fig6Population)
-		out, err := runScenario(sc)
+		out, err := runScenario(sc, procs)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -168,12 +168,12 @@ func (r *Runner) AblationFidelity() (FidelityOutcome, error) {
 	}
 	var out FidelityOutcome
 	err := parallelDo(r.Workers,
-		func() (err error) {
-			out.CoarseLocality, out.CoarseEvents, err = mk(false, 0)
+		func(procs int) (err error) {
+			out.CoarseLocality, out.CoarseEvents, err = mk(false, 0, procs)
 			return
 		},
-		func() (err error) {
-			out.FullLocality, out.FullEvents, err = mk(true, 1)
+		func(procs int) (err error) {
+			out.FullLocality, out.FullEvents, err = mk(true, 1, procs)
 			return
 		},
 	)

@@ -28,7 +28,7 @@ func (r *Runner) Chaos() (*RunOutputs, error) {
 			return
 		}
 		sc.Faults = fs
-		r.chaos, r.chaosErr = runScenario(sc)
+		r.chaos, r.chaosErr = runScenario(sc, allProcs)
 	})
 	return r.chaos, r.chaosErr
 }

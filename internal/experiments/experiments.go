@@ -13,6 +13,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -108,6 +109,10 @@ type Runner struct {
 	Workers int
 	// Shards sets each scenario's event-loop worker count (core.Scenario
 	// .Shards): below 2 the per-domain engines run on one goroutine.
+	// Scenarios that a multi-run experiment executes side by side split the
+	// processors first (parallelDo), so with the default Workers each of
+	// them runs on one event-loop worker whatever Shards says; only a run
+	// on its own (the shared popular trace, say) uses up to Shards.
 	Shards int
 	// Fidelity sets each scenario's background-population fidelity
 	// (core.Scenario.Fidelity). The multi-channel run always uses full
@@ -194,8 +199,15 @@ func analyzeAll(res *core.Result) (map[string]*analysis.Report, error) {
 	return out, nil
 }
 
-// runScenario executes a scenario and analyzes its probes.
-func runScenario(sc core.Scenario) (*RunOutputs, error) {
+// allProcs is runScenario's procs argument for a scenario that runs with no
+// sibling: its event-loop workers are bounded by Shards and the machine only.
+const allProcs = math.MaxInt
+
+// runScenario executes a scenario on at most procs event-loop workers (see
+// parallelDo; the count never changes the trajectory) and analyzes its
+// probes.
+func runScenario(sc core.Scenario, procs int) (*RunOutputs, error) {
+	sc.Workers = max(1, min(sc.Shards, procs))
 	start := time.Now()
 	res, err := core.RunScenario(sc)
 	if err != nil {
@@ -215,15 +227,17 @@ func runScenario(sc core.Scenario) (*RunOutputs, error) {
 // Popular returns (running once, then cached) the popular-channel run.
 func (r *Runner) Popular() (*RunOutputs, error) {
 	r.popOnce.Do(func() {
-		r.popular, r.popErr = runScenario(r.buildScenario("popular", true, 0, r.Scale.Population, r.Scale.Watch))
+		r.popular, r.popErr = runScenario(r.buildScenario("popular", true, 0, r.Scale.Population, r.Scale.Watch), allProcs)
 	})
 	return r.popular, r.popErr
 }
 
 // Unpopular returns (running once, then cached) the unpopular-channel run.
-func (r *Runner) Unpopular() (*RunOutputs, error) {
+func (r *Runner) Unpopular() (*RunOutputs, error) { return r.unpopularOn(allProcs) }
+
+func (r *Runner) unpopularOn(procs int) (*RunOutputs, error) {
 	r.unpopOnce.Do(func() {
-		r.unpopular, r.unpopErr = runScenario(r.buildScenario("unpopular", false, 1, r.Scale.Population, r.Scale.Watch))
+		r.unpopular, r.unpopErr = runScenario(r.buildScenario("unpopular", false, 1, r.Scale.Population, r.Scale.Watch), procs)
 	})
 	return r.unpopular, r.unpopErr
 }
@@ -264,17 +278,23 @@ func (r *Runner) buildMultiScenario() core.Scenario {
 // run with channel-switching viewers.
 func (r *Runner) MultiChannel() (*RunOutputs, error) {
 	r.multiOnce.Do(func() {
-		r.multi, r.multiErr = runScenario(r.buildMultiScenario())
+		r.multi, r.multiErr = runScenario(r.buildMultiScenario(), allProcs)
 	})
 	return r.multi, r.multiErr
 }
 
 // Warm executes the two shared scenario runs concurrently, so a report that
-// derives many sections from both traces pays for the slower run only.
+// derives many sections from both traces pays for the slower run only. The
+// unpopular audience is a seventh of the popular one and its run is over in
+// a sixth of the time, so the pool is full only briefly: the popular run
+// keeps all its event-loop workers and only the unpopular run is held to
+// its share (quick scale, 2 cores, three runs each: 10.9–11.9 s; both held
+// to their share 16.1–19.7 s; neither 12.0–12.9 s; one after the other
+// 12.1–13.7 s).
 func (r *Runner) Warm() error {
 	return parallelDo(r.Workers,
-		func() error { _, err := r.Popular(); return err },
-		func() error { _, err := r.Unpopular(); return err },
+		func(int) error { _, err := r.Popular(); return err },
+		func(procs int) error { _, err := r.unpopularOn(procs); return err },
 	)
 }
 
@@ -482,16 +502,16 @@ func (r *Runner) Fig6(progress func(day int)) (popular, unpopular []Fig6Point, e
 
 	var progressMu sync.Mutex
 	outs := make([]*RunOutputs, len(jobs))
-	tasks := make([]func() error, len(jobs))
+	tasks := make([]func(int) error, len(jobs))
 	for i := range jobs {
 		i := i
-		tasks[i] = func() error {
+		tasks[i] = func(procs int) error {
 			if progress != nil && jobs[i].popular {
 				progressMu.Lock()
 				progress(jobs[i].day)
 				progressMu.Unlock()
 			}
-			out, err := runScenario(jobs[i].sc)
+			out, err := runScenario(jobs[i].sc, procs)
 			if err != nil {
 				return fmt.Errorf("%s: %w", jobs[i].sc.Name, err)
 			}

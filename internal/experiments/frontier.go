@@ -97,16 +97,16 @@ func (r *Runner) runFrontier(progress func(name string)) ([]FrontierPoint, error
 
 	var progressMu sync.Mutex
 	outs := make([]*RunOutputs, len(jobs))
-	tasks := make([]func() error, len(jobs))
+	tasks := make([]func(int) error, len(jobs))
 	for i := range jobs {
 		i := i
-		tasks[i] = func() error {
+		tasks[i] = func(procs int) error {
 			if progress != nil {
 				progressMu.Lock()
 				progress(jobs[i].sc.Name)
 				progressMu.Unlock()
 			}
-			out, err := runScenario(jobs[i].sc)
+			out, err := runScenario(jobs[i].sc, procs)
 			if err != nil {
 				return fmt.Errorf("%s: %w", jobs[i].sc.Name, err)
 			}

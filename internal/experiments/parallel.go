@@ -32,14 +32,28 @@ func workerCount(requested, tasks int) int {
 // them. Every task runs regardless of other tasks' failures; the returned
 // error is the first failure in task order, so error reporting is
 // deterministic even though completion order is not.
-func parallelDo(workers int, tasks ...func() error) error {
+//
+// Each task is told its share of the processors, GOMAXPROCS divided by the
+// pool size and at least 1, and hands it to runScenario as the bound on its
+// simulation's event-loop workers. Running scenarios side by side is the
+// cheaper parallelism (no barriers), so it gets the processors first; a
+// second event-loop worker inside a simulation whose sibling already
+// occupies the other core has nothing to run on, and waiting at the window
+// barrier it only takes cycles from the sibling (quick-scale fig6 on 2
+// cores, five runs each: 41–49 s and 80–96 CPU-s with two workers in each of
+// two concurrent simulations, 34–36 s and 58–62 CPU-s with one). The rule
+// fits tasks of similar length, which keep the pool full until the end;
+// Runner.Warm, whose two tasks differ sixfold, exempts the long one.
+func parallelDo(workers int, tasks ...func(procs int) error) error {
 	if len(tasks) == 0 {
 		return nil
 	}
-	if workers = workerCount(workers, len(tasks)); workers == 1 {
+	workers = workerCount(workers, len(tasks))
+	procs := max(1, runtime.GOMAXPROCS(0)/workers)
+	if workers == 1 {
 		var first error
 		for _, task := range tasks {
-			if err := task(); err != nil && first == nil {
+			if err := task(procs); err != nil && first == nil {
 				first = err
 			}
 		}
@@ -53,7 +67,7 @@ func parallelDo(workers int, tasks ...func() error) error {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				errs[i] = tasks[i]()
+				errs[i] = tasks[i](procs)
 			}
 		}()
 	}

@@ -231,6 +231,9 @@ func TestScaledFloorEnforced(t *testing.T) {
 	if len(got) == 0 {
 		t.Fatal("no datagrams arrived")
 	}
+	if late := w.LateInjects(); late != 0 {
+		t.Errorf("%d datagrams were injected behind the destination clock", late)
+	}
 	floor := underlay.DefaultConfig().IntraOWD[isp.TELE]
 	for _, r := range got {
 		sent := time.Duration(r.sentMs) * time.Millisecond

@@ -60,7 +60,8 @@ type World struct {
 	// a scaled partition, indexed src*len(domains)+dst; nil for legacy and
 	// single-domain worlds (whose trajectories must stay bit-identical).
 	floors []time.Duration
-	// barrierHooks run single-threaded after every window-barrier flush.
+	// barrierHooks run single-threaded at every window barrier, after the
+	// mailboxes have been drained.
 	barrierHooks []func()
 
 	// buildRand drives single-threaded build-time draws (arrival schedules);
@@ -370,34 +371,33 @@ func (w *World) OnBarrier(fn func()) { w.barrierHooks = append(w.barrierHooks, f
 func (w *World) BuildRand() *rand.Rand { return w.buildRand }
 
 // Run executes the world to the horizon. For sharded worlds, workers is the
-// number of goroutines executing synchronization windows: values below 2 run
-// everything on the calling goroutine. The trajectory — every event, draw,
-// and delivery — is identical for any worker count, because the window
-// schedule and cross-domain exchange order are pure functions of barrier
-// state.
+// number of goroutines executing synchronization windows (eventsim.Group caps
+// it at GOMAXPROCS and the domain count); values below 2 run everything on
+// the calling goroutine. Every window runs the domains, then drains each
+// domain's inbound mailboxes (flushDst, one call per destination, in
+// parallel across destinations), then runs the OnBarrier hooks
+// single-threaded. The trajectory — every event, draw, and delivery — is
+// identical for any worker count, because the window schedule and each
+// destination's drain order are pure functions of barrier state.
 func (w *World) Run(horizon time.Duration, workers int) error {
 	if w.router == nil {
 		return w.Engine.Run(horizon)
 	}
-	engines := make([]*eventsim.Engine, len(w.domains))
-	for i, d := range w.domains {
-		engines[i] = d.eng
+	g := &eventsim.Group{
+		Engines:   make([]*eventsim.Engine, len(w.domains)),
+		Lookahead: w.lookahead,
+		Workers:   workers,
+		Deliver:   w.router.flushDst,
 	}
-	flush := w.router.flush
-	if len(w.barrierHooks) > 0 {
-		hooks := w.barrierHooks
-		flush = func() {
-			w.router.flush()
+	for i, d := range w.domains {
+		g.Engines[i] = d.eng
+	}
+	if hooks := w.barrierHooks; len(hooks) > 0 {
+		g.Flush = func() {
 			for _, fn := range hooks {
 				fn()
 			}
 		}
-	}
-	g := &eventsim.Group{
-		Engines:   engines,
-		Lookahead: w.lookahead,
-		Workers:   workers,
-		Flush:     flush,
 	}
 	return g.Run(horizon)
 }
@@ -425,6 +425,18 @@ func (w *World) NetStats() (delivered, droppedLoss, droppedQueue, droppedNoHost 
 		droppedNoHost += no
 	}
 	return
+}
+
+// LateInjects sums, across domains, the cross-domain datagrams that reached
+// their destination engine after their delivery time (see
+// underlay.Network.LateInjects). Anything but 0 means the lookahead was
+// violated and the trajectory is not to be trusted.
+func (w *World) LateInjects() uint64 {
+	var total uint64
+	for _, d := range w.domains {
+		total += d.net.LateInjects()
+	}
+	return total
 }
 
 // LookupHost finds an attached host by address in any domain.
@@ -564,8 +576,8 @@ type xmsg struct {
 // Destination domains are a pure function of the address prefix (the trie is
 // read-only after construction), so concurrent Resolve calls from different
 // shard workers are safe and worker-count invariant. Each (src,dst) mailbox
-// has exactly one writer — src's worker — during a window, and is drained
-// single-threaded by flush at the barrier.
+// has exactly one writer — src's worker — during a window, and exactly one
+// reader — whichever worker calls flushDst(dst) — at the barrier.
 type router struct {
 	world *World
 	trie  *ipam.Trie
@@ -605,23 +617,26 @@ func (r *router) Forward(srcDomain, dstDomain int, arrival time.Duration, from, 
 	*box = append(*box, xmsg{arrival: arrival, from: from, to: to, size: size, payload: payload})
 }
 
-// flush drains every mailbox into its destination domain. It runs
-// single-threaded at each window barrier; the fixed (dst, src) drain order
-// makes the injection sequence — and therefore event seq tie-breaks — a pure
-// function of window state, independent of the worker count.
-func (r *router) flush() {
+// flushDst drains the mailboxes addressed to domain dst into it. Calls for
+// different destinations touch disjoint mailboxes, networks and engines, so
+// the barrier runs them in parallel; the fixed (src ascending, FIFO) drain
+// order makes dst's injection sequence — and therefore its event seq
+// tie-breaks — a pure function of window state, independent of the worker
+// count and of which worker makes the call.
+func (r *router) flushDst(dst int) {
 	n := len(r.world.domains)
-	for dst := 0; dst < n; dst++ {
-		net := r.world.domains[dst].net
-		for src := 0; src < n; src++ {
-			box := &r.boxes[src*n+dst]
-			for i := range *box {
-				m := &(*box)[i]
-				net.Inject(m.arrival, m.from, m.to, m.size, m.payload)
-				m.payload = nil
-			}
-			*box = (*box)[:0]
+	net := r.world.domains[dst].net
+	for src := 0; src < n; src++ {
+		box := &r.boxes[src*n+dst]
+		if len(*box) == 0 {
+			continue // no write: the header shares a cache line with other destinations'
 		}
+		for i := range *box {
+			m := &(*box)[i]
+			net.Inject(m.arrival, m.from, m.to, m.size, m.payload)
+			m.payload = nil
+		}
+		*box = (*box)[:0]
 	}
 }
 

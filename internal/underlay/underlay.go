@@ -221,6 +221,7 @@ type Network struct {
 	// Stats.
 	delivered, droppedLoss, droppedQueue, droppedNoHost uint64
 	droppedFault                                        uint64
+	lateInjects                                         uint64
 }
 
 // linkFaults is the active perturbation table. Entries accumulate, so
@@ -311,6 +312,13 @@ func (n *Network) RemoveBurstLoss(loss float64) {
 
 // FaultDrops reports datagrams dropped by an active partition fault.
 func (n *Network) FaultDrops() uint64 { return n.droppedFault }
+
+// LateInjects reports cross-shard datagrams whose delivery time had already
+// passed on this shard when the barrier injected them — a violated
+// lookahead. The engine clamps such a delivery to its current instant, so
+// without this count the run would go on, quietly wrong. Always 0 in a
+// correct partition.
+func (n *Network) LateInjects() uint64 { return n.lateInjects }
 
 // delivery is one in-flight datagram, scheduled via Engine.AtArg so sending
 // allocates nothing once the free list warms up.
@@ -568,7 +576,11 @@ func (n *Network) Inject(arrival time.Duration, from, to netip.Addr, size int, p
 		n.droppedNoHost++
 		return
 	}
-	n.scheduleDelivery(dst, from, size, payload, arrival+dst.ProcDelay)
+	arrival += dst.ProcDelay
+	if arrival < n.eng.Now() {
+		n.lateInjects++
+	}
+	n.scheduleDelivery(dst, from, size, payload, arrival)
 }
 
 // scheduleDelivery books the arrival event for a surviving datagram.

@@ -77,6 +77,42 @@ func TestDelivery(t *testing.T) {
 	}
 }
 
+// TestInjectCountsLateArrivals: a cross-shard datagram injected with a
+// delivery time behind the destination clock is still delivered (the engine
+// clamps it to now) but counted, so a violated lookahead cannot pass
+// unnoticed; one at or after the clock is not counted.
+func TestInjectCountsLateArrivals(t *testing.T) {
+	eng, net := newTestNet(t)
+	b := mkHost("58.32.0.2", isp.TELE)
+	b.ProcDelay = time.Millisecond
+	var arrivals []time.Duration
+	if err := net.Attach(b, func(netip.Addr, int, any) { arrivals = append(arrivals, eng.Now()) }); err != nil {
+		t.Fatal(err)
+	}
+	from := netip.MustParseAddr("60.0.0.1")
+	eng.At(100*time.Millisecond, func() {
+		net.Inject(99*time.Millisecond, from, b.Addr, 40, nil)  // 99+1 = now: on time
+		net.Inject(98*time.Millisecond, from, b.Addr, 40, nil)  // 98+1 < now: late
+		net.Inject(150*time.Millisecond, from, b.Addr, 40, nil) // future
+		net.Inject(10*time.Millisecond, from, from, 40, nil)    // no such host: not a delivery
+	})
+	if err := eng.Run(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got := net.LateInjects(); got != 1 {
+		t.Errorf("LateInjects = %d, want 1", got)
+	}
+	want := []time.Duration{100 * time.Millisecond, 100 * time.Millisecond, 151 * time.Millisecond}
+	if len(arrivals) != len(want) {
+		t.Fatalf("arrivals %v, want %v", arrivals, want)
+	}
+	for i := range want {
+		if arrivals[i] != want[i] {
+			t.Errorf("arrival %d at %v, want %v", i, arrivals[i], want[i])
+		}
+	}
+}
+
 func TestLatencyRegimeOrdering(t *testing.T) {
 	_, net := newTestNet(t)
 	tele1 := mkHost("58.32.0.1", isp.TELE)
