@@ -62,7 +62,12 @@ type flowDomain struct {
 	initial  int
 
 	swarm *peer.FlowSwarm
-	envs  []*simnet.LiteEnv
+	// envs holds each live row's handle; Retire clears the entry, because
+	// the domain recycles a closed LiteEnv for its next member.
+	envs []*simnet.LiteEnv
+	// spawn is spawnMember bound once: Respawn schedules it for every
+	// replacement, and a fresh method value each time is a heap object.
+	spawn func()
 
 	// Synthetic traffic mix: parallel rows over source ISPs (isp.All()
 	// order) — byte share, representative address, and request RTT.
@@ -148,6 +153,7 @@ func (s *Sim) buildFlowPopulation(set []ChannelSpec) error {
 				}
 				fd.swarm = swarm
 				fd.envs = make([]*simnet.LiteEnv, 0, n)
+				fd.spawn = fd.spawnMember
 				s.flows = append(s.flows, fd)
 				fd.ds.dom.At(0, fd.populate)
 			}
@@ -279,10 +285,13 @@ func (fd *flowDomain) Send(i int, to netip.Addr, msg wire.Message) { fd.envs[i].
 func (fd *flowDomain) UplinkBacklog(i int) time.Duration { return fd.envs[i].UplinkBacklog() }
 
 // Retire implements peer.FlowPort.
-func (fd *flowDomain) Retire(i int) { fd.envs[i].Close() }
+func (fd *flowDomain) Retire(i int) {
+	fd.envs[i].Close()
+	fd.envs[i] = nil
+}
 
 // Respawn implements peer.FlowPort.
-func (fd *flowDomain) Respawn(delay time.Duration) { fd.ds.dom.After(delay, fd.spawnMember) }
+func (fd *flowDomain) Respawn(delay time.Duration) { fd.ds.dom.After(delay, fd.spawn) }
 
 // HandleLite implements simnet.LiteHandler.
 func (fd *flowDomain) HandleLite(i int, from netip.Addr, msg wire.Message) {

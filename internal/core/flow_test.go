@@ -154,10 +154,79 @@ func TestFlowFidelityValidation(t *testing.T) {
 	}
 }
 
+// TestFlowChurnZeroAlloc gates the churn path through the real port — swarm
+// retire → flowDomain.Retire → LiteEnv.Close → underlay detach, then the
+// scheduled respawn → SpawnLite → attach → swarm row — at 0 allocations per
+// event once the world is past warm-up: retired rows, lite cells and event
+// slots are all recycled. (TestFlowTickZeroAlloc in internal/peer gates the
+// same tick against a stub port.) What remains is one 2 KB host-table leaf per
+// 256 fresh addresses, below this gate's resolution.
+func TestFlowChurnZeroAlloc(t *testing.T) {
+	sc := smallScenario(7)
+	sc.Name = "flow-churn-alloc"
+	sc.Fidelity = peer.FidelityFlow
+	// Replacements are due at once, so each round can fire exactly the
+	// respawns its own departures scheduled and nothing else in the world.
+	sc.Churn = workload.Churn{Enabled: true, MeanSession: 30 * time.Minute}
+	sim, err := Build(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.world.Run(sc.WarmUp, 1); err != nil {
+		t.Fatal(err)
+	}
+	var fd *flowDomain
+	for _, f := range sim.flows {
+		if f.category == isp.TELE {
+			fd = f
+		}
+	}
+	eng := fd.ds.dom.Engine()
+	now := eng.Now()
+	// One mean inter-departure gap per round: a departure per Tick on average.
+	gap := sc.Churn.MeanSession / time.Duration(fd.swarm.Alive())
+	events := 0
+	round := func() {
+		now += gap
+		before := fd.swarm.Alive()
+		fd.swarm.Tick(now)
+		for k := before - fd.swarm.Alive(); k > 0; k-- {
+			eng.Step()
+			events++
+		}
+		if fd.swarm.Alive() != before {
+			t.Fatalf("alive %d after a churn round, want %d: a step fired something other than a respawn", fd.swarm.Alive(), before)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		round()
+	}
+	spawned := fd.ds.spawned
+	events = 0
+	allocs := testing.AllocsPerRun(400, round)
+	if events < 300 || fd.ds.spawned-spawned != events {
+		t.Fatalf("%d churn events, %d respawns: the rounds did not exercise the churn path", events, fd.ds.spawned-spawned)
+	}
+	if allocs != 0 {
+		t.Errorf("churn through flowDomain allocates %.2f objects per round, want 0", allocs)
+	}
+	// A retired row keeps no handle: its cell may already be another member's.
+	fd.swarm.KillFraction(0.5)
+	handles := 0
+	for _, env := range fd.envs {
+		if env != nil {
+			handles++
+		}
+	}
+	if handles != fd.swarm.Alive() {
+		t.Errorf("%d env handles for %d live members", handles, fd.swarm.Alive())
+	}
+}
+
 // TestMillionPeerSmoke is the scale gate: a million-plus flow members on the
 // 12-domain scaled partition (>=100k per TELE sub-shard), bounded heap, in
-// one CI-sized run. Gated behind PPLIVE_MILLION=1 — it needs a few minutes
-// and a few GB.
+// one CI-sized run. Gated behind PPLIVE_MILLION=1 — it needs a few seconds
+// and half a GB.
 func TestMillionPeerSmoke(t *testing.T) {
 	if os.Getenv("PPLIVE_MILLION") == "" {
 		t.Skip("set PPLIVE_MILLION=1 to run the million-peer smoke test")
@@ -214,7 +283,10 @@ func TestMillionPeerSmoke(t *testing.T) {
 	}
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	const heapLimit = 6 << 30
+	// Measured HeapAlloc here is 285 MB in five runs out of five (343-377 MB
+	// before lite hosts moved into domain-owned slabs); the limit is that
+	// times 1.5.
+	const heapLimit = 428 << 20
 	if ms.HeapAlloc > heapLimit {
 		t.Errorf("heap alloc %d bytes exceeds %d", ms.HeapAlloc, uint64(heapLimit))
 	}

@@ -87,7 +87,18 @@ type Domain struct {
 	// categories' address ranges.
 	pools map[isp.ISP]*ipam.Pool
 	envs  int // spawned envs (diagnostics)
+
+	// Lite members live in storage the domain owns: liteChunk is the unused
+	// tail of the newest slab chunk and liteFree chains the cells of closed
+	// members, so a churning swarm respawns into the cells it retired and
+	// the collector sees a chunk, not a million hosts. Chunks are never
+	// released.
+	liteChunk []LiteEnv
+	liteFree  *LiteEnv
 }
+
+// liteChunkCells is the number of lite members per slab chunk.
+const liteChunkCells = 1024
 
 // mixSeed derives a decorrelated per-domain seed from the world seed
 // (splitmix64 finalizer).
@@ -556,7 +567,7 @@ func (d *Domain) SpawnAt(addr netip.Addr, spec HostSpec) (*Env, error) {
 		ProcDelay: spec.ProcDelay,
 	}
 	env := &Env{domain: d, host: host, rng: d.eng.NewRand()}
-	if err := d.net.Attach(host, env.deliver); err != nil {
+	if err := d.net.AttachReceiver(host, env); err != nil {
 		return nil, err
 	}
 	d.envs++
@@ -655,7 +666,10 @@ type Env struct {
 	closed bool
 }
 
-var _ node.Env = (*Env)(nil)
+var (
+	_ node.Env          = (*Env)(nil)
+	_ underlay.Receiver = (*Env)(nil)
+)
 
 // Tap observes a datagram at a node boundary.
 type Tap func(peer netip.Addr, msg wire.Message, size int)
@@ -736,8 +750,8 @@ func (e *Env) Send(to netip.Addr, msg wire.Message) {
 	e.domain.net.Send(e.host, to, size, payload)
 }
 
-// deliver is the underlay handler for this node.
-func (e *Env) deliver(from netip.Addr, size int, payload any) {
+// Deliver implements underlay.Receiver for this node.
+func (e *Env) Deliver(from netip.Addr, size int, payload any) {
 	if e.closed {
 		return
 	}
@@ -776,16 +790,23 @@ type LiteHandler interface {
 // LiteEnv is the minimal per-host attachment used by flow-fidelity swarm
 // members: an underlay host plus a row index into the owner's flat state. A
 // full Env costs roughly 5KB — almost all of it the per-env rand.Rand — which
-// a million-member background population cannot afford; a LiteEnv adds a few
-// dozen bytes on top of its host. It has no RNG, no timers, and no taps:
-// everything stateful lives in the owning swarm.
+// a million-member background population cannot afford; a LiteEnv is one
+// 160-byte cell of its domain's slab, host included, and no heap object of
+// its own. It has no RNG, no timers, and no taps: everything stateful lives
+// in the owning swarm.
+//
+// Close hands the cell back to the domain, and the next SpawnLite may reuse
+// it: a *LiteEnv must not be used after Close.
 type LiteEnv struct {
+	host   underlay.Host
 	domain *Domain
-	host   *underlay.Host
 	owner  LiteHandler
 	idx    int32
 	closed bool
+	next   *LiteEnv // free-list link while the cell waits for reuse
 }
+
+var _ underlay.Receiver = (*LiteEnv)(nil)
 
 // SpawnLite allocates an address in this domain and attaches a lightweight
 // host whose deliveries go to owner.HandleLite. The row index is installed
@@ -796,18 +817,43 @@ func (d *Domain) SpawnLite(spec HostSpec, owner LiteHandler) (*LiteEnv, error) {
 	if err != nil {
 		return nil, err
 	}
-	host := &underlay.Host{
-		Addr:      addr,
-		ISP:       spec.ISP,
-		UploadBps: spec.UploadBps,
-		ProcDelay: spec.ProcDelay,
+	e := d.liteFree
+	if e != nil {
+		d.liteFree = e.next
+	} else {
+		if len(d.liteChunk) == 0 {
+			d.liteChunk = make([]LiteEnv, liteChunkCells)
+		}
+		e = &d.liteChunk[0]
+		d.liteChunk = d.liteChunk[1:]
 	}
-	env := &LiteEnv{domain: d, host: host, owner: owner, idx: -1}
-	if err := d.net.Attach(host, env.deliver); err != nil {
+	// Datagrams still in flight to the cell's previous occupant hold a
+	// pointer to e.host; the underlay matches them against the address they
+	// were sent to, so they count as dropped-no-host and never reach owner.
+	*e = LiteEnv{
+		host: underlay.Host{
+			Addr:      addr,
+			ISP:       spec.ISP,
+			UploadBps: spec.UploadBps,
+			ProcDelay: spec.ProcDelay,
+		},
+		domain: d,
+		owner:  owner,
+		idx:    -1,
+	}
+	if err := d.net.AttachReceiver(&e.host, e); err != nil {
+		d.releaseLite(e)
 		return nil, err
 	}
 	d.envs++
-	return env, nil
+	return e, nil
+}
+
+// releaseLite marks a member closed and puts its cell on the free list.
+func (d *Domain) releaseLite(e *LiteEnv) {
+	e.closed = true
+	e.next = d.liteFree
+	d.liteFree = e
 }
 
 // SetIndex installs the owner's row index for this member.
@@ -817,7 +863,7 @@ func (e *LiteEnv) SetIndex(i int) { e.idx = int32(i) }
 func (e *LiteEnv) Addr() netip.Addr { return e.host.Addr }
 
 // Host exposes the underlying underlay host (for stats).
-func (e *LiteEnv) Host() *underlay.Host { return e.host }
+func (e *LiteEnv) Host() *underlay.Host { return &e.host }
 
 // UplinkBacklog is the host's transmit-queue delay now.
 func (e *LiteEnv) UplinkBacklog() time.Duration {
@@ -839,11 +885,11 @@ func (e *LiteEnv) Send(to netip.Addr, msg wire.Message) {
 		}
 		payload = decoded
 	}
-	e.domain.net.Send(e.host, to, size, payload)
+	e.domain.net.Send(&e.host, to, size, payload)
 }
 
-// deliver is the underlay handler for this member.
-func (e *LiteEnv) deliver(from netip.Addr, size int, payload any) {
+// Deliver implements underlay.Receiver for this member.
+func (e *LiteEnv) Deliver(from netip.Addr, size int, payload any) {
 	if e.closed || e.idx < 0 {
 		return
 	}
@@ -855,12 +901,15 @@ func (e *LiteEnv) deliver(from netip.Addr, size int, payload any) {
 	e.owner.HandleLite(int(e.idx), from, msg)
 }
 
-// Close detaches the member from the network. It is idempotent.
+// Close detaches the member from the network and returns its cell to the
+// domain. Closing twice is harmless only until the cell is reused: drop the
+// handle.
 func (e *LiteEnv) Close() {
 	if e.closed {
 		return
 	}
-	e.closed = true
-	e.domain.net.Detach(e.host.Addr)
-	e.domain.envs--
+	d := e.domain
+	d.net.Detach(e.host.Addr)
+	d.envs--
+	d.releaseLite(e)
 }

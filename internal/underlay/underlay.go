@@ -10,8 +10,8 @@
 package underlay
 
 import (
+	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"net/netip"
 	"time"
@@ -20,9 +20,23 @@ import (
 	"pplivesim/internal/isp"
 )
 
-// Handler receives a delivered datagram. Payloads are passed by reference;
-// size is the on-the-wire size used for bandwidth accounting.
+// Receiver is what a host's arriving datagrams are dispatched to. Payloads
+// are passed by reference; size is the on-the-wire size used for bandwidth
+// accounting.
+type Receiver interface {
+	Deliver(from netip.Addr, size int, payload any)
+}
+
+// Handler is the function form of Receiver. A func value is pointer-shaped,
+// so storing one in a Receiver allocates nothing.
 type Handler func(from netip.Addr, size int, payload any)
+
+// Deliver implements Receiver; a nil Handler discards the datagram.
+func (f Handler) Deliver(from netip.Addr, size int, payload any) {
+	if f != nil {
+		f(from, size, payload)
+	}
+}
 
 // Host is an attached endpoint.
 type Host struct {
@@ -36,7 +50,12 @@ type Host struct {
 	// at the receiver before the handler runs.
 	ProcDelay time.Duration
 
-	handler     Handler
+	recv Receiver
+	// key is the packed address the host was last attached under. In-flight
+	// datagrams carry the key they were sent to, so a Host whose storage has
+	// been recycled for another address never receives its predecessor's
+	// traffic.
+	key         uint32
 	detached    bool // set by Detach; in-flight datagrams check it on arrival
 	upBusyUntil time.Duration
 	queuedBytes int64 // bytes accepted but not yet on the wire
@@ -203,11 +222,8 @@ type Network struct {
 	// cross-domain latency — can rise above the natural pair-OWD minimum.
 	// nil (the default) leaves arrivals untouched.
 	remoteFloor func(dstDomain int) time.Duration
-	// hosts is keyed by the packed IPv4 address (hostKey): the lookup sits
-	// on every datagram send, and hashing a uint32 is several times cheaper
-	// than the netip.Addr struct.
-	hosts map[uint32]*Host
-	rng   *rand.Rand
+	hosts       hostTable
+	rng         *rand.Rand
 
 	// freeDeliveries recycles in-flight datagram records; with a
 	// single-threaded engine a plain slice beats sync.Pool.
@@ -325,6 +341,7 @@ func (n *Network) LateInjects() uint64 { return n.lateInjects }
 type delivery struct {
 	n       *Network
 	dst     *Host
+	to      uint32 // hostKey the datagram was addressed to
 	from    netip.Addr
 	size    int
 	payload any
@@ -335,15 +352,13 @@ type delivery struct {
 var deliverDatagram = func(a any) {
 	d := a.(*delivery)
 	n := d.n
-	if d.dst.detached {
+	if dst := d.dst; dst.detached || dst.key != d.to {
 		n.droppedNoHost++
 	} else {
-		d.dst.recvDatagrams++
-		d.dst.recvBytes += uint64(d.size)
+		dst.recvDatagrams++
+		dst.recvBytes += uint64(d.size)
 		n.delivered++
-		if d.dst.handler != nil {
-			d.dst.handler(d.from, d.size, d.payload)
-		}
+		dst.recv.Deliver(d.from, d.size, d.payload)
 	}
 	d.dst = nil
 	d.payload = nil
@@ -353,10 +368,9 @@ var deliverDatagram = func(a any) {
 // New creates a network on the given engine.
 func New(eng *eventsim.Engine, cfg Config) *Network {
 	return &Network{
-		eng:   eng,
-		cfg:   cfg,
-		hosts: make(map[uint32]*Host),
-		rng:   eng.NewRand(),
+		eng: eng,
+		cfg: cfg,
+		rng: eng.NewRand(),
 	}
 }
 
@@ -376,48 +390,53 @@ func (n *Network) SetRemoteFloor(fn func(dstDomain int) time.Duration) {
 	n.remoteFloor = fn
 }
 
-// hostKey packs an IPv4 address into the hosts map key. The simulation's
+// hostKey packs an IPv4 address into the host table key. The simulation's
 // address plan is IPv4-only; non-IPv4 folds to 0, which is never allocated.
 func hostKey(a netip.Addr) uint32 {
 	if !a.Is4() {
 		return 0
 	}
 	b := a.As4()
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
+	return binary.BigEndian.Uint32(b[:])
 }
 
-// Attach registers a host and its receive handler. Attaching an address that
-// is already attached returns an error.
-func (n *Network) Attach(h *Host, handler Handler) error {
-	if _, ok := n.hosts[hostKey(h.Addr)]; ok {
+// Attach registers a host and the function its datagrams are handed to (see
+// AttachReceiver).
+func (n *Network) Attach(h *Host, handler Handler) error { return n.AttachReceiver(h, handler) }
+
+// AttachReceiver registers a host and the receiver of its datagrams.
+// Attaching an address that is already attached returns an error.
+func (n *Network) AttachReceiver(h *Host, recv Receiver) error {
+	key := hostKey(h.Addr)
+	if n.hosts.get(key) != nil {
 		return fmt.Errorf("underlay: address %s already attached", h.Addr)
 	}
 	if h.UploadBps <= 0 {
 		return fmt.Errorf("underlay: host %s has non-positive upload capacity", h.Addr)
 	}
-	h.handler = handler
+	h.recv = recv
+	h.key = key
 	h.detached = false
-	n.hosts[hostKey(h.Addr)] = h
+	n.hosts.put(key, h)
 	return nil
 }
 
 // Detach removes a host; subsequent datagrams to it are silently dropped,
 // like UDP to a departed peer.
 func (n *Network) Detach(addr netip.Addr) {
-	if h, ok := n.hosts[hostKey(addr)]; ok {
+	if h := n.hosts.remove(hostKey(addr)); h != nil {
 		h.detached = true
-		delete(n.hosts, hostKey(addr))
 	}
 }
 
 // Lookup returns the attached host for addr, if any.
 func (n *Network) Lookup(addr netip.Addr) (*Host, bool) {
-	h, ok := n.hosts[hostKey(addr)]
-	return h, ok
+	h := n.hosts.get(hostKey(addr))
+	return h, h != nil
 }
 
 // NumHosts returns the number of currently attached hosts.
-func (n *Network) NumHosts() int { return len(n.hosts) }
+func (n *Network) NumHosts() int { return n.hosts.n }
 
 // Stats reports delivery counters: delivered datagrams and the three drop
 // classes (random loss, sender queue overflow, destination not attached).
@@ -425,16 +444,24 @@ func (n *Network) Stats() (delivered, droppedLoss, droppedQueue, droppedNoHost u
 	return n.delivered, n.droppedLoss, n.droppedQueue, n.droppedNoHost
 }
 
-// pairKey produces a symmetric deterministic hash for a host pair.
+// pairKey produces a symmetric deterministic hash for a host pair: 64-bit
+// FNV-1a over the two IPv4 addresses' bytes in network order, numerically
+// smaller address first. It sits on every datagram, so the hash is inlined;
+// TestPairKeyMatchesFNV pins it to hash/fnv, which every golden depends on.
 func pairKey(a, b netip.Addr) uint64 {
-	if b.Less(a) {
-		a, b = b, a
+	lo, hi := a.As4(), b.As4()
+	if binary.BigEndian.Uint32(hi[:]) < binary.BigEndian.Uint32(lo[:]) {
+		lo, hi = hi, lo
 	}
-	h := fnv.New64a()
-	ab, bb := a.As4(), b.As4()
-	h.Write(ab[:])
-	h.Write(bb[:])
-	return h.Sum64()
+	const offset, prime = 14695981039346656037, 1099511628211
+	h := uint64(offset)
+	for _, c := range lo {
+		h = (h ^ uint64(c)) * prime
+	}
+	for _, c := range hi {
+		h = (h ^ uint64(c)) * prime
+	}
+	return h
 }
 
 // PairOWD returns the stable (jitter-free) one-way delay between two hosts:
@@ -485,8 +512,9 @@ func (n *Network) Send(from *Host, to netip.Addr, size int, payload any) bool {
 	// Random loss along the path. The destination's ISP must be resolvable
 	// even if it detaches before arrival; use the current view, falling back
 	// to dropping on unknown destinations at send time.
-	dst, ok := n.hosts[hostKey(to)]
-	if !ok {
+	toKey := hostKey(to)
+	dst := n.hosts.get(toKey)
+	if dst == nil {
 		if n.router != nil {
 			if rem, rok := n.router.Resolve(to); rok && rem.Domain != n.domainID {
 				return n.sendRemote(from, to, rem, departure, size, payload)
@@ -523,7 +551,7 @@ func (n *Network) Send(from *Host, to netip.Addr, size int, payload any) bool {
 		arrival += time.Duration(float64(size) / n.cfg.TransoceanicBps * float64(time.Second))
 	}
 
-	n.scheduleDelivery(dst, from.Addr, size, payload, arrival)
+	n.scheduleDelivery(dst, toKey, from.Addr, size, payload, arrival)
 	return true
 }
 
@@ -571,8 +599,9 @@ func (n *Network) sendRemote(from *Host, to netip.Addr, rem Remote, departure ti
 // missing destination counts as droppedNoHost on this (the destination)
 // shard.
 func (n *Network) Inject(arrival time.Duration, from, to netip.Addr, size int, payload any) {
-	dst, ok := n.hosts[hostKey(to)]
-	if !ok {
+	toKey := hostKey(to)
+	dst := n.hosts.get(toKey)
+	if dst == nil {
 		n.droppedNoHost++
 		return
 	}
@@ -580,11 +609,11 @@ func (n *Network) Inject(arrival time.Duration, from, to netip.Addr, size int, p
 	if arrival < n.eng.Now() {
 		n.lateInjects++
 	}
-	n.scheduleDelivery(dst, from, size, payload, arrival)
+	n.scheduleDelivery(dst, toKey, from, size, payload, arrival)
 }
 
 // scheduleDelivery books the arrival event for a surviving datagram.
-func (n *Network) scheduleDelivery(dst *Host, from netip.Addr, size int, payload any, arrival time.Duration) {
+func (n *Network) scheduleDelivery(dst *Host, toKey uint32, from netip.Addr, size int, payload any, arrival time.Duration) {
 	var d *delivery
 	if k := len(n.freeDeliveries); k > 0 {
 		d = n.freeDeliveries[k-1]
@@ -592,6 +621,6 @@ func (n *Network) scheduleDelivery(dst *Host, from netip.Addr, size int, payload
 	} else {
 		d = &delivery{}
 	}
-	d.n, d.dst, d.from, d.size, d.payload = n, dst, from, size, payload
+	d.n, d.dst, d.to, d.from, d.size, d.payload = n, dst, toKey, from, size, payload
 	n.eng.AtArg(arrival, deliverDatagram, d)
 }
