@@ -1,12 +1,44 @@
 GO ?= go
 
-# Hot-path microbenchmarks that gate performance work (see README
-# "Performance"). The top-level Fig*/Table* benchmarks each run a full
-# scenario; use `make bench-scenarios` for those.
-HOTPATH_PKGS = ./internal/eventsim ./internal/wire
+# Microbenchmark suites. `make bench-<suite>` runs the suite's benchmarks and
+# exports them through bench/tojson.awk as BENCH_<suite>.json
+# ([{"name":..., "ns_per_op":..., "bytes_per_op":..., "allocs_per_op":...}]);
+# `make bench` is bench-hotpath (see README "Performance"); the top-level
+# Fig*/Table* benchmarks each run a full scenario, use `make bench-scenarios`
+# for those. Each suite is a -bench regex and its packages:
+#   hotpath    event engine and wire codec, the gate for hot-path work.
+#   sched      request scheduling in internal/peer.
+#   select     tracker reply composition. The baseline/uniform pair proves the
+#              strategy indirection is free on the default path: bench-compare
+#              holds BenchmarkSelectUniform within the noise threshold of the
+#              hand-inlined BenchmarkSelectUniformBaseline at 0 allocs/op.
+#   telemetry  full-capture vs streaming analysis of one synthetic paper-scale
+#              trace. Entries also carry live_heap_bytes — the heap the
+#              pipeline retains after a full GC — which is what the streaming
+#              telemetry gates on (>= 10x below full capture;
+#              TestStreamingTelemetryMemoryFootprint enforces it).
+#   fault      the underlay send path with the fault layer idle (every benign
+#              run) and with an active link fault; the idle numbers gate the
+#              claim that the hooks cost ~nothing without a chaos schedule.
+#   cdn        the urgent-miss path with no edges (every pure-P2P run) and
+#              with a hybrid edge set; edges=0 gates 0 allocs on the send path
+#              (TestCDNIdleHooksZeroAlloc pins the count itself).
+SUITES = hotpath sched select telemetry fault cdn
+hotpath_bench   = .
+hotpath_pkgs    = ./internal/eventsim ./internal/wire
+sched_bench     = Scheduler|PickProvider
+sched_pkgs      = ./internal/peer
+select_bench    = Select
+select_pkgs     = ./internal/selection
+telemetry_bench = Telemetry
+telemetry_pkgs  = ./internal/analysis
+fault_bench     = Fault
+fault_pkgs      = ./internal/underlay
+cdn_bench       = CDNUrgentMiss
+cdn_pkgs        = ./internal/peer
 BENCHTIME ?= 2s
 
-.PHONY: fast full perf-test fuzz bench bench-e2e bench-sched bench-select bench-shard bench-telemetry bench-fault bench-cdn bench-scenarios bench-compare bench-baseline clean
+.PHONY: fast full perf-test fuzz bench $(SUITES:%=bench-%) bench-e2e bench-shard bench-scenarios bench-compare bench-baseline clean
 
 # Fast lane: static checks plus every -short test under the race detector.
 # Scenario-scale tests skip themselves in -short mode, so this finishes in
@@ -42,43 +74,12 @@ FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshal -fuzztime $(FUZZTIME) ./internal/wire/
 
-# Hot-path benchmarks, also exported as BENCH_hotpath.json
-# ([{"name":..., "ns_per_op":..., "bytes_per_op":..., "allocs_per_op":...}]).
-bench:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) $(HOTPATH_PKGS) | tee bench_hotpath.txt
-	awk 'BEGIN { print "[" } \
-	  /^Benchmark/ { ns=""; bytes=""; allocs=""; \
-	    for (i = 2; i <= NF; i++) { \
-	      if ($$(i) == "ns/op") ns = $$(i-1); \
-	      if ($$(i) == "B/op") bytes = $$(i-1); \
-	      if ($$(i) == "allocs/op") allocs = $$(i-1); \
-	    } \
-	    if (ns == "") next; \
-	    if (n++) print ","; \
-	    printf "  {\"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", \
-	      $$1, ns, (bytes == "" ? "null" : bytes), (allocs == "" ? "null" : allocs); \
-	  } \
-	  END { print "\n]" }' bench_hotpath.txt > BENCH_hotpath.json
-	@echo "wrote BENCH_hotpath.json"
+bench: bench-hotpath
 
-# Scheduler benchmarks (request-scheduling hot path in internal/peer), also
-# exported as BENCH_sched.json in the same shape as BENCH_hotpath.json.
-bench-sched:
-	$(GO) test -run '^$$' -bench 'Scheduler|PickProvider' -benchmem -benchtime $(BENCHTIME) ./internal/peer | tee bench_sched.txt
-	awk 'BEGIN { print "[" } \
-	  /^Benchmark/ { ns=""; bytes=""; allocs=""; \
-	    for (i = 2; i <= NF; i++) { \
-	      if ($$(i) == "ns/op") ns = $$(i-1); \
-	      if ($$(i) == "B/op") bytes = $$(i-1); \
-	      if ($$(i) == "allocs/op") allocs = $$(i-1); \
-	    } \
-	    if (ns == "") next; \
-	    if (n++) print ","; \
-	    printf "  {\"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", \
-	      $$1, ns, (bytes == "" ? "null" : bytes), (allocs == "" ? "null" : allocs); \
-	  } \
-	  END { print "\n]" }' bench_sched.txt > BENCH_sched.json
-	@echo "wrote BENCH_sched.json"
+$(SUITES:%=bench-%): bench-%:
+	$(GO) test -run '^$$' -bench '$($*_bench)' -benchmem -benchtime $(BENCHTIME) $($*_pkgs) | tee bench_$*.txt
+	awk -f bench/tojson.awk bench_$*.txt > BENCH_$*.json
+	@echo "wrote BENCH_$*.json"
 
 # Sharded-engine wall-clock benchmark at paper scale: one ~2-hour-virtual
 # run per GOMAXPROCS 1, 2, 4 on the same SHARD_WORKERS-domain partition,
@@ -107,128 +108,24 @@ bench-shard:
 	$(GO) run ./cmd/benchdiff -shard BENCH_shard.json
 	@echo "wrote BENCH_shard.json"
 
-# Selection-policy benchmarks (tracker reply composition in
-# internal/selection), exported as BENCH_select.json. The baseline/uniform
-# pair proves the strategy indirection is free on the default path: the
-# bench-compare gate holds BenchmarkSelectUniform within the noise threshold
-# of the hand-inlined BenchmarkSelectUniformBaseline at 0 allocs/op.
-bench-select:
-	$(GO) test -run '^$$' -bench Select -benchmem -benchtime $(BENCHTIME) ./internal/selection | tee bench_select.txt
-	awk 'BEGIN { print "[" } \
-	  /^Benchmark/ { ns=""; bytes=""; allocs=""; \
-	    for (i = 2; i <= NF; i++) { \
-	      if ($$(i) == "ns/op") ns = $$(i-1); \
-	      if ($$(i) == "B/op") bytes = $$(i-1); \
-	      if ($$(i) == "allocs/op") allocs = $$(i-1); \
-	    } \
-	    if (ns == "") next; \
-	    if (n++) print ","; \
-	    printf "  {\"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", \
-	      $$1, ns, (bytes == "" ? "null" : bytes), (allocs == "" ? "null" : allocs); \
-	  } \
-	  END { print "\n]" }' bench_select.txt > BENCH_select.json
-	@echo "wrote BENCH_select.json"
-
-# Telemetry pipeline benchmarks: full-capture vs streaming analysis of the
-# same synthetic paper-scale trace, exported as BENCH_telemetry.json. Besides
-# the usual ns/op + allocs/op, each entry carries live_heap_bytes — the heap
-# retained by the pipeline's state after a full GC — which is the number the
-# streaming telemetry work gates on (streaming must stay >= 10x below full
-# capture; TestStreamingTelemetryMemoryFootprint enforces it).
-bench-telemetry:
-	$(GO) test -run '^$$' -bench Telemetry -benchmem -benchtime $(BENCHTIME) ./internal/analysis | tee bench_telemetry.txt
-	awk 'BEGIN { print "[" } \
-	  /^Benchmark/ { ns=""; bytes=""; allocs=""; live=""; \
-	    for (i = 2; i <= NF; i++) { \
-	      if ($$(i) == "ns/op") ns = $$(i-1); \
-	      if ($$(i) == "B/op") bytes = $$(i-1); \
-	      if ($$(i) == "allocs/op") allocs = $$(i-1); \
-	      if ($$(i) == "live-heap-B") live = $$(i-1); \
-	    } \
-	    if (ns == "") next; \
-	    if (n++) print ","; \
-	    printf "  {\"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s, \"live_heap_bytes\": %s}", \
-	      $$1, ns, (bytes == "" ? "null" : bytes), (allocs == "" ? "null" : allocs), (live == "" ? "null" : live); \
-	  } \
-	  END { print "\n]" }' bench_telemetry.txt > BENCH_telemetry.json
-	@echo "wrote BENCH_telemetry.json"
-
-# Fault-hook benchmarks: the underlay send path with the fault layer idle
-# (every benign run) and with an active link fault, exported as
-# BENCH_fault.json. The idle numbers gate the tentpole claim that fault
-# hooks cost ~nothing when no chaos schedule is installed.
-bench-fault:
-	$(GO) test -run '^$$' -bench Fault -benchmem -benchtime $(BENCHTIME) ./internal/underlay | tee bench_fault.txt
-	awk 'BEGIN { print "[" } \
-	  /^Benchmark/ { ns=""; bytes=""; allocs=""; \
-	    for (i = 2; i <= NF; i++) { \
-	      if ($$(i) == "ns/op") ns = $$(i-1); \
-	      if ($$(i) == "B/op") bytes = $$(i-1); \
-	      if ($$(i) == "allocs/op") allocs = $$(i-1); \
-	    } \
-	    if (ns == "") next; \
-	    if (n++) print ","; \
-	    printf "  {\"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", \
-	      $$1, ns, (bytes == "" ? "null" : bytes), (allocs == "" ? "null" : allocs); \
-	  } \
-	  END { print "\n]" }' bench_fault.txt > BENCH_fault.json
-	@echo "wrote BENCH_fault.json"
-
-# CDN-hook benchmarks: the urgent-miss scheduling path with no edges deployed
-# (every pure-P2P run) and with a hybrid edge set, exported as BENCH_cdn.json.
-# The edges=0 numbers gate the claim that idle CDN hooks cost 0 allocs on the
-# send path (TestCDNIdleHooksZeroAlloc pins the alloc count itself).
-bench-cdn:
-	$(GO) test -run '^$$' -bench CDNUrgentMiss -benchmem -benchtime $(BENCHTIME) ./internal/peer | tee bench_cdn.txt
-	awk 'BEGIN { print "[" } \
-	  /^Benchmark/ { ns=""; bytes=""; allocs=""; \
-	    for (i = 2; i <= NF; i++) { \
-	      if ($$(i) == "ns/op") ns = $$(i-1); \
-	      if ($$(i) == "B/op") bytes = $$(i-1); \
-	      if ($$(i) == "allocs/op") allocs = $$(i-1); \
-	    } \
-	    if (ns == "") next; \
-	    if (n++) print ","; \
-	    printf "  {\"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", \
-	      $$1, ns, (bytes == "" ? "null" : bytes), (allocs == "" ? "null" : allocs); \
-	  } \
-	  END { print "\n]" }' bench_cdn.txt > BENCH_cdn.json
-	@echo "wrote BENCH_cdn.json"
-
-# Perf regression gate (the CI bench-compare lane): re-run both benchmark
-# suites fresh and compare against the committed baselines in bench/baseline/,
-# failing if any benchmark's ns/op regressed by more than 30% relative to its
-# siblings (benchdiff -normalize divides the ratios by their geometric mean,
-# so a uniformly slower or faster machine doesn't trip the gate). Re-baseline
-# after intentional perf changes with `make bench-baseline`.
-bench-compare:
-	$(MAKE) bench bench-sched bench-select bench-telemetry bench-fault bench-cdn BENCHTIME=$(BENCHTIME)
+# Perf regression gate (the CI bench-compare lane): re-run every suite fresh
+# and compare against the committed baselines in bench/baseline/, failing if
+# any benchmark's ns/op regressed by more than 30% relative to its siblings
+# (benchdiff -normalize divides the ratios by their geometric mean, so a
+# uniformly slower or faster machine doesn't trip the gate). Re-baseline after
+# intentional perf changes with `make bench-baseline`.
+bench-compare: $(SUITES:%=bench-%)
 	$(GO) run ./cmd/benchdiff -normalize -threshold 0.30 \
-	  bench/baseline/hotpath.json BENCH_hotpath.json \
-	  bench/baseline/sched.json BENCH_sched.json \
-	  bench/baseline/select.json BENCH_select.json \
-	  bench/baseline/telemetry.json BENCH_telemetry.json \
-	  bench/baseline/fault.json BENCH_fault.json \
-	  bench/baseline/cdn.json BENCH_cdn.json
+	  $(foreach s,$(SUITES),bench/baseline/$(s).json BENCH_$(s).json)
 
 # Refresh the committed perf baselines from a fresh benchmark run.
-bench-baseline:
-	$(MAKE) bench bench-sched bench-select bench-telemetry bench-fault bench-cdn BENCHTIME=$(BENCHTIME)
+bench-baseline: $(SUITES:%=bench-%)
 	mkdir -p bench/baseline
-	cp BENCH_hotpath.json bench/baseline/hotpath.json
-	cp BENCH_sched.json bench/baseline/sched.json
-	cp BENCH_select.json bench/baseline/select.json
-	cp BENCH_telemetry.json bench/baseline/telemetry.json
-	cp BENCH_fault.json bench/baseline/fault.json
-	cp BENCH_cdn.json bench/baseline/cdn.json
-	@echo "wrote bench/baseline/{hotpath,sched,select,telemetry,fault,cdn}.json"
+	$(foreach s,$(SUITES),cp BENCH_$(s).json bench/baseline/$(s).json;)
 
 # Scenario-scale benchmarks: one full simulation per table/figure.
 bench-scenarios:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x .
 
 clean:
-	rm -f bench_hotpath.txt BENCH_hotpath.json bench_sched.txt BENCH_sched.json \
-	  bench_select.txt BENCH_select.json \
-	  bench_shard.txt BENCH_shard.json bench_telemetry.txt BENCH_telemetry.json \
-	  bench_fault.txt BENCH_fault.json bench_cdn.txt BENCH_cdn.json core.test
+	rm -f $(foreach s,$(SUITES) shard,bench_$(s).txt BENCH_$(s).json) core.test

@@ -19,7 +19,6 @@ import (
 
 	"pplivesim/internal/analysis"
 	"pplivesim/internal/asnmap"
-	"pplivesim/internal/capture"
 	"pplivesim/internal/experiments"
 	"pplivesim/internal/isp"
 	"pplivesim/internal/tracefile"
@@ -68,10 +67,8 @@ func run() error {
 		return fmt.Errorf("header has unknown probe ISP %q", hdr.ProbeISP)
 	}
 
-	matched := capture.Match(records, trackers)
 	rep := analysis.Analyze(analysis.Input{
 		Records:  records,
-		Matched:  matched,
 		Resolver: asnmap.SyntheticInternet(),
 		Trackers: trackers,
 		Source:   source,

@@ -261,7 +261,7 @@ func run() error {
 	out := flag.String("out", "", "also append sections to this file")
 	plots := flag.String("plots", "", "also render SVG figures into this directory")
 	workers := flag.Int("workers", 0, "max concurrent scenario runs (0 = GOMAXPROCS); results are identical at any setting")
-	shards := flag.Int("shards", simnet.DefaultShards, "event-loop workers per run, at most (one per ISP domain by default; runs executing side by side split the cores between them first); results are identical at any setting")
+	shards := flag.Int("shards", simnet.DefaultShards, "event-loop workers per run, at most (one per ISP domain by default; runs executing side by side split the cores between them first). Up to 6, results are identical at any setting; above 6 (at most 256) it also selects the scaled partition of that many domains, a different trajectory that is again identical at any worker count")
 	fidelityName := flag.String("fidelity", "mixed", "background population fidelity: "+strings.Join(peer.FidelityNames(), ", "))
 	selectionName := flag.String("selection", "random", "peer selection policy: "+strings.Join(selection.Names(), ", "))
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")

@@ -54,7 +54,7 @@ func run() error {
 	noReferral := flag.Bool("no-referral", false, "ablate neighbor referral")
 	noLatency := flag.Bool("no-latency-bias", false, "ablate latency-based selection")
 	noPref := flag.Bool("no-preference", false, "ablate performance-weighted scheduling")
-	shards := flag.Int("shards", simnet.DefaultShards, "event-loop workers (one per ISP domain by default); results are identical at any setting")
+	shards := flag.Int("shards", simnet.DefaultShards, "event-loop workers (one per ISP domain by default). Up to 6, results are identical at any setting; above 6 (at most 256) it also selects the scaled partition of that many domains, a different trajectory that is again identical at any worker count")
 	switchFrac := flag.Float64("switch-fraction", 0.35, "with -channel multi: share of viewers that browse channels")
 	dwell := flag.Duration("median-dwell", 4*time.Minute, "with -channel multi: median dwell on a channel before switching")
 	faultName := flag.String("fault", "", "inject a chaos preset: "+strings.Join(pplive.FaultPresetNames(), ", "))

@@ -19,10 +19,7 @@ import (
 // It implements capture.Events, so a capture.Aggregator can feed it online,
 // and Aggregates are mergeable (Merge), so per-shard instances can be folded
 // at scenario end. All accumulations are commutative integer/duration sums,
-// so a merged fold is bit-identical to a single-pass one; Report finalizes
-// the same arithmetic the post-hoc Analyze path uses, which is what makes
-// the streaming and full-capture report JSON byte-identical on well-formed
-// traces.
+// so a merged fold is bit-identical to a single-pass one.
 type Aggregate struct {
 	resolver Resolver
 	source   netip.Addr
@@ -212,13 +209,6 @@ func (a *Aggregate) addList(src ListSource, addrs []netip.Addr) {
 		byISP[cat]++
 		a.unique[addr] = struct{}{}
 	}
-}
-
-// addUnanswered folds externally tallied unanswered counts (used by the
-// post-hoc Analyze path, which gets them from capture.Matched).
-func (a *Aggregate) addUnanswered(data, lists int) {
-	a.unansweredData += data
-	a.unansweredLists += lists
 }
 
 // BytesSnapshot copies the current per-ISP client-peer download byte tally,

@@ -15,25 +15,10 @@ import (
 )
 
 // feedAggregate replays a captured trace into a fresh Aggregate the same way
-// Analyze does (via Match), standing in for the online capture.Aggregator.
+// Analyze does.
 func feedAggregate(records []capture.Record, trackers map[netip.Addr]bool, r Resolver) *Aggregate {
 	agg := NewAggregate(r, srcA, isp.TELE)
-	m := capture.Match(records, trackers)
-	for _, rec := range records {
-		if rec.Dir == capture.Out && rec.Type == wire.TDataRequest {
-			agg.DataRequest(rec.Peer, rec.At)
-		}
-	}
-	for _, ex := range m.ListExchanges {
-		agg.PeerListMatched(ex)
-	}
-	for _, ex := range m.TrackerLists {
-		agg.TrackerList(ex)
-	}
-	for _, tx := range m.Transmissions {
-		agg.DataMatched(tx)
-	}
-	agg.addUnanswered(m.UnansweredData, m.UnansweredLists)
+	capture.Replay(records, trackers, agg)
 	return agg
 }
 
@@ -221,7 +206,6 @@ func TestPeersVsConnectedSemantics(t *testing.T) {
 	}
 	rep := Analyze(Input{
 		Records:  records,
-		Matched:  capture.Match(records, nil),
 		Resolver: testResolver(),
 		Source:   srcA,
 		ProbeISP: isp.TELE,
@@ -273,7 +257,6 @@ func TestUnsolicitedTrackerResponseOutOfRTStats(t *testing.T) {
 	}
 	rep := Analyze(Input{
 		Records:  records,
-		Matched:  m,
 		Resolver: testResolver(),
 		Trackers: trackers,
 		Source:   srcA,

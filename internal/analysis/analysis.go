@@ -5,11 +5,11 @@
 //
 // Everything is computed from the probe-side view through the IP→ASN
 // resolver, exactly as the paper computed its results from Wireshark
-// captures via Team Cymru — never from global simulator state. Two paths
-// produce the same Report: the streaming path folds matching outcomes into
-// an Aggregate online (bounded memory, the default), and the post-hoc path
-// (Analyze) replays a full captured trace through the very same Aggregate,
-// so the two are bit-identical by construction.
+// captures via Team Cymru — never from global simulator state. There is one
+// pipeline: capture.Aggregator applies the paper's matching rules to a
+// probe's datagrams and an Aggregate folds the outcomes into the Report's
+// counters. A run drives it online, in bounded memory; Analyze drives it from
+// a recorded trace (capture.Replay), so the two reports cannot differ.
 package analysis
 
 import (
@@ -19,7 +19,6 @@ import (
 	"pplivesim/internal/capture"
 	"pplivesim/internal/fit"
 	"pplivesim/internal/isp"
-	"pplivesim/internal/wire"
 )
 
 // Resolver maps an address to its ISP category (the Team Cymru step).
@@ -32,7 +31,6 @@ type Resolver interface {
 // trace.
 type Input struct {
 	Records  []capture.Record
-	Matched  capture.Matched
 	Resolver Resolver
 	// Trackers identifies tracker-server addresses.
 	Trackers map[netip.Addr]bool
@@ -171,30 +169,11 @@ func resolve(r Resolver, a netip.Addr) isp.ISP {
 }
 
 // Analyze computes the full report for one captured probe trace — the
-// post-hoc path, retained for tracefile analysis (cmd/analyze) and as the
-// reference the streaming path is checked against. It replays the matched
-// trace through the same Aggregate the streaming path uses, so both paths
-// share every accumulation and finalization step.
+// post-hoc path of tracefile analysis (cmd/analyze). It replays the trace
+// through the matcher and the Aggregate a run feeds online.
 func Analyze(in Input) *Report {
 	agg := NewAggregate(in.Resolver, in.Source, in.ProbeISP)
 	agg.SetEdges(in.Edges)
-
-	// Raw outgoing data requests (answered or not), as the paper counts
-	// "data requests made by our host".
-	for _, rec := range in.Records {
-		if rec.Dir == capture.Out && rec.Type == wire.TDataRequest {
-			agg.DataRequest(rec.Peer, rec.At)
-		}
-	}
-	for _, ex := range in.Matched.ListExchanges {
-		agg.PeerListMatched(ex)
-	}
-	for _, ex := range in.Matched.TrackerLists {
-		agg.TrackerList(ex)
-	}
-	for _, tx := range in.Matched.Transmissions {
-		agg.DataMatched(tx)
-	}
-	agg.addUnanswered(in.Matched.UnansweredData, in.Matched.UnansweredLists)
+	capture.Replay(in.Records, in.Trackers, agg)
 	return agg.Report()
 }

@@ -79,7 +79,6 @@ func buildInput() Input {
 	trackers := map[netip.Addr]bool{trkA: true}
 	return Input{
 		Records:  records,
-		Matched:  capture.Match(records, trackers),
 		Resolver: testResolver(),
 		Trackers: trackers,
 		Source:   srcA,
@@ -203,7 +202,6 @@ func TestUnresolvableMapsToForeign(t *testing.T) {
 	}
 	in := Input{
 		Records:  records,
-		Matched:  capture.Match(records, nil),
 		Resolver: testResolver(),
 		ProbeISP: isp.TELE,
 	}

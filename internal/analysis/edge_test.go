@@ -45,7 +45,6 @@ func TestEdgeTrafficSeparatedFromLocality(t *testing.T) {
 	records := edgeTrace()
 	rep := Analyze(Input{
 		Records:  records,
-		Matched:  capture.Match(records, nil),
 		Resolver: edgeResolver(),
 		Source:   srcA,
 		Edges:    []netip.Addr{edgeA},

@@ -102,7 +102,6 @@ func runFullCapture(n int, peers []netip.Addr, resolver stubResolver) (*capture.
 	replayTelemetryTrace(n, peers, rec.Observe)
 	rep := Analyze(Input{
 		Records:  rec.Records(),
-		Matched:  capture.Match(rec.Records(), map[netip.Addr]bool{telemetryTracker: true}),
 		Resolver: resolver,
 		Trackers: map[netip.Addr]bool{telemetryTracker: true},
 		Source:   srcA,
@@ -163,14 +162,14 @@ func benchTelemetry(b *testing.B, run func(n int, peers []netip.Addr, resolver s
 	b.ReportMetric(float64(live), "live-heap-B")
 }
 
-func BenchmarkTelemetryFullCapture(b *testing.B) {
+func BenchmarkTelemetryRecorded(b *testing.B) {
 	benchTelemetry(b, func(n int, peers []netip.Addr, resolver stubResolver) (any, *Report) {
 		rec, rep := runFullCapture(n, peers, resolver)
 		return rec, rep
 	})
 }
 
-func BenchmarkTelemetryStreaming(b *testing.B) {
+func BenchmarkTelemetryStreamed(b *testing.B) {
 	benchTelemetry(b, func(n int, peers []netip.Addr, resolver stubResolver) (any, *Report) {
 		agg, rep := runStreaming(n, peers, resolver)
 		return agg, rep

@@ -5,7 +5,8 @@
 // The paper matched data requests and replies "based on the IP addresses and
 // transmission sub-piece sequence numbers", and matched each peer-list reply
 // "to the latest request designated to the same IP address" (§3.1). Both
-// rules are implemented verbatim over the recorded trace.
+// rules are implemented once, in Aggregator, which applies them online; Match
+// replays a recorded trace through it.
 package capture
 
 import (
@@ -77,6 +78,18 @@ func (r *Recorder) Self() netip.Addr { return r.self }
 //
 //	env.TapRecv(func(p netip.Addr, m wire.Message, n int) { rec.Observe(now(), capture.In, p, m, n) })
 func (r *Recorder) Observe(at time.Duration, dir Direction, peerAddr netip.Addr, msg wire.Message, size int) {
+	rec := recordOf(at, dir, peerAddr, msg, size)
+	rec.Addrs = append([]netip.Addr(nil), rec.Addrs...)
+	r.records = append(r.records, rec)
+}
+
+// recordOf extracts a datagram's protocol-relevant fields, for the recorder
+// and the online matcher alike. Addrs aliases the message's own peer slice,
+// which may belong to a pooled wire message: the recorder copies it, the
+// matcher passes it on under the Events no-retain contract. A gossip request's
+// enclosed own-list is not analyzed (the paper analyzes returned lists), so
+// it is kept only implicitly via Size.
+func recordOf(at time.Duration, dir Direction, peerAddr netip.Addr, msg wire.Message, size int) Record {
 	rec := Record{At: at, Dir: dir, Peer: peerAddr, Type: msg.Kind(), Size: size}
 	switch m := msg.(type) {
 	case *wire.DataRequest:
@@ -84,15 +97,11 @@ func (r *Recorder) Observe(at time.Duration, dir Direction, peerAddr netip.Addr,
 	case *wire.DataReply:
 		rec.Seq, rec.Count, rec.Payload = m.Seq, m.Count, m.PayloadLen()
 	case *wire.PeerListReply:
-		rec.Addrs = append([]netip.Addr(nil), m.Peers...)
+		rec.Addrs = m.Peers
 	case *wire.TrackerResponse:
-		rec.Addrs = append([]netip.Addr(nil), m.Peers...)
-	case *wire.PeerListRequest:
-		// Outgoing gossip requests matter for response-time matching; the
-		// enclosed own-list is not analyzed (the paper analyzes returned
-		// lists), so only the count is kept implicitly via Size.
+		rec.Addrs = m.Peers
 	}
-	r.records = append(r.records, rec)
+	return rec
 }
 
 // Records returns the trace in capture order. The returned slice is the
@@ -152,113 +161,44 @@ type Matched struct {
 	TrackerLists []ListExchange
 }
 
-type dataKey struct {
-	peer netip.Addr
-	seq  uint64
-}
-
-// Match applies the paper's matching rules to a trace. trackers identifies
-// tracker-server addresses so tracker responses are attributed separately
-// from regular-peer referrals (the X_s vs X_p split of Figures 2-5(b)).
+// Match applies the paper's matching rules to a recorded trace. trackers
+// identifies tracker-server addresses so tracker responses are attributed
+// separately from regular-peer referrals (the X_s vs X_p split of
+// Figures 2-5(b)).
+//
+// The trace is replayed through an Aggregator with the default bounds, so the
+// outcome is exactly what the online matcher decided while the trace was being
+// captured — including the bounds: a reply that arrives more than
+// DefaultPendingTTL after its request finds the request already counted
+// unanswered and is dropped as unsolicited, post hoc as online.
 func Match(records []Record, trackers map[netip.Addr]bool) Matched {
 	var out Matched
-
-	// Data matching: key (peer, seq); replies consume the latest request.
-	pendingData := make(map[dataKey]time.Duration)
-	// Peer-list matching: reply matches the latest outstanding request to
-	// the same address.
-	pendingList := make(map[netip.Addr][]time.Duration)
-	pendingTracker := make(map[netip.Addr][]time.Duration)
-
-	for _, rec := range records {
-		switch {
-		case rec.Dir == Out && rec.Type == wire.TDataRequest:
-			k := dataKey{rec.Peer, rec.Seq}
-			if _, dup := pendingData[k]; dup {
-				// A retransmission supersedes the pending request — the reply
-				// matches the latest request (§3.1) — but the superseded
-				// request still went unanswered and must stay in the tally.
-				out.UnansweredData++
-			}
-			pendingData[k] = rec.At
-		case rec.Dir == In && rec.Type == wire.TDataReply:
-			k := dataKey{rec.Peer, rec.Seq}
-			if reqAt, ok := pendingData[k]; ok {
-				delete(pendingData, k)
-				out.Transmissions = append(out.Transmissions, Transmission{
-					Peer:   rec.Peer,
-					Seq:    rec.Seq,
-					ReqAt:  reqAt,
-					RepAt:  rec.At,
-					Bytes:  rec.Payload,
-					Pieces: int(rec.Count),
-				})
-			}
-		case rec.Dir == Out && rec.Type == wire.TPeerListRequest:
-			pendingList[rec.Peer] = append(pendingList[rec.Peer], rec.At)
-		case rec.Dir == In && rec.Type == wire.TPeerListReply:
-			stack := pendingList[rec.Peer]
-			if len(stack) == 0 {
-				continue // unsolicited; real traces have these too
-			}
-			// "...match the peer list reply to the latest request
-			// designated to the same IP address."
-			reqAt := stack[len(stack)-1]
-			pendingList[rec.Peer] = stack[:len(stack)-1]
-			out.ListExchanges = append(out.ListExchanges, ListExchange{
-				Peer:  rec.Peer,
-				ReqAt: reqAt,
-				RepAt: rec.At,
-				Addrs: rec.Addrs,
-			})
-		case rec.Dir == Out && rec.Type == wire.TTrackerQuery:
-			pendingTracker[rec.Peer] = append(pendingTracker[rec.Peer], rec.At)
-		case rec.Dir == In && rec.Type == wire.TTrackerResponse:
-			if !trackers[rec.Peer] {
-				continue
-			}
-			stack := pendingTracker[rec.Peer]
-			var reqAt time.Duration
-			var unsolicited bool
-			if len(stack) > 0 {
-				reqAt = stack[len(stack)-1]
-				pendingTracker[rec.Peer] = stack[:len(stack)-1]
-			} else {
-				// No outstanding query: a duplicate or stray response. Keep it
-				// (its addresses still count for Figures 2-5) but flag it so
-				// the synthesized ReqAt can never enter response-time stats.
-				reqAt = rec.At
-				unsolicited = true
-			}
-			out.TrackerLists = append(out.TrackerLists, ListExchange{
-				Peer:        rec.Peer,
-				ReqAt:       reqAt,
-				RepAt:       rec.At,
-				Addrs:       rec.Addrs,
-				Unsolicited: unsolicited,
-			})
-		}
-	}
-
-	// Leftover pendings never got a reply; they add to the superseded
-	// requests already counted during the scan.
-	out.UnansweredData += len(pendingData)
-	for _, stack := range pendingList {
-		out.UnansweredLists += len(stack)
-	}
+	Replay(records, trackers, (*collector)(&out))
 	return out
 }
 
-// RTTEstimates returns the per-peer RTT estimate the paper uses (§3.5):
-// the minimum application-level response time over all data transmissions
-// involving that peer.
-func RTTEstimates(transmissions []Transmission) map[netip.Addr]time.Duration {
-	out := make(map[netip.Addr]time.Duration)
-	for _, tx := range transmissions {
-		rt := tx.ResponseTime()
-		if cur, ok := out[tx.Peer]; !ok || rt < cur {
-			out[tx.Peer] = rt
-		}
+// Replay feeds a recorded trace through a fresh default-bounds Aggregator into
+// sink and closes it, flushing what is still pending as unanswered.
+func Replay(records []Record, trackers map[netip.Addr]bool, sink Events) {
+	a := NewAggregator(trackers, AggregatorConfig{}, sink)
+	for i := range records {
+		a.observe(&records[i])
 	}
-	return out
+	a.Close()
 }
+
+// collector is Matched as an Events sink. It retains the Addrs it is handed,
+// which is sound only for a replay: a Record owns its address slice.
+type collector Matched
+
+func (c *collector) DataRequest(netip.Addr, time.Duration) {}
+
+func (c *collector) DataMatched(tx Transmission) { c.Transmissions = append(c.Transmissions, tx) }
+
+func (c *collector) DataUnanswered(netip.Addr, time.Duration) { c.UnansweredData++ }
+
+func (c *collector) PeerListMatched(ex ListExchange) { c.ListExchanges = append(c.ListExchanges, ex) }
+
+func (c *collector) ListUnanswered(netip.Addr, time.Duration) { c.UnansweredLists++ }
+
+func (c *collector) TrackerList(ex ListExchange) { c.TrackerLists = append(c.TrackerLists, ex) }

@@ -207,23 +207,6 @@ func TestMatchTrackerLists(t *testing.T) {
 	}
 }
 
-func TestRTTEstimatesTakeMinimum(t *testing.T) {
-	p1, p2 := addr("58.32.0.2"), addr("60.0.0.2")
-	txs := []Transmission{
-		{Peer: p1, ReqAt: 0, RepAt: 100 * time.Millisecond},
-		{Peer: p1, ReqAt: time.Second, RepAt: time.Second + 40*time.Millisecond},
-		{Peer: p1, ReqAt: 2 * time.Second, RepAt: 2*time.Second + 900*time.Millisecond},
-		{Peer: p2, ReqAt: 0, RepAt: 300 * time.Millisecond},
-	}
-	est := RTTEstimates(txs)
-	if got := est[p1]; got != 40*time.Millisecond {
-		t.Errorf("p1 RTT = %v, want 40ms (minimum)", got)
-	}
-	if got := est[p2]; got != 300*time.Millisecond {
-		t.Errorf("p2 RTT = %v, want 300ms", got)
-	}
-}
-
 func TestMatchEmptyTrace(t *testing.T) {
 	m := Match(nil, nil)
 	if len(m.Transmissions) != 0 || len(m.ListExchanges) != 0 || m.UnansweredData != 0 {

@@ -8,9 +8,8 @@ import (
 )
 
 // Events receives the incrementally matched trace from an Aggregator: one
-// callback per matching outcome, in capture order. It is the streaming
-// counterpart of Matched — a sink that folds outcomes into bounded aggregates
-// instead of accumulating records.
+// callback per matching outcome, in capture order. analysis.Aggregate folds
+// the outcomes into bounded aggregates; Match collects them into a Matched.
 //
 // Callbacks run synchronously inside Aggregator.Observe (or Close, for the
 // final unanswered flush). PeerListMatched and TrackerList may hand over an
@@ -40,8 +39,8 @@ type Events interface {
 const (
 	// DefaultPendingTTL bounds how long an unanswered request stays in the
 	// pending tables. It is far above any simulated response time, so TTL
-	// eviction never reorders accounting relative to post-hoc Match on
-	// well-formed traces; it only caps state under pathological loss.
+	// eviction never changes the accounting of a well-formed trace; it only
+	// caps state under pathological loss.
 	DefaultPendingTTL = 2 * time.Minute
 	// DefaultMaxPending caps each pending table's entry count.
 	DefaultMaxPending = 32768
@@ -57,6 +56,13 @@ type AggregatorConfig struct {
 	// table (data / peer-list / tracker); the oldest entries are evicted
 	// first. <= 0 selects DefaultMaxPending.
 	MaxPending int
+}
+
+// dataKey identifies a pending data request: replies are matched on the
+// peer address and the sub-piece sequence number.
+type dataKey struct {
+	peer netip.Addr
+	seq  uint64
 }
 
 // pendItem is one pending request in FIFO (arrival) order. For peer-list and
@@ -96,14 +102,10 @@ func (q *pendQueue) len() int { return len(q.items) - q.head }
 
 // Aggregator applies the paper's §3.1 matching rules online, one datagram at
 // a time, emitting outcomes to an Events sink as soon as they are decided.
-// It is the bounded-memory replacement for Recorder + Match: instead of an
-// unbounded []Record it holds only the currently pending requests, bounded
-// by AggregatorConfig (TTL eviction plus a hard entry cap).
-//
-// On traces whose every reply arrives within PendingTTL of its request and
-// whose pending load stays under MaxPending — all simulated scenarios — the
-// emitted outcomes are exactly those of Match over the full trace, in the
-// same order.
+// It is the only implementation of those rules — Match replays a Recorder's
+// trace through it — and holds only the currently pending requests, bounded
+// by AggregatorConfig (TTL eviction plus a hard entry cap), instead of an
+// unbounded []Record.
 //
 // Observe is shaped like Recorder.Observe so the same simnet taps drive
 // either (or both, in full-capture mode).
@@ -154,32 +156,33 @@ func NewAggregator(trackers map[netip.Addr]bool, cfg AggregatorConfig, sink Even
 // Observe processes one datagram. Like Recorder.Observe it plugs directly
 // into simnet.Env taps. It must not be called after Close.
 func (a *Aggregator) Observe(at time.Duration, dir Direction, peer netip.Addr, msg wire.Message, size int) {
+	rec := recordOf(at, dir, peer, msg, size)
+	a.observe(&rec)
+}
+
+// observe applies the matching rules to one datagram's record.
+func (a *Aggregator) observe(rec *Record) {
 	if a.closed {
 		panic("capture: Aggregator.Observe after Close")
 	}
+	at, peer := rec.At, rec.Peer
 	a.expire(at)
-	switch m := msg.(type) {
-	case *wire.DataRequest:
-		if dir != Out {
-			return
-		}
+	switch {
+	case rec.Dir == Out && rec.Type == wire.TDataRequest:
 		a.sink.DataRequest(peer, at)
-		k := dataKey{peer, m.Seq}
+		k := dataKey{peer, rec.Seq}
 		if old, dup := a.pendingData[k]; dup {
 			// Superseded by this retransmission; the old request is
 			// unanswered for good (the reply matches the latest request).
 			a.sink.DataUnanswered(peer, old)
 		}
 		a.pendingData[k] = at
-		a.dataQ.push(pendItem{peer: peer, seq: m.Seq, at: at})
+		a.dataQ.push(pendItem{peer: peer, seq: rec.Seq, at: at})
 		for len(a.pendingData) > a.maxPend {
 			a.evictOldestData()
 		}
-	case *wire.DataReply:
-		if dir != In {
-			return
-		}
-		k := dataKey{peer, m.Seq}
+	case rec.Dir == In && rec.Type == wire.TDataReply:
+		k := dataKey{peer, rec.Seq}
 		reqAt, ok := a.pendingData[k]
 		if !ok {
 			return // unsolicited or post-eviction reply
@@ -187,26 +190,20 @@ func (a *Aggregator) Observe(at time.Duration, dir Direction, peer netip.Addr, m
 		delete(a.pendingData, k)
 		a.sink.DataMatched(Transmission{
 			Peer:   peer,
-			Seq:    m.Seq,
+			Seq:    rec.Seq,
 			ReqAt:  reqAt,
 			RepAt:  at,
-			Bytes:  m.PayloadLen(),
-			Pieces: int(m.Count),
+			Bytes:  rec.Payload,
+			Pieces: int(rec.Count),
 		})
-	case *wire.PeerListRequest:
-		if dir != Out {
-			return
-		}
+	case rec.Dir == Out && rec.Type == wire.TPeerListRequest:
 		a.pendingList[peer] = append(a.pendingList[peer], at)
 		a.listQ.push(pendItem{peer: peer, at: at})
 		a.listN++
 		for a.listN > a.maxPend {
 			a.evictOldestStack(&a.listQ, a.pendingList, &a.listN, a.sink.ListUnanswered)
 		}
-	case *wire.PeerListReply:
-		if dir != In {
-			return
-		}
+	case rec.Dir == In && rec.Type == wire.TPeerListReply:
 		stack := a.pendingList[peer]
 		if len(stack) == 0 {
 			return // unsolicited; real traces have these too
@@ -220,21 +217,18 @@ func (a *Aggregator) Observe(at time.Duration, dir Direction, peer netip.Addr, m
 			a.pendingList[peer] = stack[:len(stack)-1]
 		}
 		a.listN--
-		a.sink.PeerListMatched(ListExchange{Peer: peer, ReqAt: reqAt, RepAt: at, Addrs: m.Peers})
-	case *wire.TrackerQuery:
-		if dir != Out {
-			return
-		}
+		a.sink.PeerListMatched(ListExchange{Peer: peer, ReqAt: reqAt, RepAt: at, Addrs: rec.Addrs})
+	case rec.Dir == Out && rec.Type == wire.TTrackerQuery:
 		a.pendingTracker[peer] = append(a.pendingTracker[peer], at)
 		a.trackerQ.push(pendItem{peer: peer, at: at})
 		a.trackerN++
 		for a.trackerN > a.maxPend {
-			// Evicted tracker queries vanish silently: Match keeps no
-			// unanswered-tracker tally either.
+			// Evicted tracker queries vanish silently: Matched keeps no
+			// unanswered-tracker tally.
 			a.evictOldestStack(&a.trackerQ, a.pendingTracker, &a.trackerN, func(netip.Addr, time.Duration) {})
 		}
-	case *wire.TrackerResponse:
-		if dir != In || !a.trackers[peer] {
+	case rec.Dir == In && rec.Type == wire.TTrackerResponse:
+		if !a.trackers[peer] {
 			return
 		}
 		stack := a.pendingTracker[peer]
@@ -249,6 +243,9 @@ func (a *Aggregator) Observe(at time.Duration, dir Direction, peer netip.Addr, m
 			}
 			a.trackerN--
 		} else {
+			// No outstanding query: a duplicate or stray response. Keep it
+			// (its addresses still count for Figures 2-5) but flag it so
+			// the synthesized ReqAt can never enter response-time stats.
 			reqAt = at
 			unsolicited = true
 		}
@@ -256,7 +253,7 @@ func (a *Aggregator) Observe(at time.Duration, dir Direction, peer netip.Addr, m
 			Peer:        peer,
 			ReqAt:       reqAt,
 			RepAt:       at,
-			Addrs:       m.Peers,
+			Addrs:       rec.Addrs,
 			Unsolicited: unsolicited,
 		})
 	}

@@ -134,10 +134,11 @@ func sortRecordsByTime(records []Record) {
 }
 
 // TestAggregatorMatchesPostHoc is the streaming matcher's equivalence
-// property: over random traces (whose every reply arrives within the TTL),
-// the streamed outcomes reconstruct exactly the Matched that post-hoc Match
-// computes — same transmissions in the same order, same exchanges, same
-// unanswered tallies.
+// property: over random traces, the outcomes streamed from wire messages
+// reconstruct exactly the Matched that post-hoc Match computes from the
+// records — same transmissions in the same order, same exchanges, same
+// unanswered tallies. Both run the one Aggregator, so what the equality
+// covers is the message→Record field extraction the two entry points share.
 func TestAggregatorMatchesPostHoc(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		records, trackers := genMixedTrace(seed, 600)
@@ -212,6 +213,39 @@ func TestAggregatorTTLEviction(t *testing.T) {
 		t.Errorf("post-eviction request did not match: %+v", summarize(sink.m))
 	}
 	agg.Close()
+}
+
+// TestMatchAppliesPendingTTL pins the bound Match documents: in a replayed
+// trace, a reply that arrives more than DefaultPendingTTL after its request
+// finds the request already counted unanswered — exactly what the online
+// matcher decided while the trace was captured.
+func TestMatchAppliesPendingTTL(t *testing.T) {
+	peer, late := addr("58.32.0.2"), DefaultPendingTTL+time.Second
+	records := []Record{
+		{At: 0, Dir: Out, Peer: peer, Type: wire.TDataRequest, Seq: 1, Count: 1},
+		{At: time.Second, Dir: Out, Peer: peer, Type: wire.TPeerListRequest},
+		{At: late, Dir: In, Peer: peer, Type: wire.TDataReply, Seq: 1, Count: 1, Payload: 1380},
+		{At: late + time.Second, Dir: In, Peer: peer, Type: wire.TPeerListReply, Addrs: []netip.Addr{addr("60.0.0.2")}},
+		// In time: the bound is per request, not a property of the trace.
+		{At: late + 2*time.Second, Dir: Out, Peer: peer, Type: wire.TDataRequest, Seq: 2, Count: 1},
+		{At: late + 3*time.Second, Dir: In, Peer: peer, Type: wire.TDataReply, Seq: 2, Count: 1, Payload: 1380},
+	}
+	m := Match(records, nil)
+	if len(m.Transmissions) != 1 || m.Transmissions[0].Seq != 2 || m.UnansweredData != 1 {
+		t.Errorf("data: %d transmissions %+v, %d unanswered; want only seq 2 matched and 1 unanswered",
+			len(m.Transmissions), m.Transmissions, m.UnansweredData)
+	}
+	if len(m.ListExchanges) != 0 || m.UnansweredLists != 1 {
+		t.Errorf("lists: %d exchanges, %d unanswered; want 0 and 1", len(m.ListExchanges), m.UnansweredLists)
+	}
+
+	var sink collectSink
+	agg := NewAggregator(nil, AggregatorConfig{}, &sink)
+	replay(agg, records)
+	agg.Close()
+	if !reflect.DeepEqual(sink.m, m) {
+		t.Errorf("online outcome differs from the replay\nonline: %+v\nreplay: %+v", sink.m, m)
+	}
 }
 
 // TestAggregatorMaxPendingBound checks the hard cap: pending state never

@@ -2,14 +2,14 @@
 // a finite uplink budget that absorb urgent-window misses the swarm would
 // otherwise push onto the single channel source.
 //
-// An Edge is deliberately shaped like peer.Source — it serves prefix runs up
-// to the live edge and sheds with tiny Busy replies once its uplink backs up
-// — so an overloaded edge degrades exactly like an overloaded origin and the
-// peer-side fallback machinery (PR 1) needs no new message types. Unlike the
-// source, one edge serves every channel of the deployment (a real edge cache
-// is channel-agnostic), and its ingest is out of band: the edge's stream
-// clock keeps advancing through a source crash, which is what makes edge
-// takeover work.
+// An Edge runs the channel source's own data plane (peer.Origin) — it serves
+// prefix runs up to the live edge and sheds with tiny Busy replies once its
+// uplink backs up — so an overloaded edge degrades exactly like an overloaded
+// origin and the peer-side fallback machinery (PR 1) needs no new message
+// types. Unlike the source, one edge serves every channel of the deployment
+// (a real edge cache is channel-agnostic), and its ingest is out of band: the
+// edge's stream clock keeps advancing through a source crash, which is what
+// makes edge takeover work.
 package cdn
 
 import (
@@ -19,6 +19,7 @@ import (
 
 	"pplivesim/internal/isp"
 	"pplivesim/internal/node"
+	"pplivesim/internal/peer"
 	"pplivesim/internal/stream"
 	"pplivesim/internal/wire"
 )
@@ -92,38 +93,24 @@ func (p Placement) Uplink() float64 {
 	return DefaultUplinkBps
 }
 
-// channelState is one channel's ingest state at an edge: the spec plus the
-// instant the edge started caching it (sequence 0's emission, as seen by the
-// edge's own out-of-band feed).
-type channelState struct {
-	spec  stream.Spec
-	start time.Duration
-}
-
 // Edge is one CDN edge cache. It holds the trailing window of every
 // registered channel up to the live edge (ingest is modeled out of band —
 // edges are fed by the CDN's private distribution tree, not the P2P overlay)
-// and serves data requests exactly like peer.Source: prefix runs while the
-// uplink is healthy, tiny Busy replies once the backlog passes the shedding
-// threshold.
+// and serves each through a peer.Origin of its own, whose clock starts when
+// the edge began caching the channel.
 type Edge struct {
 	env      node.Env
-	channels map[wire.ChannelID]channelState
+	channels []*peer.Origin // in AddChannel order; a handful at most
 
 	// down marks the edge as crashed: every inbound datagram is dropped.
 	// Fault injection toggles it; the ingest clocks keep running so the
 	// cache is warm again the instant the process comes back.
 	down bool
-
-	// Stats.
-	served      uint64
-	servedBytes uint64
-	shed        uint64
 }
 
 // NewEdge creates an edge cache with no channels registered.
 func NewEdge(env node.Env) *Edge {
-	return &Edge{env: env, channels: make(map[wire.ChannelID]channelState)}
+	return &Edge{env: env}
 }
 
 var _ node.Handler = (*Edge)(nil)
@@ -134,113 +121,56 @@ func (e *Edge) Addr() netip.Addr { return e.env.Addr() }
 // AddChannel registers a channel feed at the edge, live (from the edge's
 // point of view) since the current instant.
 func (e *Edge) AddChannel(spec stream.Spec) error {
-	if err := spec.Validate(); err != nil {
+	o, err := peer.NewOrigin(e.env, spec)
+	if err != nil {
 		return err
 	}
-	e.channels[spec.Channel] = channelState{spec: spec, start: e.env.Now()}
+	if e.channel(spec.Channel) != nil {
+		return fmt.Errorf("cdn: edge %s already carries channel %d", e.Addr(), spec.Channel)
+	}
+	e.channels = append(e.channels, o)
+	return nil
+}
+
+// channel returns the server of a registered channel, or nil.
+func (e *Edge) channel(ch wire.ChannelID) *peer.Origin {
+	for _, o := range e.channels {
+		if o.Spec().Channel == ch {
+			return o
+		}
+	}
 	return nil
 }
 
 // Stats reports data requests served, payload bytes sent, and requests shed
-// with Busy replies.
+// with Busy replies, summed over the edge's channels.
 func (e *Edge) Stats() (served, servedBytes, shed uint64) {
-	return e.served, e.servedBytes, e.shed
+	for _, o := range e.channels {
+		s, b, sh := o.Stats()
+		served, servedBytes, shed = served+s, servedBytes+b, shed+sh
+	}
+	return served, servedBytes, shed
 }
 
 // SetDown toggles the crashed state; while down the edge drops all inbound
 // traffic.
 func (e *Edge) SetDown(down bool) { e.down = down }
 
-// edgeSeq returns the newest cached sequence of a channel at now.
-func (cs channelState) edgeSeq(now time.Duration) uint64 {
-	return cs.spec.EdgeSeq(now - cs.start)
-}
-
 // Has reports whether the edge can serve sub-piece seq of the channel at now.
 func (e *Edge) Has(ch wire.ChannelID, seq uint64, now time.Duration) bool {
-	cs, ok := e.channels[ch]
-	return ok && seq <= cs.edgeSeq(now)
+	o := e.channel(ch)
+	return o != nil && seq <= o.Edge(now)
 }
 
-// bufferMap returns a map covering the channel's trailing window up to the
-// live edge, all bits set — the same shape peer.Source advertises.
-func (cs channelState) bufferMap(now time.Duration) wire.BufferMap {
-	const window = 2048
-	edge := cs.edgeSeq(now)
-	start := uint64(0)
-	if edge+1 > window {
-		start = edge + 1 - window
-	}
-	bm := wire.MakeBufferMap(start, window)
-	if edge >= start {
-		bm.SetRange(start, edge)
-	}
-	return bm
-}
-
-// HandleMessage implements node.Handler.
+// HandleMessage implements node.Handler: the message goes to the channel it
+// names; one for a channel the edge does not carry is dropped.
 func (e *Edge) HandleMessage(from netip.Addr, msg wire.Message) {
 	if e.down {
 		return
 	}
-	switch m := msg.(type) {
-	case *wire.Handshake:
-		cs, ok := e.channels[m.Channel]
-		if !ok {
+	for _, o := range e.channels {
+		if o.Serve(from, msg) {
 			return
 		}
-		e.env.Send(from, &wire.HandshakeAck{
-			Channel:  m.Channel,
-			Accepted: true,
-			Buffer:   cs.bufferMap(e.env.Now()),
-		})
-	case *wire.DataRequest:
-		cs, ok := e.channels[m.Channel]
-		if !ok {
-			return
-		}
-		// Shed load once the uplink backs up, exactly like the origin: a
-		// saturated edge answers with a tiny Busy reply so the requester
-		// falls through to the next edge (or the source) at once instead of
-		// burning a request timeout.
-		if e.env.UplinkBacklog() > 2*time.Second {
-			e.shed++
-			e.env.Send(from, &wire.DataReply{
-				Channel:  m.Channel,
-				Seq:      m.Seq,
-				Count:    0,
-				PieceLen: uint16(cs.spec.SubPieceLen),
-				Busy:     true,
-			})
-			return
-		}
-		now := e.env.Now()
-		count := int(m.Count)
-		if count == 0 {
-			count = 1
-		}
-		run := 0
-		for run < count && m.Seq+uint64(run) <= cs.edgeSeq(now) {
-			run++
-		}
-		if run == 0 {
-			return
-		}
-		e.served++
-		e.servedBytes += uint64(run * cs.spec.SubPieceLen)
-		e.env.Send(from, &wire.DataReply{
-			Channel:  m.Channel,
-			Seq:      m.Seq,
-			Count:    uint16(run),
-			PieceLen: uint16(cs.spec.SubPieceLen),
-		})
-	case *wire.BufferMapAnnounce:
-		// Edges ignore client buffer maps.
-	case *wire.Ping:
-		if _, ok := e.channels[m.Channel]; !ok {
-			return
-		}
-		e.env.Send(from, &wire.Pong{Channel: m.Channel, Nonce: m.Nonce})
-	default:
 	}
 }

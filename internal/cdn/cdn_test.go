@@ -3,11 +3,13 @@ package cdn
 import (
 	"math/rand"
 	"net/netip"
+	"reflect"
 	"testing"
 	"time"
 
 	"pplivesim/internal/isp"
 	"pplivesim/internal/node"
+	"pplivesim/internal/peer"
 	"pplivesim/internal/stream"
 	"pplivesim/internal/wire"
 )
@@ -184,7 +186,7 @@ func TestEdgeDownDropsEverything(t *testing.T) {
 	if !ack.Accepted {
 		t.Fatal("recovered edge rejected handshake")
 	}
-	if !e.Has(1, e.channels[1].edgeSeq(env.now), env.now) {
+	if !e.Has(1, e.channel(1).Edge(env.now), env.now) {
 		t.Error("recovered edge is not at the live edge")
 	}
 }
@@ -222,7 +224,7 @@ func TestEdgeHandshakeAndPing(t *testing.T) {
 	if !ack.Accepted || ack.Channel != 1 {
 		t.Fatalf("ack = %+v", ack)
 	}
-	if edge := e.channels[1].edgeSeq(env.now); !ack.Buffer.Has(edge) {
+	if edge := e.channel(1).Edge(env.now); !ack.Buffer.Has(edge) {
 		t.Errorf("handshake buffer map lacks the live edge %d; edge should advertise its trailing window", edge)
 	}
 
@@ -236,5 +238,69 @@ func TestEdgeHandshakeAndPing(t *testing.T) {
 	e.HandleMessage(peer, &wire.Handshake{Channel: 9})
 	if len(env.sent) != 2 {
 		t.Error("edge acked an unregistered channel")
+	}
+}
+
+// TestEdgeAnswersLikeSource drives one request script through a peer.Source
+// and a one-channel Edge, each on its own clock-controlled host: the two run
+// the same origin server, so every reply and both serve counters must be
+// identical. What stays different is outside the script: the source's
+// referral list and the edge's channel set.
+func TestEdgeAnswersLikeSource(t *testing.T) {
+	spec := stream.DefaultSpec(1, "popular-live", 950_000)
+	srcEnv, edgeEnv := newFakeEnv(), newFakeEnv()
+	src, err := peer.NewSource(srcEnv, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEdge(edgeEnv)
+	if err := e.AddChannel(spec); err != nil {
+		t.Fatal(err)
+	}
+	client := netip.AddrFrom4([4]byte{58, 40, 0, 1})
+	edge := spec.EdgeSeq(10 * time.Second)
+	script := []struct {
+		name    string
+		backlog time.Duration
+		down    bool
+		msg     wire.Message
+		replies int // cumulative replies after this step
+	}{
+		{name: "handshake", msg: &wire.Handshake{Channel: 1}, replies: 1},
+		{name: "in-range run", msg: &wire.DataRequest{Channel: 1, Seq: 5, Count: 4}, replies: 2},
+		{name: "run truncated at the live edge", msg: &wire.DataRequest{Channel: 1, Seq: edge - 1, Count: 4}, replies: 3},
+		{name: "future seq", msg: &wire.DataRequest{Channel: 1, Seq: edge + 10, Count: 1}, replies: 3},
+		{name: "wrong channel", msg: &wire.DataRequest{Channel: 9, Seq: 0, Count: 1}, replies: 3},
+		{name: "saturated uplink", backlog: 3 * time.Second, msg: &wire.DataRequest{Channel: 1, Seq: 5, Count: 4}, replies: 4},
+		{name: "down", down: true, msg: &wire.DataRequest{Channel: 1, Seq: 5, Count: 4}, replies: 4},
+		{name: "ping", msg: &wire.Ping{Channel: 1, Nonce: 42}, replies: 5},
+	}
+	for _, step := range script {
+		for _, env := range []*fakeEnv{srcEnv, edgeEnv} {
+			env.now, env.backlog = 10*time.Second, step.backlog
+		}
+		src.SetDown(step.down)
+		e.SetDown(step.down)
+		src.HandleMessage(client, step.msg)
+		e.HandleMessage(client, step.msg)
+		if len(srcEnv.sent) != step.replies || len(edgeEnv.sent) != step.replies {
+			t.Fatalf("%s: source has sent %d replies, edge %d, want %d", step.name, len(srcEnv.sent), len(edgeEnv.sent), step.replies)
+		}
+	}
+	if !reflect.DeepEqual(srcEnv.sent, edgeEnv.sent) {
+		t.Errorf("replies differ\nsource: %+v\n  edge: %+v", srcEnv.sent, edgeEnv.sent)
+	}
+	truncated := edgeEnv.sent[2].msg.(*wire.DataReply)
+	if truncated.Seq != edge-1 || truncated.Count != 2 || truncated.Busy {
+		t.Errorf("truncated run = %+v, want 2 pieces from %d", truncated, edge-1)
+	}
+	if busy := edgeEnv.sent[3].msg.(*wire.DataReply); !busy.Busy || busy.Count != 0 {
+		t.Errorf("saturated reply = %+v, want an empty Busy", busy)
+	}
+	srcServed, srcBytes := src.Stats()
+	served, bytes, shed := e.Stats()
+	if srcServed != served || srcBytes != bytes || served != 2 || bytes != uint64(6*spec.SubPieceLen) || shed != 1 {
+		t.Errorf("counters: source (%d, %d), edge (%d, %d, shed %d); want (2, %d) and shed 1",
+			srcServed, srcBytes, served, bytes, shed, 6*spec.SubPieceLen)
 	}
 }

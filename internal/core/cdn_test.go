@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"pplivesim/internal/analysis"
-	"pplivesim/internal/capture"
 	"pplivesim/internal/cdn"
 	"pplivesim/internal/fault"
 	"pplivesim/internal/isp"
@@ -124,7 +123,6 @@ func TestCDNGoldenDigest(t *testing.T) {
 	}
 	postHoc := analysis.Analyze(analysis.Input{
 		Records:  p.Recorder.Records(),
-		Matched:  capture.Match(p.Recorder.Records(), res.Trackers),
 		Resolver: res.Registry,
 		Trackers: res.Trackers,
 		Source:   p.Source,

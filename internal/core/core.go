@@ -6,10 +6,10 @@
 // This mirrors the paper's methodology: probe hosts deployed in chosen ISPs
 // join a live channel alongside the organic audience and observe every
 // datagram; everything the study reports is computed from that probe-side
-// view (never from global simulator state). By default each probe's
-// datagrams are matched and aggregated online in bounded memory
-// (TelemetryStreaming); the paper's literal capture-then-analyze mode —
-// retaining the full trace — is the opt-in TelemetryFullCapture.
+// view (never from global simulator state). Each probe's datagrams are
+// matched and aggregated online in bounded memory; the paper's literal
+// capture-then-analyze mode — retaining the full trace — is the per-probe
+// opt-in ProbeSpec.FullCapture.
 package core
 
 import (
@@ -46,8 +46,8 @@ type ProbeSpec struct {
 	Channel wire.ChannelID
 	// FullCapture retains this probe's complete datagram trace in a
 	// capture.Recorder (the opt-in Wireshark mode, needed by tracefile
-	// export) in addition to the always-on streaming telemetry. See
-	// Scenario.Telemetry for the run-wide switch.
+	// export and for checking the streaming path against post-hoc analysis)
+	// in addition to the always-on streaming telemetry.
 	FullCapture bool
 }
 
@@ -71,9 +71,6 @@ type Behaviour struct {
 	// DisablePreference schedules data requests uniformly across covering
 	// neighbors instead of preferring fast ones.
 	DisablePreference bool
-	// FullFidelityBackground runs background peers at probe fidelity
-	// (BatchCount 1); used by the fidelity ablation.
-	FullFidelityBackground bool
 }
 
 // Scenario fully describes one simulation run.
@@ -124,8 +121,7 @@ type Scenario struct {
 	// protocol Clients); peer.FidelityFull promotes background viewers to
 	// probe fidelity; peer.FidelityFlow replaces them with struct-of-arrays
 	// flow swarms — the million-peer mode. Probes are full-fidelity Clients
-	// at every level. Flow fidelity is incompatible with channel switching
-	// and with Behaviour.FullFidelityBackground.
+	// at every level. Flow fidelity is incompatible with channel switching.
 	Fidelity peer.Fidelity
 
 	// Faults, when non-nil, is the declarative fault-injection schedule
@@ -136,19 +132,16 @@ type Scenario struct {
 	// the pinned golden digests enforce this.
 	Faults *fault.Schedule
 
-	// Telemetry selects how probe traffic becomes analysis input. The zero
-	// value, TelemetryStreaming, aggregates online in bounded memory.
-	Telemetry Telemetry
-
 	// Shards is the degree of parallelism of the sharded event engine. Values
 	// up to simnet.DefaultShards (6) keep the legacy ISP-domain partition —
 	// the trajectory is identical for every such value, Shards only chooses
 	// how many goroutines execute the synchronization windows, and the pinned
 	// golden digests depend on this. Values above 6 engage the scaled
 	// partition: TELE splits into Shards-5 address-range sub-shards plus a
-	// dedicated infrastructure domain (see simnet.NewShardedWorldConfigN),
-	// which changes the trajectory (wider synthetic lookahead) but remains
-	// worker-count invariant. Values below 2 run single-threaded.
+	// dedicated infrastructure domain (see simnet.NewShardedWorldN), which
+	// changes the trajectory (wider synthetic lookahead) but remains
+	// worker-count invariant. Values below 2 run single-threaded; negative
+	// values and values above simnet.MaxShards are rejected.
 	Shards int
 
 	// Workers, when non-zero, decouples the number of worker goroutines from
@@ -156,7 +149,7 @@ type Scenario struct {
 	// check that a scaled partition's trajectory is worker-count invariant.
 	// Zero means Workers = Shards. Either way eventsim.Group caps the
 	// goroutines it starts at GOMAXPROCS, so a default Shards=12 run on a
-	// 2-core machine uses two, not twelve.
+	// 2-core machine uses two, not twelve. Negative values are rejected.
 	Workers int
 
 	// ArrivalWindow spreads the initial population's joins.
@@ -167,23 +160,6 @@ type Scenario struct {
 	// WarmUp + Watch.
 	Watch time.Duration
 }
-
-// Telemetry selects how probe traffic becomes analysis input.
-type Telemetry int
-
-const (
-	// TelemetryStreaming (the default) matches each probe's datagrams online
-	// and folds them straight into bounded per-ISP/per-peer aggregates:
-	// O(peers) memory, no retained trace. Reports come from
-	// Result.ProbeReport; ProbeResult.Recorder is nil.
-	TelemetryStreaming Telemetry = iota
-	// TelemetryFullCapture additionally retains every probe's full datagram
-	// trace in a capture.Recorder — the paper's Wireshark methodology,
-	// O(datagrams) memory. Needed for tracefile export and for checking the
-	// streaming path against post-hoc analysis. Per-probe opt-in is
-	// ProbeSpec.FullCapture.
-	TelemetryFullCapture
-)
 
 // channelSet returns the scenario's channels: the explicit set, or the
 // legacy single Spec/Viewers pair wrapped as one entry.
@@ -247,13 +223,14 @@ func (s *Scenario) Validate() error {
 	if err := s.Selection.Validate(); err != nil {
 		return fmt.Errorf("core: scenario %q: %w", s.Name, err)
 	}
-	if s.Fidelity == peer.FidelityFlow {
-		if s.Switching.Enabled {
-			return fmt.Errorf("core: scenario %q: flow fidelity does not support channel switching", s.Name)
-		}
-		if s.Behaviour.FullFidelityBackground {
-			return fmt.Errorf("core: scenario %q: flow fidelity contradicts FullFidelityBackground", s.Name)
-		}
+	if s.Fidelity == peer.FidelityFlow && s.Switching.Enabled {
+		return fmt.Errorf("core: scenario %q: flow fidelity does not support channel switching", s.Name)
+	}
+	if s.Shards < 0 || s.Shards > simnet.MaxShards {
+		return fmt.Errorf("core: scenario %q: Shards = %d, want 0..%d (simnet.MaxShards)", s.Name, s.Shards, simnet.MaxShards)
+	}
+	if s.Workers < 0 {
+		return fmt.Errorf("core: scenario %q: Workers = %d, want 0 (= Shards) or more", s.Name, s.Workers)
 	}
 	if err := s.FlashCrowd.Validate(); err != nil {
 		return fmt.Errorf("core: scenario %q: %w", s.Name, err)
@@ -308,9 +285,8 @@ type ProbeResult struct {
 	Name string
 	ISP  isp.ISP
 	Addr netip.Addr
-	// Recorder holds the probe's full datagram trace when full capture was
-	// enabled (Scenario.Telemetry or ProbeSpec.FullCapture); nil in the
-	// default streaming mode.
+	// Recorder holds the probe's full datagram trace when ProbeSpec.FullCapture
+	// was set; nil in the default streaming mode.
 	Recorder *capture.Recorder
 	// Aggregate is the probe's streaming telemetry, always present; finalize
 	// it via Result.ProbeReport.
@@ -419,16 +395,6 @@ func (r *Result) ProbeResilience(probe int, target float64) (*analysis.Resilienc
 		return nil, fmt.Errorf("core: probe %q has no resilience samples (scenario had no fault schedule)", p.Name)
 	}
 	return analysis.ComputeResilience(p.Samples, r.FaultWindows, target), nil
-}
-
-// ProbeByName returns the probe result with the given name, or nil.
-func (r *Result) ProbeByName(name string) *ProbeResult {
-	for i := range r.Probes {
-		if r.Probes[i].Name == name {
-			return &r.Probes[i]
-		}
-	}
-	return nil
 }
 
 // Sim is an assembled, not-yet-run simulation.
@@ -762,7 +728,7 @@ func (sim *Sim) buildFlashCrowd(set []ChannelSpec) {
 // backgroundConfig derives a background viewer's config from the scenario.
 func (s *Sim) backgroundConfig(spec stream.Spec) peer.Config {
 	cfg := peer.BackgroundConfig(spec, s.bootstrapAddr)
-	if s.scenario.Behaviour.FullFidelityBackground || s.scenario.Fidelity == peer.FidelityFull {
+	if s.scenario.Fidelity == peer.FidelityFull {
 		cfg = peer.DefaultConfig(spec, s.bootstrapAddr)
 	}
 	s.applyBehaviour(&cfg)
@@ -883,7 +849,7 @@ func (s *Sim) spawnProbe(ds *domainState, slot int, ps ProbeSpec) error {
 	agg.SetEdges(s.edgeAddrs)
 	matcher := capture.NewAggregator(s.trackerAddrs, capture.AggregatorConfig{}, agg)
 	var rec *capture.Recorder
-	if s.scenario.Telemetry == TelemetryFullCapture || ps.FullCapture {
+	if ps.FullCapture {
 		rec = capture.NewRecorder(env.Addr())
 	}
 	env.TapRecv(func(from netip.Addr, msg wire.Message, size int) {

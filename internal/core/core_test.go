@@ -2,11 +2,13 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"pplivesim/internal/capture"
 	"pplivesim/internal/isp"
+	"pplivesim/internal/simnet"
 	"pplivesim/internal/workload"
 )
 
@@ -43,6 +45,46 @@ func TestScenarioValidation(t *testing.T) {
 	sc.Probes = nil
 	if _, err := Build(sc); err == nil {
 		t.Error("no probes accepted")
+	}
+}
+
+// TestScenarioValidatesShardsAndWorkers pins the bounds Validate puts on the
+// engine's two degrees: a negative one used to mean "legacy" silently, and a
+// huge Shards used to spin in the n² mailbox scan or panic inside
+// ipam.SplitEvenly during Build.
+func TestScenarioValidatesShardsAndWorkers(t *testing.T) {
+	cases := []struct {
+		shards, workers int
+		wantErr         string // substring; empty: valid
+	}{
+		{0, 0, ""},
+		{1, 0, ""},
+		{simnet.DefaultShards, 4, ""},
+		{12, 1, ""},
+		{simnet.MaxShards, 2, ""},
+		{-1, 0, "Shards = -1"},
+		{simnet.MaxShards + 1, 0, "0..256"},
+		{3000, 0, "0..256"},
+		{1 << 30, 0, "0..256"},
+		{6, -2, "Workers = -2"},
+	}
+	for _, tc := range cases {
+		sc := smallScenario(1)
+		sc.Shards, sc.Workers = tc.shards, tc.workers
+		err := sc.Validate()
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("Shards=%d Workers=%d rejected: %v", tc.shards, tc.workers, err)
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("Shards=%d Workers=%d: error %v, want one naming %q", tc.shards, tc.workers, err, tc.wantErr)
+		}
+	}
+	// The limit is one the partition can honour: the largest accepted degree
+	// builds.
+	sc := smallScenario(1)
+	sc.Shards = simnet.MaxShards
+	if _, err := Build(sc); err != nil {
+		t.Errorf("Build at Shards = MaxShards: %v", err)
 	}
 }
 

@@ -142,12 +142,6 @@ func TestFlowFidelityValidation(t *testing.T) {
 		t.Error("flow fidelity + switching should fail validation")
 	}
 	sc = smallScenario(7)
-	sc.Fidelity = peer.FidelityFlow
-	sc.Behaviour.FullFidelityBackground = true
-	if _, err := Build(sc); err == nil {
-		t.Error("flow fidelity + FullFidelityBackground should fail validation")
-	}
-	sc = smallScenario(7)
 	sc.Fidelity = peer.Fidelity(99)
 	if _, err := Build(sc); err == nil {
 		t.Error("undefined fidelity should fail validation")

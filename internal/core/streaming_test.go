@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"pplivesim/internal/analysis"
-	"pplivesim/internal/capture"
 	"pplivesim/internal/workload"
 )
 
@@ -45,7 +44,6 @@ func TestStreamingReportParity(t *testing.T) {
 		}
 		sc.Name = "parity"
 		sc.Shards = workers
-		sc.Telemetry = TelemetryFullCapture
 		res, err := RunScenario(sc)
 		if err != nil {
 			t.Fatal(err)
@@ -56,7 +54,6 @@ func TestStreamingReportParity(t *testing.T) {
 			}
 			postHoc := analysis.Analyze(analysis.Input{
 				Records:  p.Recorder.Records(),
-				Matched:  capture.Match(p.Recorder.Records(), res.Trackers),
 				Resolver: res.Registry,
 				Trackers: res.Trackers,
 				Source:   p.Source,

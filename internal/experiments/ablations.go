@@ -8,6 +8,7 @@ import (
 	"pplivesim/internal/bittorrent"
 	"pplivesim/internal/core"
 	"pplivesim/internal/isp"
+	"pplivesim/internal/peer"
 	"pplivesim/internal/workload"
 )
 
@@ -154,7 +155,10 @@ func (f FidelityOutcome) Render() string {
 // scenario: probe-side locality must be comparable while event counts drop.
 func (r *Runner) AblationFidelity() (FidelityOutcome, error) {
 	mk := func(full bool, seedOffset int64, procs int) (float64, uint64, error) {
-		sc := r.ablationScenario("fidelity", 30+seedOffset, core.Behaviour{FullFidelityBackground: full})
+		sc := r.ablationScenario("fidelity", 30+seedOffset, core.Behaviour{})
+		if full {
+			sc.Fidelity = peer.FidelityFull
+		}
 		sc.Viewers = workload.PopularPopulation().Scale(r.Scale.Fig6Population)
 		out, err := runScenario(sc, procs)
 		if err != nil {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"pplivesim/internal/cdn"
@@ -91,39 +90,26 @@ func (r *Runner) runCDN(progress func(name string)) ([]CDNPoint, error) {
 	type job struct {
 		spec  selection.Spec
 		edges bool
-		sc    core.Scenario
 	}
 	var jobs []job
+	var scenarios []core.Scenario
 	for i, name := range CDNSpecNames() {
 		spec, err := selection.ParseSpec(name)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: cdn spec %q: %w", name, err)
 		}
 		for _, edges := range []bool{false, true} {
-			jobs = append(jobs, job{spec: spec, edges: edges, sc: r.cdnScenario(spec, edges, int64(i))})
+			jobs = append(jobs, job{spec: spec, edges: edges})
+			scenarios = append(scenarios, r.cdnScenario(spec, edges, int64(i)))
 		}
 	}
 
-	var progressMu sync.Mutex
-	outs := make([]*RunOutputs, len(jobs))
-	tasks := make([]func(int) error, len(jobs))
-	for i := range jobs {
-		i := i
-		tasks[i] = func(procs int) error {
-			if progress != nil {
-				progressMu.Lock()
-				progress(jobs[i].sc.Name)
-				progressMu.Unlock()
-			}
-			out, err := runScenario(jobs[i].sc, procs)
-			if err != nil {
-				return fmt.Errorf("%s: %w", jobs[i].sc.Name, err)
-			}
-			outs[i] = out
-			return nil
+	outs, err := r.runAll(scenarios, func(i int) {
+		if progress != nil {
+			progress(scenarios[i].Name)
 		}
-	}
-	if err := parallelDo(r.Workers, tasks...); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 

@@ -466,9 +466,9 @@ func (r *Runner) Fig6(progress func(day int)) (popular, unpopular []Fig6Point, e
 	type fig6Job struct {
 		day     int
 		popular bool
-		sc      core.Scenario
 	}
-	jobs := make([]fig6Job, 0, 2*r.Scale.Fig6Days)
+	var jobs []fig6Job
+	var scenarios []core.Scenario
 	for day := 0; day < r.Scale.Fig6Days; day++ {
 		f := workload.DayFactor(day)
 		ff := workload.ForeignDayFactor(day)
@@ -496,30 +496,17 @@ func (r *Runner) Fig6(progress func(day int)) (popular, unpopular []Fig6Point, e
 			sc.Viewers = scaled
 			sc.WarmUp = r.Scale.Fig6Watch / 3
 			sc.ArrivalWindow = r.Scale.Fig6Watch / 4
-			jobs = append(jobs, fig6Job{day: day, popular: isPopular, sc: sc})
+			jobs = append(jobs, fig6Job{day: day, popular: isPopular})
+			scenarios = append(scenarios, sc)
 		}
 	}
 
-	var progressMu sync.Mutex
-	outs := make([]*RunOutputs, len(jobs))
-	tasks := make([]func(int) error, len(jobs))
-	for i := range jobs {
-		i := i
-		tasks[i] = func(procs int) error {
-			if progress != nil && jobs[i].popular {
-				progressMu.Lock()
-				progress(jobs[i].day)
-				progressMu.Unlock()
-			}
-			out, err := runScenario(jobs[i].sc, procs)
-			if err != nil {
-				return fmt.Errorf("%s: %w", jobs[i].sc.Name, err)
-			}
-			outs[i] = out
-			return nil
+	outs, err := r.runAll(scenarios, func(i int) {
+		if progress != nil && jobs[i].popular {
+			progress(jobs[i].day)
 		}
-	}
-	if err := parallelDo(r.Workers, tasks...); err != nil {
+	})
+	if err != nil {
 		return nil, nil, err
 	}
 

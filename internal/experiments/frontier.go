@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"pplivesim/internal/core"
@@ -80,9 +79,9 @@ func (r *Runner) runFrontier(progress func(name string)) ([]FrontierPoint, error
 	type job struct {
 		spec selection.Spec
 		fid  peer.Fidelity
-		sc   core.Scenario
 	}
 	var jobs []job
+	var scenarios []core.Scenario
 	seedOffset := int64(0)
 	for _, fid := range frontierFidelities() {
 		for _, name := range FrontierSpecNames() {
@@ -90,31 +89,18 @@ func (r *Runner) runFrontier(progress func(name string)) ([]FrontierPoint, error
 			if err != nil {
 				return nil, fmt.Errorf("experiments: frontier spec %q: %w", name, err)
 			}
-			jobs = append(jobs, job{spec: spec, fid: fid, sc: r.frontierScenario(spec, fid, seedOffset)})
+			jobs = append(jobs, job{spec: spec, fid: fid})
+			scenarios = append(scenarios, r.frontierScenario(spec, fid, seedOffset))
 			seedOffset++
 		}
 	}
 
-	var progressMu sync.Mutex
-	outs := make([]*RunOutputs, len(jobs))
-	tasks := make([]func(int) error, len(jobs))
-	for i := range jobs {
-		i := i
-		tasks[i] = func(procs int) error {
-			if progress != nil {
-				progressMu.Lock()
-				progress(jobs[i].sc.Name)
-				progressMu.Unlock()
-			}
-			out, err := runScenario(jobs[i].sc, procs)
-			if err != nil {
-				return fmt.Errorf("%s: %w", jobs[i].sc.Name, err)
-			}
-			outs[i] = out
-			return nil
+	outs, err := r.runAll(scenarios, func(i int) {
+		if progress != nil {
+			progress(scenarios[i].Name)
 		}
-	}
-	if err := parallelDo(r.Workers, tasks...); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
 

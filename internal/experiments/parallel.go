@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
+
+	"pplivesim/internal/core"
 )
 
 // Scenario runs are embarrassingly parallel: every engine is single-threaded
@@ -82,4 +85,32 @@ func parallelDo(workers int, tasks ...func(procs int) error) error {
 		}
 	}
 	return nil
+}
+
+// runAll runs the scenarios over the Runner's worker pool and returns their
+// outputs in scenario order. started is called with a scenario's index just
+// before it runs — one call at a time, so progress callbacks need no locking
+// of their own.
+func (r *Runner) runAll(scenarios []core.Scenario, started func(i int)) ([]*RunOutputs, error) {
+	var startedMu sync.Mutex
+	outs := make([]*RunOutputs, len(scenarios))
+	tasks := make([]func(int) error, len(scenarios))
+	for i := range scenarios {
+		i := i
+		tasks[i] = func(procs int) error {
+			startedMu.Lock()
+			started(i)
+			startedMu.Unlock()
+			out, err := runScenario(scenarios[i], procs)
+			if err != nil {
+				return fmt.Errorf("%s: %w", scenarios[i].Name, err)
+			}
+			outs[i] = out
+			return nil
+		}
+	}
+	if err := parallelDo(r.Workers, tasks...); err != nil {
+		return nil, err
+	}
+	return outs, nil
 }

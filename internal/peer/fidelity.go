@@ -17,9 +17,8 @@ const (
 	// batched data transfer (BackgroundConfig), probes are full-fidelity
 	// Clients.
 	FidelityMixed Fidelity = iota
-	// FidelityFull runs background viewers at probe fidelity (BatchCount 1),
-	// equivalent to Behaviour.FullFidelityBackground; used by the fidelity
-	// ablation.
+	// FidelityFull runs background viewers at probe fidelity (BatchCount 1);
+	// used by the fidelity ablation.
 	FidelityFull
 	// FidelityFlow replaces background Clients with struct-of-arrays
 	// FlowSwarm members: flat per-member rows, no per-peer goroutine-shaped

@@ -365,19 +365,6 @@ func (c *Client) Neighbors() []netip.Addr {
 	return out
 }
 
-// Sessions returns the joined channel IDs in join order.
-func (c *Client) Sessions() []wire.ChannelID {
-	return slices.Clone(c.order)
-}
-
-// ActiveChannel returns the channel currently being watched (0 if none).
-func (c *Client) ActiveChannel() wire.ChannelID {
-	if c.active == nil {
-		return 0
-	}
-	return c.active.spec.Channel
-}
-
 // SetOnStopped registers a callback invoked after Stop.
 func (c *Client) SetOnStopped(fn func()) { c.onStopped = fn }
 

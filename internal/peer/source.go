@@ -10,16 +10,13 @@ import (
 )
 
 // Source is a channel's origin server: it holds every sub-piece up to the
-// live edge and serves data requests, acting as the injection point and the
-// provider of last resort. Like PPLive's seed servers it also answers
-// peer-list requests with its recently seen clients, which seeds the very
-// first overlay edges of a young channel.
+// live edge and serves data requests (its Origin), acting as the injection
+// point and the provider of last resort. Like PPLive's seed servers it also
+// answers peer-list requests with its recently seen clients, which seeds the
+// very first overlay edges of a young channel.
 type Source struct {
-	env  node.Env
-	spec stream.Spec
-
-	// start is the instant the channel went live (sequence 0's emission).
-	start time.Duration
+	env    node.Env
+	origin *Origin
 
 	// recent tracks recently seen client addresses for referral.
 	recent    []netip.Addr
@@ -31,23 +28,18 @@ type Source struct {
 	// toggles it; the stream clock keeps running so the live edge is where it
 	// should be when the process comes back.
 	down bool
-
-	// Stats.
-	served      uint64
-	servedBytes uint64
-	shed        uint64
 }
 
 // NewSource creates a source for the channel, live since the current
 // instant.
 func NewSource(env node.Env, spec stream.Spec) (*Source, error) {
-	if err := spec.Validate(); err != nil {
+	origin, err := NewOrigin(env, spec)
+	if err != nil {
 		return nil, err
 	}
 	return &Source{
 		env:       env,
-		spec:      spec,
-		start:     env.Now(),
+		origin:    origin,
 		recentIdx: make(map[netip.Addr]bool),
 		maxRecent: wire.MaxPeerList,
 	}, nil
@@ -59,21 +51,17 @@ var _ node.Handler = (*Source)(nil)
 func (s *Source) Addr() netip.Addr { return s.env.Addr() }
 
 // Spec returns the channel spec.
-func (s *Source) Spec() stream.Spec { return s.spec }
-
-// edge returns the newest emitted sequence at now.
-func (s *Source) edge(now time.Duration) uint64 {
-	return s.spec.EdgeSeq(now - s.start)
-}
+func (s *Source) Spec() stream.Spec { return s.origin.Spec() }
 
 // Has reports whether the source can serve sub-piece seq at now.
 func (s *Source) Has(seq uint64, now time.Duration) bool {
-	return seq <= s.edge(now)
+	return seq <= s.origin.Edge(now)
 }
 
 // Stats reports data requests served and payload bytes sent.
 func (s *Source) Stats() (served, servedBytes uint64) {
-	return s.served, s.servedBytes
+	served, servedBytes, _ = s.origin.Stats()
+	return served, servedBytes
 }
 
 // SetDown toggles the crashed state; while down the source drops all inbound
@@ -94,40 +82,14 @@ func (s *Source) note(a netip.Addr) {
 	}
 }
 
-// bufferMap returns a map covering the trailing window up to the live edge,
-// all bits set.
-func (s *Source) bufferMap(now time.Duration) wire.BufferMap {
-	const window = 2048
-	edge := s.edge(now)
-	start := uint64(0)
-	if edge+1 > window {
-		start = edge + 1 - window
-	}
-	bm := wire.MakeBufferMap(start, window)
-	if edge >= start {
-		bm.SetRange(start, edge)
-	}
-	return bm
-}
-
 // HandleMessage implements node.Handler.
 func (s *Source) HandleMessage(from netip.Addr, msg wire.Message) {
 	if s.down {
 		return
 	}
 	switch m := msg.(type) {
-	case *wire.Handshake:
-		if m.Channel != s.spec.Channel {
-			return
-		}
-		s.note(from)
-		s.env.Send(from, &wire.HandshakeAck{
-			Channel:  s.spec.Channel,
-			Accepted: true,
-			Buffer:   s.bufferMap(s.env.Now()),
-		})
 	case *wire.PeerListRequest:
-		if m.Channel != s.spec.Channel {
+		if m.Channel != s.origin.spec.Channel {
 			return
 		}
 		s.note(from)
@@ -137,54 +99,13 @@ func (s *Source) HandleMessage(from netip.Addr, msg wire.Message) {
 				peers = append(peers, a)
 			}
 		}
-		s.env.Send(from, &wire.PeerListReply{Channel: s.spec.Channel, Peers: peers})
-	case *wire.DataRequest:
-		if m.Channel != s.spec.Channel {
-			return
-		}
-		s.note(from)
-		// Shed load once the uplink backs up: a saturated origin answers
-		// with a tiny busy reply rather than queueing full replies past
-		// their deadlines — the requester frees its source slot at once
-		// instead of burning a request timeout on it.
-		if s.env.UplinkBacklog() > 2*time.Second {
-			s.shed++
-			s.env.Send(from, &wire.DataReply{
-				Channel:  s.spec.Channel,
-				Seq:      m.Seq,
-				Count:    0,
-				PieceLen: uint16(s.spec.SubPieceLen),
-				Busy:     true,
-			})
-			return
-		}
-		now := s.env.Now()
-		count := int(m.Count)
-		if count == 0 {
-			count = 1
-		}
-		run := 0
-		for run < count && s.Has(m.Seq+uint64(run), now) {
-			run++
-		}
-		if run == 0 {
-			return
-		}
-		s.served++
-		s.servedBytes += uint64(run * s.spec.SubPieceLen)
-		s.env.Send(from, &wire.DataReply{
-			Channel:  s.spec.Channel,
-			Seq:      m.Seq,
-			Count:    uint16(run),
-			PieceLen: uint16(s.spec.SubPieceLen),
-		})
-	case *wire.BufferMapAnnounce:
-		// Sources ignore client buffer maps.
+		s.env.Send(from, &wire.PeerListReply{Channel: m.Channel, Peers: peers})
 	case *wire.Ping:
-		if m.Channel != s.spec.Channel {
-			return
-		}
-		s.env.Send(from, &wire.Pong{Channel: m.Channel, Nonce: m.Nonce})
+		// A keepalive is not a client contact: it earns no referral entry.
+		s.origin.Serve(from, msg)
 	default:
+		if s.origin.Serve(from, msg) {
+			s.note(from)
+		}
 	}
 }

@@ -64,7 +64,7 @@ func TestSourceServesDataPrefixRun(t *testing.T) {
 func TestSourceTruncatesRunAtEdge(t *testing.T) {
 	env, src := newSource(t)
 	env.Advance(time.Second) // edge ≈ 36
-	edge := src.edge(env.Now())
+	edge := src.origin.Edge(env.Now())
 	client := netip.MustParseAddr("58.32.0.1")
 	src.HandleMessage(client, &wire.DataRequest{Channel: 1, Seq: edge - 1, Count: 10})
 	got := env.sentTo(client)
@@ -106,8 +106,8 @@ func TestSourceShedsWhenBacklogged(t *testing.T) {
 	if !ok || !reply.Busy || reply.Count != 0 {
 		t.Errorf("reply = %#v, want empty Busy DataReply", got[0])
 	}
-	if src.shed != 1 {
-		t.Errorf("shed counter = %d", src.shed)
+	if src.origin.shed != 1 {
+		t.Errorf("shed counter = %d", src.origin.shed)
 	}
 }
 
@@ -124,7 +124,7 @@ func TestSourceHandshakeAckCoversEdgeWindow(t *testing.T) {
 	if !ok || !ack.Accepted {
 		t.Fatalf("ack = %#v", got[0])
 	}
-	edge := src.edge(env.Now())
+	edge := src.origin.Edge(env.Now())
 	if !ack.Buffer.Has(edge) {
 		t.Error("ack map misses the live edge")
 	}
@@ -195,8 +195,8 @@ func TestSourceShedsSustainedOverload(t *testing.T) {
 	if served, bytes := src.Stats(); served != 0 || bytes != 0 {
 		t.Errorf("served %d requests (%d bytes) while overloaded, want 0", served, bytes)
 	}
-	if src.shed != rounds {
-		t.Errorf("shed counter = %d, want %d", src.shed, rounds)
+	if src.origin.shed != rounds {
+		t.Errorf("shed counter = %d, want %d", src.origin.shed, rounds)
 	}
 	env.take()
 

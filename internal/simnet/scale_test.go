@@ -50,9 +50,8 @@ func TestScaledPartitionShape(t *testing.T) {
 }
 
 func TestLegacyPartitionUnchangedForSmallShards(t *testing.T) {
-	ref := NewShardedWorld(7)
-	cfg := underlay.DefaultConfig()
-	for _, shards := range []int{0, 1, 4, DefaultShards} {
+	ref := NewShardedWorldN(7, DefaultShards)
+	for _, shards := range []int{0, 1, 4} {
 		w := NewShardedWorldN(7, shards)
 		if len(w.Domains()) != len(ref.Domains()) {
 			t.Fatalf("shards=%d: %d domains, want %d", shards, len(w.Domains()), len(ref.Domains()))
@@ -69,7 +68,6 @@ func TestLegacyPartitionUnchangedForSmallShards(t *testing.T) {
 		if w.infra != nil || w.floors != nil {
 			t.Errorf("shards=%d: legacy world must have no infra domain or floors", shards)
 		}
-		_ = cfg
 	}
 }
 

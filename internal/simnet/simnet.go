@@ -5,7 +5,7 @@
 // underlay network, address pool, and RNG streams; nodes spawned in a domain
 // live entirely on that domain's event loop. A single-domain world (NewWorld)
 // behaves exactly like the classic one-engine simulator and exposes the
-// engine and network directly. A sharded world (NewShardedWorld) partitions
+// engine and network directly. A sharded world (NewShardedWorldN) partitions
 // the synthetic internet by ISP — the paper's locality structure becomes the
 // unit of parallelism — and runs the domains in conservative lockstep
 // windows whose lookahead is the minimum cross-domain underlay latency:
@@ -38,9 +38,9 @@ import (
 // World wires together engines, underlays, and the address plan.
 type World struct {
 	// Engine and Network are the single-domain fast path: for worlds built
-	// with NewWorld/NewWorldConfig they alias domain 0's engine and network,
-	// preserving the classic one-engine API. They are nil for sharded
-	// worlds, whose callers go through Domains.
+	// with NewWorld they alias domain 0's engine and network, preserving the
+	// classic one-engine API. They are nil for sharded worlds, whose callers
+	// go through Domains.
 	Engine   *eventsim.Engine
 	Network  *underlay.Network
 	Registry *asnmap.Registry
@@ -67,9 +67,6 @@ type World struct {
 	// buildRand drives single-threaded build-time draws (arrival schedules);
 	// it belongs to no domain so build plans don't perturb domain streams.
 	buildRand *rand.Rand
-
-	// pools is the single-domain world's lazy per-category allocator.
-	pools map[isp.ISP]*ipam.Pool
 }
 
 // Domain is one shard: an engine, an underlay network, and an address range.
@@ -80,13 +77,11 @@ type Domain struct {
 	world *World
 	eng   *eventsim.Engine
 	net   *underlay.Network
-	pool  *ipam.Pool // nil for the single-domain world (uses World.pools)
-	// pools is the infrastructure domain's per-category allocator: unlike
-	// every other sharded domain it hosts several ISP categories (trackers
-	// and bootstrap for each), carved as small tail blocks out of the
-	// categories' address ranges.
+	// pools allocates the domain's addresses per host category: one entry
+	// for a viewer domain, every category for the single-domain world, and
+	// the carved tail blocks (trackers and bootstrap per category) for the
+	// infrastructure domain.
 	pools map[isp.ISP]*ipam.Pool
-	envs  int // spawned envs (diagnostics)
 
 	// Lite members live in storage the domain owns: liteChunk is the unused
 	// tail of the newest slab chunk and liteFree chains the cells of closed
@@ -109,212 +104,183 @@ func mixSeed(seed int64, salt int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// NewWorld builds a single-domain world with the default underlay
-// configuration and the synthetic internet address plan.
-func NewWorld(seed int64) *World {
-	return NewWorldConfig(seed, underlay.DefaultConfig())
+// part is one row of a partition table: a domain and the address ranges it
+// owns, listed per host category in allocation order. cat is the one category
+// a viewer domain holds; it is zero for a row that hosts several — the
+// single-domain world's only row and a scaled partition's INFRA row.
+type part struct {
+	name  string
+	cat   isp.ISP
+	pools map[isp.ISP][]ipam.Prefix
 }
 
-// NewWorldConfig builds a single-domain world with a custom underlay
-// configuration.
-func NewWorldConfig(seed int64, cfg underlay.Config) *World {
-	eng := eventsim.New(seed)
-	net := underlay.New(eng, cfg)
-	w := &World{
-		Engine:    eng,
-		Network:   net,
-		Registry:  asnmap.SyntheticInternet(),
-		buildRand: rand.New(rand.NewSource(mixSeed(seed, buildSalt))),
-		pools:     make(map[isp.ISP]*ipam.Pool),
+// NewWorld builds a single-domain world: a one-row partition table holding
+// every category of the synthetic internet address plan.
+func NewWorld(seed int64) *World {
+	reg := asnmap.SyntheticInternet()
+	all := part{name: "all", pools: make(map[isp.ISP][]ipam.Prefix)}
+	for _, cat := range isp.All() {
+		all.pools[cat] = reg.PrefixesFor(cat)
 	}
-	w.domains = []*Domain{{id: 0, name: "all", world: w, eng: eng, net: net}}
-	return w
+	return build(seed, reg, []part{all})
 }
 
 // buildSalt decorrelates the build-time RNG from per-domain engine seeds.
 const buildSalt = 0x6275696c64 // "build"
 
-// NewShardedWorld builds an ISP-partitioned world with the default underlay
-// configuration. TELE — over half the paper's population — is split into two
-// sub-domains along its prefix list so no single shard dominates the run.
-func NewShardedWorld(seed int64) *World {
-	return NewShardedWorldConfig(seed, underlay.DefaultConfig())
-}
-
-// NewShardedWorldConfig builds an ISP-partitioned world with a custom
-// underlay configuration.
-func NewShardedWorldConfig(seed int64, cfg underlay.Config) *World {
-	return NewShardedWorldConfigN(seed, cfg, DefaultShards)
-}
-
-// NewShardedWorldN builds a sharded world with the default underlay
-// configuration and the given partition degree (see NewShardedWorldConfigN).
+// NewShardedWorldN builds a sharded world with shards domains. Any value up
+// to DefaultShards produces the legacy six-domain ISP partition (TELE — over
+// half the paper's population — halved along its prefix list so no single
+// shard dominates the run); the pinned golden digests depend on it. Values
+// above DefaultShards engage the scaled partition: TELE is split into
+// shards-5 sub-shards by address range (ipam.SplitEvenly over its prefix
+// list), the remaining four categories keep one domain each, and a dedicated
+// infrastructure domain hosts bootstrap/tracker/source addresses carved as
+// small tail blocks out of the TELE/CNC/CER ranges. Scaled partitions install
+// synthetic per-pair latency floors (see underlay.SetRemoteFloor):
+// cross-sub-shard intra-ISP traffic is floored at the category's IntraOWD and
+// infrastructure pairs at twice TELE's, so the conservative lookahead rises
+// from the natural cross-pair minimum to the intra-ISP base OWD, roughly
+// halving the number of barrier windows. shards must not exceed MaxShards.
 func NewShardedWorldN(seed int64, shards int) *World {
-	return NewShardedWorldConfigN(seed, underlay.DefaultConfig(), shards)
+	reg := asnmap.SyntheticInternet()
+	return build(seed, reg, partition(reg, shards))
 }
 
-// NewShardedWorldConfigN builds a sharded world with shards domains. Any
-// value up to DefaultShards produces the legacy six-domain ISP partition,
-// bit-identical to NewShardedWorldConfig — the pinned golden digests depend
-// on this. Values above DefaultShards engage the scaled partition: TELE is
-// split into shards-5 sub-shards by address range (ipam.SplitEvenly over its
-// prefix list), the remaining four categories keep one domain each, and a
-// dedicated infrastructure domain hosts bootstrap/tracker/source addresses
-// carved as small tail blocks out of the TELE/CNC/CER ranges. Scaled
-// partitions install synthetic per-pair latency floors (see
-// underlay.SetRemoteFloor): cross-sub-shard intra-ISP traffic is floored at
-// the category's IntraOWD and infrastructure pairs at twice TELE's, so the
-// conservative lookahead rises from the natural cross-pair minimum to the
-// intra-ISP base OWD, roughly halving the number of barrier windows.
-func NewShardedWorldConfigN(seed int64, cfg underlay.Config, shards int) *World {
-	reg := asnmap.SyntheticInternet()
-	w := &World{
-		Registry:  reg,
-		buildRand: rand.New(rand.NewSource(mixSeed(seed, buildSalt))),
-	}
-	type part struct {
-		name     string
-		cat      isp.ISP
-		prefixes []ipam.Prefix
-		infra    map[isp.ISP][]ipam.Prefix // per-category pools; infra domain only
+// partition returns the sharded world's table for the given degree.
+func partition(reg *asnmap.Registry, shards int) []part {
+	one := func(name string, cat isp.ISP, prefixes []ipam.Prefix) part {
+		return part{name: name, cat: cat, pools: map[isp.ISP][]ipam.Prefix{cat: prefixes}}
 	}
 	var parts []part
-	infraIdx := -1
 	if shards <= DefaultShards {
 		// Legacy partition: five ISP categories with TELE halved along its
-		// prefix list. This construction must stay byte-identical — every
-		// pinned golden digest runs through it.
+		// prefix list. This table must stay byte-identical — every pinned
+		// golden digest runs through it.
 		for _, cat := range isp.All() {
 			prefixes := reg.PrefixesFor(cat)
 			if cat == isp.TELE && len(prefixes) >= 2 {
 				half := (len(prefixes) + 1) / 2
-				parts = append(parts,
-					part{name: "TELE-0", cat: cat, prefixes: prefixes[:half]},
-					part{name: "TELE-1", cat: cat, prefixes: prefixes[half:]})
+				parts = append(parts, one("TELE-0", cat, prefixes[:half]), one("TELE-1", cat, prefixes[half:]))
 				continue
 			}
-			parts = append(parts, part{name: cat.String(), cat: cat, prefixes: prefixes})
+			parts = append(parts, one(cat.String(), cat, prefixes))
 		}
-	} else {
-		kTele := shards - 5 // four single-category domains + infra
-		infraPools := make(map[isp.ISP][]ipam.Prefix)
-		for _, cat := range isp.All() {
-			prefixes := reg.PrefixesFor(cat)
-			// Reserve a tail block for infrastructure services in the
-			// categories that host them (bootstrap and the tracker groups:
-			// TELE, CNC, CER). The carve partitions the space exactly, so
-			// viewer pools and the infra pool can never collide.
-			switch cat {
-			case isp.TELE, isp.CNC, isp.CER:
-				if main, tail, ok := ipam.CarveTail(prefixes, infraCarveBits); ok {
-					prefixes = main
-					infraPools[cat] = []ipam.Prefix{tail}
-				}
-			}
-			if cat == isp.TELE {
-				for i, group := range ipam.SplitEvenly(prefixes, kTele) {
-					parts = append(parts, part{name: fmt.Sprintf("TELE-%d", i), cat: cat, prefixes: group})
-				}
-				continue
-			}
-			parts = append(parts, part{name: cat.String(), cat: cat, prefixes: prefixes})
-		}
-		infraIdx = len(parts)
-		parts = append(parts, part{name: "INFRA", infra: infraPools})
+		return parts
 	}
-	rt := &router{world: w, trie: ipam.NewTrie()}
+	kTele := shards - 5 // four single-category domains + infra
+	infra := part{name: "INFRA", pools: make(map[isp.ISP][]ipam.Prefix)}
+	for _, cat := range isp.All() {
+		prefixes := reg.PrefixesFor(cat)
+		// Reserve a tail block for infrastructure services in the categories
+		// that host them (bootstrap and the tracker groups: TELE, CNC, CER).
+		// The carve partitions the space exactly, so viewer pools and the
+		// infra pool can never collide.
+		switch cat {
+		case isp.TELE, isp.CNC, isp.CER:
+			if main, tail, ok := ipam.CarveTail(prefixes, infraCarveBits); ok {
+				prefixes = main
+				infra.pools[cat] = []ipam.Prefix{tail}
+			}
+		}
+		if cat == isp.TELE {
+			for i, group := range ipam.SplitEvenly(prefixes, kTele) {
+				parts = append(parts, one(fmt.Sprintf("TELE-%d", i), cat, group))
+			}
+			continue
+		}
+		parts = append(parts, one(cat.String(), cat, prefixes))
+	}
+	return append(parts, infra)
+}
+
+// build wires one domain per row of the table. A one-row table is the classic
+// single-engine simulator: the engine runs on the world seed itself and there
+// is no router, so nothing is ever forwarded.
+func build(seed int64, reg *asnmap.Registry, parts []part) *World {
+	cfg := underlay.DefaultConfig()
+	w := &World{
+		Registry:  reg,
+		buildRand: rand.New(rand.NewSource(mixSeed(seed, buildSalt))),
+	}
+	n := len(parts)
+	if n > 1 {
+		w.router = &router{world: w, trie: ipam.NewTrie(), boxes: make([][]xmsg, n*n)}
+	}
 	for id, p := range parts {
-		eng := eventsim.New(mixSeed(seed, id))
-		net := underlay.New(eng, cfg)
-		net.SetRouter(rt, id)
+		engSeed := seed
+		if w.router != nil {
+			engSeed = mixSeed(seed, id)
+		}
+		eng := eventsim.New(engSeed)
 		d := &Domain{
 			id:    id,
 			name:  p.name,
 			cat:   p.cat,
 			world: w,
 			eng:   eng,
-			net:   net,
+			net:   underlay.New(eng, cfg),
+			pools: make(map[isp.ISP]*ipam.Pool, len(p.pools)),
 		}
-		if p.infra != nil {
-			d.pools = make(map[isp.ISP]*ipam.Pool)
-			for _, cat := range isp.All() {
-				pfxs, ok := p.infra[cat]
-				if !ok {
-					continue
-				}
-				d.pools[cat] = ipam.NewPool(pfxs...)
-				for _, pfx := range pfxs {
-					rt.addRoute(pfx, id, cat)
+		for _, cat := range isp.All() {
+			prefixes, ok := p.pools[cat]
+			if !ok {
+				continue
+			}
+			d.pools[cat] = ipam.NewPool(prefixes...)
+			if w.router != nil {
+				for _, pfx := range prefixes {
+					w.router.addRoute(pfx, id, cat)
 				}
 			}
+		}
+		if w.router == nil {
+			w.Engine, w.Network = d.eng, d.net
 		} else {
-			d.pool = ipam.NewPool(p.prefixes...)
-			for _, pfx := range p.prefixes {
-				rt.addRoute(pfx, id, p.cat)
+			d.net.SetRouter(w.router, id)
+			if p.cat == 0 {
+				w.infra = d
 			}
 		}
 		w.domains = append(w.domains, d)
 	}
-	if infraIdx >= 0 {
-		w.infra = w.domains[infraIdx]
-	}
-	n := len(w.domains)
-	rt.boxes = make([][]xmsg, n*n)
-	w.router = rt
 
-	if w.infra == nil {
-		// Conservative lookahead: the smallest one-way delay any cross-domain
-		// host pair can see. MinPairOWD uses the identical float expression as
-		// the per-pair multiplier, so this is an exact lower bound — a datagram
-		// sent at t to another shard can never arrive before t+lookahead.
-		for i, a := range w.domains {
-			for j, b := range w.domains {
-				if i == j {
-					continue
-				}
-				if m := cfg.MinPairOWD(a.cat, b.cat); w.lookahead == 0 || m < w.lookahead {
-					w.lookahead = m
-				}
-			}
-		}
-		return w
-	}
-
-	// Scaled partition: install the synthetic latency floors and derive the
-	// lookahead from them. Same-category sub-shard pairs are floored at the
+	// A table with an infrastructure row is a scaled partition and gets the
+	// synthetic latency floors: same-category sub-shard pairs at the
 	// category's base IntraOWD (a cross-sub-shard peer can never look closer
 	// than the intra-ISP base), and every pair touching the infrastructure
 	// domain at twice TELE's IntraOWD (bootstrap/tracker RPCs are not
 	// latency-critical, and the wide floor keeps infra traffic off the
-	// lookahead-critical path).
-	infraFloor := 2 * cfg.IntraOWD[isp.TELE]
-	w.floors = make([]time.Duration, n*n)
-	for i, a := range w.domains {
-		for j, b := range w.domains {
-			if i == j {
-				continue
-			}
-			switch {
-			case a == w.infra || b == w.infra:
-				w.floors[i*n+j] = infraFloor
-			case a.cat == b.cat:
-				w.floors[i*n+j] = cfg.IntraOWD[a.cat]
-			}
+	// lookahead-critical path). Every other pair's floor is 0.
+	if w.infra != nil {
+		w.floors = make([]time.Duration, n*n)
+		for _, d := range w.domains {
+			src := d.id
+			d.net.SetRemoteFloor(func(dst int) time.Duration { return w.floors[src*n+dst] })
 		}
 	}
-	for _, d := range w.domains {
-		src := d.id
-		d.net.SetRemoteFloor(func(dst int) time.Duration { return w.floors[src*n+dst] })
-	}
-	// Every cross-domain arrival is bounded below by max(natural pair
-	// minimum, floor); infra pairs rely on the floor alone because the
-	// infra domain spans several host categories.
+	// Conservative lookahead: the smallest one-way delay any cross-domain
+	// host pair can see, max(natural pair minimum, floor). MinPairOWD uses the
+	// identical float expression as the per-pair multiplier, so this is an
+	// exact lower bound — a datagram sent at t to another shard can never
+	// arrive before t+lookahead. Infra pairs rely on the floor alone because
+	// the infra domain spans several host categories.
 	for i, a := range w.domains {
 		for j, b := range w.domains {
 			if i == j {
 				continue
 			}
-			bound := w.floors[i*n+j]
+			var floor time.Duration
+			switch {
+			case a == w.infra || b == w.infra:
+				floor = 2 * cfg.IntraOWD[isp.TELE]
+			case w.infra != nil && a.cat == b.cat:
+				floor = cfg.IntraOWD[a.cat]
+			}
+			if w.floors != nil {
+				w.floors[i*n+j] = floor
+			}
+			bound := floor
 			if a != w.infra && b != w.infra {
 				if m := cfg.MinPairOWD(a.cat, b.cat); m > bound {
 					bound = m
@@ -331,6 +297,15 @@ func NewShardedWorldConfigN(seed int64, cfg underlay.Config, shards int) *World 
 // DefaultShards is the number of domains a sharded world partitions into
 // (the five ISP categories with TELE split in two).
 const DefaultShards = 6
+
+// MaxShards is the largest partition degree a sharded world accepts. The
+// router keeps one mailbox per (source, destination) domain pair and every
+// window barrier scans all of them, so cost grows with the square of the
+// degree whatever the population: a 13-viewer one-minute run takes 0.1 s at
+// 12 shards, 1 s at 256 and 17 s at 1024 (and far enough up,
+// ipam.SplitEvenly panics on a /32 it cannot halve). 256 is already more
+// domains than any machine has cores for.
+const MaxShards = 256
 
 // infraCarveBits is the prefix length of the tail block reserved per category
 // for the scaled partition's infrastructure domain (/20 ≈ 4k addresses —
@@ -483,46 +458,14 @@ func (d *Domain) At(at time.Duration, fn func()) { d.eng.At(at, fn) }
 // After schedules fn on this domain's engine after delay dl.
 func (d *Domain) After(dl time.Duration, fn func()) { d.eng.After(dl, fn) }
 
-// AllocAddr allocates a fresh address in the given ISP category.
-func (w *World) AllocAddr(category isp.ISP) (netip.Addr, error) {
-	return w.domains[0].allocAddr(category)
-}
-
 func (d *Domain) allocAddr(category isp.ISP) (netip.Addr, error) {
-	if d.pools != nil {
-		pool, ok := d.pools[category]
-		if !ok {
-			return netip.Addr{}, fmt.Errorf("simnet: domain %s has no %s infrastructure block", d.name, category)
-		}
-		addr, err := pool.Alloc()
-		if err != nil {
-			return netip.Addr{}, fmt.Errorf("alloc %s infrastructure address: %w", category, err)
-		}
-		return addr, nil
-	}
-	if d.pool != nil {
-		if category != d.cat {
-			return netip.Addr{}, fmt.Errorf("simnet: domain %s cannot allocate %s address", d.name, category)
-		}
-		addr, err := d.pool.Alloc()
-		if err != nil {
-			return netip.Addr{}, fmt.Errorf("alloc %s address: %w", category, err)
-		}
-		return addr, nil
-	}
-	w := d.world
-	pool, ok := w.pools[category]
+	pool, ok := d.pools[category]
 	if !ok {
-		var err error
-		pool, err = w.Registry.PoolFor(category)
-		if err != nil {
-			return netip.Addr{}, err
-		}
-		w.pools[category] = pool
+		return netip.Addr{}, fmt.Errorf("simnet: domain %s holds no %s addresses", d.name, category)
 	}
 	addr, err := pool.Alloc()
 	if err != nil {
-		return netip.Addr{}, fmt.Errorf("alloc %s address: %w", category, err)
+		return netip.Addr{}, fmt.Errorf("alloc %s address in domain %s: %w", category, d.name, err)
 	}
 	return addr, nil
 }
@@ -570,7 +513,6 @@ func (d *Domain) SpawnAt(addr netip.Addr, spec HostSpec) (*Env, error) {
 	if err := d.net.AttachReceiver(host, env); err != nil {
 		return nil, err
 	}
-	d.envs++
 	return env, nil
 }
 
@@ -775,7 +717,6 @@ func (e *Env) Close() {
 	}
 	e.closed = true
 	e.domain.net.Detach(e.host.Addr)
-	e.domain.envs--
 }
 
 // Closed reports whether the env has been closed.
@@ -845,7 +786,6 @@ func (d *Domain) SpawnLite(spec HostSpec, owner LiteHandler) (*LiteEnv, error) {
 		d.releaseLite(e)
 		return nil, err
 	}
-	d.envs++
 	return e, nil
 }
 
@@ -910,6 +850,5 @@ func (e *LiteEnv) Close() {
 	}
 	d := e.domain
 	d.net.Detach(e.host.Addr)
-	d.envs--
 	d.releaseLite(e)
 }
