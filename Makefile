@@ -4,14 +4,17 @@ GO ?= go
 # exports them through bench/tojson.awk as BENCH_<suite>.json
 # ([{"name":..., "ns_per_op":..., "bytes_per_op":..., "allocs_per_op":...}]);
 # `make bench` is bench-hotpath (see README "Performance"); the top-level
-# Fig*/Table* benchmarks each run a full scenario, use `make bench-scenarios`
-# for those. Each suite is a -bench regex and its packages:
+# BenchmarkSection/<id> benchmarks each run a full experiment section, use
+# `make bench-scenarios` for those. The suites are for reading while working
+# on a hot path; nothing compares them against a committed baseline — the
+# regression gate is the end-to-end ledger, `bash perf/run.sh -compare`.
+# Each suite is a -bench regex and its packages:
 #   hotpath    event engine and wire codec, the gate for hot-path work.
 #   sched      request scheduling in internal/peer.
-#   select     tracker reply composition. The baseline/uniform pair proves the
-#              strategy indirection is free on the default path: bench-compare
-#              holds BenchmarkSelectUniform within the noise threshold of the
-#              hand-inlined BenchmarkSelectUniformBaseline at 0 allocs/op.
+#   select     tracker reply composition. The baseline/uniform pair shows the
+#              strategy indirection is free on the default path: compare
+#              BenchmarkSelectUniform with the hand-inlined
+#              BenchmarkSelectUniformBaseline, both at 0 allocs/op.
 #   telemetry  full-capture vs streaming analysis of one synthetic paper-scale
 #              trace. Entries also carry live_heap_bytes — the heap the
 #              pipeline retains after a full GC — which is what the streaming
@@ -38,7 +41,7 @@ cdn_bench       = CDNUrgentMiss
 cdn_pkgs        = ./internal/peer
 BENCHTIME ?= 2s
 
-.PHONY: fast full perf-test fuzz bench $(SUITES:%=bench-%) bench-e2e bench-shard bench-scenarios bench-compare bench-baseline clean
+.PHONY: fast full perf-test fuzz bench $(SUITES:%=bench-%) bench-e2e bench-shard bench-scenarios clean
 
 # Fast lane: static checks plus every -short test under the race detector.
 # Scenario-scale tests skip themselves in -short mode, so this finishes in
@@ -84,7 +87,7 @@ $(SUITES:%=bench-%): bench-%:
 # Sharded-engine wall-clock benchmark at paper scale: one ~2-hour-virtual
 # run per GOMAXPROCS 1, 2, 4 on the same SHARD_WORKERS-domain partition,
 # exported as BENCH_shard.json (benchdiff -shard checks the trajectory fields
-# are identical and compares wall_seconds like-for-like). This takes hours;
+# are identical and prints the speedup). This takes hours;
 # `make bench-e2e` answers "does the second core pay" in minutes
 # (popular_full_sharded row). SHARD_WORKERS > 6 engages the scaled partition.
 SHARD_WORKERS ?= 12
@@ -108,22 +111,8 @@ bench-shard:
 	$(GO) run ./cmd/benchdiff -shard BENCH_shard.json
 	@echo "wrote BENCH_shard.json"
 
-# Perf regression gate (the CI bench-compare lane): re-run every suite fresh
-# and compare against the committed baselines in bench/baseline/, failing if
-# any benchmark's ns/op regressed by more than 30% relative to its siblings
-# (benchdiff -normalize divides the ratios by their geometric mean, so a
-# uniformly slower or faster machine doesn't trip the gate). Re-baseline after
-# intentional perf changes with `make bench-baseline`.
-bench-compare: $(SUITES:%=bench-%)
-	$(GO) run ./cmd/benchdiff -normalize -threshold 0.30 \
-	  $(foreach s,$(SUITES),bench/baseline/$(s).json BENCH_$(s).json)
-
-# Refresh the committed perf baselines from a fresh benchmark run.
-bench-baseline: $(SUITES:%=bench-%)
-	mkdir -p bench/baseline
-	$(foreach s,$(SUITES),cp BENCH_$(s).json bench/baseline/$(s).json;)
-
-# Scenario-scale benchmarks: one full simulation per table/figure.
+# Scenario-scale benchmarks: every row of the experiment table
+# (BenchmarkSection/<id>) plus the BitTorrent baseline swarm.
 bench-scenarios:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x .
 

@@ -1,7 +1,7 @@
-// Benchmarks: one per table and figure of the paper's evaluation (see
-// DESIGN.md's experiment index), each running a reduced-scale version of the
-// corresponding experiment and reporting its headline statistic as a custom
-// metric. Paper-scale regeneration is `go run ./cmd/experiments`.
+// Benchmarks: BenchmarkSection/<id> for every row of the experiment table
+// (internal/experiments.Sections; DESIGN.md §3 is the index), each running a
+// reduced-scale version of the section, plus the BitTorrent baseline swarm on
+// its own. Paper-scale regeneration is `go run ./cmd/experiments`.
 //
 // Scenario benchmarks are whole-system runs (hundreds of peers, minutes of
 // virtual time), so each iteration is seconds of wall time; run with the
@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"pplivesim"
 	"pplivesim/internal/bittorrent"
 	"pplivesim/internal/experiments"
 	"pplivesim/internal/isp"
@@ -26,146 +25,22 @@ func benchScale() experiments.Scale {
 	return s
 }
 
-// runProbeBench runs the popular or unpopular quick scenario and reports the
-// given probe's metrics.
-func runProbeBench(b *testing.B, popular bool, probe string, metric func(*pplive.Report) (string, float64)) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		runner := experiments.NewRunner(benchScale(), int64(100+i))
-		var out *experiments.RunOutputs
-		var err error
-		if popular {
-			out, err = runner.Popular()
-		} else {
-			out, err = runner.Unpopular()
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
-		rep := out.Reports[probe]
-		if rep == nil {
-			b.Fatal("missing probe report")
-		}
-		name, value := metric(rep)
-		b.ReportMetric(value, name)
-		b.ReportMetric(float64(out.Result.EventsProcessed)/float64(b.N), "events")
-	}
-}
-
-// localityMetric reports traffic locality in percent.
-func localityMetric(rep *pplive.Report) (string, float64) {
-	return "locality_%", 100 * rep.TrafficLocality
-}
-
-func BenchmarkFig2TELEPopular(b *testing.B) {
-	runProbeBench(b, true, experiments.ProbeTELE, localityMetric)
-}
-
-func BenchmarkFig3TELEUnpopular(b *testing.B) {
-	runProbeBench(b, false, experiments.ProbeTELE, localityMetric)
-}
-
-func BenchmarkFig4MasonPopular(b *testing.B) {
-	runProbeBench(b, true, experiments.ProbeMason, localityMetric)
-}
-
-func BenchmarkFig5MasonUnpopular(b *testing.B) {
-	runProbeBench(b, false, experiments.ProbeMason, localityMetric)
-}
-
-func BenchmarkFig6FourWeeks(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		runner := experiments.NewRunner(benchScale(), int64(200+i))
-		popular, unpopular, err := runner.Fig6(nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(popular) == 0 || len(unpopular) == 0 {
-			b.Fatal("fig6 produced no points")
-		}
-		var sum float64
-		for _, pt := range popular {
-			sum += pt.Locality
-		}
-		b.ReportMetric(100*sum/float64(len(popular)), "mean_popular_locality_%")
-	}
-}
-
-func BenchmarkFig7to10ResponseTimes(b *testing.B) {
-	runProbeBench(b, true, experiments.ProbeTELE, func(rep *pplive.Report) (string, float64) {
-		return "tele_list_rt_ms", float64(rep.ListRT[isp.GroupTELE].Mean.Milliseconds())
-	})
-}
-
-func BenchmarkTable1DataResponse(b *testing.B) {
-	runProbeBench(b, true, experiments.ProbeTELE, func(rep *pplive.Report) (string, float64) {
-		return "tele_data_rt_ms", float64(rep.DataRT[isp.GroupTELE].Mean.Milliseconds())
-	})
-}
-
-func BenchmarkFig11Contributions(b *testing.B) {
-	runProbeBench(b, true, experiments.ProbeTELE, func(rep *pplive.Report) (string, float64) {
-		return "top10_request_share_%", 100 * rep.TopRequestShare
-	})
-}
-
-func BenchmarkFig12Contributions(b *testing.B) {
-	runProbeBench(b, false, experiments.ProbeTELE, func(rep *pplive.Report) (string, float64) {
-		return "top10_request_share_%", 100 * rep.TopRequestShare
-	})
-}
-
-func BenchmarkFig13Contributions(b *testing.B) {
-	runProbeBench(b, true, experiments.ProbeMason, func(rep *pplive.Report) (string, float64) {
-		return "se_r2", rep.SEFit.R2
-	})
-}
-
-func BenchmarkFig14Contributions(b *testing.B) {
-	runProbeBench(b, false, experiments.ProbeMason, func(rep *pplive.Report) (string, float64) {
-		return "top10_byte_share_%", 100 * rep.TopByteShare
-	})
-}
-
-func BenchmarkFig15to18RTTCorrelation(b *testing.B) {
-	runProbeBench(b, true, experiments.ProbeTELE, func(rep *pplive.Report) (string, float64) {
-		return "rtt_corr", rep.RTTCorrelation
-	})
-}
-
-func BenchmarkAblationReferral(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		runner := experiments.NewRunner(benchScale(), int64(300+i))
-		out, err := runner.AblationReferral()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(100*out.Baseline, "with_referral_%")
-		b.ReportMetric(100*out.Ablated, "tracker_only_%")
-	}
-}
-
-func BenchmarkAblationLatencyBias(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		runner := experiments.NewRunner(benchScale(), int64(400+i))
-		out, err := runner.AblationLatencyBias()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(100*out.Baseline, "with_bias_%")
-		b.ReportMetric(100*out.Ablated, "random_%")
-	}
-}
-
-func BenchmarkAblationFidelity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		runner := experiments.NewRunner(benchScale(), int64(500+i))
-		out, err := runner.AblationFidelity()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(out.FullEvents)/float64(out.CoarseEvents), "event_ratio")
-		b.ReportMetric(100*(out.FullLocality-out.CoarseLocality), "locality_delta_pp")
+// BenchmarkSection runs every row of the experiment table on a fresh Runner:
+// the section's scenarios (nothing is cached between iterations) plus its
+// text rendering. -bench 'Section/fig6$' picks one.
+func BenchmarkSection(b *testing.B) {
+	for _, s := range experiments.Sections() {
+		b.Run(s.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				body, err := s.Run(experiments.NewRunner(benchScale(), int64(100+i)), nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if body == "" {
+					b.Fatal("section rendered nothing")
+				}
+			}
+		})
 	}
 }
 

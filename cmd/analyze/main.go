@@ -83,10 +83,6 @@ func run() error {
 
 	title := fmt.Sprintf("offline analysis: probe %s (%s), %d captured datagrams",
 		hdr.Probe, hdr.ProbeISP, len(records))
-	fmt.Println(experiments.FigureABC(title, rep))
-	fmt.Println(experiments.ResponseTimes("peer-list response times:", rep))
-	fmt.Println(experiments.DataRTRow("data response times:", rep))
-	fmt.Println(experiments.Contributions("contributions:", rep))
-	fmt.Println(experiments.RTTCorrelation("rank vs RTT:", rep))
+	fmt.Println(experiments.ProbeSummary(title, rep))
 	return nil
 }

@@ -1,58 +1,29 @@
-// Command benchdiff compares two benchmark JSON exports (the shape `make
-// bench` / `make bench-sched` write: a list of {"name", "ns_per_op",
-// "bytes_per_op", "allocs_per_op"} objects) and fails when any benchmark
-// regressed beyond a threshold. It is the CI perf gate: the committed
-// BENCH_*.json baselines are compared against a fresh run on the CI runner.
+// Command benchdiff checks a `make bench-shard` export — a list of
+// {"workers", "gomaxprocs", "wall_seconds", "events", "continuity",
+// "locality"} objects, one per (partition, core-count) run of the paper-scale
+// popular scenario.
 //
 // Usage:
 //
-//	benchdiff [-threshold 0.30] [-normalize] baseline.json current.json [baseline2.json current2.json ...]
 //	benchdiff -shard BENCH_shard.json
-//	benchdiff -shard [-threshold 0.30] baseline_shard.json current_shard.json
 //
-// With -shard, the files are `make bench-shard` exports — a list of
-// {"workers", "gomaxprocs", "wall_seconds", "events", "continuity",
-// "locality"} objects, one per (partition, core-count) run. Every file is
-// checked for trajectory determinism: entries sharing a workers value must
-// agree exactly on events, continuity and locality, because the engine's
-// trajectory is worker-count invariant and only wall_seconds may vary.
-// Given a baseline/current pair, wall_seconds is compared only between
-// entries with the SAME (workers, gomaxprocs) key — like-for-like — so a
-// single-core parity run is never mistaken for a regression against a
-// multi-core one. A single file argument runs the determinism check and
-// prints the multi-core speedup without comparing against a baseline.
+// The file is checked for trajectory determinism: entries sharing a workers
+// value must agree exactly on events, continuity and locality, because the
+// engine's trajectory is worker-count invariant and only wall_seconds may
+// vary. The multi-core speedup of each entry is printed alongside.
 //
-// With -normalize, every ns/op ratio is divided by the geometric mean of all
-// ratios in that file pair. A different (slower or faster) machine shifts
-// every benchmark by roughly the same factor; the geomean absorbs that
-// machine-wide offset, so only *relative* regressions — one benchmark getting
-// slower than its siblings — trip the gate. That is what makes a committed
-// baseline from a developer machine usable on an arbitrary CI runner.
+// Microbenchmark exports (`make bench-<suite>`) are not compared here:
+// `bash perf/run.sh -compare` is the performance gate.
 //
-// Exit status: 0 when no benchmark exceeds the threshold (ratios between
-// warnRatio and the threshold print warnings), 1 on a regression or when a
-// baseline benchmark is missing from the current run.
+// Exit status: 0 when the trajectories agree, 1 otherwise.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
-	"sort"
 )
-
-type benchEntry struct {
-	Name        string   `json:"name"`
-	NsPerOp     float64  `json:"ns_per_op"`
-	BytesPerOp  *float64 `json:"bytes_per_op"`
-	AllocsPerOp *float64 `json:"allocs_per_op"`
-}
-
-// warnRatio is the normalized slowdown that prints a warning without
-// failing; below it, run-to-run noise dominates.
-const warnRatio = 1.10
 
 func main() {
 	if err := run(); err != nil {
@@ -62,135 +33,20 @@ func main() {
 }
 
 func run() error {
-	threshold := flag.Float64("threshold", 0.30, "fail when a benchmark's (normalized) ns/op grows by more than this fraction")
-	normalize := flag.Bool("normalize", false, "divide ratios by their geometric mean to absorb machine-speed offsets")
-	shard := flag.Bool("shard", false, "compare make bench-shard exports: like-for-like (workers, gomaxprocs) wall clock plus trajectory-determinism checks")
+	shard := flag.Bool("shard", false, "check a make bench-shard export (the only mode)")
 	flag.Parse()
-
-	args := flag.Args()
-	if *threshold <= 0 {
-		return fmt.Errorf("-threshold %g: must be positive", *threshold)
+	if !*shard || flag.NArg() != 1 {
+		return fmt.Errorf("usage: benchdiff -shard BENCH_shard.json")
 	}
-	if *shard {
-		return runShard(args, *threshold)
+	path := flag.Arg(0)
+	entries, err := loadShard(path)
+	if err != nil {
+		return err
 	}
-	if len(args) == 0 || len(args)%2 != 0 {
-		return fmt.Errorf("usage: benchdiff [-threshold F] [-normalize] baseline.json current.json [...]")
-	}
-
-	failed := false
-	for i := 0; i < len(args); i += 2 {
-		ok, err := comparePair(args[i], args[i+1], *threshold, *normalize)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			failed = true
-		}
-	}
-	if failed {
-		return fmt.Errorf("benchmark regression beyond %.0f%%", 100**threshold)
+	if !checkShardFile(path, entries) {
+		return fmt.Errorf("shard trajectory diverges across worker counts")
 	}
 	return nil
-}
-
-func load(path string) (map[string]benchEntry, []string, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	var entries []benchEntry
-	if err := json.Unmarshal(data, &entries); err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", path, err)
-	}
-	byName := make(map[string]benchEntry, len(entries))
-	var names []string
-	for _, e := range entries {
-		if e.Name == "" || e.NsPerOp <= 0 {
-			return nil, nil, fmt.Errorf("%s: entry %+v missing name or ns_per_op", path, e)
-		}
-		if _, dup := byName[e.Name]; dup {
-			return nil, nil, fmt.Errorf("%s: duplicate benchmark %q", path, e.Name)
-		}
-		byName[e.Name] = e
-		names = append(names, e.Name)
-	}
-	return byName, names, nil
-}
-
-// comparePair reports whether baseline→current stays within the threshold.
-func comparePair(basePath, curPath string, threshold float64, normalize bool) (bool, error) {
-	base, baseNames, err := load(basePath)
-	if err != nil {
-		return false, err
-	}
-	cur, curNames, err := load(curPath)
-	if err != nil {
-		return false, err
-	}
-
-	// Ratios for benchmarks present on both sides, in baseline order.
-	type row struct {
-		name  string
-		ratio float64
-	}
-	var rows []row
-	for _, name := range baseNames {
-		if c, ok := cur[name]; ok {
-			rows = append(rows, row{name: name, ratio: c.NsPerOp / base[name].NsPerOp})
-		}
-	}
-
-	fmt.Printf("== %s vs %s ==\n", basePath, curPath)
-	ok := true
-	if len(rows) == 0 {
-		fmt.Println("  no common benchmarks")
-		ok = false
-	}
-
-	scale := 1.0
-	if normalize && len(rows) > 0 {
-		logSum := 0.0
-		for _, r := range rows {
-			logSum += math.Log(r.ratio)
-		}
-		scale = math.Exp(logSum / float64(len(rows)))
-		fmt.Printf("  machine-speed offset (geomean of ratios): %.3f — normalized out\n", scale)
-	}
-
-	for _, r := range rows {
-		norm := r.ratio / scale
-		verdict := "ok"
-		switch {
-		case norm > 1+threshold:
-			verdict = fmt.Sprintf("FAIL (> +%.0f%%)", 100*threshold)
-			ok = false
-		case norm > warnRatio:
-			verdict = "warn"
-		}
-		fmt.Printf("  %-50s %8.0f -> %8.0f ns/op  ratio %.3f  normalized %.3f  %s\n",
-			r.name, base[r.name].NsPerOp, cur[r.name].NsPerOp, r.ratio, norm, verdict)
-	}
-
-	// A benchmark disappearing from the current run would silently shrink
-	// coverage, so it fails the gate; new benchmarks are informational.
-	for _, name := range baseNames {
-		if _, found := cur[name]; !found {
-			fmt.Printf("  %-50s MISSING from current run\n", name)
-			ok = false
-		}
-	}
-	var added []string
-	for _, name := range curNames {
-		if _, found := base[name]; !found {
-			added = append(added, name)
-		}
-	}
-	sort.Strings(added)
-	for _, name := range added {
-		fmt.Printf("  %-50s new benchmark (no baseline)\n", name)
-	}
-	return ok, nil
 }
 
 // shardEntry is one run of `make bench-shard`: a (partition, core-count)
@@ -204,8 +60,7 @@ type shardEntry struct {
 	Locality    float64 `json:"locality"`
 }
 
-// key identifies the like-for-like comparison unit: wall clock is only
-// meaningful between runs of the same partition on the same core count.
+// key names one run: a partition on a core count.
 func (e shardEntry) key() string {
 	return fmt.Sprintf("workers=%d gomaxprocs=%d", e.Workers, e.Gomaxprocs)
 }
@@ -235,42 +90,6 @@ func loadShard(path string) ([]shardEntry, error) {
 	return entries, nil
 }
 
-// runShard handles -shard mode: one file checks determinism and prints the
-// multi-core speedup; a baseline/current pair additionally gates wall clock
-// like-for-like.
-func runShard(args []string, threshold float64) error {
-	switch len(args) {
-	case 1:
-		entries, err := loadShard(args[0])
-		if err != nil {
-			return err
-		}
-		if !checkShardFile(args[0], entries) {
-			return fmt.Errorf("shard trajectory diverges across worker counts")
-		}
-		return nil
-	case 2:
-		base, err := loadShard(args[0])
-		if err != nil {
-			return err
-		}
-		cur, err := loadShard(args[1])
-		if err != nil {
-			return err
-		}
-		ok := checkShardFile(args[1], cur)
-		if !compareShardPair(args[0], base, args[1], cur, threshold) {
-			ok = false
-		}
-		if !ok {
-			return fmt.Errorf("shard benchmark regression beyond %.0f%% (or determinism failure)", 100*threshold)
-		}
-		return nil
-	default:
-		return fmt.Errorf("usage: benchdiff -shard current.json  |  benchdiff -shard baseline.json current.json")
-	}
-}
-
 // checkShardFile verifies worker-count invariance within one export: every
 // entry sharing a workers value must report bit-identical events, continuity
 // and locality — core count may change the wall clock, never the trajectory.
@@ -297,54 +116,6 @@ func checkShardFile(path string, entries []shardEntry) bool {
 	for _, e := range entries {
 		fmt.Printf("  %-30s wall %7.1fs  speedup %.2fx  (events %d, continuity %.4f, locality %.4f)\n",
 			e.key(), e.WallSeconds, slowest[e.Workers]/e.WallSeconds, e.Events, e.Continuity, e.Locality)
-	}
-	return ok
-}
-
-// compareShardPair gates baseline→current wall clock between entries with
-// the same (workers, gomaxprocs) key only.
-func compareShardPair(basePath string, base []shardEntry, curPath string, cur []shardEntry, threshold float64) bool {
-	fmt.Printf("== %s vs %s (like-for-like wall clock) ==\n", basePath, curPath)
-	byKey := make(map[string]shardEntry, len(cur))
-	for _, e := range cur {
-		byKey[e.key()] = e
-	}
-	ok := true
-	matched := 0
-	for _, b := range base {
-		c, found := byKey[b.key()]
-		if !found {
-			fmt.Printf("  %-30s MISSING from current run\n", b.key())
-			ok = false
-			continue
-		}
-		matched++
-		ratio := c.WallSeconds / b.WallSeconds
-		verdict := "ok"
-		switch {
-		case ratio > 1+threshold:
-			verdict = fmt.Sprintf("FAIL (> +%.0f%%)", 100*threshold)
-			ok = false
-		case ratio > warnRatio:
-			verdict = "warn"
-		}
-		fmt.Printf("  %-30s %7.1fs -> %7.1fs  ratio %.3f  %s\n", b.key(), b.WallSeconds, c.WallSeconds, ratio, verdict)
-	}
-	if matched == 0 {
-		fmt.Println("  no common (workers, gomaxprocs) entries")
-		ok = false
-	}
-	for _, c := range cur {
-		found := false
-		for _, b := range base {
-			if b.key() == c.key() {
-				found = true
-				break
-			}
-		}
-		if !found {
-			fmt.Printf("  %-30s new configuration (no baseline)\n", c.key())
-		}
 	}
 	return ok
 }

@@ -186,17 +186,13 @@ func run() error {
 			return err
 		}
 		title := fmt.Sprintf("=== probe %s (%s) ===", p.Name, p.ISP)
-		fmt.Println(experiments.FigureABC(title, rep))
-		fmt.Println(experiments.ResponseTimes("peer-list response times:", rep))
-		fmt.Println(experiments.DataRTRow("data response times:", rep))
-		fmt.Println(experiments.Contributions("contributions:", rep))
-		fmt.Println(experiments.RTTCorrelation("rank vs RTT:", rep))
+		fmt.Println(experiments.ProbeSummary(title, rep))
 		if sc.Faults != nil {
-			summary, err := experiments.ResilienceSummary("resilience:", res, p.Name)
+			summary, err := experiments.ResilienceSummary(res, p.Name)
 			if err != nil {
 				return err
 			}
-			fmt.Println(summary)
+			fmt.Println("resilience:\n" + summary)
 		}
 	}
 	return nil

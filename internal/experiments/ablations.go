@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"pplivesim/internal/bittorrent"
@@ -22,22 +21,16 @@ type AblationOutcome struct {
 
 // Render formats the outcome.
 func (a AblationOutcome) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "ablation %s\n", a.Name)
-	fmt.Fprintf(&b, "  full mechanism:    traffic locality %.1f%%\n", 100*a.Baseline)
-	fmt.Fprintf(&b, "  mechanism ablated: traffic locality %.1f%%\n", 100*a.Ablated)
-	if a.ExtraDetail != "" {
-		b.WriteString(a.ExtraDetail)
-	}
-	return b.String()
+	return fmt.Sprintf("ablation %s\n"+
+		"  full mechanism:    traffic locality %.1f%%\n"+
+		"  mechanism ablated: traffic locality %.1f%%\n%s",
+		a.Name, 100*a.Baseline, 100*a.Ablated, a.ExtraDetail)
 }
 
 // ablationScenario is a mid-size popular scenario with a TELE probe used by
 // every ablation (identical except for the toggled behaviour).
 func (r *Runner) ablationScenario(name string, seedOffset int64, behaviour core.Behaviour) core.Scenario {
-	pop := r.Scale.Fig6Population * 2
-	watch := r.Scale.Fig6Watch
-	sc := r.buildScenario(name, true, 500+seedOffset, pop, watch)
+	sc := r.buildScenario(name, true, 500+seedOffset, r.Scale.Fig6Population*2, r.Scale.Fig6Watch)
 	sc.Probes = []core.ProbeSpec{{Name: ProbeTELE, ISP: isp.TELE}}
 	sc.Behaviour = behaviour
 	return sc
@@ -56,80 +49,49 @@ func localityOf(sc core.Scenario, procs int) (float64, error) {
 	return rep.TrafficLocality, nil
 }
 
-// localityPair runs the base and ablated scenarios of one ablation
-// concurrently (they are independent simulations).
-func (r *Runner) localityPair(base, ablated core.Scenario) (baseLoc, ablatedLoc float64, err error) {
-	err = parallelDo(r.Workers,
-		func(procs int) (err error) { baseLoc, err = localityOf(base, procs); return },
-		func(procs int) (err error) { ablatedLoc, err = localityOf(ablated, procs); return },
-	)
-	return baseLoc, ablatedLoc, err
+// ablation is one mechanism toggle (the table is in sections.go): the base
+// run and the run with the mechanism off differ in nothing else.
+type ablation struct {
+	id, title string
+	name      string // AblationOutcome.Name
+	scenario  string // the ablated run's scenario name; the base run's adds "-base"
+	seed      int64  // the base run's seed offset; the ablated run takes the next
+	off       core.Behaviour
+	// bitTorrent also runs the genuine BitTorrent baseline (tracker-only
+	// discovery, tit-for-tat) for reference.
+	bitTorrent bool
 }
 
-// AblationReferral disables neighbor referral (tracker-only discovery) and
-// also runs the genuine BitTorrent baseline for reference. All three runs
-// execute concurrently.
-func (r *Runner) AblationReferral() (AblationOutcome, error) {
-	var base, ablated float64
-	var bt *bittorrent.LocalityResult
-	err := parallelDo(r.Workers,
+// runAblation runs the base and ablated scenarios (and the BitTorrent
+// baseline, if asked for) concurrently: they are independent simulations.
+func (r *Runner) runAblation(a ablation) (AblationOutcome, error) {
+	out := AblationOutcome{Name: a.name}
+	tasks := []func(procs int) error{
 		func(procs int) (err error) {
-			base, err = localityOf(r.ablationScenario("ablate-referral-base", 0, core.Behaviour{}), procs)
+			out.Baseline, err = localityOf(r.ablationScenario(a.scenario+"-base", a.seed, core.Behaviour{}), procs)
 			return
 		},
 		func(procs int) (err error) {
-			ablated, err = localityOf(r.ablationScenario("ablate-referral", 1, core.Behaviour{DisableReferral: true}), procs)
+			out.Ablated, err = localityOf(r.ablationScenario(a.scenario, a.seed+1, a.off), procs)
 			return
 		},
-		func(int) (err error) {
-			btViewers := workload.PopularPopulation().Scale(r.Scale.Fig6Population)
-			bt, err = bittorrent.RunLocality(r.Seed+777, btViewers, isp.TELE, r.Scale.Fig6Watch+10*time.Minute)
-			return
-		},
-	)
-	if err != nil {
+	}
+	if a.bitTorrent {
+		tasks = append(tasks, func(int) error {
+			viewers := workload.PopularPopulation().Scale(r.Scale.Fig6Population)
+			bt, err := bittorrent.RunLocality(r.Seed+777, viewers, isp.TELE, r.Scale.Fig6Watch+10*time.Minute)
+			if err != nil {
+				return err
+			}
+			out.ExtraDetail = fmt.Sprintf("  BitTorrent baseline (tracker-only + tit-for-tat): locality %.1f%% (probe progress %.0f%%)\n",
+				100*bt.Locality, 100*bt.Progress)
+			return nil
+		})
+	}
+	if err := parallelDo(r.Workers, tasks...); err != nil {
 		return AblationOutcome{}, err
 	}
-	detail := fmt.Sprintf("  BitTorrent baseline (tracker-only + tit-for-tat): locality %.1f%% (probe progress %.0f%%)\n",
-		100*bt.Locality, 100*bt.Progress)
-	return AblationOutcome{
-		Name:        "neighbor referral (vs tracker-only discovery)",
-		Baseline:    base,
-		Ablated:     ablated,
-		ExtraDetail: detail,
-	}, nil
-}
-
-// AblationLatencyBias disables connect-on-list-arrival latency bias.
-func (r *Runner) AblationLatencyBias() (AblationOutcome, error) {
-	base, ablated, err := r.localityPair(
-		r.ablationScenario("ablate-latency-base", 10, core.Behaviour{}),
-		r.ablationScenario("ablate-latency", 11, core.Behaviour{DisableLatencyBias: true}),
-	)
-	if err != nil {
-		return AblationOutcome{}, err
-	}
-	return AblationOutcome{
-		Name:     "latency-based neighbor selection",
-		Baseline: base,
-		Ablated:  ablated,
-	}, nil
-}
-
-// AblationPreference disables performance-weighted data scheduling.
-func (r *Runner) AblationPreference() (AblationOutcome, error) {
-	base, ablated, err := r.localityPair(
-		r.ablationScenario("ablate-pref-base", 20, core.Behaviour{}),
-		r.ablationScenario("ablate-pref", 21, core.Behaviour{DisablePreference: true}),
-	)
-	if err != nil {
-		return AblationOutcome{}, err
-	}
-	return AblationOutcome{
-		Name:     "performance-weighted request scheduling",
-		Baseline: base,
-		Ablated:  ablated,
-	}, nil
+	return out, nil
 }
 
 // FidelityOutcome compares probe-side results between coarse and full
@@ -154,35 +116,20 @@ func (f FidelityOutcome) Render() string {
 // AblationFidelity validates the coarse-background substitution on a small
 // scenario: probe-side locality must be comparable while event counts drop.
 func (r *Runner) AblationFidelity() (FidelityOutcome, error) {
-	mk := func(full bool, seedOffset int64, procs int) (float64, uint64, error) {
-		sc := r.ablationScenario("fidelity", 30+seedOffset, core.Behaviour{})
-		if full {
-			sc.Fidelity = peer.FidelityFull
-		}
-		sc.Viewers = workload.PopularPopulation().Scale(r.Scale.Fig6Population)
-		out, err := runScenario(sc, procs)
-		if err != nil {
-			return 0, 0, err
-		}
-		rep, err := report(out, ProbeTELE)
-		if err != nil {
-			return 0, 0, err
-		}
-		return rep.TrafficLocality, out.Result.EventsProcessed, nil
+	scenarios := make([]core.Scenario, 2)
+	for i := range scenarios {
+		scenarios[i] = r.ablationScenario("fidelity", 30+int64(i), core.Behaviour{})
+		scenarios[i].Viewers = workload.PopularPopulation().Scale(r.Scale.Fig6Population)
 	}
-	var out FidelityOutcome
-	err := parallelDo(r.Workers,
-		func(procs int) (err error) {
-			out.CoarseLocality, out.CoarseEvents, err = mk(false, 0, procs)
-			return
-		},
-		func(procs int) (err error) {
-			out.FullLocality, out.FullEvents, err = mk(true, 1, procs)
-			return
-		},
-	)
+	scenarios[1].Fidelity = peer.FidelityFull
+	cells, err := r.sweep(scenarios, nil)
 	if err != nil {
 		return FidelityOutcome{}, err
 	}
-	return out, nil
+	return FidelityOutcome{
+		CoarseLocality: cells[0].rep.TrafficLocality,
+		CoarseEvents:   cells[0].Result.EventsProcessed,
+		FullLocality:   cells[1].rep.TrafficLocality,
+		FullEvents:     cells[1].Result.EventsProcessed,
+	}, nil
 }

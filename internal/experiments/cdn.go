@@ -13,11 +13,12 @@ import (
 	"pplivesim/internal/workload"
 )
 
-// CDNSpecNames are the selection policies the hybrid CDN+P2P sweep is
-// measured under: the legacy uniform sample and the quota bias the locality
-// frontier identifies as the practical operating point.
-func CDNSpecNames() []string {
-	return []string{"random", "quota:0.25"}
+// cdnSpecs are the selection policies the hybrid CDN+P2P sweep is measured
+// under: the legacy uniform sample and the quota bias the locality frontier
+// identifies as the practical operating point.
+var cdnSpecs = []selection.Spec{
+	{}, // random
+	{Kind: selection.KindQuota, MaxInterFrac: 0.25},
 }
 
 // CDNPoint is one (policy, edges on/off) cell of the offload-vs-locality
@@ -79,92 +80,57 @@ func (r *Runner) cdnScenario(spec selection.Spec, edges bool, seedOffset int64) 
 // caches, measuring what the edges absorb (offload, transit saved) against
 // what locality and playback do. The 2×len(specs) runs fan out over the
 // worker pool.
-func (r *Runner) CDNOffload(progress func(name string)) ([]CDNPoint, error) {
-	r.cdnOnce.Do(func() {
-		r.cdn, r.cdnErr = r.runCDN(progress)
-	})
-	return r.cdn, r.cdnErr
+func (r *Runner) CDNOffload(progress func(scenario string)) ([]CDNPoint, error) {
+	return r.cdn.get(func() ([]CDNPoint, error) { return r.runCDN(progress) })
 }
 
-func (r *Runner) runCDN(progress func(name string)) ([]CDNPoint, error) {
-	type job struct {
-		spec  selection.Spec
-		edges bool
-	}
-	var jobs []job
+func (r *Runner) runCDN(progress func(scenario string)) ([]CDNPoint, error) {
 	var scenarios []core.Scenario
-	for i, name := range CDNSpecNames() {
-		spec, err := selection.ParseSpec(name)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: cdn spec %q: %w", name, err)
-		}
+	for i, spec := range cdnSpecs {
 		for _, edges := range []bool{false, true} {
-			jobs = append(jobs, job{spec: spec, edges: edges})
 			scenarios = append(scenarios, r.cdnScenario(spec, edges, int64(i)))
 		}
 	}
-
-	outs, err := r.runAll(scenarios, func(i int) {
-		if progress != nil {
-			progress(scenarios[i].Name)
-		}
-	})
+	cells, err := r.sweep(scenarios, progress)
 	if err != nil {
 		return nil, err
 	}
 
-	points := make([]CDNPoint, 0, len(jobs))
+	points := make([]CDNPoint, len(cells))
+	// Each policy's edge-less cell comes first in sweep order, so its
+	// baseline is in place before the deployment measured against it.
 	baseline := map[string]uint64{}
-	for i, j := range jobs {
-		rep, err := report(outs[i], ProbeTELE)
-		if err != nil {
-			return nil, err
-		}
+	for i, c := range cells {
 		pt := CDNPoint{
-			Spec:         j.spec.String(),
-			Edges:        j.edges,
-			Locality:     rep.TrafficLocality,
-			EdgeBytes:    rep.EdgeBytes,
-			SourceBytes:  rep.SourceBytes,
-			OffloadByISP: map[isp.ISP]uint64{},
-			ShedByISP:    map[isp.ISP]uint64{},
+			Spec:          scenarios[i].Selection.String(),
+			Edges:         scenarios[i].CDN != nil,
+			Locality:      c.rep.TrafficLocality,
+			EdgeBytes:     c.rep.EdgeBytes,
+			SourceBytes:   c.rep.SourceBytes,
+			TransitBytes:  c.transit,
+			Continuity:    c.continuity,
+			MinContinuity: 1,
+			OffloadByISP:  map[isp.ISP]uint64{},
+			ShedByISP:     map[isp.ISP]uint64{},
 		}
-		for cat, n := range rep.BytesByISP {
-			if cat != isp.TELE {
-				pt.TransitBytes += n
-			}
-		}
-		res := outs[i].Result
-		for _, es := range res.EdgeStats {
+		for _, es := range c.Result.EdgeStats {
 			pt.OffloadByISP[es.ISP] += es.ServedBytes
 			pt.ShedByISP[es.ISP] += es.Shed
 		}
-		for pi, p := range res.Probes {
-			if p.Name != ProbeTELE {
-				continue
-			}
-			pt.Continuity = p.Client.BufferStats().Continuity()
-			rrep, err := res.ProbeResilience(pi, ChaosTarget)
-			if err != nil {
-				return nil, err
-			}
-			pt.MinContinuity = 1
-			for _, w := range rrep.Windows {
-				if w.MinContinuity < pt.MinContinuity {
-					pt.MinContinuity = w.MinContinuity
-				}
+		rrep, err := c.Result.ProbeResilience(c.probe, ChaosTarget)
+		if err != nil {
+			return nil, err
+		}
+		for _, w := range rrep.Windows {
+			if w.MinContinuity < pt.MinContinuity {
+				pt.MinContinuity = w.MinContinuity
 			}
 		}
-		if !j.edges {
+		if !pt.Edges {
 			baseline[pt.Spec] = pt.TransitBytes
 		}
-		points = append(points, pt)
-	}
-	for i := range points {
-		base := baseline[points[i].Spec]
-		if points[i].Edges && base > 0 && points[i].TransitBytes <= base {
-			points[i].TransitSaved = 1 - float64(points[i].TransitBytes)/float64(base)
-		}
+		pt.TransitSaved = transitSaved(pt.TransitBytes, baseline[pt.Spec])
+		points[i] = pt
 	}
 	return points, nil
 }
@@ -174,14 +140,8 @@ func (r *Runner) runCDN(progress func(name string)) ([]CDNPoint, error) {
 // offload the edge counters report.
 func RenderCDN(points []CDNPoint) string {
 	var b strings.Builder
-	for _, spec := range CDNSpecNames() {
-		// CDNSpecNames entries parse to the canonical String() form used in
-		// the points; normalize through the same path.
-		s, err := selection.ParseSpec(spec)
-		if err != nil {
-			continue
-		}
-		fmt.Fprintf(&b, "policy %s:\n", s.String())
+	for _, s := range cdnSpecs {
+		fmt.Fprintf(&b, "policy %s:\n", s)
 		fmt.Fprintf(&b, "  %-10s %9s %14s %13s %12s %13s %11s %9s\n",
 			"deployment", "locality", "transit bytes", "transit saved", "edge bytes", "source bytes", "continuity", "min-cont")
 		for _, pt := range points {

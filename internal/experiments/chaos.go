@@ -20,32 +20,24 @@ const ChaosTarget = 0.95
 // locality mechanisms the paper measures under benign churn are scored here
 // for how they degrade and recover.
 func (r *Runner) Chaos() (*RunOutputs, error) {
-	r.chaosOnce.Do(func() {
+	return r.chaos.get(func() (*RunOutputs, error) {
 		sc := r.buildScenario("chaos", true, 9000, r.Scale.Population, r.Scale.Watch)
 		fs, err := fault.Preset("combo", sc.WarmUp, sc.Watch)
 		if err != nil {
-			r.chaosErr = err
-			return
+			return nil, err
 		}
 		sc.Faults = fs
-		r.chaos, r.chaosErr = runScenario(sc, allProcs)
+		return runScenario(sc, allProcs)
 	})
-	return r.chaos, r.chaosErr
 }
 
 // ResilienceSummary renders one probe's per-fault-window resilience metrics:
 // continuity dip depth and duration, time to sustained recovery, and how far
 // the probe's per-ISP traffic mix shifted while the fault was active.
-func ResilienceSummary(title string, res *core.Result, probe string) (string, error) {
-	idx := -1
-	for i, p := range res.Probes {
-		if p.Name == probe {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return "", fmt.Errorf("experiments: no probe named %q", probe)
+func ResilienceSummary(res *core.Result, probe string) (string, error) {
+	idx, err := probeIndex(res, probe)
+	if err != nil {
+		return "", err
 	}
 	rep, err := res.ProbeResilience(idx, ChaosTarget)
 	if err != nil {
@@ -53,9 +45,6 @@ func ResilienceSummary(title string, res *core.Result, probe string) (string, er
 	}
 
 	var b strings.Builder
-	if title != "" {
-		fmt.Fprintln(&b, title)
-	}
 	fmt.Fprintf(&b, "probe %s — continuity target %.2f\n", probe, rep.Target)
 	fmt.Fprintf(&b, "  %-28s %8s %6s %8s %9s %6s\n",
 		"fault window", "min-cont", "dip", "below", "recover", "shift")

@@ -9,6 +9,9 @@
 // TELE, CNC and Mason probes measuring concurrently, as the paper's hosts
 // did) and derives every figure from the cached traces. Figure 6 runs its
 // own 28-day schedule of smaller runs.
+//
+// Sections (sections.go) is the one table that declares every section of the
+// report: its id, title, runs, text and figures.
 package experiments
 
 import (
@@ -123,26 +126,23 @@ type Runner struct {
 	// random sample. The locality-frontier sweep overrides it per run.
 	Selection selection.Spec
 
-	popOnce   sync.Once
-	popular   *RunOutputs
-	popErr    error
-	unpopOnce sync.Once
-	unpopular *RunOutputs
-	unpopErr  error
-	multiOnce sync.Once
-	multi     *RunOutputs
-	multiErr  error
-	chaosOnce sync.Once
-	chaos     *RunOutputs
-	chaosErr  error
+	popular, unpopular, multi, chaos memo[*RunOutputs]
+	fig6                             memo[Fig6Series]
+	frontier                         memo[[]FrontierPoint]
+	cdn                              memo[[]CDNPoint]
+}
 
-	frontierOnce sync.Once
-	frontier     []FrontierPoint
-	frontierErr  error
+// memo runs a function once and keeps what it returned, for any number of
+// concurrent callers.
+type memo[T any] struct {
+	once sync.Once
+	val  T
+	err  error
+}
 
-	cdnOnce sync.Once
-	cdn     []CDNPoint
-	cdnErr  error
+func (m *memo[T]) get(f func() (T, error)) (T, error) {
+	m.once.Do(func() { m.val, m.err = f() })
+	return m.val, m.err
 }
 
 // NewRunner creates a runner with the given scale and base seed.
@@ -150,23 +150,19 @@ func NewRunner(scale Scale, seed int64) *Runner {
 	return &Runner{Scale: scale, Seed: seed}
 }
 
-// standardProbes places the paper's measuring hosts: two Chinese
-// residential ISPs and the US campus.
-func standardProbes() []core.ProbeSpec {
-	return []core.ProbeSpec{
-		{Name: ProbeTELE, ISP: isp.TELE},
-		{Name: ProbeCNC, ISP: isp.CNC},
-		{Name: ProbeMason, ISP: isp.Foreign},
-	}
-}
-
 // buildScenario assembles a standard scenario.
 func (r *Runner) buildScenario(name string, popular bool, seedOffset int64, population float64, watch time.Duration) core.Scenario {
 	sc := core.Scenario{
-		Name:          name,
-		Seed:          r.Seed + seedOffset,
-		Churn:         workload.DefaultChurn(),
-		Probes:        standardProbes(),
+		Name:  name,
+		Seed:  r.Seed + seedOffset,
+		Churn: workload.DefaultChurn(),
+		// The paper's measuring hosts: two Chinese residential ISPs and the
+		// US campus.
+		Probes: []core.ProbeSpec{
+			{Name: ProbeTELE, ISP: isp.TELE},
+			{Name: ProbeCNC, ISP: isp.CNC},
+			{Name: ProbeMason, ISP: isp.Foreign},
+		},
 		ArrivalWindow: r.Scale.ArrivalWindow,
 		WarmUp:        r.Scale.WarmUp,
 		Watch:         watch,
@@ -184,28 +180,14 @@ func (r *Runner) buildScenario(name string, popular bool, seedOffset int64, popu
 	return sc
 }
 
-// analyzeAll produces per-probe reports for a finished run by finalizing
-// each probe's streaming telemetry. Each probe's analysis excludes its own
-// channel's source from peer statistics.
-func analyzeAll(res *core.Result) (map[string]*analysis.Report, error) {
-	out := make(map[string]*analysis.Report, len(res.Probes))
-	for i, p := range res.Probes {
-		rep, err := res.ProbeReport(i)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: analyze probe %q: %w", p.Name, err)
-		}
-		out[p.Name] = rep
-	}
-	return out, nil
-}
-
 // allProcs is runScenario's procs argument for a scenario that runs with no
 // sibling: its event-loop workers are bounded by Shards and the machine only.
 const allProcs = math.MaxInt
 
 // runScenario executes a scenario on at most procs event-loop workers (see
-// parallelDo; the count never changes the trajectory) and analyzes its
-// probes.
+// parallelDo; the count never changes the trajectory) and finalizes each
+// probe's streaming telemetry into its report. A probe's analysis excludes
+// its own channel's source from peer statistics.
 func runScenario(sc core.Scenario, procs int) (*RunOutputs, error) {
 	sc.Workers = max(1, min(sc.Shards, procs))
 	start := time.Now()
@@ -213,33 +195,30 @@ func runScenario(sc core.Scenario, procs int) (*RunOutputs, error) {
 	if err != nil {
 		return nil, err
 	}
-	reports, err := analyzeAll(res)
-	if err != nil {
-		return nil, err
+	out := &RunOutputs{Result: res, Reports: make(map[string]*analysis.Report, len(res.Probes))}
+	for i, p := range res.Probes {
+		if out.Reports[p.Name], err = res.ProbeReport(i); err != nil {
+			return nil, fmt.Errorf("experiments: analyze probe %q: %w", p.Name, err)
+		}
 	}
-	return &RunOutputs{
-		Result:  res,
-		Reports: reports,
-		Wall:    time.Since(start),
-	}, nil
+	out.Wall = time.Since(start)
+	return out, nil
 }
 
 // Popular returns (running once, then cached) the popular-channel run.
 func (r *Runner) Popular() (*RunOutputs, error) {
-	r.popOnce.Do(func() {
-		r.popular, r.popErr = runScenario(r.buildScenario("popular", true, 0, r.Scale.Population, r.Scale.Watch), allProcs)
+	return r.popular.get(func() (*RunOutputs, error) {
+		return runScenario(r.buildScenario("popular", true, 0, r.Scale.Population, r.Scale.Watch), allProcs)
 	})
-	return r.popular, r.popErr
 }
 
 // Unpopular returns (running once, then cached) the unpopular-channel run.
 func (r *Runner) Unpopular() (*RunOutputs, error) { return r.unpopularOn(allProcs) }
 
 func (r *Runner) unpopularOn(procs int) (*RunOutputs, error) {
-	r.unpopOnce.Do(func() {
-		r.unpopular, r.unpopErr = runScenario(r.buildScenario("unpopular", false, 1, r.Scale.Population, r.Scale.Watch), procs)
+	return r.unpopular.get(func() (*RunOutputs, error) {
+		return runScenario(r.buildScenario("unpopular", false, 1, r.Scale.Population, r.Scale.Watch), procs)
 	})
-	return r.unpopular, r.unpopErr
 }
 
 // Multi-channel probe names: one TELE probe pinned to each channel.
@@ -277,10 +256,9 @@ func (r *Runner) buildMultiScenario() core.Scenario {
 // MultiChannel returns (running once, then cached) the concurrent two-channel
 // run with channel-switching viewers.
 func (r *Runner) MultiChannel() (*RunOutputs, error) {
-	r.multiOnce.Do(func() {
-		r.multi, r.multiErr = runScenario(r.buildMultiScenario(), allProcs)
+	return r.multi.get(func() (*RunOutputs, error) {
+		return runScenario(r.buildMultiScenario(), allProcs)
 	})
-	return r.multi, r.multiErr
 }
 
 // Warm executes the two shared scenario runs concurrently, so a report that
@@ -307,17 +285,67 @@ func report(out *RunOutputs, probe string) (*analysis.Report, error) {
 	return rep, nil
 }
 
+// probeIndex finds a probe by name in a finished run.
+func probeIndex(res *core.Result, probe string) (int, error) {
+	for i, p := range res.Probes {
+		if p.Name == probe {
+			return i, nil
+		}
+	}
+	return 0, fmt.Errorf("experiments: no probe named %q", probe)
+}
+
+// teleCell is what a policy sweep reads off one finished run, at its TELE
+// probe: the report, the inter-ISP download volume (bytes from every other
+// category; the source and the edges are tallied separately upstream) and
+// the playback continuity over the whole watch.
+type teleCell struct {
+	*RunOutputs
+	probe      int // index in Result.Probes
+	rep        *analysis.Report
+	transit    uint64
+	continuity float64
+}
+
+// sweep runs the scenarios over the worker pool and returns each one's TELE
+// probe reading, in scenario order.
+func (r *Runner) sweep(scenarios []core.Scenario, progress func(scenario string)) ([]teleCell, error) {
+	outs, err := r.runAll(scenarios, progress)
+	if err != nil {
+		return nil, err
+	}
+	cells := make([]teleCell, len(outs))
+	for i, out := range outs {
+		c := teleCell{RunOutputs: out}
+		if c.probe, err = probeIndex(out.Result, ProbeTELE); err != nil {
+			return nil, err
+		}
+		c.rep = out.Reports[ProbeTELE]
+		for cat, n := range c.rep.BytesByISP {
+			if cat != isp.TELE {
+				c.transit += n
+			}
+		}
+		c.continuity = out.Result.Probes[c.probe].Client.BufferStats().Continuity()
+		cells[i] = c
+	}
+	return cells, nil
+}
+
+// transitSaved is the fraction of a baseline's transit bytes a cell avoided
+// (0 for the baseline itself, and for a cell that moved more).
+func transitSaved(transit, baseline uint64) float64 {
+	if baseline == 0 || transit > baseline {
+		return 0
+	}
+	return 1 - float64(transit)/float64(baseline)
+}
+
 // ---- formatting helpers ----
 
 func formatCounts(b *strings.Builder, counts map[isp.ISP]int) {
 	for _, c := range isp.All() {
 		fmt.Fprintf(b, "  %-8s %8d\n", c, counts[c])
-	}
-}
-
-func formatUint64(b *strings.Builder, counts map[isp.ISP]uint64) {
-	for _, c := range isp.All() {
-		fmt.Fprintf(b, "  %-8s %12d\n", c, counts[c])
 	}
 }
 
@@ -421,10 +449,23 @@ func RTTCorrelation(title string, rep *analysis.Report) string {
 		title, rep.RTTCorrelation)
 }
 
+// ProbeSummary renders every per-probe panel for one report: what cmd/psim
+// and cmd/analyze print for each probe.
+func ProbeSummary(title string, rep *analysis.Report) string {
+	return strings.Join([]string{
+		FigureABC(title, rep),
+		ResponseTimes("peer-list response times:", rep),
+		DataRTRow("data response times:", rep),
+		Contributions("contributions:", rep),
+		RTTCorrelation("rank vs RTT:", rep),
+	}, "\n")
+}
+
 // MultiChannelSummary renders the concurrent two-channel run: per-channel
-// audience and source, switching activity, and each pinned probe's locality
-// and playback continuity — the paper's Figure 5 popular/unpopular contrast
-// observed inside one simulation instead of across two separate runs.
+// audience and source, switching activity, each pinned probe's locality and
+// playback continuity, and the two probes' Figure 2-5 panels — the paper's
+// popular/unpopular contrast observed inside one simulation instead of across
+// two separate runs.
 func MultiChannelSummary(out *RunOutputs) string {
 	var b strings.Builder
 	res := out.Result
@@ -444,125 +485,94 @@ func MultiChannelSummary(out *RunOutputs) string {
 			p.Name, p.Channel, 100*rep.TrafficLocality, p.Client.BufferStats().Continuity())
 	}
 	b.WriteString("  expectation: the popular channel's probe sees locality at least the unpopular one's\n")
+	b.WriteString(FigureABC("TELE probe pinned to the popular channel:", out.Reports[ProbeTELEPopular]))
+	b.WriteString(FigureABC("TELE probe pinned to the unpopular channel:", out.Reports[ProbeTELEUnpopular]))
 	return b.String()
 }
 
-// Fig6Point is one day's traffic locality for one probe.
-type Fig6Point struct {
-	Day      int
-	Probe    string
-	Locality float64
-}
+// Fig6Series is the four-week sweep: for each channel class, each probe's
+// traffic locality per day (index 0 is day 1).
+type Fig6Series struct{ Popular, Unpopular map[string][]float64 }
+
+// fig6Probes orders the Figure 6 series: the two Chinese ISPs, then Mason.
+var fig6Probes = []string{ProbeCNC, ProbeTELE, ProbeMason}
 
 // Fig6 runs the 28-day schedule: for each day, a popular and an unpopular
 // run with day-scaled populations, measuring traffic locality at the CNC,
 // TELE, and Mason probes (the paper averaged two probes per ISP; we run one
 // per ISP per day). The 2×Fig6Days runs are independent simulations, so they
 // fan out over the runner's worker pool; results are assembled in day order
-// afterwards, keeping output identical to a sequential sweep. The progress
-// callback reports each day as its popular-channel run starts (days may
-// begin out of order under parallelism).
-func (r *Runner) Fig6(progress func(day int)) (popular, unpopular []Fig6Point, err error) {
-	type fig6Job struct {
-		day     int
-		popular bool
-	}
-	var jobs []fig6Job
+// afterwards, keeping output identical to a sequential sweep. The sweep runs
+// once and is cached, so text and figures pay for it together; progress is
+// told each run's scenario name as it starts (days may begin out of order
+// under parallelism).
+func (r *Runner) Fig6(progress func(scenario string)) (Fig6Series, error) {
+	return r.fig6.get(func() (Fig6Series, error) { return r.runFig6(progress) })
+}
+
+func (r *Runner) runFig6(progress func(scenario string)) (Fig6Series, error) {
+	s := Fig6Series{Popular: map[string][]float64{}, Unpopular: map[string][]float64{}}
 	var scenarios []core.Scenario
+	var series []map[string][]float64 // where each scenario's localities go
 	for day := 0; day < r.Scale.Fig6Days; day++ {
 		f := workload.DayFactor(day)
 		ff := workload.ForeignDayFactor(day)
-		for _, isPopular := range []bool{true, false} {
-			pop := r.Scale.Fig6Population
-			name := fmt.Sprintf("fig6-day%d-popular", day)
-			if !isPopular {
-				name = fmt.Sprintf("fig6-day%d-unpopular", day)
+		for _, popular := range []bool{true, false} {
+			class, seed, into := "popular", int64(1001+day*10), s.Popular
+			if !popular {
+				class, seed, into = "unpopular", int64(1000+day*10), s.Unpopular
 			}
-			sc := r.buildScenario(name, isPopular, int64(1000+day*10)+boolInt(isPopular), pop, r.Scale.Fig6Watch)
+			sc := r.buildScenario(fmt.Sprintf("fig6-day%d-%s", day, class), popular, seed, r.Scale.Fig6Population, r.Scale.Fig6Watch)
 			// Day-to-day audience variation: domestic rhythm plus the much
 			// more volatile foreign contingent.
-			scaled := make(workload.Population, len(sc.Viewers))
 			for cat, n := range sc.Viewers {
 				factor := f
 				if cat == isp.Foreign {
 					factor = f * ff
 				}
-				v := int(float64(n)*factor + 0.5)
-				if v < 1 {
-					v = 1
-				}
-				scaled[cat] = v
+				sc.Viewers[cat] = max(1, int(float64(n)*factor+0.5))
 			}
-			sc.Viewers = scaled
 			sc.WarmUp = r.Scale.Fig6Watch / 3
 			sc.ArrivalWindow = r.Scale.Fig6Watch / 4
-			jobs = append(jobs, fig6Job{day: day, popular: isPopular})
 			scenarios = append(scenarios, sc)
+			series = append(series, into)
 		}
 	}
 
-	outs, err := r.runAll(scenarios, func(i int) {
-		if progress != nil && jobs[i].popular {
-			progress(jobs[i].day)
-		}
-	})
+	outs, err := r.runAll(scenarios, progress)
 	if err != nil {
-		return nil, nil, err
+		return s, err
 	}
-
-	for i, job := range jobs {
-		for _, probe := range []string{ProbeCNC, ProbeTELE, ProbeMason} {
-			rep, err := report(outs[i], probe)
+	for i, out := range outs {
+		for _, probe := range fig6Probes {
+			rep, err := report(out, probe)
 			if err != nil {
-				return nil, nil, err
+				return s, err
 			}
-			pt := Fig6Point{Day: job.day + 1, Probe: probe, Locality: rep.TrafficLocality}
-			if job.popular {
-				popular = append(popular, pt)
-			} else {
-				unpopular = append(unpopular, pt)
-			}
+			series[i][probe] = append(series[i][probe], rep.TrafficLocality)
 		}
 	}
-	return popular, unpopular, nil
-}
-
-func boolInt(v bool) int64 {
-	if v {
-		return 1
-	}
-	return 0
+	return s, nil
 }
 
 // RenderFig6 formats the four-week locality series and summary statistics.
-func RenderFig6(popular, unpopular []Fig6Point) string {
+func RenderFig6(s Fig6Series) string {
 	var b strings.Builder
-	render := func(title string, pts []Fig6Point) {
-		fmt.Fprintf(&b, "%s\n", title)
-		byProbe := map[string][]float64{}
-		fmt.Fprintf(&b, "  day:")
-		days := 0
-		for _, pt := range pts {
-			if pt.Day > days {
-				days = pt.Day
-			}
-		}
-		for d := 1; d <= days; d++ {
-			fmt.Fprintf(&b, " %5d", d)
+	render := func(title string, series map[string][]float64) {
+		fmt.Fprintf(&b, "%s\n  day:", title)
+		for d := range series[ProbeTELE] {
+			fmt.Fprintf(&b, " %5d", d+1)
 		}
 		fmt.Fprintf(&b, "\n")
-		for _, probe := range []string{ProbeCNC, ProbeTELE, ProbeMason} {
+		for _, probe := range fig6Probes {
 			fmt.Fprintf(&b, "  %-4s", probe)
-			for _, pt := range pts {
-				if pt.Probe == probe {
-					fmt.Fprintf(&b, " %5.1f", 100*pt.Locality)
-					byProbe[probe] = append(byProbe[probe], pt.Locality)
-				}
+			for _, v := range series[probe] {
+				fmt.Fprintf(&b, " %5.1f", 100*v)
 			}
 			fmt.Fprintf(&b, "\n")
 		}
-		for _, probe := range []string{ProbeCNC, ProbeTELE, ProbeMason} {
-			vals := byProbe[probe]
+		for _, probe := range fig6Probes {
+			vals := series[probe]
 			if len(vals) == 0 {
 				continue
 			}
@@ -571,15 +581,15 @@ func RenderFig6(popular, unpopular []Fig6Point) string {
 			for _, v := range vals {
 				varsum += (v - mean) * (v - mean)
 			}
-			std := 0.0
+			variance := 0.0
 			if len(vals) > 1 {
-				std = varsum / float64(len(vals)-1)
+				variance = varsum / float64(len(vals)-1)
 			}
-			fmt.Fprintf(&b, "  %-5s mean=%.1f%% var=%.4f\n", probe, 100*mean, std)
+			fmt.Fprintf(&b, "  %-5s mean=%.1f%% var=%.4f\n", probe, 100*mean, variance)
 		}
 	}
-	render("(a) popular programs: traffic locality (%) per day", popular)
-	render("(b) unpopular programs: traffic locality (%) per day", unpopular)
+	render("(a) popular programs: traffic locality (%) per day", s.Popular)
+	render("(b) unpopular programs: traffic locality (%) per day", s.Unpopular)
 	b.WriteString("  expectation: China probes stable, Mason varies much more (foreign audience volatility)\n")
 	return b.String()
 }

@@ -88,20 +88,31 @@ func TestFig6ProducesSeries(t *testing.T) {
 	s := tinyScale()
 	s.Fig6Days = 2
 	r := NewRunner(s, 3)
-	popular, unpopular, err := r.Fig6(nil)
+	s6, err := r.Fig6(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 2 days × 3 probes per channel class.
-	if len(popular) != 6 || len(unpopular) != 6 {
-		t.Fatalf("points = %d/%d, want 6/6", len(popular), len(unpopular))
-	}
-	for _, pt := range append(popular, unpopular...) {
-		if pt.Locality < 0 || pt.Locality > 1 {
-			t.Errorf("locality %f out of range", pt.Locality)
+	// 2 days for each of 3 probes per channel class.
+	for _, series := range []map[string][]float64{s6.Popular, s6.Unpopular} {
+		if len(series) != 3 {
+			t.Fatalf("series for %d probes, want 3", len(series))
+		}
+		for probe, days := range series {
+			if len(days) != 2 {
+				t.Errorf("%s: %d days, want 2", probe, len(days))
+			}
+			for _, locality := range days {
+				if locality < 0 || locality > 1 {
+					t.Errorf("%s: locality %f out of range", probe, locality)
+				}
+			}
 		}
 	}
-	text := RenderFig6(popular, unpopular)
+	again, err := r.Fig6(nil)
+	if err != nil || &again.Popular[ProbeTELE][0] != &s6.Popular[ProbeTELE][0] {
+		t.Errorf("second Fig6 call re-ran the sweep (err %v)", err)
+	}
+	text := RenderFig6(s6)
 	if !strings.Contains(text, "popular programs") || !strings.Contains(text, "mason") {
 		t.Errorf("RenderFig6 malformed:\n%s", text)
 	}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -13,17 +12,8 @@ import (
 	"pplivesim/internal/plot"
 )
 
-// FigureWriter renders the paper's figures as SVG files in a directory.
-type FigureWriter struct {
-	Dir    string
-	Width  int
-	Height int
-}
-
-// NewFigureWriter creates a writer with default geometry.
-func NewFigureWriter(dir string) *FigureWriter {
-	return &FigureWriter{Dir: dir, Width: 640, Height: 420}
-}
+// FigureWriter renders the paper's figures as 640×420 SVG files in Dir.
+type FigureWriter struct{ Dir string }
 
 func (fw *FigureWriter) write(name string, p *plot.Plot) error {
 	if err := os.MkdirAll(fw.Dir, 0o755); err != nil {
@@ -33,43 +23,37 @@ func (fw *FigureWriter) write(name string, p *plot.Plot) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return fw.render(f, p)
+	if err := p.RenderSVG(f, 640, 420); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
-func (fw *FigureWriter) render(w io.Writer, p *plot.Plot) error {
-	return p.RenderSVG(w, fw.Width, fw.Height)
+// writeISPBars renders one bar per ISP category.
+func (fw *FigureWriter) writeISPBars(name, title, yLabel string, value func(isp.ISP) float64) error {
+	p := plot.New(title, "ISP", yLabel)
+	labels := make([]string, 0, isp.Count)
+	values := make([]float64, 0, isp.Count)
+	for _, c := range isp.All() {
+		labels = append(labels, c.String())
+		values = append(values, value(c))
+	}
+	if err := p.SetBars(labels, values); err != nil {
+		return err
+	}
+	return fw.write(name, p)
 }
 
 // WriteReturnedBars renders panel (a) of Figures 2-5: returned addresses by
 // ISP.
 func (fw *FigureWriter) WriteReturnedBars(name, title string, rep *analysis.Report) error {
-	p := plot.New(title, "ISP", "# returned addresses")
-	labels := make([]string, 0, isp.Count)
-	values := make([]float64, 0, isp.Count)
-	for _, c := range isp.All() {
-		labels = append(labels, c.String())
-		values = append(values, float64(rep.ReturnedByISP[c]))
-	}
-	if err := p.SetBars(labels, values); err != nil {
-		return err
-	}
-	return fw.write(name, p)
+	return fw.writeISPBars(name, title, "# returned addresses", func(c isp.ISP) float64 { return float64(rep.ReturnedByISP[c]) })
 }
 
 // WriteTrafficBars renders panel (c): downloaded bytes by ISP.
 func (fw *FigureWriter) WriteTrafficBars(name, title string, rep *analysis.Report) error {
-	p := plot.New(title, "ISP", "downloaded bytes")
-	labels := make([]string, 0, isp.Count)
-	values := make([]float64, 0, isp.Count)
-	for _, c := range isp.All() {
-		labels = append(labels, c.String())
-		values = append(values, float64(rep.BytesByISP[c]))
-	}
-	if err := p.SetBars(labels, values); err != nil {
-		return err
-	}
-	return fw.write(name, p)
+	return fw.writeISPBars(name, title, "downloaded bytes", func(c isp.ISP) float64 { return float64(rep.BytesByISP[c]) })
 }
 
 // WriteResponseScatter renders Figures 7-10: per-group peer-list response
@@ -78,9 +62,6 @@ func (fw *FigureWriter) WriteResponseScatter(name, title string, rep *analysis.R
 	p := plot.New(title, "peer-list request (minutes into watch)", "response time (s)")
 	for _, g := range isp.Groups() {
 		pts := rep.ListRTSeries[g]
-		if len(pts) == 0 {
-			continue
-		}
 		xs := make([]float64, 0, len(pts))
 		ys := make([]float64, 0, len(pts))
 		for _, pt := range pts {
@@ -188,17 +169,14 @@ func (fw *FigureWriter) WriteRTTScatter(name, title string, rep *analysis.Report
 	return fw.write(name, p)
 }
 
-// WriteFig6 renders the four-week locality series.
-func (fw *FigureWriter) WriteFig6(name, title string, points []Fig6Point) error {
+// WriteFig6 renders one channel class of the four-week locality series.
+func (fw *FigureWriter) WriteFig6(name, title string, series map[string][]float64) error {
 	p := plot.New(title, "day", "traffic locality (%)")
-	for _, probe := range []string{ProbeCNC, ProbeTELE, ProbeMason} {
-		var xs, ys []float64
-		for _, pt := range points {
-			if pt.Probe != probe {
-				continue
-			}
-			xs = append(xs, float64(pt.Day))
-			ys = append(ys, 100*pt.Locality)
+	for _, probe := range fig6Probes {
+		xs := make([]float64, len(series[probe]))
+		ys := make([]float64, len(xs))
+		for d, v := range series[probe] {
+			xs[d], ys[d] = float64(d+1), 100*v
 		}
 		if len(xs) == 0 {
 			continue
@@ -216,7 +194,7 @@ func (fw *FigureWriter) WriteFig6(name, title string, points []Fig6Point) error 
 func (fw *FigureWriter) WriteFrontier(name, title string, points []FrontierPoint) error {
 	cont := plot.New(title+" — continuity", "transit bytes saved vs random (%)", "playback continuity")
 	start := plot.New(title+" — startup delay", "transit bytes saved vs random (%)", "startup delay (s)")
-	for _, fid := range frontierFidelities() {
+	for _, fid := range frontierFidelities {
 		var xs, cys, sxs, sys []float64
 		for _, pt := range points {
 			if pt.Fidelity != fid {
@@ -275,35 +253,4 @@ func (fw *FigureWriter) WriteCDN(name, title string, points []CDNPoint) error {
 		return err
 	}
 	return fw.write(name+"-transit", tp)
-}
-
-// WriteAll renders every figure for one probe report under a prefix, e.g.
-// fig2a, fig2c, fig7, fig11b, fig11c, fig15 for the TELE/popular view.
-func (fw *FigureWriter) WriteAll(prefix string, abcTitle string, rep *analysis.Report, rtFig, contribFig, rttFig string) error {
-	steps := []func() error{
-		func() error {
-			return fw.WriteReturnedBars(prefix+"a-returned", abcTitle+" (a) returned addresses", rep)
-		},
-		func() error {
-			return fw.WriteTrafficBars(prefix+"c-traffic", abcTitle+" (c) downloaded bytes", rep)
-		},
-		func() error {
-			return fw.WriteResponseScatter(rtFig, abcTitle+" peer-list response times", rep)
-		},
-		func() error {
-			return fw.WriteRankDistribution(contribFig+"b-rank", abcTitle+" request rank distribution", rep)
-		},
-		func() error {
-			return fw.WriteContributionCDF(contribFig+"c-cdf", abcTitle+" contribution CDF", rep)
-		},
-		func() error {
-			return fw.WriteRTTScatter(rttFig, abcTitle+" requests vs RTT", rep)
-		},
-	}
-	for _, step := range steps {
-		if err := step(); err != nil {
-			return err
-		}
-	}
-	return nil
 }

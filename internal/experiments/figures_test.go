@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"net/netip"
 	"os"
 	"path/filepath"
@@ -44,10 +45,14 @@ func syntheticReport() *analysis.Report {
 
 func TestFigureWriterRendersAll(t *testing.T) {
 	dir := t.TempDir()
-	fw := NewFigureWriter(dir)
+	fw := &FigureWriter{Dir: dir}
 	rep := syntheticReport()
-	if err := fw.WriteAll("figX", "synthetic", rep, "figX-rt", "figX1", "figX-rtt"); err != nil {
-		t.Fatal(err)
+	for _, p := range panels {
+		for _, f := range p.figures {
+			if err := f.write(fw, fmt.Sprintf("fig%d", p.first)+f.suffix, "synthetic"+f.caption, rep); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -76,11 +81,11 @@ func TestFigureWriterRendersAll(t *testing.T) {
 
 func TestFigureWriterFig6(t *testing.T) {
 	dir := t.TempDir()
-	fw := NewFigureWriter(dir)
-	var pts []Fig6Point
+	fw := &FigureWriter{Dir: dir}
+	pts := map[string][]float64{}
 	for day := 1; day <= 5; day++ {
 		for _, probe := range []string{ProbeCNC, ProbeTELE, ProbeMason} {
-			pts = append(pts, Fig6Point{Day: day, Probe: probe, Locality: 0.5 + float64(day)/20})
+			pts[probe] = append(pts[probe], 0.5+float64(day)/20)
 		}
 	}
 	if err := fw.WriteFig6("fig6a", "popular locality", pts); err != nil {
@@ -99,7 +104,7 @@ func TestFigureWriterFig6(t *testing.T) {
 
 func TestFigureWriterEmptyReport(t *testing.T) {
 	dir := t.TempDir()
-	fw := NewFigureWriter(dir)
+	fw := &FigureWriter{Dir: dir}
 	rep := &analysis.Report{ProbeISP: isp.TELE, ReturnedByISP: map[isp.ISP]int{}, BytesByISP: map[isp.ISP]uint64{}}
 	if err := fw.WriteRankDistribution("x", "t", rep); err == nil {
 		t.Error("rank distribution rendered with no data")

@@ -11,21 +11,25 @@ import (
 	"pplivesim/internal/selection"
 )
 
-// FrontierSpecNames is the bias-knob sweep: from pure random through
+// frontierSpecs is the bias-knob sweep: from pure random through
 // increasingly aggressive AS-hop ranking and inter-ISP quotas down to a hard
 // same-ISP clamp. The order runs loosest to tightest so the rendered curve
 // traces the locality frontier left to right.
-func FrontierSpecNames() []string {
-	return []string{"random", "ashop:1", "ashop:3", "quota:0.5", "quota:0.25", "quota:0.1", "quota:0"}
+var frontierSpecs = []selection.Spec{
+	{}, // random
+	{Kind: selection.KindASHop, Bias: 1},
+	{Kind: selection.KindASHop, Bias: 3},
+	{Kind: selection.KindQuota, MaxInterFrac: 0.5},
+	{Kind: selection.KindQuota, MaxInterFrac: 0.25},
+	{Kind: selection.KindQuota, MaxInterFrac: 0.1},
+	{Kind: selection.KindQuota, MaxInterFrac: 0},
 }
 
 // frontierFidelities are the two population fidelities the sweep is measured
 // at: full per-peer protocol state (the default mixed mode) and the
 // struct-of-arrays flow swarms that scale the same policy shaping to 100k+
 // background peers.
-func frontierFidelities() []peer.Fidelity {
-	return []peer.Fidelity{peer.FidelityMixed, peer.FidelityFlow}
-}
+var frontierFidelities = []peer.Fidelity{peer.FidelityMixed, peer.FidelityFlow}
 
 // FrontierPoint is one (policy, fidelity) cell of the locality frontier,
 // measured at the TELE probe.
@@ -68,58 +72,40 @@ func (r *Runner) frontierScenario(spec selection.Spec, fid peer.Fidelity, seedOf
 // bytes and what the viewer pays in continuity and startup delay. The
 // 2×len(specs) runs are independent simulations fanned out over the worker
 // pool; results are cached, so rendering text and figures pays for one sweep.
-func (r *Runner) LocalityFrontier(progress func(name string)) ([]FrontierPoint, error) {
-	r.frontierOnce.Do(func() {
-		r.frontier, r.frontierErr = r.runFrontier(progress)
-	})
-	return r.frontier, r.frontierErr
+func (r *Runner) LocalityFrontier(progress func(scenario string)) ([]FrontierPoint, error) {
+	return r.frontier.get(func() ([]FrontierPoint, error) { return r.runFrontier(progress) })
 }
 
-func (r *Runner) runFrontier(progress func(name string)) ([]FrontierPoint, error) {
-	type job struct {
-		spec selection.Spec
-		fid  peer.Fidelity
-	}
-	var jobs []job
+func (r *Runner) runFrontier(progress func(scenario string)) ([]FrontierPoint, error) {
 	var scenarios []core.Scenario
-	seedOffset := int64(0)
-	for _, fid := range frontierFidelities() {
-		for _, name := range FrontierSpecNames() {
-			spec, err := selection.ParseSpec(name)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: frontier spec %q: %w", name, err)
-			}
-			jobs = append(jobs, job{spec: spec, fid: fid})
-			scenarios = append(scenarios, r.frontierScenario(spec, fid, seedOffset))
-			seedOffset++
+	for _, fid := range frontierFidelities {
+		for _, spec := range frontierSpecs {
+			scenarios = append(scenarios, r.frontierScenario(spec, fid, int64(len(scenarios))))
 		}
 	}
-
-	outs, err := r.runAll(scenarios, func(i int) {
-		if progress != nil {
-			progress(scenarios[i].Name)
-		}
-	})
+	cells, err := r.sweep(scenarios, progress)
 	if err != nil {
 		return nil, err
 	}
 
-	points := make([]FrontierPoint, 0, len(jobs))
+	points := make([]FrontierPoint, len(cells))
+	// Each fidelity's random cell comes first in sweep order, so its
+	// baseline is in place before the cells measured against it.
 	baseline := map[peer.Fidelity]uint64{}
-	for i, j := range jobs {
-		rep, err := report(outs[i], ProbeTELE)
-		if err != nil {
-			return nil, err
-		}
+	for i, c := range cells {
+		sc := scenarios[i]
 		pt := FrontierPoint{
-			Spec:     j.spec.String(),
-			Fidelity: j.fid,
+			Spec:         sc.Selection.String(),
+			Fidelity:     sc.Fidelity,
+			Locality:     c.rep.TrafficLocality,
+			TransitBytes: c.transit,
+			Continuity:   c.continuity,
 		}
-		if j.fid == peer.FidelityFlow {
+		if sc.Fidelity == peer.FidelityFlow {
 			// At flow fidelity the policy shapes the whole background
 			// swarm's byte mix; measure the TELE-category swarm aggregate.
 			var total, same uint64
-			for _, ft := range outs[i].Result.FlowTraffic {
+			for _, ft := range c.Result.FlowTraffic {
 				if ft.ISP != isp.TELE {
 					continue
 				}
@@ -130,33 +116,17 @@ func (r *Runner) runFrontier(progress func(name string)) ([]FrontierPoint, error
 					}
 				}
 			}
-			pt.TransitBytes = total - same
+			pt.TransitBytes, pt.Locality = total-same, 0
 			if total > 0 {
 				pt.Locality = float64(same) / float64(total)
 			}
-		} else {
-			pt.Locality = rep.TrafficLocality
-			for cat, n := range rep.BytesByISP {
-				if cat != isp.TELE {
-					pt.TransitBytes += n
-				}
-			}
 		}
-		for _, p := range outs[i].Result.Probes {
-			if p.Name == ProbeTELE {
-				pt.Continuity = p.Client.BufferStats().Continuity()
-				pt.Startup, pt.StartupOK = p.Client.TimeToSteady()
-			}
+		pt.Startup, pt.StartupOK = c.Result.Probes[c.probe].Client.TimeToSteady()
+		if sc.Selection.Kind == selection.KindUniform {
+			baseline[sc.Fidelity] = pt.TransitBytes
 		}
-		if j.spec.Kind == selection.KindUniform {
-			baseline[j.fid] = pt.TransitBytes
-		}
-		points = append(points, pt)
-	}
-	for i := range points {
-		if base := baseline[points[i].Fidelity]; base > 0 && points[i].TransitBytes <= base {
-			points[i].TransitSaved = 1 - float64(points[i].TransitBytes)/float64(base)
-		}
+		pt.TransitSaved = transitSaved(pt.TransitBytes, baseline[sc.Fidelity])
+		points[i] = pt
 	}
 	return points, nil
 }
@@ -165,7 +135,7 @@ func (r *Runner) runFrontier(progress func(name string)) ([]FrontierPoint, error
 // saves (transit bytes) against what the viewer pays (continuity, startup).
 func RenderFrontier(points []FrontierPoint) string {
 	var b strings.Builder
-	for _, fid := range frontierFidelities() {
+	for _, fid := range frontierFidelities {
 		fmt.Fprintf(&b, "fidelity %s:\n", fid)
 		fmt.Fprintf(&b, "  %-12s %9s %14s %13s %11s %9s\n",
 			"policy", "locality", "transit bytes", "transit saved", "continuity", "startup")

@@ -18,17 +18,10 @@ import (
 // workerCount resolves a worker-pool size: requested if positive, otherwise
 // GOMAXPROCS, always clamped to the number of tasks.
 func workerCount(requested, tasks int) int {
-	n := requested
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
+	if requested <= 0 {
+		requested = runtime.GOMAXPROCS(0)
 	}
-	if n > tasks {
-		n = tasks
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return max(1, min(requested, tasks))
 }
 
 // parallelDo runs the tasks over a bounded worker pool and waits for all of
@@ -48,20 +41,8 @@ func workerCount(requested, tasks int) int {
 // fits tasks of similar length, which keep the pool full until the end;
 // Runner.Warm, whose two tasks differ sixfold, exempts the long one.
 func parallelDo(workers int, tasks ...func(procs int) error) error {
-	if len(tasks) == 0 {
-		return nil
-	}
 	workers = workerCount(workers, len(tasks))
 	procs := max(1, runtime.GOMAXPROCS(0)/workers)
-	if workers == 1 {
-		var first error
-		for _, task := range tasks {
-			if err := task(procs); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
-	}
 	errs := make([]error, len(tasks))
 	idx := make(chan int)
 	var wg sync.WaitGroup
@@ -88,22 +69,23 @@ func parallelDo(workers int, tasks ...func(procs int) error) error {
 }
 
 // runAll runs the scenarios over the Runner's worker pool and returns their
-// outputs in scenario order. started is called with a scenario's index just
-// before it runs — one call at a time, so progress callbacks need no locking
-// of their own.
-func (r *Runner) runAll(scenarios []core.Scenario, started func(i int)) ([]*RunOutputs, error) {
-	var startedMu sync.Mutex
+// outputs in scenario order. progress, when non-nil, is called with a
+// scenario's name just before it runs — one call at a time, so it needs no
+// locking of its own.
+func (r *Runner) runAll(scenarios []core.Scenario, progress func(scenario string)) ([]*RunOutputs, error) {
+	var progressMu sync.Mutex
 	outs := make([]*RunOutputs, len(scenarios))
 	tasks := make([]func(int) error, len(scenarios))
-	for i := range scenarios {
-		i := i
+	for i, sc := range scenarios {
 		tasks[i] = func(procs int) error {
-			startedMu.Lock()
-			started(i)
-			startedMu.Unlock()
-			out, err := runScenario(scenarios[i], procs)
+			if progress != nil {
+				progressMu.Lock()
+				progress(sc.Name)
+				progressMu.Unlock()
+			}
+			out, err := runScenario(sc, procs)
 			if err != nil {
-				return fmt.Errorf("%s: %w", scenarios[i].Name, err)
+				return fmt.Errorf("%s: %w", sc.Name, err)
 			}
 			outs[i] = out
 			return nil

@@ -16,8 +16,9 @@
 //	rep := pplive.AnalyzeProbe(res, 0)
 //	fmt.Printf("traffic locality: %.2f\n", rep.TrafficLocality)
 //
-// Experiment presets mirroring every figure and table of the paper live in
-// the Experiments registry; `cmd/experiments` regenerates them all.
+// Experiment presets mirroring every figure and table of the paper are the
+// rows of internal/experiments.Sections; `cmd/experiments` regenerates them
+// all.
 package pplive
 
 import (
