@@ -41,7 +41,7 @@ cdn_bench       = CDNUrgentMiss
 cdn_pkgs        = ./internal/peer
 BENCHTIME ?= 2s
 
-.PHONY: fast full perf-test fuzz bench $(SUITES:%=bench-%) bench-e2e bench-shard bench-scenarios clean
+.PHONY: fast full perf-test fuzz bench $(SUITES:%=bench-%) bench-e2e bench-scenarios clean
 
 # Fast lane: static checks plus every -short test under the race detector.
 # Scenario-scale tests skip themselves in -short mode, so this finishes in
@@ -84,37 +84,10 @@ $(SUITES:%=bench-%): bench-%:
 	awk -f bench/tojson.awk bench_$*.txt > BENCH_$*.json
 	@echo "wrote BENCH_$*.json"
 
-# Sharded-engine wall-clock benchmark at paper scale: one ~2-hour-virtual
-# run per GOMAXPROCS 1, 2, 4 on the same SHARD_WORKERS-domain partition,
-# exported as BENCH_shard.json (benchdiff -shard checks the trajectory fields
-# are identical and prints the speedup). This takes hours;
-# `make bench-e2e` answers "does the second core pay" in minutes
-# (popular_full_sharded row). SHARD_WORKERS > 6 engages the scaled partition.
-SHARD_WORKERS ?= 12
-
-bench-shard:
-	GOMAXPROCS=1 PPLIVE_PAPER_SCALE=1 PPLIVE_SHARD_WORKERS=$(SHARD_WORKERS) $(GO) test -run TestPaperScalePopularRun -v -timeout 4h ./internal/experiments | tee bench_shard.txt
-	GOMAXPROCS=2 PPLIVE_PAPER_SCALE=1 PPLIVE_SHARD_WORKERS=$(SHARD_WORKERS) $(GO) test -run TestPaperScalePopularRun -v -timeout 4h ./internal/experiments | tee -a bench_shard.txt
-	GOMAXPROCS=4 PPLIVE_PAPER_SCALE=1 PPLIVE_SHARD_WORKERS=$(SHARD_WORKERS) $(GO) test -run TestPaperScalePopularRun -v -timeout 4h ./internal/experiments | tee -a bench_shard.txt
-	awk 'BEGIN { print "[" } \
-	  /shard-bench:/ { \
-	    line = ""; \
-	    for (i = 1; i <= NF; i++) { \
-	      if (split($$(i), kv, "=") != 2) continue; \
-	      line = line (line == "" ? "" : ", ") "\"" kv[1] "\": " kv[2]; \
-	    } \
-	    if (line == "") next; \
-	    if (n++) print ","; \
-	    printf "  {%s}", line; \
-	  } \
-	  END { print "\n]" }' bench_shard.txt > BENCH_shard.json
-	$(GO) run ./cmd/benchdiff -shard BENCH_shard.json
-	@echo "wrote BENCH_shard.json"
-
 # Scenario-scale benchmarks: every row of the experiment table
 # (BenchmarkSection/<id>) plus the BitTorrent baseline swarm.
 bench-scenarios:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x .
 
 clean:
-	rm -f $(foreach s,$(SUITES) shard,bench_$(s).txt BENCH_$(s).json) core.test
+	rm -f $(foreach s,$(SUITES),bench_$(s).txt BENCH_$(s).json) core.test

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"os"
-	"runtime"
 	"strconv"
 	"testing"
 )
@@ -15,10 +14,8 @@ import (
 //
 //	PPLIVE_PAPER_SCALE=1 go test ./internal/experiments -run TestPaperScalePopularRun -v -timeout 2h
 //
-// PPLIVE_SHARD_WORKERS sets the event-loop worker count (make bench-shard
-// runs the scenario at 1 and DefaultShards workers and harvests the
-// shard-bench log line into BENCH_shard.json); the trajectory and every
-// printed metric are identical at any setting.
+// PPLIVE_SHARD_WORKERS sets the event-loop worker count; the trajectory and
+// every printed metric are identical at any setting.
 func TestPaperScalePopularRun(t *testing.T) {
 	if os.Getenv("PPLIVE_PAPER_SCALE") == "" {
 		t.Skip("set PPLIVE_PAPER_SCALE=1 to run the ~1300-viewer, 2-hour scenario")
@@ -52,11 +49,6 @@ func TestPaperScalePopularRun(t *testing.T) {
 	rep := out.Reports[ProbeTELE]
 	t.Logf("paper-scale popular: continuity %.4f, traffic locality %.3f, potential locality %.3f, wall %s",
 		cont, rep.TrafficLocality, rep.PotentialLocality, out.Wall)
-	// Machine-readable line for make bench-shard. events/continuity/locality
-	// must be identical across worker counts — a mismatch between harvested
-	// lines means a determinism bug, not measurement noise.
-	t.Logf("shard-bench: workers=%d gomaxprocs=%d wall_seconds=%.1f events=%d continuity=%.4f locality=%.4f",
-		r.Shards, runtime.GOMAXPROCS(0), out.Wall.Seconds(), out.Result.EventsProcessed, cont, rep.TrafficLocality)
 	if cont < 0.99 {
 		t.Errorf("TELE probe continuity %.4f, want >= 0.99", cont)
 	}

@@ -482,87 +482,68 @@ func (c *Client) Kill() {
 	}
 }
 
-// messageChannel extracts the channel a message belongs to, for session
-// dispatch. ChannelListResponse is the one channel-less message and is
-// handled separately.
-func messageChannel(msg wire.Message) (wire.ChannelID, bool) {
-	switch m := msg.(type) {
-	case *wire.PlaylinkResponse:
-		return m.Channel, true
-	case *wire.TrackerResponse:
-		return m.Channel, true
-	case *wire.Handshake:
-		return m.Channel, true
-	case *wire.HandshakeAck:
-		return m.Channel, true
-	case *wire.PeerListRequest:
-		return m.Channel, true
-	case *wire.PeerListReply:
-		return m.Channel, true
-	case *wire.BufferMapAnnounce:
-		return m.Channel, true
-	case *wire.DataRequest:
-		return m.Channel, true
-	case *wire.DataReply:
-		return m.Channel, true
-	case *wire.Have:
-		return m.Channel, true
-	case *wire.Ping:
-		return m.Channel, true
-	case *wire.Pong:
-		return m.Channel, true
-	default:
-		return 0, false
-	}
-}
-
 // HandleMessage implements node.Handler: route the message to the session
 // owning its channel. Messages for channels the client has left (or never
 // joined) are dropped, which is what makes Leave a clean de-registration —
 // late replies and stale gossip from the old swarm cannot resurrect state.
+// Message types a client has no handler for are dropped too.
 func (c *Client) HandleMessage(from netip.Addr, msg wire.Message) {
 	if c.stopped {
 		return
 	}
-	if m, ok := msg.(*wire.ChannelListResponse); ok {
+	switch m := msg.(type) {
+	case *wire.ChannelListResponse: // the one channel-less message
 		for _, ch := range c.order {
 			c.sessions[ch].handleChannelList(m)
 		}
-		return
-	}
-	ch, ok := messageChannel(msg)
-	if !ok {
-		return
-	}
-	s := c.sessions[ch]
-	if s == nil {
-		return
-	}
-	switch m := msg.(type) {
 	case *wire.PlaylinkResponse:
-		s.handlePlaylink(m)
+		if s := c.sessions[m.Channel]; s != nil {
+			s.handlePlaylink(m)
+		}
 	case *wire.TrackerResponse:
-		s.handleTrackerResponse(from, m)
+		if s := c.sessions[m.Channel]; s != nil {
+			s.handleTrackerResponse(from, m)
+		}
 	case *wire.Handshake:
-		s.handleHandshake(from, m)
+		if s := c.sessions[m.Channel]; s != nil {
+			s.handleHandshake(from, m)
+		}
 	case *wire.HandshakeAck:
-		s.handleHandshakeAck(from, m)
+		if s := c.sessions[m.Channel]; s != nil {
+			s.handleHandshakeAck(from, m)
+		}
 	case *wire.PeerListRequest:
-		s.handlePeerListRequest(from, m)
+		if s := c.sessions[m.Channel]; s != nil {
+			s.handlePeerListRequest(from, m)
+		}
 	case *wire.PeerListReply:
-		s.handlePeerListReply(from, m)
+		if s := c.sessions[m.Channel]; s != nil {
+			s.handlePeerListReply(from, m)
+		}
 	case *wire.BufferMapAnnounce:
-		s.handleBufferMap(from, m)
+		if s := c.sessions[m.Channel]; s != nil {
+			s.handleBufferMap(from, m)
+		}
 	case *wire.DataRequest:
-		s.handleDataRequest(from, m)
+		if s := c.sessions[m.Channel]; s != nil {
+			s.handleDataRequest(from, m)
+		}
 	case *wire.DataReply:
-		s.handleDataReply(from, m)
+		if s := c.sessions[m.Channel]; s != nil {
+			s.handleDataReply(from, m)
+		}
 	case *wire.Have:
-		s.handleHave(from, m)
+		if s := c.sessions[m.Channel]; s != nil {
+			s.handleHave(from, m)
+		}
 	case *wire.Ping:
-		s.handlePing(from, m)
+		if s := c.sessions[m.Channel]; s != nil {
+			s.handlePing(from, m)
+		}
 	case *wire.Pong:
-		s.handlePong(from, m)
+		if s := c.sessions[m.Channel]; s != nil {
+			s.handlePong(from, m)
+		}
 	}
 }
 

@@ -672,20 +672,25 @@ func (e *Env) TapRecv(t Tap) { e.recvTaps = append(e.recvTaps, t) }
 // TapSend registers an observer for outgoing datagrams.
 func (e *Env) TapSend(t Tap) { e.sendTaps = append(e.sendTaps, t) }
 
+// datagram is what a send hands the underlay for msg: its wire size and the
+// message itself, or under CodecCheck what the codec makes of it.
+func (d *Domain) datagram(msg wire.Message) (size int, payload any) {
+	if !d.world.CodecCheck {
+		return wire.Size(msg), msg
+	}
+	decoded, err := wire.Unmarshal(wire.Marshal(msg))
+	if err != nil {
+		panic(fmt.Sprintf("simnet: codec check failed for %s: %v", msg.Kind(), err))
+	}
+	return wire.Size(msg), decoded
+}
+
 // Send implements node.Env.
 func (e *Env) Send(to netip.Addr, msg wire.Message) {
 	if e.closed {
 		return
 	}
-	size := wire.Size(msg)
-	payload := any(msg)
-	if e.domain.world.CodecCheck {
-		decoded, err := wire.Unmarshal(wire.Marshal(msg))
-		if err != nil {
-			panic(fmt.Sprintf("simnet: codec check failed for %s: %v", msg.Kind(), err))
-		}
-		payload = decoded
-	}
+	size, payload := e.domain.datagram(msg)
 	for _, tap := range e.sendTaps {
 		tap(to, msg, size)
 	}
@@ -816,15 +821,7 @@ func (e *LiteEnv) Send(to netip.Addr, msg wire.Message) {
 	if e.closed {
 		return
 	}
-	size := wire.Size(msg)
-	payload := any(msg)
-	if e.domain.world.CodecCheck {
-		decoded, err := wire.Unmarshal(wire.Marshal(msg))
-		if err != nil {
-			panic(fmt.Sprintf("simnet: codec check failed for %s: %v", msg.Kind(), err))
-		}
-		payload = decoded
-	}
+	size, payload := e.domain.datagram(msg)
 	e.domain.net.Send(&e.host, to, size, payload)
 }
 

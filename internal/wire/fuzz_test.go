@@ -8,6 +8,34 @@ import (
 // FuzzUnmarshal drives the decoder with arbitrary datagrams; it must never
 // panic, and anything it accepts must re-encode canonically.
 func FuzzUnmarshal(f *testing.F) {
+	for _, m := range fuzzSeeds() {
+		f.Add(Marshal(m))
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0x50, 0x4C, 1, 1, 0, 0, 0, 0})
+	// What the fuzzer cannot reach by mutation, because it cannot repair the
+	// checksum: well-framed bodies that are not canonical.
+	for _, d := range nonCanonicalDatagrams() {
+		f.Add(d.data)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		msg, err := Unmarshal(data)
+		if err != nil {
+			return
+		}
+		// Accepted datagrams must re-encode to exactly the input
+		// (canonical encoding) — modulo nothing: header, body, CRC.
+		again := Marshal(msg)
+		if string(again) != string(data) {
+			t.Fatalf("non-canonical accept:\n in  %x\n out %x", data, again)
+		}
+	})
+}
+
+// fuzzSeeds is the in-code seed list: one small message per shape, then the
+// golden-trace-shaped ones.
+func fuzzSeeds() []Message {
 	seeds := []Message{
 		&ChannelListRequest{},
 		&ChannelListResponse{Channels: []ChannelInfo{{ID: 1, Rating: 5, Name: "ch"}}},
@@ -23,29 +51,15 @@ func FuzzUnmarshal(f *testing.F) {
 		&AsnResponse{Addr: netip.MustParseAddr("58.32.0.1"), Found: true, ASN: 4134, ISP: 1, Name: "CHINANET"},
 		&Ping{Channel: 1, Nonce: 0xDEADBEEF},
 		&Pong{Channel: 1, Nonce: 0xDEADBEEF},
+		&PlaylinkRequest{Channel: 1},
+		&PlaylinkResponse{Channel: 1, Source: netip.MustParseAddr("1.2.3.4"),
+			Trackers: []netip.Addr{netip.MustParseAddr("5.6.7.8")},
+			Edges:    []netip.Addr{netip.MustParseAddr("61.200.0.1")}},
 	}
 	// Golden-trace-shaped seeds: the shapes the simulator actually puts on
 	// the wire (2048-sub-piece buffer windows, full 60-entry tracker
 	// replies), mirrored by the committed corpus in testdata/fuzz.
-	seeds = append(seeds, goldenShapedSeeds()...)
-	for _, m := range seeds {
-		f.Add(Marshal(m))
-	}
-	f.Add([]byte{})
-	f.Add([]byte{0x50, 0x4C, 1, 1, 0, 0, 0, 0})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		msg, err := Unmarshal(data)
-		if err != nil {
-			return
-		}
-		// Accepted datagrams must re-encode to exactly the input
-		// (canonical encoding) — modulo nothing: header, body, CRC.
-		again := Marshal(msg)
-		if string(again) != string(data) {
-			t.Fatalf("non-canonical accept:\n in  %x\n out %x", data, again)
-		}
-	})
+	return append(seeds, goldenShapedSeeds()...)
 }
 
 // goldenShapedSeeds builds messages with the dimensions of the pinned golden

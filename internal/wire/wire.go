@@ -12,9 +12,15 @@
 // version, type, body length) followed by the body and a CRC32 trailer.
 // The same encoding drives both the simulated underlay (which only needs
 // WireSize) and the real-UDP transport used by the examples.
+//
+// A message is declared in two places: its struct with Kind and body, where
+// body walks the fields in wire order through the coder's primitives, and
+// its row of the kinds table. Size, AppendMarshal and Unmarshal are the same
+// walk in three passes, so the layout is stated once.
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -66,50 +72,38 @@ const (
 	maxType
 )
 
+// kinds holds every message type's name and constructor, indexed by Type.
+var kinds = [maxType]struct {
+	name string
+	new  func() Message
+}{
+	TChannelListRequest:  {"ChannelListRequest", func() Message { return new(ChannelListRequest) }},
+	TChannelListResponse: {"ChannelListResponse", func() Message { return new(ChannelListResponse) }},
+	TPlaylinkRequest:     {"PlaylinkRequest", func() Message { return new(PlaylinkRequest) }},
+	TPlaylinkResponse:    {"PlaylinkResponse", func() Message { return new(PlaylinkResponse) }},
+	TTrackerAnnounce:     {"TrackerAnnounce", func() Message { return new(TrackerAnnounce) }},
+	TTrackerQuery:        {"TrackerQuery", func() Message { return new(TrackerQuery) }},
+	TTrackerResponse:     {"TrackerResponse", func() Message { return new(TrackerResponse) }},
+	THandshake:           {"Handshake", func() Message { return new(Handshake) }},
+	THandshakeAck:        {"HandshakeAck", func() Message { return new(HandshakeAck) }},
+	TPeerListRequest:     {"PeerListRequest", func() Message { return new(PeerListRequest) }},
+	TPeerListReply:       {"PeerListReply", func() Message { return new(PeerListReply) }},
+	TBufferMap:           {"BufferMap", func() Message { return new(BufferMapAnnounce) }},
+	TDataRequest:         {"DataRequest", func() Message { return new(DataRequest) }},
+	TDataReply:           {"DataReply", func() Message { return new(DataReply) }},
+	THave:                {"Have", func() Message { return new(Have) }},
+	TAsnQuery:            {"AsnQuery", func() Message { return new(AsnQuery) }},
+	TAsnResponse:         {"AsnResponse", func() Message { return new(AsnResponse) }},
+	TPing:                {"Ping", func() Message { return new(Ping) }},
+	TPong:                {"Pong", func() Message { return new(Pong) }},
+}
+
 // String returns a short name for the type.
 func (t Type) String() string {
-	switch t {
-	case TChannelListRequest:
-		return "ChannelListRequest"
-	case TChannelListResponse:
-		return "ChannelListResponse"
-	case TPlaylinkRequest:
-		return "PlaylinkRequest"
-	case TPlaylinkResponse:
-		return "PlaylinkResponse"
-	case TTrackerAnnounce:
-		return "TrackerAnnounce"
-	case TTrackerQuery:
-		return "TrackerQuery"
-	case TTrackerResponse:
-		return "TrackerResponse"
-	case THandshake:
-		return "Handshake"
-	case THandshakeAck:
-		return "HandshakeAck"
-	case TPeerListRequest:
-		return "PeerListRequest"
-	case TPeerListReply:
-		return "PeerListReply"
-	case TBufferMap:
-		return "BufferMap"
-	case TDataRequest:
-		return "DataRequest"
-	case TDataReply:
-		return "DataReply"
-	case THave:
-		return "Have"
-	case TAsnQuery:
-		return "AsnQuery"
-	case TAsnResponse:
-		return "AsnResponse"
-	case TPing:
-		return "Ping"
-	case TPong:
-		return "Pong"
-	default:
-		return fmt.Sprintf("Type(%d)", byte(t))
+	if t < maxType && kinds[t].name != "" {
+		return kinds[t].name
 	}
+	return fmt.Sprintf("Type(%d)", byte(t))
 }
 
 // Decoding errors.
@@ -120,20 +114,18 @@ var (
 	ErrBadType     = errors.New("wire: unknown message type")
 	ErrBadChecksum = errors.New("wire: checksum mismatch")
 	ErrTruncated   = errors.New("wire: truncated body")
-	ErrOversized   = errors.New("wire: field exceeds protocol bound")
+	// ErrNonCanonical rejects a body Marshal never produces: Unmarshal
+	// accepts only what re-encodes to the same bytes.
+	ErrNonCanonical = errors.New("wire: non-canonical encoding")
 )
 
 // Message is implemented by every protocol message.
 type Message interface {
 	// Kind returns the message type tag.
 	Kind() Type
-	// appendBody appends the binary body encoding.
-	appendBody(b []byte) []byte
-	// bodySize returns len(appendBody(nil)) without encoding anything, so
-	// the simulated underlay can size datagrams allocation-free.
-	bodySize() int
-	// readBody decodes the body, returning the remaining bytes.
-	readBody(b []byte) ([]byte, error)
+	// body walks the message's fields in wire order through c's primitives
+	// and returns the advanced coder.
+	body(c coder) coder
 }
 
 // ChannelID identifies a live channel.
@@ -146,14 +138,16 @@ type ChannelInfo struct {
 	Name   string
 }
 
+// minChannelInfo is the shortest encoded ChannelInfo: ID, Rating and the
+// length byte of an empty Name.
+const minChannelInfo = 4 + 4 + 1
+
 // ChannelListRequest asks the bootstrap server for the active channel list.
 type ChannelListRequest struct{}
 
 // Kind implements Message.
-func (*ChannelListRequest) Kind() Type                        { return TChannelListRequest }
-func (*ChannelListRequest) appendBody(b []byte) []byte        { return b }
-func (*ChannelListRequest) bodySize() int                     { return 0 }
-func (*ChannelListRequest) readBody(b []byte) ([]byte, error) { return b, nil }
+func (*ChannelListRequest) Kind() Type         { return TChannelListRequest }
+func (*ChannelListRequest) body(c coder) coder { return c }
 
 // ChannelListResponse carries the active channel list.
 type ChannelListResponse struct {
@@ -163,46 +157,21 @@ type ChannelListResponse struct {
 // Kind implements Message.
 func (*ChannelListResponse) Kind() Type { return TChannelListResponse }
 
-func (m *ChannelListResponse) appendBody(b []byte) []byte {
-	b = binary.BigEndian.AppendUint16(b, uint16(len(m.Channels)))
-	for _, c := range m.Channels {
-		b = binary.BigEndian.AppendUint32(b, uint32(c.ID))
-		b = binary.BigEndian.AppendUint32(b, c.Rating)
-		b = appendString(b, c.Name)
-	}
-	return b
-}
-
-func (m *ChannelListResponse) bodySize() int {
-	n := 2
-	for _, c := range m.Channels {
-		n += 4 + 4 + stringSize(c.Name)
-	}
-	return n
-}
-
-func (m *ChannelListResponse) readBody(b []byte) ([]byte, error) {
-	n, b, err := readUint16(b)
-	if err != nil {
-		return nil, err
-	}
-	m.Channels = make([]ChannelInfo, 0, n)
-	for i := 0; i < int(n); i++ {
-		var c ChannelInfo
-		var id, rating uint32
-		if id, b, err = readUint32(b); err != nil {
-			return nil, err
+func (m *ChannelListResponse) body(c coder) coder {
+	n := uint16(len(m.Channels))
+	c = c.u16(&n)
+	if c.op == opRead {
+		// Size the list by what the body can hold, not by what it claims.
+		if len(c.b) < int(n)*minChannelInfo {
+			return c.fail(opTruncated)
 		}
-		if rating, b, err = readUint32(b); err != nil {
-			return nil, err
-		}
-		if c.Name, b, err = readString(b); err != nil {
-			return nil, err
-		}
-		c.ID, c.Rating = ChannelID(id), rating
-		m.Channels = append(m.Channels, c)
+		m.Channels = make([]ChannelInfo, n)
 	}
-	return b, nil
+	for i := range m.Channels {
+		ch := &m.Channels[i]
+		c = c.channel(&ch.ID).u32(&ch.Rating).str(&ch.Name)
+	}
+	return c
 }
 
 // PlaylinkRequest asks the bootstrap server for a channel's playlink and
@@ -212,19 +181,8 @@ type PlaylinkRequest struct {
 }
 
 // Kind implements Message.
-func (*PlaylinkRequest) Kind() Type { return TPlaylinkRequest }
-
-func (m *PlaylinkRequest) appendBody(b []byte) []byte {
-	return binary.BigEndian.AppendUint32(b, uint32(m.Channel))
-}
-
-func (*PlaylinkRequest) bodySize() int { return 4 }
-
-func (m *PlaylinkRequest) readBody(b []byte) ([]byte, error) {
-	v, b, err := readUint32(b)
-	m.Channel = ChannelID(v)
-	return b, err
-}
+func (*PlaylinkRequest) Kind() Type           { return TPlaylinkRequest }
+func (m *PlaylinkRequest) body(c coder) coder { return c.channel(&m.Channel) }
 
 // PlaylinkResponse returns the channel source and one tracker address per
 // tracker group (the paper observes five groups). Deployments with CDN edge
@@ -242,40 +200,20 @@ type PlaylinkResponse struct {
 // Kind implements Message.
 func (*PlaylinkResponse) Kind() Type { return TPlaylinkResponse }
 
-func (m *PlaylinkResponse) appendBody(b []byte) []byte {
-	b = binary.BigEndian.AppendUint32(b, uint32(m.Channel))
-	b = appendAddr(b, m.Source)
-	b = appendAddrList(b, m.Trackers)
-	if len(m.Edges) > 0 {
-		b = appendAddrList(b, m.Edges)
+func (m *PlaylinkResponse) body(c coder) coder {
+	c = c.channel(&m.Channel).addr(&m.Source).addrs(&m.Trackers)
+	present := len(m.Edges) > 0
+	if c.op == opRead {
+		present = len(c.b) > 0
 	}
-	return b
-}
-
-func (m *PlaylinkResponse) bodySize() int {
-	n := 4 + 4 + addrListSize(m.Trackers)
-	if len(m.Edges) > 0 {
-		n += addrListSize(m.Edges)
+	if !present {
+		return c
 	}
-	return n
-}
-
-func (m *PlaylinkResponse) readBody(b []byte) ([]byte, error) {
-	v, b, err := readUint32(b)
-	if err != nil {
-		return nil, err
+	c = c.addrs(&m.Edges)
+	if c.op == opRead && len(m.Edges) == 0 {
+		return c.fail(opNonCanonical) // an empty list is encoded by leaving it out
 	}
-	m.Channel = ChannelID(v)
-	if m.Source, b, err = readAddr(b); err != nil {
-		return nil, err
-	}
-	if m.Trackers, b, err = readAddrList(b); err != nil {
-		return nil, err
-	}
-	if len(b) > 0 {
-		m.Edges, b, err = readAddrList(b)
-	}
-	return b, err
+	return c
 }
 
 // TrackerAnnounce registers (or withdraws) the sender as an active peer of a
@@ -286,27 +224,8 @@ type TrackerAnnounce struct {
 }
 
 // Kind implements Message.
-func (*TrackerAnnounce) Kind() Type { return TTrackerAnnounce }
-
-func (m *TrackerAnnounce) appendBody(b []byte) []byte {
-	b = binary.BigEndian.AppendUint32(b, uint32(m.Channel))
-	return append(b, boolByte(m.Leaving))
-}
-
-func (*TrackerAnnounce) bodySize() int { return 4 + 1 }
-
-func (m *TrackerAnnounce) readBody(b []byte) ([]byte, error) {
-	v, b, err := readUint32(b)
-	if err != nil {
-		return nil, err
-	}
-	m.Channel = ChannelID(v)
-	if len(b) < 1 {
-		return nil, ErrTruncated
-	}
-	m.Leaving = b[0] != 0
-	return b[1:], nil
-}
+func (*TrackerAnnounce) Kind() Type           { return TTrackerAnnounce }
+func (m *TrackerAnnounce) body(c coder) coder { return c.channel(&m.Channel).flag(&m.Leaving) }
 
 // TrackerQuery asks a tracker server for active peers of a channel.
 type TrackerQuery struct {
@@ -314,19 +233,8 @@ type TrackerQuery struct {
 }
 
 // Kind implements Message.
-func (*TrackerQuery) Kind() Type { return TTrackerQuery }
-
-func (m *TrackerQuery) appendBody(b []byte) []byte {
-	return binary.BigEndian.AppendUint32(b, uint32(m.Channel))
-}
-
-func (*TrackerQuery) bodySize() int { return 4 }
-
-func (m *TrackerQuery) readBody(b []byte) ([]byte, error) {
-	v, b, err := readUint32(b)
-	m.Channel = ChannelID(v)
-	return b, err
-}
+func (*TrackerQuery) Kind() Type           { return TTrackerQuery }
+func (m *TrackerQuery) body(c coder) coder { return c.channel(&m.Channel) }
 
 // TrackerResponse carries a tracker's peer list.
 type TrackerResponse struct {
@@ -335,24 +243,8 @@ type TrackerResponse struct {
 }
 
 // Kind implements Message.
-func (*TrackerResponse) Kind() Type { return TTrackerResponse }
-
-func (m *TrackerResponse) appendBody(b []byte) []byte {
-	b = binary.BigEndian.AppendUint32(b, uint32(m.Channel))
-	return appendAddrList(b, m.Peers)
-}
-
-func (m *TrackerResponse) bodySize() int { return 4 + addrListSize(m.Peers) }
-
-func (m *TrackerResponse) readBody(b []byte) ([]byte, error) {
-	v, b, err := readUint32(b)
-	if err != nil {
-		return nil, err
-	}
-	m.Channel = ChannelID(v)
-	m.Peers, b, err = readAddrList(b)
-	return b, err
-}
+func (*TrackerResponse) Kind() Type           { return TTrackerResponse }
+func (m *TrackerResponse) body(c coder) coder { return c.channel(&m.Channel).addrs(&m.Peers) }
 
 // Handshake opens a neighbor relationship for a channel.
 type Handshake struct {
@@ -360,19 +252,8 @@ type Handshake struct {
 }
 
 // Kind implements Message.
-func (*Handshake) Kind() Type { return THandshake }
-
-func (m *Handshake) appendBody(b []byte) []byte {
-	return binary.BigEndian.AppendUint32(b, uint32(m.Channel))
-}
-
-func (*Handshake) bodySize() int { return 4 }
-
-func (m *Handshake) readBody(b []byte) ([]byte, error) {
-	v, b, err := readUint32(b)
-	m.Channel = ChannelID(v)
-	return b, err
-}
+func (*Handshake) Kind() Type           { return THandshake }
+func (m *Handshake) body(c coder) coder { return c.channel(&m.Channel) }
 
 // HandshakeAck accepts or rejects a handshake; on accept it carries the
 // responder's current buffer map so the new neighbor can schedule requests
@@ -386,25 +267,8 @@ type HandshakeAck struct {
 // Kind implements Message.
 func (*HandshakeAck) Kind() Type { return THandshakeAck }
 
-func (m *HandshakeAck) appendBody(b []byte) []byte {
-	b = binary.BigEndian.AppendUint32(b, uint32(m.Channel))
-	b = append(b, boolByte(m.Accepted))
-	return m.Buffer.append(b)
-}
-
-func (m *HandshakeAck) bodySize() int { return 4 + 1 + m.Buffer.size() }
-
-func (m *HandshakeAck) readBody(b []byte) ([]byte, error) {
-	v, b, err := readUint32(b)
-	if err != nil {
-		return nil, err
-	}
-	m.Channel = ChannelID(v)
-	if len(b) < 1 {
-		return nil, ErrTruncated
-	}
-	m.Accepted = b[0] != 0
-	return m.Buffer.read(b[1:])
+func (m *HandshakeAck) body(c coder) coder {
+	return c.channel(&m.Channel).flag(&m.Accepted).bufferMap(&m.Buffer)
 }
 
 // PeerListRequest asks a neighbor for its peer list; per the paper the
@@ -415,24 +279,8 @@ type PeerListRequest struct {
 }
 
 // Kind implements Message.
-func (*PeerListRequest) Kind() Type { return TPeerListRequest }
-
-func (m *PeerListRequest) appendBody(b []byte) []byte {
-	b = binary.BigEndian.AppendUint32(b, uint32(m.Channel))
-	return appendAddrList(b, m.OwnPeers)
-}
-
-func (m *PeerListRequest) bodySize() int { return 4 + addrListSize(m.OwnPeers) }
-
-func (m *PeerListRequest) readBody(b []byte) ([]byte, error) {
-	v, b, err := readUint32(b)
-	if err != nil {
-		return nil, err
-	}
-	m.Channel = ChannelID(v)
-	m.OwnPeers, b, err = readAddrList(b)
-	return b, err
-}
+func (*PeerListRequest) Kind() Type           { return TPeerListRequest }
+func (m *PeerListRequest) body(c coder) coder { return c.channel(&m.Channel).addrs(&m.OwnPeers) }
 
 // PeerListReply returns a neighbor's recently connected peers (≤60).
 type PeerListReply struct {
@@ -441,24 +289,8 @@ type PeerListReply struct {
 }
 
 // Kind implements Message.
-func (*PeerListReply) Kind() Type { return TPeerListReply }
-
-func (m *PeerListReply) appendBody(b []byte) []byte {
-	b = binary.BigEndian.AppendUint32(b, uint32(m.Channel))
-	return appendAddrList(b, m.Peers)
-}
-
-func (m *PeerListReply) bodySize() int { return 4 + addrListSize(m.Peers) }
-
-func (m *PeerListReply) readBody(b []byte) ([]byte, error) {
-	v, b, err := readUint32(b)
-	if err != nil {
-		return nil, err
-	}
-	m.Channel = ChannelID(v)
-	m.Peers, b, err = readAddrList(b)
-	return b, err
-}
+func (*PeerListReply) Kind() Type           { return TPeerListReply }
+func (m *PeerListReply) body(c coder) coder { return c.channel(&m.Channel).addrs(&m.Peers) }
 
 // BufferMap describes which sub-pieces a peer holds: a window starting at
 // Start with one bit per sub-piece. Coverage is stored as 64-bit words so
@@ -645,23 +477,8 @@ type BufferMapAnnounce struct {
 }
 
 // Kind implements Message.
-func (*BufferMapAnnounce) Kind() Type { return TBufferMap }
-
-func (m *BufferMapAnnounce) appendBody(b []byte) []byte {
-	b = binary.BigEndian.AppendUint32(b, uint32(m.Channel))
-	return m.Buffer.append(b)
-}
-
-func (m *BufferMapAnnounce) bodySize() int { return 4 + m.Buffer.size() }
-
-func (m *BufferMapAnnounce) readBody(b []byte) ([]byte, error) {
-	v, b, err := readUint32(b)
-	if err != nil {
-		return nil, err
-	}
-	m.Channel = ChannelID(v)
-	return m.Buffer.read(b)
-}
+func (*BufferMapAnnounce) Kind() Type           { return TBufferMap }
+func (m *BufferMapAnnounce) body(c coder) coder { return c.channel(&m.Channel).bufferMap(&m.Buffer) }
 
 // DataRequest asks a neighbor for Count consecutive sub-pieces starting at
 // transmission sequence Seq. Full-fidelity probe peers always use Count=1
@@ -675,29 +492,8 @@ type DataRequest struct {
 }
 
 // Kind implements Message.
-func (*DataRequest) Kind() Type { return TDataRequest }
-
-func (m *DataRequest) appendBody(b []byte) []byte {
-	b = binary.BigEndian.AppendUint32(b, uint32(m.Channel))
-	b = binary.BigEndian.AppendUint64(b, m.Seq)
-	return binary.BigEndian.AppendUint16(b, m.Count)
-}
-
-func (*DataRequest) bodySize() int { return 4 + 8 + 2 }
-
-func (m *DataRequest) readBody(b []byte) ([]byte, error) {
-	v, b, err := readUint32(b)
-	if err != nil {
-		return nil, err
-	}
-	m.Channel = ChannelID(v)
-	if len(b) < 10 {
-		return nil, ErrTruncated
-	}
-	m.Seq = binary.BigEndian.Uint64(b)
-	m.Count = binary.BigEndian.Uint16(b[8:])
-	return b[10:], nil
-}
+func (*DataRequest) Kind() Type           { return TDataRequest }
+func (m *DataRequest) body(c coder) coder { return c.channel(&m.Channel).u64(&m.Seq).u16(&m.Count) }
 
 // DataReply carries Count consecutive sub-pieces of PieceLen bytes each,
 // starting at Seq. The codec emits Count*PieceLen filler bytes so
@@ -718,35 +514,9 @@ func (m *DataReply) PayloadLen() int { return int(m.Count) * int(m.PieceLen) }
 // Kind implements Message.
 func (*DataReply) Kind() Type { return TDataReply }
 
-func (m *DataReply) appendBody(b []byte) []byte {
-	b = binary.BigEndian.AppendUint32(b, uint32(m.Channel))
-	b = binary.BigEndian.AppendUint64(b, m.Seq)
-	b = binary.BigEndian.AppendUint16(b, m.Count)
-	b = binary.BigEndian.AppendUint16(b, m.PieceLen)
-	b = append(b, boolByte(m.Busy))
-	return appendZeros(b, m.PayloadLen())
-}
-
-func (m *DataReply) bodySize() int { return 4 + 8 + 2 + 2 + 1 + m.PayloadLen() }
-
-func (m *DataReply) readBody(b []byte) ([]byte, error) {
-	v, b, err := readUint32(b)
-	if err != nil {
-		return nil, err
-	}
-	m.Channel = ChannelID(v)
-	if len(b) < 13 {
-		return nil, ErrTruncated
-	}
-	m.Seq = binary.BigEndian.Uint64(b)
-	m.Count = binary.BigEndian.Uint16(b[8:])
-	m.PieceLen = binary.BigEndian.Uint16(b[10:])
-	m.Busy = b[12] != 0
-	b = b[13:]
-	if len(b) < m.PayloadLen() {
-		return nil, ErrTruncated
-	}
-	return b[m.PayloadLen():], nil
+func (m *DataReply) body(c coder) coder {
+	c = c.channel(&m.Channel).u64(&m.Seq).u16(&m.Count).u16(&m.PieceLen).flag(&m.Busy)
+	return c.filler(m.PayloadLen()) // after the read pass has filled Count and PieceLen
 }
 
 // Have is a per-piece availability hint: the sender just acquired Count
@@ -761,29 +531,8 @@ type Have struct {
 }
 
 // Kind implements Message.
-func (*Have) Kind() Type { return THave }
-
-func (m *Have) appendBody(b []byte) []byte {
-	b = binary.BigEndian.AppendUint32(b, uint32(m.Channel))
-	b = binary.BigEndian.AppendUint64(b, m.Seq)
-	return binary.BigEndian.AppendUint16(b, m.Count)
-}
-
-func (*Have) bodySize() int { return 4 + 8 + 2 }
-
-func (m *Have) readBody(b []byte) ([]byte, error) {
-	v, b, err := readUint32(b)
-	if err != nil {
-		return nil, err
-	}
-	m.Channel = ChannelID(v)
-	if len(b) < 10 {
-		return nil, ErrTruncated
-	}
-	m.Seq = binary.BigEndian.Uint64(b)
-	m.Count = binary.BigEndian.Uint16(b[8:])
-	return b[10:], nil
-}
+func (*Have) Kind() Type           { return THave }
+func (m *Have) body(c coder) coder { return c.channel(&m.Channel).u64(&m.Seq).u16(&m.Count) }
 
 // AsnQuery asks the IP→ASN mapping service (the simulation's Team Cymru
 // equivalent) to resolve an address.
@@ -792,17 +541,8 @@ type AsnQuery struct {
 }
 
 // Kind implements Message.
-func (*AsnQuery) Kind() Type { return TAsnQuery }
-
-func (m *AsnQuery) appendBody(b []byte) []byte { return appendAddr(b, m.Addr) }
-
-func (*AsnQuery) bodySize() int { return 4 }
-
-func (m *AsnQuery) readBody(b []byte) ([]byte, error) {
-	var err error
-	m.Addr, b, err = readAddr(b)
-	return b, err
-}
+func (*AsnQuery) Kind() Type           { return TAsnQuery }
+func (m *AsnQuery) body(c coder) coder { return c.addr(&m.Addr) }
 
 // AsnResponse resolves an address to its origin AS. Found=false means the
 // address is outside every registered prefix.
@@ -817,29 +557,8 @@ type AsnResponse struct {
 // Kind implements Message.
 func (*AsnResponse) Kind() Type { return TAsnResponse }
 
-func (m *AsnResponse) appendBody(b []byte) []byte {
-	b = appendAddr(b, m.Addr)
-	b = append(b, boolByte(m.Found))
-	b = binary.BigEndian.AppendUint32(b, m.ASN)
-	b = append(b, m.ISP)
-	return appendString(b, m.Name)
-}
-
-func (m *AsnResponse) bodySize() int { return 4 + 1 + 4 + 1 + stringSize(m.Name) }
-
-func (m *AsnResponse) readBody(b []byte) ([]byte, error) {
-	var err error
-	if m.Addr, b, err = readAddr(b); err != nil {
-		return nil, err
-	}
-	if len(b) < 6 {
-		return nil, ErrTruncated
-	}
-	m.Found = b[0] != 0
-	m.ASN = binary.BigEndian.Uint32(b[1:])
-	m.ISP = b[5]
-	m.Name, b, err = readString(b[6:])
-	return b, err
+func (m *AsnResponse) body(c coder) coder {
+	return c.addr(&m.Addr).flag(&m.Found).u32(&m.ASN).u8(&m.ISP).str(&m.Name)
 }
 
 // Ping is a neighbor keepalive probe: a peer that has heard nothing from a
@@ -852,24 +571,8 @@ type Ping struct {
 }
 
 // Kind implements Message.
-func (*Ping) Kind() Type { return TPing }
-
-func (m *Ping) appendBody(b []byte) []byte {
-	b = binary.BigEndian.AppendUint32(b, uint32(m.Channel))
-	return binary.BigEndian.AppendUint32(b, m.Nonce)
-}
-
-func (*Ping) bodySize() int { return 4 + 4 }
-
-func (m *Ping) readBody(b []byte) ([]byte, error) {
-	v, b, err := readUint32(b)
-	if err != nil {
-		return nil, err
-	}
-	m.Channel = ChannelID(v)
-	m.Nonce, b, err = readUint32(b)
-	return b, err
-}
+func (*Ping) Kind() Type           { return TPing }
+func (m *Ping) body(c coder) coder { return c.channel(&m.Channel).u32(&m.Nonce) }
 
 // Pong answers a Ping, echoing its nonce.
 type Pong struct {
@@ -878,70 +581,8 @@ type Pong struct {
 }
 
 // Kind implements Message.
-func (*Pong) Kind() Type { return TPong }
-
-func (m *Pong) appendBody(b []byte) []byte {
-	b = binary.BigEndian.AppendUint32(b, uint32(m.Channel))
-	return binary.BigEndian.AppendUint32(b, m.Nonce)
-}
-
-func (*Pong) bodySize() int { return 4 + 4 }
-
-func (m *Pong) readBody(b []byte) ([]byte, error) {
-	v, b, err := readUint32(b)
-	if err != nil {
-		return nil, err
-	}
-	m.Channel = ChannelID(v)
-	m.Nonce, b, err = readUint32(b)
-	return b, err
-}
-
-// newMessage allocates an empty message of the given type.
-func newMessage(t Type) (Message, error) {
-	switch t {
-	case TChannelListRequest:
-		return &ChannelListRequest{}, nil
-	case TChannelListResponse:
-		return &ChannelListResponse{}, nil
-	case TPlaylinkRequest:
-		return &PlaylinkRequest{}, nil
-	case TPlaylinkResponse:
-		return &PlaylinkResponse{}, nil
-	case TTrackerAnnounce:
-		return &TrackerAnnounce{}, nil
-	case TTrackerQuery:
-		return &TrackerQuery{}, nil
-	case TTrackerResponse:
-		return &TrackerResponse{}, nil
-	case THandshake:
-		return &Handshake{}, nil
-	case THandshakeAck:
-		return &HandshakeAck{}, nil
-	case TPeerListRequest:
-		return &PeerListRequest{}, nil
-	case TPeerListReply:
-		return &PeerListReply{}, nil
-	case TBufferMap:
-		return &BufferMapAnnounce{}, nil
-	case TDataRequest:
-		return &DataRequest{}, nil
-	case TDataReply:
-		return &DataReply{}, nil
-	case THave:
-		return &Have{}, nil
-	case TAsnQuery:
-		return &AsnQuery{}, nil
-	case TAsnResponse:
-		return &AsnResponse{}, nil
-	case TPing:
-		return &Ping{}, nil
-	case TPong:
-		return &Pong{}, nil
-	default:
-		return nil, fmt.Errorf("%w: %d", ErrBadType, byte(t))
-	}
-}
+func (*Pong) Kind() Type           { return TPong }
+func (m *Pong) body(c coder) coder { return c.channel(&m.Channel).u32(&m.Nonce) }
 
 // Marshal encodes a message into a self-delimiting datagram.
 func Marshal(m Message) []byte {
@@ -954,9 +595,9 @@ func Marshal(m Message) []byte {
 func AppendMarshal(dst []byte, m Message) []byte {
 	start := len(dst)
 	dst = binary.BigEndian.AppendUint16(dst, magicValue)
-	dst = append(dst, Version, byte(m.Kind()))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(m.bodySize()))
-	dst = m.appendBody(dst)
+	dst = append(dst, Version, byte(m.Kind()), 0, 0, 0, 0) // body length, known after the walk
+	dst = m.body(coder{b: dst, op: opAppend}).b
+	binary.BigEndian.PutUint32(dst[start+4:], uint32(len(dst)-start-headerLen))
 	sum := crc32.ChecksumIEEE(dst[start:])
 	return binary.BigEndian.AppendUint32(dst, sum)
 }
@@ -965,10 +606,11 @@ func AppendMarshal(dst []byte, m Message) []byte {
 // len(Marshal(m)) and never allocates — the simulated underlay calls it for
 // every datagram.
 func Size(m Message) int {
-	return headerLen + m.bodySize() + trailerLen
+	return headerLen + int(m.body(coder{op: opSize}).n) + trailerLen
 }
 
-// Unmarshal decodes one datagram produced by Marshal.
+// Unmarshal decodes one datagram produced by Marshal; anything Marshal could
+// not have produced is an error.
 func Unmarshal(b []byte) (Message, error) {
 	if len(b) < headerLen+trailerLen {
 		return nil, ErrShort
@@ -988,16 +630,16 @@ func Unmarshal(b []byte) (Message, error) {
 	if crc32.ChecksumIEEE(b[:headerLen+bodyLen]) != wantSum {
 		return nil, ErrBadChecksum
 	}
-	m, err := newMessage(t)
-	if err != nil {
-		return nil, err
+	if t >= maxType || kinds[t].new == nil {
+		return nil, fmt.Errorf("%w: %d", ErrBadType, byte(t))
 	}
-	rest, err := m.readBody(b[headerLen : headerLen+bodyLen])
-	if err != nil {
+	m := kinds[t].new()
+	c := m.body(coder{b: b[headerLen : headerLen+bodyLen], op: opRead})
+	if err := failures[c.op]; err != nil {
 		return nil, fmt.Errorf("decode %s: %w", t, err)
 	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("decode %s: %d trailing body bytes", t, len(rest))
+	if len(c.b) != 0 {
+		return nil, fmt.Errorf("decode %s: %d trailing body bytes", t, len(c.b))
 	}
 	return m, nil
 }
@@ -1005,117 +647,213 @@ func Unmarshal(b []byte) (Message, error) {
 // magicValue identifies protocol datagrams ("PL" for P2P Live).
 const magicValue uint16 = 0x504C
 
-// Encoding helpers.
+// coder is one pass over a message body. It travels by value through
+// Message.body — a *coder passed through the interface would escape and cost
+// an allocation per Size — and stays at four words so the compiler keeps it
+// in registers.
+type coder struct {
+	b  []byte // opAppend: the datagram so far; opRead: the body still unread
+	n  uint32 // opSize: body bytes so far
+	op uint32
+}
 
-// zeroChunk feeds appendZeros so filler payload never allocates a scratch
-// slice per datagram.
+// The passes. A read that fails turns into the op naming why, which every
+// primitive then skips.
+const (
+	opSize uint32 = iota
+	opAppend
+	opRead
+	opTruncated
+	opNonCanonical
+)
+
+// failures maps a finished read's op to Unmarshal's error.
+var failures = [...]error{opTruncated: ErrTruncated, opNonCanonical: ErrNonCanonical}
+
+func (c coder) fail(op uint32) coder {
+	c.op = op
+	return c
+}
+
+func (c coder) u8(v *byte) coder {
+	switch c.op {
+	case opSize:
+		c.n++
+	case opAppend:
+		c.b = append(c.b, *v)
+	case opRead:
+		if len(c.b) < 1 {
+			return c.fail(opTruncated)
+		}
+		*v, c.b = c.b[0], c.b[1:]
+	}
+	return c
+}
+
+func (c coder) u16(v *uint16) coder {
+	switch c.op {
+	case opSize:
+		c.n += 2
+	case opAppend:
+		c.b = binary.BigEndian.AppendUint16(c.b, *v)
+	case opRead:
+		if len(c.b) < 2 {
+			return c.fail(opTruncated)
+		}
+		*v, c.b = binary.BigEndian.Uint16(c.b), c.b[2:]
+	}
+	return c
+}
+
+func (c coder) u32(v *uint32) coder {
+	switch c.op {
+	case opSize:
+		c.n += 4
+	case opAppend:
+		c.b = binary.BigEndian.AppendUint32(c.b, *v)
+	case opRead:
+		if len(c.b) < 4 {
+			return c.fail(opTruncated)
+		}
+		*v, c.b = binary.BigEndian.Uint32(c.b), c.b[4:]
+	}
+	return c
+}
+
+func (c coder) u64(v *uint64) coder {
+	switch c.op {
+	case opSize:
+		c.n += 8
+	case opAppend:
+		c.b = binary.BigEndian.AppendUint64(c.b, *v)
+	case opRead:
+		if len(c.b) < 8 {
+			return c.fail(opTruncated)
+		}
+		*v, c.b = binary.BigEndian.Uint64(c.b), c.b[8:]
+	}
+	return c
+}
+
+func (c coder) channel(v *ChannelID) coder { return c.u32((*uint32)(v)) }
+
+// flag is a bool as one byte, 0 or 1 and nothing else.
+func (c coder) flag(v *bool) coder {
+	var b byte
+	if *v {
+		b = 1
+	}
+	c = c.u8(&b)
+	if c.op == opRead {
+		if b > 1 {
+			return c.fail(opNonCanonical)
+		}
+		*v = b == 1
+	}
+	return c
+}
+
+func (c coder) addr(v *netip.Addr) coder {
+	switch c.op {
+	case opSize:
+		c.n += 4
+	case opAppend:
+		a := v.As4()
+		c.b = append(c.b, a[:]...)
+	case opRead:
+		if len(c.b) < 4 {
+			return c.fail(opTruncated)
+		}
+		*v, c.b = netip.AddrFrom4([4]byte(c.b)), c.b[4:]
+	}
+	return c
+}
+
+// addrs is a count byte and that many addresses; a longer list is cut to 255.
+// It loops per pass rather than through addr: a 60-address list is the
+// longest walk the codec does.
+func (c coder) addrs(v *[]netip.Addr) coder {
+	n := byte(min(len(*v), 255))
+	c = c.u8(&n)
+	switch c.op {
+	case opSize:
+		c.n += 4 * uint32(n)
+	case opAppend:
+		for _, a := range (*v)[:n] {
+			a4 := a.As4()
+			c.b = append(c.b, a4[:]...)
+		}
+	case opRead:
+		if len(c.b) < 4*int(n) {
+			return c.fail(opTruncated)
+		}
+		list := make([]netip.Addr, n)
+		for i := range list {
+			list[i], c.b = netip.AddrFrom4([4]byte(c.b)), c.b[4:]
+		}
+		*v = list
+	}
+	return c
+}
+
+// str is a length byte and that many bytes; a longer string is cut to 255.
+func (c coder) str(v *string) coder {
+	n := byte(min(len(*v), 255))
+	c = c.u8(&n)
+	switch c.op {
+	case opSize:
+		c.n += uint32(n)
+	case opAppend:
+		c.b = append(c.b, (*v)[:n]...)
+	case opRead:
+		if len(c.b) < int(n) {
+			return c.fail(opTruncated)
+		}
+		*v, c.b = string(c.b[:n]), c.b[n:]
+	}
+	return c
+}
+
+func (c coder) bufferMap(bm *BufferMap) coder {
+	switch c.op {
+	case opSize:
+		c.n += uint32(bm.size())
+	case opAppend:
+		c.b = bm.append(c.b)
+	case opRead:
+		rest, err := bm.read(c.b)
+		if err != nil {
+			return c.fail(opTruncated)
+		}
+		c.b = rest
+	}
+	return c
+}
+
+// zeroChunk is the filler: appended without a scratch slice per datagram,
+// and what a decoded payload must equal.
 var zeroChunk [4096]byte
 
-func appendZeros(b []byte, n int) []byte {
-	for n > 0 {
-		c := n
-		if c > len(zeroChunk) {
-			c = len(zeroChunk)
+// filler is n zero bytes standing in for video payload.
+func (c coder) filler(n int) coder {
+	switch c.op {
+	case opSize:
+		c.n += uint32(n)
+	case opAppend:
+		for ; n > 0; n -= min(n, len(zeroChunk)) {
+			c.b = append(c.b, zeroChunk[:min(n, len(zeroChunk))]...)
 		}
-		b = append(b, zeroChunk[:c]...)
-		n -= c
+	case opRead:
+		if len(c.b) < n {
+			return c.fail(opTruncated)
+		}
+		for n > 0 {
+			k := min(n, len(zeroChunk))
+			if !bytes.Equal(c.b[:k], zeroChunk[:k]) {
+				return c.fail(opNonCanonical)
+			}
+			c.b, n = c.b[k:], n-k
+		}
 	}
-	return b
-}
-
-func boolByte(v bool) byte {
-	if v {
-		return 1
-	}
-	return 0
-}
-
-func appendAddr(b []byte, a netip.Addr) []byte {
-	v := a.As4()
-	return append(b, v[:]...)
-}
-
-func readAddr(b []byte) (netip.Addr, []byte, error) {
-	if len(b) < 4 {
-		return netip.Addr{}, nil, ErrTruncated
-	}
-	return netip.AddrFrom4([4]byte(b[:4])), b[4:], nil
-}
-
-func addrListSize(addrs []netip.Addr) int {
-	n := len(addrs)
-	if n > 255 {
-		n = 255
-	}
-	return 1 + 4*n
-}
-
-func appendAddrList(b []byte, addrs []netip.Addr) []byte {
-	n := len(addrs)
-	if n > 255 {
-		n = 255
-	}
-	b = append(b, byte(n))
-	for _, a := range addrs[:n] {
-		b = appendAddr(b, a)
-	}
-	return b
-}
-
-func readAddrList(b []byte) ([]netip.Addr, []byte, error) {
-	if len(b) < 1 {
-		return nil, nil, ErrTruncated
-	}
-	n := int(b[0])
-	b = b[1:]
-	if len(b) < n*4 {
-		return nil, nil, ErrTruncated
-	}
-	addrs := make([]netip.Addr, n)
-	for i := range addrs {
-		addrs[i] = netip.AddrFrom4([4]byte(b[:4]))
-		b = b[4:]
-	}
-	return addrs, b, nil
-}
-
-func stringSize(s string) int {
-	if len(s) > 255 {
-		return 1 + 255
-	}
-	return 1 + len(s)
-}
-
-func appendString(b []byte, s string) []byte {
-	if len(s) > 255 {
-		s = s[:255]
-	}
-	b = append(b, byte(len(s)))
-	return append(b, s...)
-}
-
-func readString(b []byte) (string, []byte, error) {
-	if len(b) < 1 {
-		return "", nil, ErrTruncated
-	}
-	n := int(b[0])
-	b = b[1:]
-	if len(b) < n {
-		return "", nil, ErrTruncated
-	}
-	return string(b[:n]), b[n:], nil
-}
-
-func readUint16(b []byte) (uint16, []byte, error) {
-	if len(b) < 2 {
-		return 0, nil, ErrTruncated
-	}
-	return binary.BigEndian.Uint16(b), b[2:], nil
-}
-
-func readUint32(b []byte) (uint32, []byte, error) {
-	if len(b) < 4 {
-		return 0, nil, ErrTruncated
-	}
-	return binary.BigEndian.Uint32(b), b[4:], nil
+	return c
 }

@@ -2,6 +2,8 @@ package wire
 
 import (
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"hash/crc32"
 	"math/rand"
 	"net/netip"
@@ -66,9 +68,6 @@ func TestRoundTripAllTypes(t *testing.T) {
 		got := roundTrip(t, m)
 		if !reflect.DeepEqual(normalize(got), normalize(m)) {
 			t.Errorf("%s round trip mismatch:\n got %#v\nwant %#v", m.Kind(), got, m)
-		}
-		if want := len(m.appendBody(nil)); m.bodySize() != want {
-			t.Errorf("%s: bodySize() = %d, encoded body = %d", m.Kind(), m.bodySize(), want)
 		}
 	}
 }
@@ -191,13 +190,20 @@ func TestUnmarshalErrors(t *testing.T) {
 		}
 	})
 	t.Run("unknown type", func(t *testing.T) {
-		raw := []byte{0x50, 0x4C, Version, byte(maxType) + 10, 0, 0, 0, 0}
-		sum := crc32.ChecksumIEEE(raw)
-		raw = binary.BigEndian.AppendUint32(raw, sum)
-		if _, err := Unmarshal(raw); err == nil {
-			t.Error("unknown type decoded without error")
+		if _, err := Unmarshal(frame(maxType+10, nil)); !errors.Is(err, ErrBadType) {
+			t.Errorf("err = %v, want ErrBadType", err)
 		}
 	})
+}
+
+// frame wraps a hand-built body in a valid header and checksum, so a test
+// reaches the body decoder with bytes Marshal would never produce.
+func frame(t Type, body []byte) []byte {
+	b := binary.BigEndian.AppendUint16(nil, magicValue)
+	b = append(b, Version, byte(t))
+	b = binary.BigEndian.AppendUint32(b, uint32(len(body)))
+	b = append(b, body...)
+	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
 }
 
 func TestBufferMapHasSet(t *testing.T) {
@@ -383,13 +389,29 @@ func TestPropertyBufferMapWordOps(t *testing.T) {
 	}
 }
 
-func TestTypeStrings(t *testing.T) {
-	for tt := TChannelListRequest; tt < maxType; tt++ {
-		if s := tt.String(); s == "" || s[0] == 'T' && len(s) > 4 && s[:4] == "Type" {
-			t.Errorf("Type(%d) has fallback String %q", byte(tt), s)
+// TestKindsTable pins the one table Type.String and Unmarshal read: every
+// type has a row whose constructor builds that type, and the values either
+// side of the range have none.
+func TestKindsTable(t *testing.T) {
+	for tt := Type(1); tt < maxType; tt++ {
+		row := kinds[tt]
+		if row.name == "" || row.new == nil {
+			t.Errorf("Type(%d) has no kinds row", byte(tt))
+			continue
+		}
+		if got := row.new().Kind(); got != tt {
+			t.Errorf("kinds[%d] constructs a %s", byte(tt), got)
+		}
+		if tt.String() != row.name {
+			t.Errorf("Type(%d).String() = %q, want %q", byte(tt), tt.String(), row.name)
 		}
 	}
-	if Type(200).String() == "" {
-		t.Error("unknown type String is empty")
+	for _, tt := range []Type{0, maxType, 200} {
+		if want := fmt.Sprintf("Type(%d)", byte(tt)); tt.String() != want {
+			t.Errorf("String() = %q, want %q", tt.String(), want)
+		}
+		if _, err := Unmarshal(frame(tt, nil)); !errors.Is(err, ErrBadType) {
+			t.Errorf("Unmarshal of type %d: err = %v, want ErrBadType", byte(tt), err)
+		}
 	}
 }
