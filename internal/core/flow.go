@@ -50,9 +50,10 @@ type FlowTraffic struct {
 }
 
 // flowDomain is one shard domain's slice of one channel's flow swarm: the
-// swarm itself, its members' lightweight envs (row-indexed), and the
-// window-local telemetry aggregate its owning worker writes between
-// barriers. It implements peer.FlowPort and simnet.LiteHandler.
+// swarm itself, the port its members' hosts hang off, and the window-local
+// telemetry aggregate its owning worker writes between barriers. A row's
+// address is its handle: the port finds the host by it. It implements
+// peer.FlowPort and simnet.LiteHandler.
 type flowDomain struct {
 	sim      *Sim
 	ds       *domainState
@@ -62,9 +63,7 @@ type flowDomain struct {
 	initial  int
 
 	swarm *peer.FlowSwarm
-	// envs holds each live row's handle; Retire clears the entry, because
-	// the domain recycles a closed LiteEnv for its next member.
-	envs []*simnet.LiteEnv
+	port  *simnet.LitePort
 	// spawn is spawnMember bound once: Respawn schedules it for every
 	// replacement, and a fresh method value each time is a heap object.
 	spawn func()
@@ -152,7 +151,7 @@ func (s *Sim) buildFlowPopulation(set []ChannelSpec) error {
 					return fmt.Errorf("core: flow swarm %s/%d: %w", dom.Name(), ch.Spec.Channel, err)
 				}
 				fd.swarm = swarm
-				fd.envs = make([]*simnet.LiteEnv, 0, n)
+				fd.port = dom.NewLitePort(fd)
 				fd.spawn = fd.spawnMember
 				s.flows = append(s.flows, fd)
 				fd.ds.dom.At(0, fd.populate)
@@ -229,22 +228,16 @@ func (fd *flowDomain) populate() {
 // as Client viewers), then a swarm row.
 func (fd *flowDomain) spawnMember() {
 	rng := fd.ds.rng
-	env, err := fd.ds.dom.SpawnLite(simnet.HostSpec{
+	h, err := fd.port.Spawn(simnet.HostSpec{
 		ISP:       fd.category,
 		UploadBps: workload.UploadCapacity(rng, fd.category),
 		ProcDelay: workload.ProcDelay(rng),
-	}, fd)
+	})
 	if err != nil {
 		// Address exhaustion would be a scenario sizing bug; surface loudly.
 		panic(fmt.Sprintf("core: spawn flow member: %v", err))
 	}
-	i := fd.swarm.Add(env.Addr())
-	env.SetIndex(i)
-	if i == len(fd.envs) {
-		fd.envs = append(fd.envs, env)
-	} else {
-		fd.envs[i] = env
-	}
+	h.Tag = int32(fd.swarm.Add(h.Addr))
 	fd.ds.spawned++
 }
 
@@ -279,16 +272,17 @@ func (fd *flowDomain) tick() {
 func (fd *flowDomain) Now() time.Duration { return fd.ds.dom.Engine().Now() }
 
 // Send implements peer.FlowPort.
-func (fd *flowDomain) Send(i int, to netip.Addr, msg wire.Message) { fd.envs[i].Send(to, msg) }
+func (fd *flowDomain) Send(i int, to netip.Addr, msg wire.Message) {
+	fd.port.Send(fd.swarm.Addr(i), to, msg)
+}
 
 // UplinkBacklog implements peer.FlowPort.
-func (fd *flowDomain) UplinkBacklog(i int) time.Duration { return fd.envs[i].UplinkBacklog() }
+func (fd *flowDomain) UplinkBacklog(i int) time.Duration {
+	return fd.port.UplinkBacklog(fd.swarm.Addr(i))
+}
 
 // Retire implements peer.FlowPort.
-func (fd *flowDomain) Retire(i int) {
-	fd.envs[i].Close()
-	fd.envs[i] = nil
-}
+func (fd *flowDomain) Retire(i int) { fd.port.Retire(fd.swarm.Addr(i)) }
 
 // Respawn implements peer.FlowPort.
 func (fd *flowDomain) Respawn(delay time.Duration) { fd.ds.dom.After(delay, fd.spawn) }

@@ -149,12 +149,13 @@ func TestFlowFidelityValidation(t *testing.T) {
 }
 
 // TestFlowChurnZeroAlloc gates the churn path through the real port — swarm
-// retire → flowDomain.Retire → LiteEnv.Close → underlay detach, then the
-// scheduled respawn → SpawnLite → attach → swarm row — at 0 allocations per
-// event once the world is past warm-up: retired rows, lite cells and event
+// retire → flowDomain.Retire → LitePort.Retire → underlay detach, then the
+// scheduled respawn → LitePort.Spawn → attach → swarm row — at 0 allocations
+// per event once the world is past warm-up: retired rows, lite cells and event
 // slots are all recycled. (TestFlowTickZeroAlloc in internal/peer gates the
 // same tick against a stub port.) What remains is one 2 KB host-table leaf per
-// 256 fresh addresses, below this gate's resolution.
+// 256 fresh addresses, below this gate's resolution. After the churn and a
+// kill it checks that the address really is each row's handle.
 func TestFlowChurnZeroAlloc(t *testing.T) {
 	sc := smallScenario(7)
 	sc.Name = "flow-churn-alloc"
@@ -165,6 +166,11 @@ func TestFlowChurnZeroAlloc(t *testing.T) {
 	sim, err := Build(sc)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Flow members join at t=0, so what Build attached is full hosts.
+	full := make([]int, len(sim.doms))
+	for i := range sim.doms {
+		full[i] = sim.doms[i].dom.Network().NumHosts()
 	}
 	if err := sim.world.Run(sc.WarmUp, 1); err != nil {
 		t.Fatal(err)
@@ -204,23 +210,92 @@ func TestFlowChurnZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("churn through flowDomain allocates %.2f objects per round, want 0", allocs)
 	}
-	// A retired row keeps no handle: its cell may already be another member's.
+	// The address is the handle: a live row's address finds a host tagged
+	// with that row, a dead row's address finds nothing, and a domain holds
+	// its live members, its full hosts and no one else.
 	fd.swarm.KillFraction(0.5)
-	handles := 0
-	for _, env := range fd.envs {
-		if env != nil {
-			handles++
+	for i, ps := range sc.Probes {
+		if sim.probes[i].Client != nil {
+			full[sim.world.DomainsOf(ps.ISP)[0].ID()]++
 		}
 	}
-	if handles != fd.swarm.Alive() {
-		t.Errorf("%d env handles for %d live members", handles, fd.swarm.Alive())
+	live := make([]int, len(sim.doms))
+	for _, f := range sim.flows {
+		net := f.ds.dom.Network()
+		attached := 0
+		for i := 0; i < f.swarm.Len(); i++ {
+			h, ok := net.Lookup(f.swarm.Addr(i))
+			if !ok {
+				continue
+			}
+			attached++
+			if int(h.Tag) != i {
+				t.Errorf("%s: row %d's address %s finds a host tagged %d", f.ds.dom.Name(), i, h.Addr, h.Tag)
+			}
+		}
+		if attached != f.swarm.Alive() {
+			t.Errorf("%s: %d rows have an attached host, %d members are alive", f.ds.dom.Name(), attached, f.swarm.Alive())
+		}
+		live[f.ds.dom.ID()] += f.swarm.Alive()
 	}
+	for i := range sim.doms {
+		if got, want := sim.doms[i].dom.Network().NumHosts(), live[i]+full[i]; got != want {
+			t.Errorf("%s: %d hosts attached, want %d live members + %d full hosts", sim.doms[i].dom.Name(), got, live[i], full[i])
+		}
+	}
+}
+
+// TestFlowMemberBytes pins what a flow member costs end to end: the live heap
+// a 200 k-member world adds over an empty process, per member, after warm-up.
+// By the layout it is 167 B — the 112-byte host, its 8-byte table slot, 47
+// bytes of swarm rows — plus the world's fixed parts spread over the members.
+func TestFlowMemberBytes(t *testing.T) {
+	sc := Scenario{
+		Name: "flow-member-bytes",
+		Seed: 7,
+		Spec: smallScenario(7).Spec,
+		Viewers: workload.Population{
+			isp.TELE:    140_000,
+			isp.CNC:     40_000,
+			isp.CER:     6_000,
+			isp.OtherCN: 14_000,
+		},
+		Probes:   []ProbeSpec{{Name: "tele-probe", ISP: isp.TELE}},
+		Fidelity: peer.FidelityFlow,
+		Churn:    workload.DefaultChurn(),
+		Shards:   12,
+		WarmUp:   time.Minute,
+		Watch:    time.Minute,
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	sim, err := Build(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.world.Run(sc.WarmUp+10*time.Second, 1); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	alive := sim.FlowAlive()
+	if alive < 190_000 {
+		t.Fatalf("%d members alive past warm-up, want about 200000", alive)
+	}
+	perMember := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(alive)
+	t.Logf("flow member: %.1f B of live heap each (%d alive, heap %d -> %d MB)",
+		perMember, alive, before.HeapAlloc>>20, after.HeapAlloc>>20)
+	if perMember > 200 {
+		t.Errorf("a flow member costs %.1f B of live heap, want <= 200", perMember)
+	}
+	runtime.KeepAlive(sim)
 }
 
 // TestMillionPeerSmoke is the scale gate: a million-plus flow members on the
 // 12-domain scaled partition (>=100k per TELE sub-shard), bounded heap, in
 // one CI-sized run. Gated behind PPLIVE_MILLION=1 — it needs a few seconds
-// and half a GB.
+// and a quarter of a GB.
 func TestMillionPeerSmoke(t *testing.T) {
 	if os.Getenv("PPLIVE_MILLION") == "" {
 		t.Skip("set PPLIVE_MILLION=1 to run the million-peer smoke test")
@@ -277,10 +352,10 @@ func TestMillionPeerSmoke(t *testing.T) {
 	}
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	// Measured HeapAlloc here is 285 MB in five runs out of five (343-377 MB
-	// before lite hosts moved into domain-owned slabs); the limit is that
-	// times 1.5.
-	const heapLimit = 428 << 20
+	// Measured HeapAlloc here is 192-205 MB over five runs (271-285 MB while
+	// a member was a 160-byte cell with a handle and 24-byte address rows);
+	// the limit is the highest of them times 1.25.
+	const heapLimit = 256 << 20
 	if ms.HeapAlloc > heapLimit {
 		t.Errorf("heap alloc %d bytes exceeds %d", ms.HeapAlloc, uint64(heapLimit))
 	}

@@ -1,6 +1,7 @@
 package peer
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"net/netip"
@@ -147,8 +148,10 @@ type FlowSwarm struct {
 	rng  *rand.Rand
 
 	// Per-member rows, index = member id. Rows are recycled through free on
-	// departure, never released.
-	addrs   []netip.Addr
+	// departure, never released. addrs holds IPv4 addresses packed big-endian
+	// (the address plan is IPv4-only): 4 bytes a row the collector never
+	// scans, where a netip.Addr is 24 with a pointer in it.
+	addrs   []uint32
 	joinSeq []uint64 // live-edge sequence at join (holds nothing older)
 	lag     []uint16 // newest held piece trails the live edge by this much
 	alive   []bool
@@ -181,12 +184,11 @@ func NewFlowSwarm(cfg FlowConfig, port FlowPort, rng *rand.Rand, trackers []neti
 		cfg:      cfg,
 		port:     port,
 		rng:      rng,
-		addrs:    make([]netip.Addr, 0, capacity),
+		addrs:    make([]uint32, 0, capacity),
 		joinSeq:  make([]uint64, 0, capacity),
 		lag:      make([]uint16, 0, capacity),
 		alive:    make([]bool, 0, capacity),
 		nbr:      make([]int32, 0, capacity*flowNbrWidth),
-		free:     make([]int32, 0, capacity),
 		links:    make([]flowLink, 0, 16),
 		trackers: trackers,
 	}, nil
@@ -198,21 +200,31 @@ func (s *FlowSwarm) Len() int { return len(s.addrs) }
 // Alive returns the live member count.
 func (s *FlowSwarm) Alive() int { return s.nAlive }
 
-// Add joins a member at addr and returns its row index. Departed rows are
-// recycled before new ones are allocated.
+// Addr returns the address member i joined at; it stays readable after the
+// member departs, until the row is recycled.
+func (s *FlowSwarm) Addr(i int) netip.Addr {
+	var b [4]byte
+	binary.BigEndian.PutUint32(b[:], s.addrs[i])
+	return netip.AddrFrom4(b)
+}
+
+// Add joins a member at addr, which must be IPv4, and returns its row index.
+// Departed rows are recycled before new ones are allocated.
 func (s *FlowSwarm) Add(addr netip.Addr) int {
+	b := addr.As4()
+	packed := binary.BigEndian.Uint32(b[:])
 	now := s.port.Now()
 	var i int
 	if n := len(s.free); n > 0 {
 		i = int(s.free[n-1])
 		s.free = s.free[:n-1]
-		s.addrs[i] = addr
+		s.addrs[i] = packed
 		s.joinSeq[i] = s.cfg.Spec.EdgeSeq(now)
 		s.lag[i] = s.drawLag()
 		s.alive[i] = true
 	} else {
 		i = len(s.addrs)
-		s.addrs = append(s.addrs, addr)
+		s.addrs = append(s.addrs, packed)
 		s.joinSeq = append(s.joinSeq, s.cfg.Spec.EdgeSeq(now))
 		s.lag = append(s.lag, s.drawLag())
 		s.alive = append(s.alive, true)
@@ -446,7 +458,7 @@ func (s *FlowSwarm) referralList(i int, requester netip.Addr) []netip.Addr {
 		if int(j) == i || !s.alive[j] {
 			continue
 		}
-		a := s.addrs[j]
+		a := s.Addr(int(j))
 		if a == requester {
 			continue
 		}

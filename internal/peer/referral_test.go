@@ -224,7 +224,7 @@ func TestFlowReferralExclusions(t *testing.T) {
 			if p == probe {
 				t.Fatalf("member %d referred the requester back to itself", i)
 			}
-			if p == s.addrs[i] {
+			if p == s.Addr(i) {
 				t.Fatalf("member %d referred its own address", i)
 			}
 		}
@@ -240,7 +240,7 @@ func TestFlowReferralExclusions(t *testing.T) {
 			if int(j) == i || !s.alive[j] {
 				continue
 			}
-			req := s.addrs[j]
+			req := s.Addr(int(j))
 			for _, p := range s.referralList(i, req) {
 				if p == req {
 					t.Fatalf("member %d echoed requester %v from its row", i, req)
@@ -250,7 +250,7 @@ func TestFlowReferralExclusions(t *testing.T) {
 		for _, j := range row {
 			if !s.alive[j] {
 				for _, p := range s.referralList(i, probe) {
-					if p == s.addrs[j] {
+					if p == s.Addr(int(j)) {
 						t.Fatalf("member %d referred dead member %d", i, j)
 					}
 				}

@@ -31,31 +31,33 @@ func TestLiteCellReuseDropsInFlight(t *testing.T) {
 	owner := &liteRecorder{}
 	spec := simnet.HostSpec{ISP: isp.TELE, UploadBps: 1 << 20}
 
-	old, err := dom.SpawnLite(spec, owner)
+	port := dom.NewLitePort(owner)
+
+	old, err := port.Spawn(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	old.SetIndex(3)
-	oldAddr := old.Addr()
+	old.Tag = 3
+	oldAddr := old.Addr
 	const perMember = 50
 	for i := 0; i < perMember; i++ {
 		sender.Send(oldAddr, &wire.Ping{Channel: 1, Nonce: 1})
 	}
-	old.Close()
+	port.Retire(oldAddr)
 
-	fresh, err := dom.SpawnLite(spec, owner)
+	fresh, err := port.Spawn(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fresh != old {
 		t.Fatal("respawn did not reuse the retired member's cell")
 	}
-	if fresh.Addr() == oldAddr {
+	if fresh.Addr == oldAddr {
 		t.Fatal("respawn reused the retired member's address")
 	}
-	fresh.SetIndex(8)
+	fresh.Tag = 8
 	for i := 0; i < perMember; i++ {
-		sender.Send(fresh.Addr(), &wire.Ping{Channel: 1, Nonce: 2})
+		sender.Send(fresh.Addr, &wire.Ping{Channel: 1, Nonce: 2})
 	}
 	if err := w.Engine.Run(time.Minute); err != nil {
 		t.Fatal(err)
@@ -80,7 +82,7 @@ func TestLiteCellReuseDropsInFlight(t *testing.T) {
 	if _, ok := w.Network.Lookup(oldAddr); ok {
 		t.Error("retired address still attached")
 	}
-	if h, ok := w.Network.Lookup(fresh.Addr()); !ok || h != fresh.Host() {
+	if h, ok := w.Network.Lookup(fresh.Addr); !ok || h != fresh {
 		t.Error("new occupant not attached under its own address")
 	}
 }

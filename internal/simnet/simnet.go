@@ -84,12 +84,12 @@ type Domain struct {
 	pools map[isp.ISP]*ipam.Pool
 
 	// Lite members live in storage the domain owns: liteChunk is the unused
-	// tail of the newest slab chunk and liteFree chains the cells of closed
+	// tail of the newest slab chunk and liteFree stacks the cells of retired
 	// members, so a churning swarm respawns into the cells it retired and
 	// the collector sees a chunk, not a million hosts. Chunks are never
 	// released.
-	liteChunk []LiteEnv
-	liteFree  *LiteEnv
+	liteChunk []underlay.Host
+	liteFree  []*underlay.Host
 }
 
 // liteChunkCells is the number of lite members per slab chunk.
@@ -501,14 +501,23 @@ func (d *Domain) Spawn(spec HostSpec) (*Env, error) {
 	return d.SpawnAt(addr, spec)
 }
 
+// fullHost rounds a full node's host record up to the allocator's 128-byte
+// class, whose objects start on a cache-line boundary. Build allocates the
+// hosts of different domains side by side and different workers write them;
+// at the record's own 112 bytes neighbours would share a line.
+type fullHost struct {
+	underlay.Host
+	_ [16]byte
+}
+
 // SpawnAt attaches a host at a specific address in this domain.
 func (d *Domain) SpawnAt(addr netip.Addr, spec HostSpec) (*Env, error) {
-	host := &underlay.Host{
+	host := &(&fullHost{Host: underlay.Host{
 		Addr:      addr,
 		ISP:       spec.ISP,
 		UploadBps: spec.UploadBps,
 		ProcDelay: spec.ProcDelay,
-	}
+	}}).Host
 	env := &Env{domain: d, host: host, rng: d.eng.NewRand()}
 	if err := d.net.AttachReceiver(host, env); err != nil {
 		return nil, err
@@ -698,7 +707,7 @@ func (e *Env) Send(to netip.Addr, msg wire.Message) {
 }
 
 // Deliver implements underlay.Receiver for this node.
-func (e *Env) Deliver(from netip.Addr, size int, payload any) {
+func (e *Env) Deliver(_ *underlay.Host, from netip.Addr, size int, payload any) {
 	if e.closed {
 		return
 	}
@@ -733,119 +742,90 @@ type LiteHandler interface {
 	HandleLite(i int, from netip.Addr, msg wire.Message)
 }
 
-// LiteEnv is the minimal per-host attachment used by flow-fidelity swarm
-// members: an underlay host plus a row index into the owner's flat state. A
-// full Env costs roughly 5KB — almost all of it the per-env rand.Rand — which
-// a million-member background population cannot afford; a LiteEnv is one
-// 160-byte cell of its domain's slab, host included, and no heap object of
-// its own. It has no RNG, no timers, and no taps: everything stateful lives
-// in the owning swarm.
-//
-// Close hands the cell back to the domain, and the next SpawnLite may reuse
-// it: a *LiteEnv must not be used after Close.
-type LiteEnv struct {
-	host   underlay.Host
+// LitePort attaches one owner's flow-fidelity members to a domain. A member
+// is an underlay.Host in the domain's slab and nothing else — no RNG, timers
+// or taps, where a full Env costs roughly 5KB, almost all of it its
+// rand.Rand, which a million-member background population cannot afford. The
+// port is the Receiver of all its members: a delivery reaches the owner under
+// the row index in the host's Tag, and the owner reaches a member's host by
+// the member's address.
+type LitePort struct {
 	domain *Domain
 	owner  LiteHandler
-	idx    int32
-	closed bool
-	next   *LiteEnv // free-list link while the cell waits for reuse
 }
 
-var _ underlay.Receiver = (*LiteEnv)(nil)
+// NewLitePort returns a port whose members' deliveries go to
+// owner.HandleLite.
+func (d *Domain) NewLitePort(owner LiteHandler) *LitePort {
+	return &LitePort{domain: d, owner: owner}
+}
 
-// SpawnLite allocates an address in this domain and attaches a lightweight
-// host whose deliveries go to owner.HandleLite. The row index is installed
-// afterwards via SetIndex (owners typically need the address before they can
-// assign a row).
-func (d *Domain) SpawnLite(spec HostSpec, owner LiteHandler) (*LiteEnv, error) {
+// Spawn allocates an address in the port's domain and attaches a member host
+// there. The owner typically needs the address before it can assign a row, so
+// the caller sets the host's Tag to the row index, before any event runs.
+// The host is the domain's: it must not be used once the member is retired.
+func (p *LitePort) Spawn(spec HostSpec) (*underlay.Host, error) {
+	d := p.domain
 	addr, err := d.allocAddr(spec.ISP)
 	if err != nil {
 		return nil, err
 	}
-	e := d.liteFree
-	if e != nil {
-		d.liteFree = e.next
+	var h *underlay.Host
+	if k := len(d.liteFree); k > 0 {
+		h = d.liteFree[k-1]
+		d.liteFree = d.liteFree[:k-1]
 	} else {
 		if len(d.liteChunk) == 0 {
-			d.liteChunk = make([]LiteEnv, liteChunkCells)
+			d.liteChunk = make([]underlay.Host, liteChunkCells)
 		}
-		e = &d.liteChunk[0]
+		h = &d.liteChunk[0]
 		d.liteChunk = d.liteChunk[1:]
 	}
 	// Datagrams still in flight to the cell's previous occupant hold a
-	// pointer to e.host; the underlay matches them against the address they
-	// were sent to, so they count as dropped-no-host and never reach owner.
-	*e = LiteEnv{
-		host: underlay.Host{
-			Addr:      addr,
-			ISP:       spec.ISP,
-			UploadBps: spec.UploadBps,
-			ProcDelay: spec.ProcDelay,
-		},
-		domain: d,
-		owner:  owner,
-		idx:    -1,
+	// pointer to it; the underlay matches them against the address they were
+	// sent to, so they count as dropped-no-host and never reach the owner.
+	*h = underlay.Host{
+		Addr:      addr,
+		ISP:       spec.ISP,
+		UploadBps: spec.UploadBps,
+		ProcDelay: spec.ProcDelay,
 	}
-	if err := d.net.AttachReceiver(&e.host, e); err != nil {
-		d.releaseLite(e)
+	if err := d.net.AttachReceiver(h, p); err != nil {
+		d.liteFree = append(d.liteFree, h)
 		return nil, err
 	}
-	return e, nil
+	return h, nil
 }
 
-// releaseLite marks a member closed and puts its cell on the free list.
-func (d *Domain) releaseLite(e *LiteEnv) {
-	e.closed = true
-	e.next = d.liteFree
-	d.liteFree = e
-}
-
-// SetIndex installs the owner's row index for this member.
-func (e *LiteEnv) SetIndex(i int) { e.idx = int32(i) }
-
-// Addr returns the member's address.
-func (e *LiteEnv) Addr() netip.Addr { return e.host.Addr }
-
-// Host exposes the underlying underlay host (for stats).
-func (e *LiteEnv) Host() *underlay.Host { return &e.host }
-
-// UplinkBacklog is the host's transmit-queue delay now.
-func (e *LiteEnv) UplinkBacklog() time.Duration {
-	return e.host.QueueDelay(e.domain.eng.Now())
-}
-
-// Send transmits a message from this member's host, with the same codec
-// check Env.Send applies.
-func (e *LiteEnv) Send(to netip.Addr, msg wire.Message) {
-	if e.closed {
-		return
+// Send transmits a message from the member at from, with the same codec
+// check Env.Send applies. A retired member sends nothing.
+func (p *LitePort) Send(from, to netip.Addr, msg wire.Message) {
+	if h, ok := p.domain.net.Lookup(from); ok {
+		size, payload := p.domain.datagram(msg)
+		p.domain.net.Send(h, to, size, payload)
 	}
-	size, payload := e.domain.datagram(msg)
-	e.domain.net.Send(&e.host, to, size, payload)
 }
 
-// Deliver implements underlay.Receiver for this member.
-func (e *LiteEnv) Deliver(from netip.Addr, size int, payload any) {
-	if e.closed || e.idx < 0 {
-		return
+// UplinkBacklog is the transmit-queue delay now of the member at addr.
+func (p *LitePort) UplinkBacklog(addr netip.Addr) time.Duration {
+	if h, ok := p.domain.net.Lookup(addr); ok {
+		return h.QueueDelay(p.domain.eng.Now())
 	}
+	return 0
+}
+
+// Retire detaches the member at addr and returns its cell to the domain.
+func (p *LitePort) Retire(addr netip.Addr) {
+	if h := p.domain.net.Detach(addr); h != nil {
+		p.domain.liteFree = append(p.domain.liteFree, h)
+	}
+}
+
+// Deliver implements underlay.Receiver for every member of the port.
+func (p *LitePort) Deliver(h *underlay.Host, from netip.Addr, _ int, payload any) {
 	msg, ok := payload.(wire.Message)
 	if !ok {
-		panic(fmt.Sprintf("simnet: non-wire payload %T delivered to %s", payload, e.host.Addr))
+		panic(fmt.Sprintf("simnet: non-wire payload %T delivered to %s", payload, h.Addr))
 	}
-	_ = size
-	e.owner.HandleLite(int(e.idx), from, msg)
-}
-
-// Close detaches the member from the network and returns its cell to the
-// domain. Closing twice is harmless only until the cell is reused: drop the
-// handle.
-func (e *LiteEnv) Close() {
-	if e.closed {
-		return
-	}
-	d := e.domain
-	d.net.Detach(e.host.Addr)
-	d.releaseLite(e)
+	p.owner.HandleLite(int(h.Tag), from, msg)
 }

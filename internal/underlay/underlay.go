@@ -20,11 +20,12 @@ import (
 	"pplivesim/internal/isp"
 )
 
-// Receiver is what a host's arriving datagrams are dispatched to. Payloads
-// are passed by reference; size is the on-the-wire size used for bandwidth
-// accounting.
+// Receiver is what a host's arriving datagrams are dispatched to. h is the
+// destination, so one Receiver can serve any number of hosts and tell them
+// apart by Host.Tag. Payloads are passed by reference; size is the
+// on-the-wire size used for bandwidth accounting.
 type Receiver interface {
-	Deliver(from netip.Addr, size int, payload any)
+	Deliver(h *Host, from netip.Addr, size int, payload any)
 }
 
 // Handler is the function form of Receiver. A func value is pointer-shaped,
@@ -32,7 +33,7 @@ type Receiver interface {
 type Handler func(from netip.Addr, size int, payload any)
 
 // Deliver implements Receiver; a nil Handler discards the datagram.
-func (f Handler) Deliver(from netip.Addr, size int, payload any) {
+func (f Handler) Deliver(_ *Host, from netip.Addr, size int, payload any) {
 	if f != nil {
 		f(from, size, payload)
 	}
@@ -51,14 +52,15 @@ type Host struct {
 	ProcDelay time.Duration
 
 	recv Receiver
-	// key is the packed address the host was last attached under. In-flight
-	// datagrams carry the key they were sent to, so a Host whose storage has
-	// been recycled for another address never receives its predecessor's
-	// traffic.
-	key         uint32
-	detached    bool // set by Detach; in-flight datagrams check it on arrival
+	// key is the packed address the host is attached under, 0 while it is
+	// not. In-flight datagrams carry the key they were sent to, so a host
+	// that has detached, or whose storage has been recycled for another
+	// address, never receives its predecessor's traffic.
+	key uint32
+	// Tag belongs to the host's Receiver: what it needs to tell the hosts it
+	// serves apart. The network never reads it.
+	Tag         int32
 	upBusyUntil time.Duration
-	queuedBytes int64 // bytes accepted but not yet on the wire
 
 	// Stats.
 	sentDatagrams, recvDatagrams uint64
@@ -352,13 +354,13 @@ type delivery struct {
 var deliverDatagram = func(a any) {
 	d := a.(*delivery)
 	n := d.n
-	if dst := d.dst; dst.detached || dst.key != d.to {
+	if dst := d.dst; dst.key != d.to {
 		n.droppedNoHost++
 	} else {
 		dst.recvDatagrams++
 		dst.recvBytes += uint64(d.size)
 		n.delivered++
-		dst.recv.Deliver(d.from, d.size, d.payload)
+		dst.recv.Deliver(dst, d.from, d.size, d.payload)
 	}
 	d.dst = nil
 	d.payload = nil
@@ -391,7 +393,8 @@ func (n *Network) SetRemoteFloor(fn func(dstDomain int) time.Duration) {
 }
 
 // hostKey packs an IPv4 address into the host table key. The simulation's
-// address plan is IPv4-only; non-IPv4 folds to 0, which is never allocated.
+// address plan is IPv4-only; non-IPv4 folds to 0, the key of a detached host,
+// which AttachReceiver refuses.
 func hostKey(a netip.Addr) uint32 {
 	if !a.Is4() {
 		return 0
@@ -405,9 +408,13 @@ func hostKey(a netip.Addr) uint32 {
 func (n *Network) Attach(h *Host, handler Handler) error { return n.AttachReceiver(h, handler) }
 
 // AttachReceiver registers a host and the receiver of its datagrams.
-// Attaching an address that is already attached returns an error.
+// Attaching an address that is already attached, or one that is not a
+// non-zero IPv4 address, returns an error.
 func (n *Network) AttachReceiver(h *Host, recv Receiver) error {
 	key := hostKey(h.Addr)
+	if key == 0 {
+		return fmt.Errorf("underlay: cannot attach %s: not a non-zero IPv4 address", h.Addr)
+	}
 	if n.hosts.get(key) != nil {
 		return fmt.Errorf("underlay: address %s already attached", h.Addr)
 	}
@@ -416,17 +423,19 @@ func (n *Network) AttachReceiver(h *Host, recv Receiver) error {
 	}
 	h.recv = recv
 	h.key = key
-	h.detached = false
 	n.hosts.put(key, h)
 	return nil
 }
 
-// Detach removes a host; subsequent datagrams to it are silently dropped,
-// like UDP to a departed peer.
-func (n *Network) Detach(addr netip.Addr) {
-	if h := n.hosts.remove(hostKey(addr)); h != nil {
-		h.detached = true
+// Detach removes the host attached at addr and returns it, nil if there is
+// none; datagrams to it, in flight or sent later, are silently dropped, like
+// UDP to a departed peer.
+func (n *Network) Detach(addr netip.Addr) *Host {
+	h := n.hosts.remove(hostKey(addr))
+	if h != nil {
+		h.key = 0
 	}
+	return h
 }
 
 // Lookup returns the attached host for addr, if any.

@@ -2,8 +2,10 @@ package underlay
 
 import (
 	"net/netip"
+	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"pplivesim/internal/eventsim"
 	"pplivesim/internal/isp"
@@ -38,6 +40,41 @@ func TestAttachRejectsZeroUpload(t *testing.T) {
 	h := &Host{Addr: netip.MustParseAddr("58.32.0.9"), ISP: isp.TELE}
 	if err := net.Attach(h, nil); err == nil {
 		t.Error("attach with zero upload capacity did not error")
+	}
+}
+
+// TestAttachRejectsKeyZero: key 0 marks a detached host, so nothing may
+// attach there — not the addresses hostKey folds to 0, not 0.0.0.0 itself —
+// and the error names the address instead of calling it a duplicate.
+func TestAttachRejectsKeyZero(t *testing.T) {
+	_, net := newTestNet(t)
+	for _, addr := range []netip.Addr{
+		netip.MustParseAddr("2001:db8::1"),
+		netip.MustParseAddr("::ffff:58.32.0.1"),
+		netip.MustParseAddr("0.0.0.0"),
+		{},
+	} {
+		// Twice: the second attempt used to be the one that failed.
+		for try := 0; try < 2; try++ {
+			err := net.Attach(&Host{Addr: addr, ISP: isp.TELE, UploadBps: 64 << 10}, nil)
+			if err == nil {
+				t.Fatalf("attach %s accepted", addr)
+			}
+			if !strings.Contains(err.Error(), addr.String()) || strings.Contains(err.Error(), "already attached") {
+				t.Errorf("attach %s: error %q does not name the address as the problem", addr, err)
+			}
+		}
+	}
+	if net.NumHosts() != 0 {
+		t.Errorf("%d hosts attached after only rejected attaches", net.NumHosts())
+	}
+}
+
+// TestHostSize pins the host record a million flow members are made of.
+func TestHostSize(t *testing.T) {
+	if size := unsafe.Sizeof(Host{}); size > 112 {
+		t.Errorf("Host is %d bytes, want <= 112: Addr 24, ISP 8, UploadBps 8, ProcDelay 8, recv 16, "+
+			"key 4, Tag 4, upBusyUntil 8, sent/recv datagram and byte counters 4x8", size)
 	}
 }
 
