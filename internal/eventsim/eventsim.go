@@ -6,16 +6,23 @@
 // number), which makes every run a pure function of its inputs and seed.
 //
 // Internals are built for throughput: scheduled events live in a slab
-// (free-list reuse, no per-event heap allocation), near-future events go
-// through a bucketed timer wheel (the dominant case: datagram deliveries and
-// sub-second periodic ticks), and only far-future events touch the overflow
-// binary heap. Cancellation is lazy — a stopped timer marks its slab item
-// dead and the queue entry is skipped (and its slot reclaimed) when it
-// surfaces; when dead entries pile up they are compacted out eagerly so
-// Pending always reflects live load.
+// (free-list reuse, no per-event heap allocation), and their queue entries
+// sit in one of three places. The current slot is a sorted array of every
+// entry due within the active 8 ms slot. Entries due within the next
+// wheelSize slots (the dominant case: datagram deliveries and sub-second
+// periodic ticks) go to a timer wheel whose buckets are linked lists of
+// fixed-size chunks taken from, and returned to, a per-engine free list.
+// Only far-future events touch the overflow binary heap. The queue therefore
+// holds what is pending, not what it once held: the wheel never retains
+// more chunks than its peak of pending entries fills, plus one partly filled
+// chunk per occupied bucket, and once warm it allocates nothing. Cancellation
+// is lazy — a stopped timer marks its slab item dead and the queue entry is
+// skipped (and its slot reclaimed) when it surfaces; when dead entries pile
+// up they are compacted out eagerly so Pending always reflects live load.
 package eventsim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -55,6 +62,23 @@ func entryLess(a, b entry) bool {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
+}
+
+// chunkLen entries fill a chunk to exactly the 256-byte allocation class.
+const chunkLen = 10
+
+// chunk is one link of a wheel bucket's entry list, or of the engine's free
+// list. next comes first so the collector scans one word of it.
+type chunk struct {
+	next *chunk
+	n    int32 // ents[:n] are in use
+	ents [chunkLen]entry
+}
+
+// bucket is one wheel slot's entries in enqueue order; every chunk but the
+// tail is full.
+type bucket struct {
+	head, tail *chunk
 }
 
 // Slab item states.
@@ -134,9 +158,12 @@ type Engine struct {
 	curSlot int64
 
 	// wheel buckets hold entries for slot numbers in
-	// (curSlot, curSlot+wheelSize); occupied is its non-empty bitmap.
-	wheel    [wheelSize][]entry
+	// (curSlot, curSlot+wheelSize); occupied is its non-empty bitmap. Their
+	// chunks come from and return to spare, so the wheel retains at most its
+	// peak of in-use chunks.
+	wheel    [wheelSize]bucket
 	occupied [wheelSize / 64]uint64
+	spare    *chunk
 
 	// heap holds entries at least a full wheel revolution ahead.
 	heap []entry
@@ -204,15 +231,51 @@ func (e *Engine) enqueue(at time.Duration, slot int32, gen uint32) {
 	case s <= e.curSlot:
 		e.insertCur(ent)
 	case s-e.curSlot < wheelSize:
-		b := s & wheelMask
-		if len(e.wheel[b]) == 0 {
-			e.occupied[b>>6] |= 1 << (b & 63)
-		}
-		e.wheel[b] = append(e.wheel[b], ent)
+		e.push(s&wheelMask, ent)
 	default:
 		e.heapPush(ent)
 	}
 	e.live++
+}
+
+// push appends ent to wheel bucket b, taking a chunk from the free list when
+// the bucket is empty or its tail is full.
+func (e *Engine) push(b int64, ent entry) {
+	bk := &e.wheel[b]
+	t := bk.tail
+	if t == nil || t.n == chunkLen {
+		c := e.spare
+		if c != nil {
+			e.spare = c.next
+			c.next, c.n = nil, 0
+		} else {
+			c = new(chunk)
+		}
+		if t == nil {
+			bk.head = c
+			e.occupied[b>>6] |= 1 << (b & 63)
+		} else {
+			t.next = c
+		}
+		bk.tail, t = c, c
+	}
+	t.ents[t.n] = ent
+	t.n++
+}
+
+// take empties wheel bucket b and returns its chunk list, which the caller
+// reads and then hands to recycle.
+func (e *Engine) take(b int64) bucket {
+	bk := e.wheel[b]
+	e.wheel[b] = bucket{}
+	e.occupied[b>>6] &^= 1 << (b & 63)
+	return bk
+}
+
+// recycle puts the chunk list from head through tail on the free list.
+func (e *Engine) recycle(head, tail *chunk) {
+	tail.next = e.spare
+	e.spare = head
 }
 
 // insertCur inserts into the active slot's sorted pending suffix. New
@@ -270,24 +333,21 @@ func (e *Engine) advance() bool {
 		return false
 	}
 	e.curSlot = target
-	b := target & wheelMask
-	if len(e.wheel[b]) > 0 {
-		e.cur = append(e.cur, e.wheel[b]...)
-		e.wheel[b] = e.wheel[b][:0]
-		e.occupied[b>>6] &^= 1 << (b & 63)
+	if bk := e.take(target & wheelMask); bk.head != nil {
+		for c := bk.head; c != nil; c = c.next {
+			e.cur = append(e.cur, c.ents[:c.n]...)
+		}
+		e.recycle(bk.head, bk.tail)
 	}
 	end := time.Duration(target+1) * slotWidth
 	for len(e.heap) > 0 && e.heap[0].at < end {
 		e.cur = append(e.cur, e.heapPop())
 	}
 	slices.SortFunc(e.cur, func(a, b entry) int {
-		if entryLess(a, b) {
-			return -1
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
 		}
-		if entryLess(b, a) {
-			return 1
-		}
-		return 0
+		return cmp.Compare(a.seq, b.seq)
 	})
 	return true
 }
@@ -359,20 +419,22 @@ func (e *Engine) maybeCompact() {
 		}
 	}
 	e.cur = out
-	for b := range e.wheel {
-		lst := e.wheel[b]
-		if len(lst) == 0 {
-			continue
-		}
-		o := lst[:0]
-		for _, ent := range lst {
-			if keep(ent) {
-				o = append(o, ent)
+	// Each occupied bucket is rebuilt chunk by chunk: a chunk goes back on
+	// the free list once read, so push can reuse it for the survivors that
+	// follow.
+	for wi, w := range e.occupied {
+		for ; w != 0; w &= w - 1 {
+			b := int64(wi<<6 + bits.TrailingZeros64(w))
+			for c := e.take(b).head; c != nil; {
+				next := c.next
+				for _, ent := range c.ents[:c.n] {
+					if keep(ent) {
+						e.push(b, ent)
+					}
+				}
+				e.recycle(c, c)
+				c = next
 			}
-		}
-		e.wheel[b] = o
-		if len(o) == 0 {
-			e.occupied[b>>6] &^= 1 << (b & 63)
 		}
 	}
 	o := e.heap[:0]
