@@ -59,10 +59,11 @@ type rtAgg struct {
 	sketch RTSketch
 }
 
-func (r *rtAgg) add(d time.Duration) {
-	r.count++
-	r.sum += d
-	r.sketch.Add(d)
+// add folds n observations of response time d.
+func (r *rtAgg) add(d time.Duration, n uint64) {
+	r.count += int(n)
+	r.sum += time.Duration(n) * d
+	r.sketch.AddN(d, n)
 }
 
 // NewAggregate creates an empty aggregate for a probe in probeISP whose
@@ -130,32 +131,42 @@ func (a *Aggregate) DataRequest(peer netip.Addr, at time.Duration) {
 
 // DataMatched implements capture.Events.
 func (a *Aggregate) DataMatched(tx capture.Transmission) {
-	if tx.Peer == a.source {
-		a.sourceTx++
-		a.sourceBytes += uint64(tx.Bytes)
-		return
-	}
-	if a.isEdge(tx.Peer) {
-		a.edgeTx++
-		a.edgeBytes += uint64(tx.Bytes)
-		return
-	}
-	cat := resolve(a.resolver, tx.Peer)
-	a.txByISP[cat]++
-	a.bytesByISP[cat] += uint64(tx.Bytes)
+	a.AddTransfers(tx.Peer, tx.ResponseTime(), 1, uint64(tx.Bytes))
+}
 
-	rt := tx.ResponseTime()
+// AddTransfers books n matched data transmissions from peer, each with
+// response time rt, carrying bytes in total. It is n DataMatched calls in
+// one: every tally it touches is a sum or a minimum, so the result is the
+// same bit for bit. Flow swarms book their per-ISP traffic through it.
+func (a *Aggregate) AddTransfers(peer netip.Addr, rt time.Duration, n, bytes uint64) {
+	if n == 0 {
+		return
+	}
+	if peer == a.source {
+		a.sourceTx += n
+		a.sourceBytes += bytes
+		return
+	}
+	if a.isEdge(peer) {
+		a.edgeTx += n
+		a.edgeBytes += bytes
+		return
+	}
+	cat := resolve(a.resolver, peer)
+	a.txByISP[cat] += n
+	a.bytesByISP[cat] += bytes
+
 	g := isp.GroupOf(cat)
 	agg := a.dataRT[g]
 	if agg == nil {
 		agg = &rtAgg{}
 		a.dataRT[g] = agg
 	}
-	agg.add(rt)
+	agg.add(rt, n)
 
-	act := a.peer(tx.Peer)
-	act.Replies++
-	act.Bytes += uint64(tx.Bytes)
+	act := a.peer(peer)
+	act.Replies += int(n)
+	act.Bytes += bytes
 	// RTT estimate (§3.5): running minimum response time over the peer's
 	// transmissions.
 	if act.RTT == 0 || rt < act.RTT {
@@ -180,7 +191,7 @@ func (a *Aggregate) PeerListMatched(ex capture.ListExchange) {
 		a.listRT[g] = agg
 	}
 	rt := ex.ResponseTime()
-	agg.add(rt)
+	agg.add(rt, 1)
 	a.listSeries[g] = append(a.listSeries[g], RTPoint{At: ex.ReqAt, RT: rt})
 }
 

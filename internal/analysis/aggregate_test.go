@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math/rand"
 	"net/netip"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
@@ -295,5 +296,88 @@ func TestAnalyzeSketchesMatchStats(t *testing.T) {
 	if len(rep.DataRTSketch) != len(rep.DataRT) || len(rep.ListRTSketch) != len(rep.ListRT) {
 		t.Errorf("sketch group sets differ from stats: %d/%d, %d/%d",
 			len(rep.DataRTSketch), len(rep.DataRT), len(rep.ListRTSketch), len(rep.ListRT))
+	}
+}
+
+// TestAddTransfersEqualsDataMatched is the bulk-booking property flow swarms
+// rely on: AddTransfers(p, rt, n, bytes) leaves the aggregate exactly as n
+// DataMatched calls from p with response time rt whose sizes sum to bytes.
+// Cases cover a peer in every ISP, the channel source, a marked CDN edge,
+// n of 0, 1 and 7, and response times under the sketch floor and over its
+// ceiling; the reports are compared after every case, so first observations,
+// running minimums and bins shared across cases are all checked.
+func TestAddTransfersEqualsDataMatched(t *testing.T) {
+	resolver := testResolver()
+	cerA := netip.MustParseAddr("202.112.0.1")
+	otherA := netip.MustParseAddr("211.64.0.1")
+	resolver[cerA] = isp.CER
+	resolver[otherA] = isp.OtherCN
+	peers := []netip.Addr{teleA, cncA, cerA, otherA, foreignA, srcA, edgeA}
+	rts := []time.Duration{120 * time.Millisecond, 300 * time.Microsecond, 150 * time.Second, 40 * time.Millisecond}
+
+	bulk := NewAggregate(resolver, srcA, isp.TELE)
+	single := NewAggregate(resolver, srcA, isp.TELE)
+	for _, a := range []*Aggregate{bulk, single} {
+		a.SetEdges([]netip.Addr{edgeA})
+		// Identical request counts on both sides make the rank fits and the
+		// rank–RTT correlation part of the comparison.
+		for i, p := range peers {
+			for k := 0; k <= i; k++ {
+				a.DataRequest(p, 0)
+			}
+		}
+	}
+	at := time.Second
+	for _, rt := range rts {
+		for _, p := range peers {
+			for _, n := range []uint64{0, 1, 7} {
+				var bytes uint64
+				for i := uint64(0); i < n; i++ {
+					size := 1380 - 100*int(i)
+					bytes += uint64(size)
+					at += time.Millisecond
+					single.DataMatched(capture.Transmission{Peer: p, ReqAt: at, RepAt: at + rt, Bytes: size})
+				}
+				bulk.AddTransfers(p, rt, n, bytes)
+				if got, want := bulk.Report(), single.Report(); !reflect.DeepEqual(got, want) {
+					t.Fatalf("peer %s, rt %v, n %d: bulk report differs from per-transmission report\n bulk:   %+v\n single: %+v",
+						p, rt, n, got, want)
+				}
+			}
+		}
+	}
+	if rep := bulk.Report(); rep.SourceTransmissions == 0 || rep.EdgeTransmissions == 0 || len(rep.BytesByISP) != 5 {
+		t.Errorf("cases missed a path: source %d, edge %d, %d ISPs", rep.SourceTransmissions, rep.EdgeTransmissions, len(rep.BytesByISP))
+	}
+}
+
+// TestSketchAddNEqualsRepeatedAdd: AddN(d, n) is n calls of Add(d), field for
+// field, whether it is the sketch's first observation or not, for durations
+// under the floor, inside the grid and over the ceiling, and for n = 0.
+func TestSketchAddNEqualsRepeatedAdd(t *testing.T) {
+	ds := []time.Duration{250 * time.Millisecond, 10 * time.Microsecond, 5 * time.Minute, 3 * time.Millisecond}
+	for _, first := range ds {
+		for _, n := range []uint64{0, 1, 7} {
+			var bulk, single RTSketch
+			bulk.AddN(first, n)
+			for i := uint64(0); i < n; i++ {
+				single.Add(first)
+			}
+			if bulk != single {
+				t.Fatalf("first observation %v ×%d: AddN %+v, Add %+v", first, n, bulk, single)
+			}
+			if n > 0 && (bulk.Min != first || bulk.Max != first) {
+				t.Errorf("first observation %v ×%d: min/max %v/%v", first, n, bulk.Min, bulk.Max)
+			}
+			for _, d := range ds {
+				bulk.AddN(d, n+2)
+				for i := uint64(0); i < n+2; i++ {
+					single.Add(d)
+				}
+				if bulk != single {
+					t.Fatalf("after %v ×%d then %v ×%d: AddN %+v, Add %+v", first, n, d, n+2, bulk, single)
+				}
+			}
+		}
 	}
 }

@@ -68,16 +68,23 @@ func sketchCentroid(i int) time.Duration {
 }
 
 // Add folds one observation into the sketch.
-func (s *RTSketch) Add(d time.Duration) {
+func (s *RTSketch) Add(d time.Duration) { s.AddN(d, 1) }
+
+// AddN folds n observations of the same duration into the sketch, exactly as
+// n calls of Add would.
+func (s *RTSketch) AddN(d time.Duration, n uint64) {
+	if n == 0 {
+		return
+	}
 	if s.Count == 0 || d < s.Min {
 		s.Min = d
 	}
 	if s.Count == 0 || d > s.Max {
 		s.Max = d
 	}
-	s.Count++
-	s.Sum += d
-	s.Bins[sketchBin(d)]++
+	s.Count += n
+	s.Sum += time.Duration(n) * d
+	s.Bins[sketchBin(d)] += n
 }
 
 // Merge folds another sketch into this one. Because centroids are fixed,

@@ -6,12 +6,10 @@ import (
 	"time"
 
 	"pplivesim/internal/analysis"
-	"pplivesim/internal/capture"
 	"pplivesim/internal/isp"
 	"pplivesim/internal/peer"
 	"pplivesim/internal/selection"
 	"pplivesim/internal/simnet"
-	"pplivesim/internal/stream"
 	"pplivesim/internal/underlay"
 	"pplivesim/internal/wire"
 	"pplivesim/internal/workload"
@@ -51,15 +49,13 @@ type FlowTraffic struct {
 
 // flowDomain is one shard domain's slice of one channel's flow swarm: the
 // swarm itself, the port its members' hosts hang off, and the window-local
-// telemetry aggregate its owning worker writes between barriers. A row's
-// address is its handle: the port finds the host by it. It implements
-// peer.FlowPort and simnet.LiteHandler.
+// traffic tallies its owning worker adds to between barriers. A row's address
+// is its handle: the port finds the host by it. It implements peer.FlowPort
+// and simnet.LiteHandler.
 type flowDomain struct {
 	sim      *Sim
 	ds       *domainState
-	chIdx    int
 	category isp.ISP
-	spec     stream.Spec
 	initial  int
 
 	swarm *peer.FlowSwarm
@@ -74,15 +70,17 @@ type flowDomain struct {
 	share []float64
 	rep   []netip.Addr
 	rtt   []time.Duration
-	seq   uint64
 
-	// window is written only by the owning domain's worker during a
-	// synchronization window; foldFlowWindows merges it into total
-	// single-threaded at the barrier, which is what keeps cross-sub-shard
-	// totals lock-free and worker-count invariant.
-	window *analysis.Aggregate
-	dirty  bool
-	total  *FlowTraffic
+	// winTx and winBytes, parallel to cats, tally the window's synthetic
+	// transmissions and bytes per source ISP. Only the owning domain's worker
+	// adds to them during a synchronization window; foldFlowWindows books
+	// them into total single-threaded at the barrier and zeroes them, which
+	// is what keeps cross-sub-shard totals lock-free and worker-count
+	// invariant.
+	winTx    []uint64
+	winBytes []uint64
+	dirty    bool
+	total    *FlowTraffic
 }
 
 var (
@@ -135,16 +133,15 @@ func (s *Sim) buildFlowPopulation(set []ChannelSpec) error {
 				fd := &flowDomain{
 					sim:      s,
 					ds:       ds,
-					chIdx:    chIdx,
 					category: category,
-					spec:     ch.Spec,
 					initial:  n,
 					cats:     cats,
 					share:    share,
 					rep:      rep,
 					rtt:      rtt,
+					winTx:    make([]uint64, len(cats)),
+					winBytes: make([]uint64, len(cats)),
 					total:    total,
-					window:   analysis.NewAggregate(world.Registry, s.channels[chIdx].Source, category),
 				}
 				swarm, err := peer.NewFlowSwarm(fcfg, fd, ds.rng, s.trackerList, n)
 				if err != nil {
@@ -241,11 +238,11 @@ func (fd *flowDomain) spawnMember() {
 	fd.ds.spawned++
 }
 
-// tick advances the swarm one flow interval and books its streamed bytes
-// into the window-local aggregate, split across source ISPs by the mix.
+// tick advances the swarm one flow interval and tallies its streamed bytes
+// in the window, split across source ISPs by the mix: one synthetic
+// transmission per source ISP that gets a whole byte.
 func (fd *flowDomain) tick() {
-	now := fd.Now()
-	fd.swarm.Tick(now)
+	fd.swarm.Tick(fd.Now())
 	bytes := fd.swarm.TakeBytes()
 	if bytes == 0 {
 		return
@@ -255,15 +252,8 @@ func (fd *flowDomain) tick() {
 		if b == 0 {
 			continue
 		}
-		fd.seq++
-		fd.window.DataMatched(capture.Transmission{
-			Peer:   fd.rep[k],
-			Seq:    fd.seq,
-			ReqAt:  now - fd.rtt[k],
-			RepAt:  now,
-			Bytes:  int(b),
-			Pieces: int(b) / fd.spec.SubPieceLen,
-		})
+		fd.winTx[k]++
+		fd.winBytes[k] += b
 	}
 	fd.dirty = true
 }
@@ -292,20 +282,23 @@ func (fd *flowDomain) HandleLite(i int, from netip.Addr, msg wire.Message) {
 	fd.swarm.Handle(i, from, msg)
 }
 
-// foldFlowWindows merges every dirty window-local flow aggregate into its
-// (channel, category) total. Registered as a barrier hook, so it runs
-// single-threaded between synchronization windows: multiple TELE sub-shard
-// workers feed the same total without locks, and the fold order (flows in
-// build order) is fixed, keeping the totals worker-count invariant. Run
-// calls it once more for the final window's leftovers.
+// foldFlowWindows books every dirty flow domain's window tallies into its
+// (channel, category) total — each source ISP's transmissions at that ISP's
+// representative peer and request RTT — and zeroes them. Registered as a
+// barrier hook, so it runs single-threaded between synchronization windows:
+// multiple TELE sub-shard workers feed the same total without locks, and the
+// fold order (flows in build order) is fixed, keeping the totals worker-count
+// invariant. Run calls it once more for the final window's leftovers.
 func (s *Sim) foldFlowWindows() {
 	for _, fd := range s.flows {
 		if !fd.dirty {
 			continue
 		}
 		fd.dirty = false
-		fd.total.Aggregate.Merge(fd.window)
-		fd.window = analysis.NewAggregate(s.world.Registry, s.channels[fd.chIdx].Source, fd.category)
+		for k, n := range fd.winTx {
+			fd.total.Aggregate.AddTransfers(fd.rep[k], fd.rtt[k], n, fd.winBytes[k])
+			fd.winTx[k], fd.winBytes[k] = 0, 0
+		}
 	}
 }
 

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"encoding/json"
+	"fmt"
+	"hash/fnv"
 	"os"
 	"runtime"
 	"testing"
@@ -59,13 +62,31 @@ func TestFlowFidelitySmallRun(t *testing.T) {
 	}
 }
 
+// flowAccountDigest condenses the flow-level traffic account into one
+// number: a FNV-1a hash over every (channel, ISP) total's Report, rendered
+// as JSON, in build order. The goldens never see this account — they fold
+// events, spawns and probe records — so this is what pins it.
+func flowAccountDigest(t *testing.T, res *Result) uint64 {
+	t.Helper()
+	h := fnv.New64a()
+	for _, ft := range res.FlowTraffic {
+		b, err := json.Marshal(ft.Aggregate.Report())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%d/%s:", ft.Channel, ft.ISP)
+		h.Write(b)
+	}
+	return h.Sum64()
+}
+
 // flowSummary captures everything a flow worker-invariance check compares.
 type flowSummary struct {
 	digest     uint64
 	events     uint64
 	spawned    int
 	continuity float64
-	teleBytes  uint64
+	account    uint64
 }
 
 func runFlowScaled(t *testing.T, sc Scenario, shards, workers int) flowSummary {
@@ -77,20 +98,34 @@ func runFlowScaled(t *testing.T, sc Scenario, shards, workers int) flowSummary {
 	if err != nil {
 		t.Fatalf("shards %d workers %d: %v", shards, workers, err)
 	}
-	var teleBytes uint64
-	for _, ft := range res.FlowTraffic {
-		if ft.ISP == isp.TELE {
-			for _, b := range ft.Aggregate.BytesSnapshot() {
-				teleBytes += b
-			}
-		}
-	}
 	return flowSummary{
 		digest:     goldenDigest(t, res),
 		events:     res.EventsProcessed,
 		spawned:    res.PeersSpawned,
 		continuity: res.Probes[0].Client.BufferStats().Continuity(),
-		teleBytes:  teleBytes,
+		account:    flowAccountDigest(t, res),
+	}
+}
+
+// TestFlowTrafficPinned pins the whole flow-level traffic account of the
+// flow-small scenario on the 12-domain scaled partition: every per-ISP
+// transmission and byte total, every response-time group and sketch, and
+// every representative peer's activity. The account never feeds back into
+// the simulation, so nothing else would notice if its booking drifted.
+func TestFlowTrafficPinned(t *testing.T) {
+	sc := smallScenario(7)
+	sc.Name = "flow-small"
+	sc.Fidelity = peer.FidelityFlow
+	sc.Churn = workload.DefaultChurn()
+	sc.Shards = 12
+	sc.Workers = goldenWorkers(t)
+	res, err := RunScenario(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = 0x3873fe3bd0e43505
+	if got := flowAccountDigest(t, res); got != want {
+		t.Errorf("flow traffic account digest = %#x, want %#x (the flow account changed)", got, want)
 	}
 }
 
@@ -155,7 +190,9 @@ func TestFlowFidelityValidation(t *testing.T) {
 // slots are all recycled. (TestFlowTickZeroAlloc in internal/peer gates the
 // same tick against a stub port.) What remains is one 2 KB host-table leaf per
 // 256 fresh addresses, below this gate's resolution. After the churn and a
-// kill it checks that the address really is each row's handle.
+// kill it checks that the address really is each row's handle. Last, it gates
+// the traffic account the same way: a flow tick that books its bytes into the
+// window tallies, then the barrier fold into the (channel, ISP) total.
 func TestFlowChurnZeroAlloc(t *testing.T) {
 	sc := smallScenario(7)
 	sc.Name = "flow-churn-alloc"
@@ -242,6 +279,29 @@ func TestFlowChurnZeroAlloc(t *testing.T) {
 		if got, want := sim.doms[i].dom.Network().NumHosts(), live[i]+full[i]; got != want {
 			t.Errorf("%s: %d hosts attached, want %d live members + %d full hosts", sim.doms[i].dom.Name(), got, live[i], full[i])
 		}
+	}
+
+	// Booking and fold. Nothing steps this engine again, so its clock may
+	// jump past the events still queued: each round is one flow interval.
+	booked := func() (sum uint64) {
+		for _, b := range fd.total.Aggregate.BytesSnapshot() {
+			sum += b
+		}
+		return sum
+	}
+	before := booked()
+	eng.FastForward(now)
+	allocs = testing.AllocsPerRun(400, func() {
+		now += flowTickInterval
+		eng.FastForward(now)
+		fd.tick()
+		sim.foldFlowWindows()
+	})
+	if booked() <= before {
+		t.Fatal("the flow ticks booked no bytes into the total")
+	}
+	if allocs != 0 {
+		t.Errorf("flow tick + window fold allocates %.2f objects per round, want 0", allocs)
 	}
 }
 

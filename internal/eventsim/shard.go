@@ -3,6 +3,7 @@ package eventsim
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sync"
@@ -87,6 +88,10 @@ const (
 	phaseExit
 )
 
+// noEvent is the next-event time of an engine with nothing pending: later
+// than every window's end.
+const noEvent = time.Duration(math.MaxInt64)
+
 // Wait budget of a sleeper before it parks, and the assumption behind it:
 // every worker has a processor to itself. Run never starts more workers than
 // GOMAXPROCS, and a program that runs several Groups at once is expected to
@@ -166,7 +171,7 @@ type groupRun struct {
 	g      *Group
 	kind   int
 	end    time.Duration
-	active []bool          // per engine: has an event before end
+	next   []time.Duration // per engine: earliest pending event, or noEvent
 	mine   [][]int         // per worker: the engines it runs and delivers to first
 	target uint64          // value of arrived that completes the current phase
 	claim  []atomic.Uint64 // per engine: epoch of the last phase it was taken in
@@ -200,7 +205,7 @@ func (g *Group) Run(horizon time.Duration) error {
 	workers := max(1, min(g.Workers, runtime.GOMAXPROCS(0), n))
 	r := &groupRun{
 		g:       g,
-		active:  make([]bool, n),
+		next:    make([]time.Duration, n),
 		claim:   make([]atomic.Uint64, n),
 		mine:    make([][]int, workers),
 		last:    make([]uint64, n),
@@ -225,15 +230,20 @@ func (g *Group) Run(horizon time.Duration) error {
 		if err := g.stopped(); err != nil {
 			return err
 		}
-		// Find the earliest pending event across shards; empty windows are
-		// skipped entirely by jumping T to it.
-		minNext := time.Duration(-1)
-		for _, e := range g.Engines {
-			if at, ok := e.NextAt(); ok && (minNext < 0 || at < minNext) {
-				minNext = at
+		// Find the earliest pending event across shards, asking each engine
+		// once: empty windows are skipped entirely by jumping T to it, and
+		// the run phase skips every engine whose next event is not before
+		// the window's end.
+		minNext := noEvent
+		for i, e := range g.Engines {
+			at, ok := e.NextAt()
+			if !ok {
+				at = noEvent
 			}
+			r.next[i] = at
+			minNext = min(minNext, at)
 		}
-		if minNext < 0 || minNext > horizon {
+		if minNext == noEvent || minNext > horizon {
 			break
 		}
 		// Window width never exceeds the lookahead: anything sent inside
@@ -241,10 +251,6 @@ func (g *Group) Run(horizon time.Duration) error {
 		// mid-window. The horizon cap is horizon+1, not horizon, so events
 		// at exactly the horizon fire, matching Engine.Run.
 		r.end = min(minNext+g.Lookahead, horizon+1)
-		for i, e := range g.Engines {
-			at, ok := e.NextAt()
-			r.active[i] = ok && at < r.end
-		}
 
 		r.phase(phaseRun)
 		if err := g.stopped(); err != nil {
@@ -342,7 +348,7 @@ func (r *groupRun) work(w int, epoch uint64) {
 			if k > 0 {
 				i = list[len(list)-1-j]
 			}
-			if r.kind == phaseRun && !r.active[i] {
+			if r.kind == phaseRun && r.next[i] >= r.end {
 				continue
 			}
 			if nw > 1 && r.claim[i].Swap(epoch) == epoch {

@@ -60,15 +60,22 @@ func (t *hostTable) put(key uint32, h *Host) {
 	t.n++
 }
 
-// remove vacates key and returns the host that was there, or nil.
+// remove vacates key and returns the host that was there, or nil. It walks
+// the levels once, keeping each node for the release cascade.
 func (t *hostTable) remove(key uint32) *Host {
-	h := t.get(key)
-	if h == nil {
+	a := t.root.kids[byte(key>>24)]
+	if a == nil {
 		return nil
 	}
-	a := t.root.kids[byte(key>>24)]
 	b := a.kids[byte(key>>16)]
+	if b == nil {
+		return nil
+	}
 	leaf := b.kids[byte(key>>8)]
+	if leaf == nil || leaf.kids[byte(key)] == nil {
+		return nil
+	}
+	h := leaf.kids[byte(key)]
 	if leaf.drop(byte(key)) && b.drop(byte(key>>8)) && a.drop(byte(key>>16)) {
 		t.root.drop(byte(key >> 24))
 	}

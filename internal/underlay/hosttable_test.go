@@ -146,3 +146,25 @@ func TestPairKeyMatchesFNV(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkHostTableRemovePut is a flow member's churn on the table: a
+// million-address /12 (8 MB of leaves), each op removing a random member and
+// putting it back, so most removes land on a leaf that is out of cache.
+func BenchmarkHostTableRemovePut(b *testing.B) {
+	const base, n = 0x3a200000, 1 << 20
+	var t hostTable
+	h := &Host{}
+	for i := uint32(0); i < n; i++ {
+		t.put(base+i, h)
+	}
+	rng := rand.New(rand.NewSource(7))
+	keys := make([]uint32, 1<<16)
+	for i := range keys {
+		keys[i] = base + uint32(rng.Intn(n))
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		key := keys[i&(len(keys)-1)]
+		t.put(key, t.remove(key))
+	}
+}
