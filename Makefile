@@ -41,7 +41,12 @@ cdn_bench       = CDNUrgentMiss
 cdn_pkgs        = ./internal/peer
 BENCHTIME ?= 2s
 
-.PHONY: fast full perf-test fuzz bench $(SUITES:%=bench-%) bench-e2e bench-scenarios clean
+.PHONY: fast full perf-test fuzz loc bench $(SUITES:%=bench-%) bench-e2e bench-scenarios clean
+
+# Non-blank, non-test Go lines outside perf/: the code size ROADMAP aim 2
+# tracks.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perf/*' ! -path './.*' -exec cat {} + | grep -cv '^[[:space:]]*$$'
 
 # Fast lane: static checks plus every -short test under the race detector.
 # Scenario-scale tests skip themselves in -short mode, so this finishes in

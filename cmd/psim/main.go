@@ -25,8 +25,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -38,29 +40,38 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "psim:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	channel := flag.String("channel", "popular", "popular, unpopular, or multi (both concurrently)")
-	scale := flag.Float64("scale", 0.25, "population scale (1.0 = paper-size audience)")
-	watch := flag.Duration("watch", 20*time.Minute, "probe watch duration")
-	warmup := flag.Duration("warmup", 6*time.Minute, "swarm warm-up before probes join")
-	probesFlag := flag.String("probes", "tele,mason", "comma-separated probe ISPs: tele, cnc, cer, other, mason")
-	seed := flag.Int64("seed", 7, "random seed")
-	noReferral := flag.Bool("no-referral", false, "ablate neighbor referral")
-	noLatency := flag.Bool("no-latency-bias", false, "ablate latency-based selection")
-	noPref := flag.Bool("no-preference", false, "ablate performance-weighted scheduling")
-	shards := flag.Int("shards", simnet.DefaultShards, "event-loop workers (one per ISP domain by default). Up to 6, results are identical at any setting; above 6 (at most 256) it also selects the scaled partition of that many domains, a different trajectory that is again identical at any worker count")
-	switchFrac := flag.Float64("switch-fraction", 0.35, "with -channel multi: share of viewers that browse channels")
-	dwell := flag.Duration("median-dwell", 4*time.Minute, "with -channel multi: median dwell on a channel before switching")
-	faultName := flag.String("fault", "", "inject a chaos preset: "+strings.Join(pplive.FaultPresetNames(), ", "))
-	fidelityName := flag.String("fidelity", "mixed", "background population fidelity: "+strings.Join(pplive.FidelityNames(), ", "))
-	selectionName := flag.String("selection", "random", "peer selection policy: "+strings.Join(pplive.SelectionNames(), ", "))
-	flag.Parse()
+// run is the whole command. Every flag is checked before the simulation is
+// built.
+func run(args []string, stdout, stderr io.Writer) error {
+	flags := flag.NewFlagSet("psim", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	channel := flags.String("channel", "popular", "popular, unpopular, or multi (both concurrently)")
+	scale := flags.Float64("scale", 0.25, "population scale (1.0 = paper-size audience)")
+	watch := flags.Duration("watch", 20*time.Minute, "probe watch duration")
+	warmup := flags.Duration("warmup", 6*time.Minute, "swarm warm-up before probes join")
+	probesFlag := flags.String("probes", "tele,mason", "comma-separated probe ISPs: tele, cnc, cer, other, mason")
+	seed := flags.Int64("seed", 7, "random seed")
+	noReferral := flags.Bool("no-referral", false, "ablate neighbor referral")
+	noLatency := flags.Bool("no-latency-bias", false, "ablate latency-based selection")
+	noPref := flags.Bool("no-preference", false, "ablate performance-weighted scheduling")
+	shards := flags.Int("shards", simnet.DefaultShards, "event-loop workers (one per ISP domain by default). Up to 6, results are identical at any setting; above 6 (at most 256) it also selects the scaled partition of that many domains, a different trajectory that is again identical at any worker count")
+	switchFrac := flags.Float64("switch-fraction", 0.35, "with -channel multi: share of viewers that browse channels")
+	dwell := flags.Duration("median-dwell", 4*time.Minute, "with -channel multi: median dwell on a channel before switching")
+	faultName := flags.String("fault", "", "inject a chaos preset: "+strings.Join(pplive.FaultPresetNames(), ", "))
+	fidelityName := flags.String("fidelity", "mixed", "background population fidelity: "+strings.Join(pplive.FidelityNames(), ", "))
+	selectionName := flags.String("selection", "random", "peer selection policy: "+strings.Join(pplive.SelectionNames(), ", "))
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
 
 	if *scale <= 0 {
 		return fmt.Errorf("-scale %g: must be positive", *scale)
@@ -71,8 +82,8 @@ func run() error {
 	if *warmup <= 0 {
 		return fmt.Errorf("-warmup %s: must be positive", *warmup)
 	}
-	if *shards < 1 {
-		return fmt.Errorf("-shards %d: must be >= 1", *shards)
+	if *shards < 1 || *shards > simnet.MaxShards {
+		return fmt.Errorf("-shards %d: want 1..%d", *shards, simnet.MaxShards)
 	}
 
 	var sc pplive.Scenario
@@ -101,12 +112,12 @@ func run() error {
 	}
 	fidelity, err := pplive.ParseFidelity(*fidelityName)
 	if err != nil {
-		return err
+		return fmt.Errorf("-fidelity: %w", err)
 	}
 	sc.Fidelity = fidelity
 	selSpec, err := pplive.ParseSelection(*selectionName)
 	if err != nil {
-		return err
+		return fmt.Errorf("-selection: %w", err)
 	}
 	sc.Selection = selSpec
 
@@ -127,7 +138,7 @@ func run() error {
 		case "":
 			continue
 		default:
-			return fmt.Errorf("unknown probe %q", name)
+			return fmt.Errorf("-probes: unknown probe %q", name)
 		}
 		if multi {
 			// One instance of each probe per channel, pinned there for the run.
@@ -143,12 +154,12 @@ func run() error {
 		}
 	}
 	if len(sc.Probes) == 0 {
-		return fmt.Errorf("no probes specified")
+		return fmt.Errorf("-probes: no probes specified")
 	}
 	if *faultName != "" {
 		fs, err := pplive.FaultPreset(*faultName, sc.WarmUp, sc.Watch)
 		if err != nil {
-			return err
+			return fmt.Errorf("-fault: %w", err)
 		}
 		sc.Faults = fs
 	}
@@ -161,23 +172,23 @@ func run() error {
 	} else {
 		viewers = sc.Viewers.Total()
 	}
-	fmt.Printf("scenario %s: %d viewers, watch %s (total virtual %s), seed %d\n",
+	fmt.Fprintf(stdout, "scenario %s: %d viewers, watch %s (total virtual %s), seed %d\n",
 		sc.Name, viewers, sc.Watch, sc.WarmUp+sc.Watch, sc.Seed)
 	start := time.Now()
 	res, err := pplive.RunScenario(sc)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("completed: %d engine events, %d viewers spawned, wall %s\n\n",
+	fmt.Fprintf(stdout, "completed: %d engine events, %d viewers spawned, wall %s\n\n",
 		res.EventsProcessed, res.PeersSpawned, time.Since(start).Round(time.Millisecond))
 	if multi {
-		fmt.Printf("channel switching: %d viewers switched at least once, %d switch events\n",
+		fmt.Fprintf(stdout, "channel switching: %d viewers switched at least once, %d switch events\n",
 			res.Switchers, res.Switches)
 		for _, ch := range res.Channels {
-			fmt.Printf("  channel %d (%s): %d initial viewers, source %v\n",
+			fmt.Fprintf(stdout, "  channel %d (%s): %d initial viewers, source %v\n",
 				ch.Spec.Channel, ch.Spec.Name, ch.Viewers.Total(), ch.Source)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 
 	for i, p := range res.Probes {
@@ -186,13 +197,13 @@ func run() error {
 			return err
 		}
 		title := fmt.Sprintf("=== probe %s (%s) ===", p.Name, p.ISP)
-		fmt.Println(experiments.ProbeSummary(title, rep))
+		fmt.Fprintln(stdout, experiments.ProbeSummary(title, rep))
 		if sc.Faults != nil {
 			summary, err := experiments.ResilienceSummary(res, p.Name)
 			if err != nil {
 				return err
 			}
-			fmt.Println("resilience:\n" + summary)
+			fmt.Fprintln(stdout, "resilience:\n"+summary)
 		}
 	}
 	return nil

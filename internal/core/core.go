@@ -126,7 +126,7 @@ type Scenario struct {
 
 	// Faults, when non-nil, is the declarative fault-injection schedule
 	// executed during the run (see internal/fault). A non-nil schedule also
-	// enables every peer's resilience behaviours (peer.DefaultResilience) and
+	// enables every peer's resilience behaviours (peer.Config.Resilient) and
 	// periodic probe-side resilience sampling. Nil injects nothing, enables
 	// nothing, and leaves the trajectory bit-identical to a fault-free build —
 	// the pinned golden digests enforce this.
@@ -746,11 +746,9 @@ func (s *Sim) applyBehaviour(cfg *peer.Config) {
 	if s.scenario.Selection.Kind != selection.KindUniform {
 		cfg.Selection = s.policy
 	}
-	// Chaos runs harden every peer; fault-free runs keep the zero value so
-	// their trajectories stay bit-identical to pre-resilience builds.
-	if s.scenario.Faults != nil {
-		cfg.Resilience = peer.DefaultResilience()
-	}
+	// Chaos runs harden every peer; fault-free runs leave it off so their
+	// trajectories stay bit-identical to pre-resilience builds.
+	cfg.Resilient = s.scenario.Faults != nil
 }
 
 // spawnViewer creates one background viewer in ds's shard domain, arriving

@@ -121,14 +121,14 @@ func TestEdgeFallbackOrdering(t *testing.T) {
 	}
 
 	// Hold-off lapses: the first edge absorbs urgent misses again.
-	env.now += edgeBusyHoldoff + time.Millisecond
+	env.now += shedBacklog + time.Millisecond
 	seq = s.spec.EdgeSeq(env.now)
 	if got := pick(); got != edgeAddr1 {
 		t.Fatalf("pick after hold-off = %v, want %v", got, edgeAddr1)
 	}
 }
 
-// TestCrashedEdgePurged checks the timeout path: after edgeFailThreshold
+// TestCrashedEdgePurged checks the timeout path: after failThreshold
 // consecutive expiry rounds the edge is evicted from the affinity order, the
 // edge set, and the neighbor table, and urgent picks fall back to the source.
 func TestCrashedEdgePurged(t *testing.T) {
@@ -138,10 +138,10 @@ func TestCrashedEdgePurged(t *testing.T) {
 	s := c.active
 
 	env.now = 10 * time.Second
-	for round := 0; round < edgeFailThreshold; round++ {
+	for round := 0; round < failThreshold; round++ {
 		nb, ok := s.neighbors[akey(edgeAddr1)]
 		if !ok {
-			t.Fatalf("edge gone after %d rounds, want eviction only at %d", round, edgeFailThreshold)
+			t.Fatalf("edge gone after %d rounds, want eviction only at %d", round, failThreshold)
 		}
 		seq := s.spec.EdgeSeq(env.now)
 		s.sendDataRequest(nb, seq, 1, env.now)
@@ -149,7 +149,7 @@ func TestCrashedEdgePurged(t *testing.T) {
 		s.expireRequests(env.now)
 		// Step past the timeout backoff so the next round's streak grows
 		// instead of the edge just sitting ineligible.
-		env.now += edgeBackoffMax
+		env.now += retryBackoffMax
 	}
 
 	if len(s.edges) != 0 {
@@ -179,7 +179,7 @@ func TestEdgeRecoveryResetsStreak(t *testing.T) {
 	s := c.active
 
 	env.now = 10 * time.Second
-	for round := 0; round < 2*edgeFailThreshold; round++ {
+	for round := 0; round < 2*failThreshold; round++ {
 		nb := s.neighbors[akey(edgeAddr1)]
 		seq := s.spec.EdgeSeq(env.now)
 		s.sendDataRequest(nb, seq, 1, env.now)

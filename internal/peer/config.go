@@ -110,81 +110,17 @@ type Config struct {
 	// never draws), so a biased policy here stays worker-count invariant.
 	Selection selection.Policy
 
-	// Resilience enables the fault-tolerance protocol extensions. The zero
-	// value disables every one of them, leaving the client's event and RNG
-	// trajectory bit-identical to a build without the machinery — the pinned
-	// golden digests depend on that, so core only turns it on for scenarios
-	// with a fault schedule.
-	Resilience Resilience
+	// Resilient enables the fault-tolerance protocol extensions (see
+	// resilience.go for their constants). Off, the client's event and RNG
+	// trajectory is bit-identical to a build without the machinery — the
+	// pinned golden digests depend on that, so core only turns it on for
+	// scenarios with a fault schedule.
+	Resilient bool
 }
 
-// Resilience tunes the hardening layer: retry backoff, keepalive failure
-// detection, tracker outage handling, and source-failure degradation. All
-// deliberate randomness in these paths is hash-derived (splitmix64 of stable
-// keys), never drawn from the session RNG, so enabling them under a fault
-// schedule keeps the trajectory worker-count invariant.
-type Resilience struct {
-	// Enabled turns the whole layer on.
-	Enabled bool
-
-	// BootstrapBackoff is the initial retry delay for an unanswered
-	// playlink request; retries back off exponentially to BootstrapBackoffMax
-	// with deterministic jitter.
-	BootstrapBackoff    time.Duration
-	BootstrapBackoffMax time.Duration
-
-	// KeepaliveInterval is the ping cadence toward neighbors that have been
-	// silent for KeepaliveIdle; a neighbor silent for KeepaliveDead despite
-	// pings is evicted as failed (much faster than NeighborSilence).
-	KeepaliveInterval time.Duration
-	KeepaliveIdle     time.Duration
-	KeepaliveDead     time.Duration
-
-	// RequestBackoff is the per-neighbor penalty after a request timeout:
-	// the scheduler skips the neighbor for RequestBackoff << (streak-1),
-	// capped at RequestBackoffMax, with deterministic jitter.
-	RequestBackoff    time.Duration
-	RequestBackoffMax time.Duration
-
-	// TrackerBackoff delays re-queries to a tracker whose last query went
-	// unanswered, doubling per consecutive failure up to TrackerBackoffMax.
-	TrackerBackoff    time.Duration
-	TrackerBackoffMax time.Duration
-
-	// SourceFailThreshold is how many consecutive source-request timeouts
-	// mark the source suspect; while suspect the scheduler widens its urgent
-	// window by UrgentWidenFactor and re-enables any-neighbor (inter-ISP)
-	// fallback for urgent pieces instead of stalling on the dead source.
-	SourceFailThreshold int
-	UrgentWidenFactor   int
-	// SourceProbeEvery is how often (in scheduler picks that would have gone
-	// to the source) a suspect source is probed so recovery is noticed.
-	SourceProbeEvery int
-
-	// ReannounceFloor triggers an immediate tracker re-query when keepalive
-	// eviction shrinks the neighbor table below this many entries.
-	ReannounceFloor int
-}
-
-// DefaultResilience returns the hardening parameters used by chaos scenarios.
-func DefaultResilience() Resilience {
-	return Resilience{
-		Enabled:             true,
-		BootstrapBackoff:    2 * time.Second,
-		BootstrapBackoffMax: 30 * time.Second,
-		KeepaliveInterval:   5 * time.Second,
-		KeepaliveIdle:       10 * time.Second,
-		KeepaliveDead:       15 * time.Second,
-		RequestBackoff:      2 * time.Second,
-		RequestBackoffMax:   30 * time.Second,
-		TrackerBackoff:      15 * time.Second,
-		TrackerBackoffMax:   4 * time.Minute,
-		SourceFailThreshold: 3,
-		UrgentWidenFactor:   3,
-		SourceProbeEvery:    16,
-		ReannounceFloor:     6,
-	}
-}
+// serveQueueLimit is the uplink backlog past which a peer, full client or
+// flow member, declines data requests Busy.
+const serveQueueLimit = 2500 * time.Millisecond
 
 // DefaultConfig returns full-fidelity (probe-grade) client settings.
 func DefaultConfig(spec stream.Spec, bootstrap netip.Addr) Config {
@@ -213,7 +149,7 @@ func DefaultConfig(spec stream.Spec, bootstrap netip.Addr) Config {
 		RequestTimeout:            2500 * time.Millisecond,
 		SourcePrefetchProb:        0.015,
 		NeighborSilence:           45 * time.Second,
-		ServeQueueLimit:           2500 * time.Millisecond,
+		ServeQueueLimit:           serveQueueLimit,
 		LatencyBias:               true,
 		ReferralEnabled:           true,
 		PreferFastNeighbors:       true,
@@ -230,7 +166,6 @@ func BackgroundConfig(spec stream.Spec, bootstrap netip.Addr) Config {
 	cfg.BatchCount = 8
 	cfg.MaxOutstandingPerNeighbor = 6
 	cfg.MaxOutstanding = 24
-	cfg.BufferMapInterval = 5 * time.Second // hints carry the freshness
 	return cfg
 }
 
@@ -270,23 +205,6 @@ func (c *Config) Validate() error {
 	}
 	if c.RequestTimeout <= 0 || c.NeighborSilence <= 0 || c.HandshakeTimeout <= 0 {
 		return fmt.Errorf("peer: non-positive timeout")
-	}
-	if r := &c.Resilience; r.Enabled {
-		if r.BootstrapBackoff <= 0 || r.BootstrapBackoffMax < r.BootstrapBackoff {
-			return fmt.Errorf("peer: bad bootstrap backoff bounds")
-		}
-		if r.KeepaliveInterval <= 0 || r.KeepaliveIdle <= 0 || r.KeepaliveDead <= r.KeepaliveIdle {
-			return fmt.Errorf("peer: bad keepalive bounds")
-		}
-		if r.RequestBackoff <= 0 || r.RequestBackoffMax < r.RequestBackoff {
-			return fmt.Errorf("peer: bad request backoff bounds")
-		}
-		if r.TrackerBackoff <= 0 || r.TrackerBackoffMax < r.TrackerBackoff {
-			return fmt.Errorf("peer: bad tracker backoff bounds")
-		}
-		if r.SourceFailThreshold <= 0 || r.UrgentWidenFactor < 1 || r.SourceProbeEvery <= 0 {
-			return fmt.Errorf("peer: bad source failure thresholds")
-		}
 	}
 	return nil
 }

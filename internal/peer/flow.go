@@ -30,33 +30,12 @@ type FlowPort interface {
 	Respawn(delay time.Duration)
 }
 
-// FlowConfig parameterizes a flow-fidelity swarm. The protocol-facing knobs
-// mirror Config so a probe cannot tell a flow member from a batched Client.
+// FlowConfig parameterizes a flow-fidelity swarm. The protocol surface is
+// fixed by the flow constants below and the constants shared with Config's
+// defaults (serveQueueLimit, mapPiggybackMin), so a probe cannot tell a flow
+// member from a batched Client.
 type FlowConfig struct {
 	Spec stream.Spec
-
-	// Window is how many consecutive sub-pieces back from its newest held
-	// piece a member retains (the Client BufferWindow analog).
-	Window int
-	// MaxLag bounds how far (in sub-pieces) a member's newest held piece
-	// trails the live edge; each member draws uniformly in [1, MaxLag].
-	// Healthy full-fidelity peers prefetch to within a couple of seconds of
-	// the edge, so the default is small.
-	MaxLag int
-
-	// LinksPerMember and MaxLinks bound the probe-facing neighbor links a
-	// swarm accepts (per member and in total). Links exist only where a
-	// full-fidelity peer handshakes into the swarm; members never link to
-	// each other.
-	LinksPerMember int
-	MaxLinks       int
-
-	// ServeQueueLimit mirrors Config.ServeQueueLimit: data requests are
-	// declined Busy while the member's uplink backlog exceeds it.
-	ServeQueueLimit time.Duration
-	// AnnounceMin mirrors the full client's per-peer buffer-map piggyback
-	// rate limit on declined data requests.
-	AnnounceMin time.Duration
 
 	// MeanSession, when positive, enables flow-level churn: the expected
 	// departure count accrues at nAlive/MeanSession per unit time, and each
@@ -65,54 +44,43 @@ type FlowConfig struct {
 	MeanSession      time.Duration
 	ReplacementDelay time.Duration
 
-	// TrackerSample bounds how many members keep tracker registrations
-	// alive (the full population announcing every minute would be pure
-	// event-queue load; probes only ever consume a 50-peer sample anyway).
-	TrackerSample int
-
 	// Selection shapes referral replies, mirroring Config.Selection. nil is
 	// the legacy pass-through; any policy's Refer is RNG-free, so shaping
 	// never touches the swarm's deterministic draw stream.
 	Selection selection.Policy
 }
 
-// DefaultFlowConfig returns the flow-swarm parameters matching
-// DefaultConfig's protocol surface.
+const (
+	// flowWindow is how many consecutive sub-pieces back from its newest
+	// held piece a member retains (the Client BufferWindow analog).
+	flowWindow = 2048
+	// flowMaxLag bounds how far (in sub-pieces) a member's newest held piece
+	// trails the live edge; each member draws uniformly in [1, flowMaxLag].
+	// Healthy full-fidelity peers prefetch to within a couple of seconds of
+	// the edge, so it is small.
+	flowMaxLag = 72
+
+	// flowLinksPerMember and flowMaxLinks bound the probe-facing neighbor
+	// links a swarm accepts (per member and in total). Links exist only
+	// where a full-fidelity peer handshakes into the swarm; members never
+	// link to each other.
+	flowLinksPerMember = 4
+	flowMaxLinks       = 4096
+
+	// flowTrackerSample bounds how many members keep tracker registrations
+	// alive (the full population announcing every minute would be pure
+	// event-queue load; probes only ever consume a 50-peer sample anyway).
+	flowTrackerSample = 256
+)
+
+// DefaultFlowConfig returns a flow swarm for spec without churn and with the
+// pass-through referral policy.
 func DefaultFlowConfig(spec stream.Spec) FlowConfig {
-	return FlowConfig{
-		Spec:            spec,
-		Window:          2048,
-		MaxLag:          72,
-		LinksPerMember:  4,
-		MaxLinks:        4096,
-		ServeQueueLimit: 2500 * time.Millisecond,
-		AnnounceMin:     time.Second,
-		TrackerSample:   256,
-	}
+	return FlowConfig{Spec: spec}
 }
 
 // Validate checks the config for usability.
-func (c *FlowConfig) Validate() error {
-	if err := c.Spec.Validate(); err != nil {
-		return err
-	}
-	if c.Window <= 8 || c.Window > 1<<16 {
-		return fmt.Errorf("peer: flow window %d out of range", c.Window)
-	}
-	if c.MaxLag <= 0 || c.MaxLag >= c.Window {
-		return fmt.Errorf("peer: flow max lag %d out of range (window %d)", c.MaxLag, c.Window)
-	}
-	if c.LinksPerMember <= 0 || c.MaxLinks < c.LinksPerMember {
-		return fmt.Errorf("peer: flow link bounds %d/%d invalid", c.LinksPerMember, c.MaxLinks)
-	}
-	if c.ServeQueueLimit <= 0 || c.AnnounceMin <= 0 {
-		return fmt.Errorf("peer: flow serve limits must be positive")
-	}
-	if c.TrackerSample <= 0 {
-		return fmt.Errorf("peer: flow tracker sample must be positive")
-	}
-	return nil
-}
+func (c *FlowConfig) Validate() error { return c.Spec.Validate() }
 
 // flowNbrWidth is the per-member neighbor row width: the referral sample a
 // member hands to a gossiping probe. Full clients refer up to ReferralSize
@@ -121,7 +89,7 @@ func (c *FlowConfig) Validate() error {
 const flowNbrWidth = 8
 
 // flowLink is one probe-facing neighbor link. The table is bounded by
-// MaxLinks and in practice holds a handful of entries per probe, so linear
+// flowMaxLinks and in practice holds a handful of entries per probe, so linear
 // scans are cheaper than any per-member index.
 type flowLink struct {
 	member  int32
@@ -242,7 +210,7 @@ func (s *FlowSwarm) Add(addr netip.Addr) int {
 }
 
 func (s *FlowSwarm) drawLag() uint16 {
-	return uint16(1 + s.rng.Intn(s.cfg.MaxLag))
+	return uint16(1 + s.rng.Intn(flowMaxLag))
 }
 
 // retire removes member i from the swarm and detaches its host. Links it was
@@ -340,7 +308,7 @@ func (s *FlowSwarm) randomAlive() int {
 }
 
 // AnnounceTrackers refreshes the swarm's tracker registrations: the first
-// TrackerSample live members re-announce, rotating across the tracker set.
+// flowTrackerSample live members re-announce, rotating across the tracker set.
 // Call on the full client's AnnounceInterval cadence.
 func (s *FlowSwarm) AnnounceTrackers() {
 	if len(s.trackers) == 0 {
@@ -348,7 +316,7 @@ func (s *FlowSwarm) AnnounceTrackers() {
 	}
 	sent := 0
 	for i := range s.alive {
-		if sent >= s.cfg.TrackerSample {
+		if sent >= flowTrackerSample {
 			break
 		}
 		if !s.alive[i] {
@@ -431,7 +399,7 @@ func (s *FlowSwarm) linkIndex(i int, addr netip.Addr) int {
 // addLink admits a probe-facing neighbor link if both the per-member and the
 // global bound allow it.
 func (s *FlowSwarm) addLink(i int, addr netip.Addr, now time.Duration) bool {
-	if len(s.links) >= s.cfg.MaxLinks {
+	if len(s.links) >= flowMaxLinks {
 		return false
 	}
 	have := 0
@@ -440,7 +408,7 @@ func (s *FlowSwarm) addLink(i int, addr netip.Addr, now time.Duration) bool {
 			have++
 		}
 	}
-	if have >= s.cfg.LinksPerMember {
+	if have >= flowLinksPerMember {
 		return false
 	}
 	s.links = append(s.links, flowLink{member: int32(i), addr: addr, lastMap: now})
@@ -479,8 +447,8 @@ func (s *FlowSwarm) holdings(i int, now time.Duration) (lo, hi uint64, ok bool) 
 	}
 	hi = edge - l
 	lo = 0
-	if w := uint64(s.cfg.Window); hi+1 > w {
-		lo = hi + 1 - w
+	if hi+1 > flowWindow {
+		lo = hi + 1 - flowWindow
 	}
 	if j := s.joinSeq[i]; j > lo {
 		lo = j
@@ -510,7 +478,7 @@ func (s *FlowSwarm) bufferMapAt(i int, now time.Duration) wire.BufferMap {
 func (s *FlowSwarm) handleDataRequest(i int, from netip.Addr, m *wire.DataRequest) {
 	ch := s.cfg.Spec.Channel
 	pieceLen := uint16(s.cfg.Spec.SubPieceLen)
-	if s.port.UplinkBacklog(i) > s.cfg.ServeQueueLimit {
+	if s.port.UplinkBacklog(i) > serveQueueLimit {
 		s.port.Send(i, from, &wire.DataReply{Channel: ch, Seq: m.Seq, Count: 0, PieceLen: pieceLen, Busy: true})
 		return
 	}
@@ -518,7 +486,7 @@ func (s *FlowSwarm) handleDataRequest(i int, from netip.Addr, m *wire.DataReques
 	lo, hi, ok := s.holdings(i, now)
 	if !ok || m.Seq < lo || m.Seq > hi {
 		s.port.Send(i, from, &wire.DataReply{Channel: ch, Seq: m.Seq, Count: 0, PieceLen: pieceLen})
-		if k := s.linkIndex(i, from); k >= 0 && now-s.links[k].lastMap >= s.cfg.AnnounceMin {
+		if k := s.linkIndex(i, from); k >= 0 && now-s.links[k].lastMap >= mapPiggybackMin {
 			s.links[k].lastMap = now
 			s.port.Send(i, from, &wire.BufferMapAnnounce{Channel: ch, Buffer: s.bufferMapAt(i, now)})
 		}

@@ -203,21 +203,21 @@ func TestFlowSwarmChurnAndKill(t *testing.T) {
 func TestFlowSwarmTrackerAnnounceSample(t *testing.T) {
 	port := &flowTestPort{}
 	cfg := DefaultFlowConfig(flowTestSpec())
-	cfg.TrackerSample = 3
 	trackers := []netip.Addr{
 		netip.AddrFrom4([4]byte{198, 51, 100, 1}),
 		netip.AddrFrom4([4]byte{198, 51, 100, 2}),
 	}
-	s, err := NewFlowSwarm(cfg, port, rand.New(rand.NewSource(3)), trackers, 10)
+	const members = flowTrackerSample + 10
+	s, err := NewFlowSwarm(cfg, port, rand.New(rand.NewSource(3)), trackers, members)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 10; i++ {
-		s.Add(netip.AddrFrom4([4]byte{10, 3, 0, byte(i)}))
+	for i := 0; i < members; i++ {
+		s.Add(netip.AddrFrom4([4]byte{10, 3, byte(i >> 8), byte(i)}))
 	}
 	s.AnnounceTrackers()
-	if len(port.sent) != 3 {
-		t.Fatalf("announced %d members, want sample of 3", len(port.sent))
+	if len(port.sent) != flowTrackerSample {
+		t.Fatalf("announced %d members, want sample of %d", len(port.sent), flowTrackerSample)
 	}
 	for k, m := range port.sent {
 		if _, ok := m.msg.(*wire.TrackerAnnounce); !ok {

@@ -88,7 +88,7 @@ type neighbor struct {
 	// sched.go), -1 when not part of it (the source, or before any tick).
 	planIdx int
 
-	// Hardening state (cfg.Resilience): consecutive request timeouts, the
+	// Hardening state (cfg.Resilient): consecutive request timeouts, the
 	// deadline before which the scheduler must not retry this neighbor, and
 	// the last keepalive ping sent. All stay zero when resilience is off.
 	failStreak   int
@@ -191,7 +191,7 @@ func (nb *neighbor) learnHas(lo, hi uint64, at time.Duration) {
 // (extrapolated) coverage is deliberately absent — swarms with holes turn
 // optimism into decline storms; knowledge here is only what the neighbor
 // actually demonstrated.
-func (nb *neighbor) covers(seq uint64, _ time.Duration, _ float64) bool {
+func (nb *neighbor) covers(seq uint64) bool {
 	return nb.buffer.Has(seq)
 }
 
@@ -407,12 +407,17 @@ func (c *Client) join(spec stream.Spec, direct bool) {
 
 // Leave closes the session on ch: withdraw its tracker registrations, disarm
 // its timers, and tear down its neighbor table. No-op if not joined.
-func (c *Client) Leave(ch wire.ChannelID) {
+func (c *Client) Leave(ch wire.ChannelID) { c.closeSession(ch, true) }
+
+// closeSession tears down the session on ch and folds its playback counters
+// into closedStats. announce=false is a crash: no Leaving withdrawals go out
+// (see session.shutdown).
+func (c *Client) closeSession(ch wire.ChannelID, announce bool) {
 	s, ok := c.sessions[ch]
 	if !ok {
 		return
 	}
-	s.leave()
+	s.shutdown(announce)
 	delete(c.sessions, ch)
 	if i := slices.Index(c.order, ch); i >= 0 {
 		c.order = slices.Delete(c.order, i, i+1)
@@ -443,39 +448,21 @@ func (c *Client) Switch(spec stream.Spec) {
 }
 
 // Stop leaves every channel and retires the client permanently.
-func (c *Client) Stop() {
-	if c.stopped {
-		return
-	}
-	for _, ch := range slices.Clone(c.order) {
-		c.Leave(ch)
-	}
-	c.stopped = true
-	if c.onStopped != nil {
-		c.onStopped()
-	}
-}
+func (c *Client) Stop() { c.retire(true) }
 
 // Kill retires the client as an abrupt crash: every session is torn down
 // locally — timers disarmed, neighbor state dropped — but nothing is sent, so
 // trackers and neighbors only learn of the death through timeouts. This is
 // the fault-injection analogue of Stop.
-func (c *Client) Kill() {
+func (c *Client) Kill() { c.retire(false) }
+
+func (c *Client) retire(announce bool) {
 	if c.stopped {
 		return
 	}
 	for _, ch := range slices.Clone(c.order) {
-		s := c.sessions[ch]
-		s.shutdown(false)
-		delete(c.sessions, ch)
-		if i := slices.Index(c.order, ch); i >= 0 {
-			c.order = slices.Delete(c.order, i, i+1)
-		}
-		if s.buffer != nil {
-			c.closedStats = c.closedStats.Add(s.buffer.Stats())
-		}
+		c.closeSession(ch, announce)
 	}
-	c.active = nil
 	c.stopped = true
 	if c.onStopped != nil {
 		c.onStopped()

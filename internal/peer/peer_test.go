@@ -394,7 +394,7 @@ func TestHaveHintUpdatesCoverageAndPropagates(t *testing.T) {
 	seq := c.active.buffer.StartSeq()
 	c.HandleMessage(n1, &wire.Have{Channel: 1, Seq: seq, Count: 2})
 	nb := c.active.neighbors[akey(n1)]
-	if !nb.covers(seq, env.Now(), testChannel().Rate()) || !nb.covers(seq+1, env.Now(), testChannel().Rate()) {
+	if !nb.covers(seq) || !nb.covers(seq+1) {
 		t.Error("Have hint not recorded as coverage")
 	}
 
@@ -493,33 +493,64 @@ func TestPushRecentDedupAndCap(t *testing.T) {
 	}
 }
 
+// TestStopAnnouncesLeaving covers both ways a client retires: Stop withdraws
+// every tracker registration, Kill (a crash) sends nothing. Either way the
+// client ends stopped, runs onStopped once, and keeps what it played.
 func TestStopAnnouncesLeaving(t *testing.T) {
-	env := newFakeEnv("58.32.0.1")
-	c := newClient(t, env, testConfig())
-	join(t, env, c)
-	env.take()
-	stopped := false
-	c.SetOnStopped(func() { stopped = true })
-	c.Stop()
-	leaves := 0
-	for _, m := range env.take() {
-		if ta, ok := m.msg.(*wire.TrackerAnnounce); ok && ta.Leaving {
-			leaves++
-		}
-	}
-	if leaves != 5 {
-		t.Errorf("leaving announces = %d, want 5", leaves)
-	}
-	if !stopped {
-		t.Error("onStopped not invoked")
-	}
-	if c.Phase() != PhaseStopped {
-		t.Errorf("phase = %v", c.Phase())
-	}
-	// Post-stop messages are ignored.
-	c.HandleMessage(trackerAddrs[0], &wire.TrackerResponse{Channel: 1, Peers: []netip.Addr{netip.MustParseAddr("1.2.3.4")}})
-	if got := env.take(); len(got) != 0 {
-		t.Errorf("stopped client sent %v", kinds(got))
+	for _, tc := range []struct {
+		name     string
+		retire   func(*Client)
+		datagram int // datagrams sent by the retirement
+		leaves   int // of which Leaving tracker announces
+	}{
+		{"Stop", (*Client).Stop, 5, 5},
+		{"Kill", (*Client).Kill, 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := newFakeEnv("58.32.0.1")
+			c := newClient(t, env, testConfig())
+			join(t, env, c)
+			seq := c.active.buffer.StartSeq()
+			c.HandleMessage(sourceAddr, &wire.DataReply{Channel: 1, Seq: seq, Count: 4, PieceLen: 1380})
+			env.Advance(30 * time.Second)
+			env.take()
+			played := c.BufferStats()
+			if played.Received == 0 || played.PlayedOK+played.PlayedMiss == 0 {
+				t.Fatalf("session played nothing before retiring: %+v", played)
+			}
+			stopped := 0
+			c.SetOnStopped(func() { stopped++ })
+			tc.retire(c)
+			sent := env.take()
+			leaves := 0
+			for _, m := range sent {
+				if ta, ok := m.msg.(*wire.TrackerAnnounce); ok && ta.Leaving {
+					leaves++
+				}
+			}
+			if len(sent) != tc.datagram || leaves != tc.leaves {
+				t.Errorf("sent %d datagrams (%d leaving announces), want %d (%d)", len(sent), leaves, tc.datagram, tc.leaves)
+			}
+			if stopped != 1 {
+				t.Errorf("onStopped ran %d times, want 1", stopped)
+			}
+			if c.Phase() != PhaseStopped {
+				t.Errorf("phase = %v", c.Phase())
+			}
+			if got := c.BufferStats(); got != played {
+				t.Errorf("BufferStats after retiring = %+v, want %+v", got, played)
+			}
+			// Retiring twice, or any post-stop message, does nothing.
+			c.Stop()
+			c.Kill()
+			c.HandleMessage(trackerAddrs[0], &wire.TrackerResponse{Channel: 1, Peers: []netip.Addr{netip.MustParseAddr("1.2.3.4")}})
+			if got := env.take(); len(got) != 0 {
+				t.Errorf("stopped client sent %v", kinds(got))
+			}
+			if stopped != 1 {
+				t.Errorf("onStopped ran %d times after a second retire, want 1", stopped)
+			}
+		})
 	}
 }
 

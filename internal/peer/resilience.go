@@ -7,13 +7,50 @@ import (
 	"pplivesim/internal/wire"
 )
 
-// Hardening layer (cfg.Resilience): retry backoff, keepalive failure
+// Hardening layer (cfg.Resilient): retry backoff, keepalive failure
 // detection, tracker outage backoff, and source-failure degradation. Every
-// path here is dormant unless Resilience.Enabled — the benign trajectory
-// (events sent, RNG draws, timers armed) must stay bit-identical to a build
-// without this file, which the pinned golden digests enforce. Deliberate
-// randomness (retry jitter) is hash-derived from stable keys, never drawn
-// from the session RNG, so chaos runs stay worker-count invariant too.
+// path here is dormant unless cfg.Resilient — the benign trajectory (events
+// sent, RNG draws, timers armed) must stay bit-identical to a build without
+// this file, which the pinned golden digests enforce. Deliberate randomness
+// (retry jitter) is hash-derived from stable keys, never drawn from the
+// session RNG, so chaos runs stay worker-count invariant too.
+//
+// CDN edge failure handling (session.expireNeighbor) shares the retry
+// backoff and the failure threshold, and runs whenever edges are deployed.
+const (
+	// retryBackoff is the first delay after a failure: an unanswered playlink
+	// request, a timed-out data request to a neighbor or an edge. Repeated
+	// failures double it up to retryBackoffMax, with deterministic jitter.
+	retryBackoff    = 2 * time.Second
+	retryBackoffMax = 30 * time.Second
+
+	// keepaliveInterval is the ping cadence toward neighbors that have been
+	// silent for keepaliveIdle; a neighbor silent for keepaliveDead despite
+	// pings is evicted as failed (much faster than NeighborSilence).
+	keepaliveInterval = 5 * time.Second
+	keepaliveIdle     = 10 * time.Second
+	keepaliveDead     = 15 * time.Second
+
+	// trackerBackoff delays re-queries to a tracker whose last query went
+	// unanswered, doubling per consecutive failure up to trackerBackoffMax.
+	trackerBackoff    = 15 * time.Second
+	trackerBackoffMax = 4 * time.Minute
+
+	// failThreshold is how many consecutive request timeouts mark a provider
+	// presumed dead: the source turns suspect, an edge is purged.
+	failThreshold = 3
+	// urgentWidenFactor widens the urgent window while the source is
+	// suspect, re-enabling any-neighbor (inter-ISP) fallback for urgent
+	// pieces instead of stalling on the dead source.
+	urgentWidenFactor = 3
+	// sourceProbeEvery is how often (in scheduler picks that would have gone
+	// to the source) a suspect source is probed so recovery is noticed.
+	sourceProbeEvery = 16
+
+	// reannounceFloor triggers an immediate tracker re-query when keepalive
+	// eviction shrinks the neighbor table below this many entries.
+	reannounceFloor = 6
+)
 
 // trackerHealth tracks one tracker's query outcomes for outage backoff.
 type trackerHealth struct {
@@ -21,9 +58,6 @@ type trackerHealth struct {
 	failStreak   int
 	backoffUntil time.Duration
 }
-
-// resilient reports whether the hardening layer is enabled.
-func (s *session) resilient() bool { return s.cfg.Resilience.Enabled }
 
 // splitmix64 is the finalizer of the splitmix64 generator: a cheap stateless
 // mix for deterministic jitter.
@@ -52,23 +86,22 @@ func backoffDelay(base, maxDelay time.Duration, streak int, key uint32) time.Dur
 
 // keepaliveTick pings neighbors that have gone quiet and evicts the ones that
 // stayed silent through the ping window — detecting crashed neighbors in
-// ~KeepaliveDead instead of the long gossip silence bound. Armed only for
+// ~keepaliveDead instead of the long gossip silence bound. Armed only for
 // resilient sessions (handlePlaylink).
 func (s *session) keepaliveTick() {
 	if s.buffer == nil {
 		return
 	}
 	now := s.env.Now()
-	r := &s.cfg.Resilience
 	victims := s.evictScratch[:0]
 	for _, nb := range s.sortedNbs {
 		idle := now - nb.lastHeard
-		if idle > r.KeepaliveDead && nb.lastPing > nb.lastHeard {
+		if idle > keepaliveDead && nb.lastPing > nb.lastHeard {
 			// Pinged since we last heard from it and still nothing: dead.
 			victims = append(victims, nb.addr)
 			continue
 		}
-		if idle >= r.KeepaliveIdle && now-nb.lastPing >= r.KeepaliveInterval {
+		if idle >= keepaliveIdle && now-nb.lastPing >= keepaliveInterval {
 			nb.lastPing = now
 			s.c.stats.PingsSent++
 			s.env.Send(nb.addr, &wire.Ping{Channel: s.spec.Channel, Nonce: uint32(now / time.Millisecond)})
@@ -86,7 +119,7 @@ func (s *session) keepaliveTick() {
 	// A shrunken mesh cannot wait for the periodic tracker round: re-announce
 	// and re-query immediately (per-tracker backoff still applies, so a dead
 	// tracker is not hammered).
-	if len(victims) > 0 && len(s.sortedNbs) < r.ReannounceFloor {
+	if len(victims) > 0 && len(s.sortedNbs) < reannounceFloor {
 		s.announceTrackers(false)
 		s.queryTrackers()
 	}
@@ -111,7 +144,7 @@ func (s *session) handlePong(from netip.Addr, m *wire.Pong) {
 // sourceSuspect reports whether the source has missed enough consecutive
 // requests to be presumed down.
 func (s *session) sourceSuspect() bool {
-	return s.resilient() && s.srcFails >= s.cfg.Resilience.SourceFailThreshold
+	return s.cfg.Resilient && s.srcFails >= failThreshold
 }
 
 // optimisticFallback picks the best-scored available neighbor whose

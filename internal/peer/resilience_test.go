@@ -10,8 +10,33 @@ import (
 
 func resilientConfig() Config {
 	cfg := testConfig()
-	cfg.Resilience = DefaultResilience()
+	cfg.Resilient = true
 	return cfg
+}
+
+// TestHardeningConstants pins the relations between the fixed protocol
+// constants that a config check used to enforce when they were settable.
+func TestHardeningConstants(t *testing.T) {
+	checks := []struct {
+		name string
+		ok   bool
+	}{
+		{"keepalive dead > idle > 0", keepaliveDead > keepaliveIdle && keepaliveIdle > 0},
+		{"keepalive interval > 0", keepaliveInterval > 0},
+		{"retry backoff max >= base > 0", retryBackoffMax >= retryBackoff && retryBackoff > 0},
+		{"tracker backoff max >= base > 0", trackerBackoffMax >= trackerBackoff && trackerBackoff > 0},
+		{"fail threshold >= 1", failThreshold >= 1},
+		{"urgent widen factor >= 1", urgentWidenFactor >= 1},
+		{"source probe cadence >= 1", sourceProbeEvery >= 1},
+		{"flow max lag in [1, window)", flowMaxLag >= 1 && flowMaxLag < flowWindow},
+		{"flow links per member in [1, max links]", flowLinksPerMember >= 1 && flowLinksPerMember <= flowMaxLinks},
+		{"flow tracker sample >= 1", flowTrackerSample >= 1},
+	}
+	for _, c := range checks {
+		if !c.ok {
+			t.Errorf("%s does not hold", c.name)
+		}
+	}
 }
 
 // addPeerNeighbor walks the tracker-list → handshake → ack flow for one peer.
@@ -72,25 +97,24 @@ func TestKeepalivePingsQuietNeighbors(t *testing.T) {
 // resurrect anything.
 func TestKeepaliveEvictsDeadNeighborTeardown(t *testing.T) {
 	env := newFakeEnv("58.32.0.1")
-	cfg := resilientConfig()
-	// Off-align the keepalive cadence from the 250ms scheduler grid so the
-	// eviction tick is the last thing that runs before the assertions below —
-	// no scheduler pass can touch the in-flight set after the teardown.
-	cfg.Resilience.KeepaliveInterval = 5100 * time.Millisecond
-	c := newClient(t, env, cfg)
+	c := newClient(t, env, resilientConfig())
 	join(t, env, c)
 	env.take()
 	peerAddr := addPeerNeighbor(t, env, c, "58.32.0.2")
 
 	s := c.active
 
-	// Silence through the ping at 10.2s; the 15.3s tick finds the neighbor
-	// dead (idle > 15s, pinged since last heard). Park just before it and
+	// Silence through the pings at 10s and 15s. At 15.2s, between scheduler
+	// ticks, the neighbor is dead (idle > 15s, pinged since last heard):
 	// leave a live outstanding request so eviction — not expiry — must tear
-	// down the retransmit state.
+	// down the retransmit state, then run the keepalive pass by hand so no
+	// scheduler pass can touch the in-flight set before the assertions.
 	env.Advance(15200 * time.Millisecond)
 	if c.Stats().PingsSent == 0 {
 		t.Fatal("no ping before the dead window")
+	}
+	if c.Stats().KeepaliveEvictions != 0 {
+		t.Fatal("neighbor evicted before the dead window")
 	}
 	nb := s.neighbors[akey(peerAddr)]
 	seq := s.buffer.Playhead() + 5
@@ -99,7 +123,7 @@ func TestKeepaliveEvictsDeadNeighborTeardown(t *testing.T) {
 		t.Fatal("request not marked in flight")
 	}
 	env.take()
-	env.Advance(150 * time.Millisecond) // 15.3s keepalive tick fires last
+	s.keepaliveTick()
 
 	if c.Stats().KeepaliveEvictions != 1 {
 		t.Fatalf("KeepaliveEvictions = %d, want 1", c.Stats().KeepaliveEvictions)
@@ -122,7 +146,7 @@ func TestKeepaliveEvictsDeadNeighborTeardown(t *testing.T) {
 		t.Error("evicted neighbor's request still marked in flight")
 	}
 
-	// The mesh fell below ReannounceFloor: the eviction re-announces to every
+	// The mesh fell below reannounceFloor: the eviction re-announces to every
 	// tracker immediately (the periodic announce cadence is 60s, so these can
 	// only come from the eviction path). The paired re-query round queries the
 	// one tracker that answered during setup and backs off the four still
@@ -256,8 +280,8 @@ func TestBackoffDelayShape(t *testing.T) {
 }
 
 // TestResilienceDisabledStaysDormant guards the determinism contract at the
-// protocol level: with the zero-value Resilience, no pings, no tracker
-// health, no backoff state — the exact legacy message sequence.
+// protocol level: with Resilient off, no pings, no tracker health, no
+// backoff state — the exact legacy message sequence.
 func TestResilienceDisabledStaysDormant(t *testing.T) {
 	env := newFakeEnv("58.32.0.1")
 	c := newClient(t, env, testConfig())

@@ -82,7 +82,7 @@ func (s *session) buildSchedPlan(first, last uint64, now time.Duration) {
 	for g := 0; g < G; g++ {
 		var elig uint64
 		for i := g * 64; i < (g+1)*64 && i < len(nbs); i++ {
-			// backoffUntil is only ever non-zero under cfg.Resilience: a
+			// backoffUntil is only ever non-zero under cfg.Resilient: a
 			// neighbor in timeout backoff is ineligible for the whole tick.
 			if len(nbs[i].outstanding) < s.cfg.MaxOutstandingPerNeighbor && nbs[i].backoffUntil <= now {
 				elig |= 1 << (63 - uint(i-g*64))
@@ -169,10 +169,10 @@ func (s *session) pickProvider(seq uint64, now time.Duration, urgent bool) *neig
 		}
 		// With the source suspect, mostly route around it — an optimistic
 		// mesh fallback instead of stalling on a dead server — but let every
-		// SourceProbeEvery-th pick through so recovery is noticed promptly.
+		// sourceProbeEvery-th pick through so recovery is noticed promptly.
 		if s.sourceSuspect() {
 			s.srcProbeCounter++
-			if s.srcProbeCounter%s.cfg.Resilience.SourceProbeEvery != 0 {
+			if s.srcProbeCounter%sourceProbeEvery != 0 {
 				if nb := s.optimisticFallback(seq, now); nb != nil {
 					return nb
 				}

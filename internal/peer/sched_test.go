@@ -15,7 +15,6 @@ import (
 // the reference's own bitRand reservoir) are the rewrite's correctness
 // contract.
 func (s *session) pickProviderRef(seq uint64, now time.Duration, urgent bool, rb *bitRand) *neighbor {
-	rate := s.spec.Rate()
 	var candidates []*neighbor
 	for _, nb := range s.sortedNeighbors() {
 		if len(nb.outstanding) >= s.cfg.MaxOutstandingPerNeighbor {
@@ -25,7 +24,7 @@ func (s *session) pickProviderRef(seq uint64, now time.Duration, urgent bool, rb
 			if !nb.buffer.Has(seq) {
 				continue
 			}
-		} else if !nb.covers(seq, now, rate) {
+		} else if !nb.covers(seq) {
 			continue
 		}
 		candidates = append(candidates, nb)

@@ -102,8 +102,7 @@ type session struct {
 	trackerTimer node.Cancel
 
 	// Resilience state (see resilience.go); all of it stays zero — and every
-	// code path reading it behaves exactly as before — unless
-	// cfg.Resilience.Enabled.
+	// code path reading it behaves exactly as before — unless cfg.Resilient.
 	bootstrapStreak int
 	trHealth        []trackerHealth
 	srcFails        int // consecutive source request timeouts
@@ -141,9 +140,9 @@ func (s *session) start(direct bool) {
 	// by every joining peer; the legacy fixed 2s retry is kept bit-exact
 	// otherwise.
 	delay := func() time.Duration {
-		if r := &s.cfg.Resilience; r.Enabled {
+		if s.cfg.Resilient {
 			s.bootstrapStreak++
-			return backoffDelay(r.BootstrapBackoff, r.BootstrapBackoffMax, s.bootstrapStreak, akey(s.env.Addr()))
+			return backoffDelay(retryBackoff, retryBackoffMax, s.bootstrapStreak, akey(s.env.Addr()))
 		}
 		return 2 * time.Second
 	}
@@ -158,15 +157,13 @@ func (s *session) start(direct bool) {
 	s.cancels = append(s.cancels, s.env.After(delay(), retry))
 }
 
-// leave closes the session: withdraw tracker announcements, disarm every
+// shutdown closes the session: withdraw tracker announcements, disarm every
 // timer, and tear down the neighbor table (dropping in-flight request
 // bookkeeping with it). Neighbors need no goodbye datagram — the protocol is
 // silence-evicting, so departed peers age out of remote tables.
-func (s *session) leave() { s.shutdown(true) }
-
-// shutdown is leave's engine; announce=false is an abrupt crash (fault
-// injection): no Leaving withdrawals go out, so tracker registrations linger
-// until TTL and neighbors must discover the death themselves.
+// announce=false is an abrupt crash (fault injection): no Leaving
+// withdrawals go out, so tracker registrations linger until TTL and
+// neighbors must discover the death themselves.
 func (s *session) shutdown(announce bool) {
 	if announce {
 		for _, tr := range s.trackers {
@@ -241,7 +238,7 @@ func (s *session) handlePlaylink(m *wire.PlaylinkResponse) {
 		}
 	}
 	s.phase = PhaseStartup
-	if s.resilient() {
+	if s.cfg.Resilient {
 		s.trHealth = make([]trackerHealth, len(s.trackers))
 	}
 
@@ -255,9 +252,8 @@ func (s *session) handlePlaylink(m *wire.PlaylinkResponse) {
 		s.env.Every(s.cfg.BufferMapInterval, s.announceBufferMap),
 		s.env.Every(s.cfg.SchedInterval, s.schedulerTick),
 	)
-	if s.resilient() {
-		s.cancels = append(s.cancels,
-			s.env.Every(s.cfg.Resilience.KeepaliveInterval, s.keepaliveTick))
+	if s.cfg.Resilient {
+		s.cancels = append(s.cancels, s.env.Every(keepaliveInterval, s.keepaliveTick))
 	}
 
 	// The source is always a data neighbor of last resort; CDN edges sit in
@@ -311,8 +307,7 @@ func (s *session) queryTrackers() {
 			if h.pending {
 				h.pending = false
 				h.failStreak++
-				r := &s.cfg.Resilience
-				h.backoffUntil = now + backoffDelay(r.TrackerBackoff, r.TrackerBackoffMax, h.failStreak, akey(tr))
+				h.backoffUntil = now + backoffDelay(trackerBackoff, trackerBackoffMax, h.failStreak, akey(tr))
 				s.c.stats.TrackerFailures++
 			}
 			if h.backoffUntil > now {
@@ -816,7 +811,7 @@ func (s *session) schedulerTick() {
 	// instead of stalling at the deadline.
 	urgentSpan := uint64(2 * s.spec.Rate())
 	if s.sourceSuspect() {
-		urgentSpan *= uint64(s.cfg.Resilience.UrgentWidenFactor)
+		urgentSpan *= urgentWidenFactor
 	}
 	urgentBound := s.buffer.Playhead() + urgentSpan
 
@@ -835,7 +830,6 @@ func (s *session) schedulerTick() {
 
 	// Assign wanted sequences to providers, batching contiguous runs the
 	// chosen provider actually covers (up to BatchCount).
-	rate := s.spec.Rate()
 	for i := 0; i < len(want); {
 		seq := want[i]
 		target := s.pickProvider(seq, now, seq < urgentBound)
@@ -845,7 +839,7 @@ func (s *session) schedulerTick() {
 		}
 		j := i + 1
 		for j < len(want) && j-i < s.cfg.BatchCount && want[j] == want[j-1]+1 &&
-			s.neighborCovers(target, want[j], now, rate) {
+			s.neighborCovers(target, want[j], now) {
 			j++
 		}
 		s.sendDataRequest(target, seq, j-i, now)
@@ -890,11 +884,11 @@ func (s *session) shuffleBlocks(seqs []uint64, blockSize int) {
 // neighborCovers is covers() with the source — and CDN edges, whose
 // out-of-band ingest tracks the live edge just like the origin's encoder —
 // treated as holding everything already emitted.
-func (s *session) neighborCovers(nb *neighbor, seq uint64, now time.Duration, rate float64) bool {
+func (s *session) neighborCovers(nb *neighbor, seq uint64, now time.Duration) bool {
 	if nb.addr == s.source || s.isEdge(nb.addr) {
 		return seq <= s.spec.EdgeSeq(now)
 	}
-	return nb.covers(seq, now, rate)
+	return nb.covers(seq)
 }
 
 // inFlight reports whether seq is covered by any outstanding request.
@@ -918,23 +912,6 @@ func (s *session) expireRequests(now time.Duration) {
 		}
 	}
 }
-
-// Edge failure handling runs whenever edges are deployed (unlike the opt-in
-// Resilience block): the whole point of an edge is absorbing urgent misses,
-// so a dead or shedding one must leave the urgent path promptly. All delays
-// are fixed or hash-jittered (backoffDelay) — no RNG draws.
-const (
-	// edgeFailThreshold is the consecutive-timeout streak after which an
-	// edge is purged from the session (crashed or unreachable).
-	edgeFailThreshold = 3
-	// edgeBackoffBase/Max bound the per-timeout hold-off before the purge
-	// threshold is reached.
-	edgeBackoffBase = 2 * time.Second
-	edgeBackoffMax  = 30 * time.Second
-	// edgeBusyHoldoff is how long a Busy (shedding) edge is skipped in the
-	// fallback walk, matching the uplink backlog that triggered the shed.
-	edgeBusyHoldoff = 2 * time.Second
-)
 
 // purgeEdge removes a crashed or evicted edge from the session entirely: out
 // of the affinity order, out of the neighbor table, never picked again.
@@ -965,19 +942,19 @@ func (s *session) expireNeighbor(nb *neighbor, now time.Duration) {
 	if !expired {
 		return
 	}
-	// Edges back off and eventually purge regardless of the opt-in
-	// Resilience block: unlike a mesh neighbor, an edge sits on the urgent
-	// path by standing appointment, so a dead one must be walked past (next
-	// edge, then the source) and evicted after a short streak.
+	// Edges back off and eventually purge regardless of cfg.Resilient: unlike
+	// a mesh neighbor, an edge sits on the urgent path by standing
+	// appointment, so a dead one must be walked past (next edge, then the
+	// source) and evicted after a short streak.
 	if s.isEdge(nb.addr) {
 		nb.failStreak++
-		nb.backoffUntil = now + backoffDelay(edgeBackoffBase, edgeBackoffMax, nb.failStreak, akey(nb.addr))
-		if nb.failStreak >= edgeFailThreshold {
+		nb.backoffUntil = now + backoffDelay(retryBackoff, retryBackoffMax, nb.failStreak, akey(nb.addr))
+		if nb.failStreak >= failThreshold {
 			s.purgeEdge(nb.addr)
 		}
 		return
 	}
-	if !s.resilient() {
+	if !s.cfg.Resilient {
 		return
 	}
 	// The expired sequences re-enter the want set next tick (retransmission);
@@ -988,9 +965,8 @@ func (s *session) expireNeighbor(nb *neighbor, now time.Duration) {
 		s.srcFails++
 		return
 	}
-	r := &s.cfg.Resilience
 	nb.failStreak++
-	nb.backoffUntil = now + backoffDelay(r.RequestBackoff, r.RequestBackoffMax, nb.failStreak, akey(nb.addr))
+	nb.backoffUntil = now + backoffDelay(retryBackoff, retryBackoffMax, nb.failStreak, akey(nb.addr))
 }
 
 // clearOutstanding removes the pending request at index i (swap-remove; the
@@ -1025,6 +1001,10 @@ func (s *session) sendDataRequest(nb *neighbor, seq uint64, count int, now time.
 		Count:   uint16(count),
 	})
 }
+
+// mapPiggybackMin rate-limits, per requester, the buffer map piggybacked on
+// a declined data request; flow members apply the same limit.
+const mapPiggybackMin = time.Second
 
 // handleDataRequest serves a neighbor's request with the prefix run of
 // pieces we hold, unless our uplink is already overloaded.
@@ -1071,7 +1051,7 @@ func (s *session) handleDataRequest(from netip.Addr, m *wire.DataRequest) {
 			PieceLen: uint16(s.spec.SubPieceLen),
 		})
 		now := s.env.Now()
-		if last, ok := s.lastMapTo[akey(from)]; !ok || now-last >= time.Second {
+		if last, ok := s.lastMapTo[akey(from)]; !ok || now-last >= mapPiggybackMin {
 			if s.lastMapTo == nil {
 				s.lastMapTo = make(map[uint32]time.Duration)
 			}
@@ -1122,11 +1102,12 @@ func (s *session) handleDataReply(from netip.Addr, m *wire.DataReply) {
 			// twice as slow as usual", steering load away without burying
 			// genuinely fast neighbors.
 			nb.score = ewma(nb.score, 2*score(nb))
-			// A shedding edge gets a short deterministic hold-off so the
-			// urgent fallback walks on to the next edge (then the source)
-			// instead of re-hitting a saturated cache.
+			// A shedding edge is held off for as long as the backlog that
+			// triggered its shed, so the urgent fallback walks on to the
+			// next edge (then the source) instead of re-hitting a saturated
+			// cache.
 			if s.isEdge(from) {
-				nb.backoffUntil = now + edgeBusyHoldoff
+				nb.backoffUntil = now + shedBacklog
 			}
 		} else {
 			s.c.stats.DataNoHaves++

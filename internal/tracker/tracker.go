@@ -78,10 +78,8 @@ func (cp *channelPeers) expire(now, ttl time.Duration) {
 
 // Server is one tracker server: a per-channel registry of active peers.
 type Server struct {
-	env      node.Env
-	maxReply int
-	entryTTL time.Duration
-	policy   selection.Policy
+	env    node.Env
+	policy selection.Policy
 
 	channels map[wire.ChannelID]*channelPeers
 
@@ -100,21 +98,12 @@ type Server struct {
 func NewServer(env node.Env) *Server {
 	return &Server{
 		env:      env,
-		maxReply: DefaultMaxReply,
-		entryTTL: DefaultEntryTTL,
 		policy:   selection.Uniform{},
 		channels: make(map[wire.ChannelID]*channelPeers),
 	}
 }
 
 var _ node.Handler = (*Server)(nil)
-
-// SetMaxReply overrides the per-response peer bound.
-func (s *Server) SetMaxReply(n int) {
-	if n > 0 {
-		s.maxReply = n
-	}
-}
 
 // SetPolicy installs the reply-composition policy (selection.Uniform by
 // default — the paper's locality-unaware random sample). The policy must be
@@ -135,7 +124,7 @@ func (s *Server) ActivePeers(ch wire.ChannelID) []netip.Addr {
 	now := s.env.Now()
 	out := make([]netip.Addr, 0, len(cp.order))
 	for _, addr := range cp.order {
-		if now-cp.seen[addr] <= s.entryTTL {
+		if now-cp.seen[addr] <= DefaultEntryTTL {
 			out = append(out, addr)
 		}
 	}
@@ -194,7 +183,7 @@ func (s *Server) handleQuery(from netip.Addr, m *wire.TrackerQuery) {
 	// from the maintained address order — already sorted, no per-query sort.
 	var candidates []netip.Addr
 	if cp != nil {
-		cp.expire(now, s.entryTTL)
+		cp.expire(now, DefaultEntryTTL)
 		candidates = make([]netip.Addr, 0, len(cp.order))
 		for _, addr := range cp.order {
 			if addr != from {
@@ -208,7 +197,7 @@ func (s *Server) handleQuery(from netip.Addr, m *wire.TrackerQuery) {
 	// Fisher-Yates draw for draw. Even with no candidates an (empty)
 	// response is sent — the client is waiting on it — and served counts
 	// only addresses actually returned.
-	k := s.policy.Sample(candidates, from, s.maxReply, s.env.Rand())
+	k := s.policy.Sample(candidates, from, DefaultMaxReply, s.env.Rand())
 	peers := make([]netip.Addr, k)
 	copy(peers, candidates[:k])
 	s.served += uint64(k)

@@ -179,7 +179,6 @@ func TestQuotaBiasedReply(t *testing.T) {
 			t.Fatal(err)
 		}
 		srv.SetPolicy(pol)
-		srv.SetMaxReply(20)
 		for i := 0; i < nSame; i++ {
 			srv.HandleMessage(netip.AddrFrom4([4]byte{10, 1, 0, byte(i + 1)}), &wire.TrackerAnnounce{Channel: 1})
 		}
@@ -199,23 +198,24 @@ func TestQuotaBiasedReply(t *testing.T) {
 		return
 	}
 
-	// Ample pools: exactly floor(0.25*20) = 5 inter entries, 15 same.
-	env, srv := build(40, 40)
+	// Ample pools: exactly floor(0.25*k) inter entries, the rest same-ISP.
+	const k = DefaultMaxReply
+	env, srv := build(2*k, 2*k)
 	srv.HandleMessage(requester, &wire.TrackerQuery{Channel: 1})
 	resp := env.sent[len(env.sent)-1].msg.(*wire.TrackerResponse)
 	same, inter := count(resp)
-	if len(resp.Peers) != 20 || same != 15 || inter != 5 {
-		t.Errorf("ample pools: reply %d peers (%d same, %d inter), want 20 (15, 5)", len(resp.Peers), same, inter)
+	if len(resp.Peers) != k || same != k-k/4 || inter != k/4 {
+		t.Errorf("ample pools: reply %d peers (%d same, %d inter), want %d (%d, %d)", len(resp.Peers), same, inter, k, k-k/4, k/4)
 	}
 
 	// Inter shortfall (only 2 inter candidates): the same-ISP pool fills the
 	// rest of the reply up to k.
-	env, srv = build(40, 2)
+	env, srv = build(2*k, 2)
 	srv.HandleMessage(requester, &wire.TrackerQuery{Channel: 1})
 	resp = env.sent[len(env.sent)-1].msg.(*wire.TrackerResponse)
 	same, inter = count(resp)
-	if len(resp.Peers) != 20 || inter != 2 || same != 18 {
-		t.Errorf("inter shortfall: reply %d peers (%d same, %d inter), want 20 (18, 2)", len(resp.Peers), same, inter)
+	if len(resp.Peers) != k || inter != 2 || same != k-2 {
+		t.Errorf("inter shortfall: reply %d peers (%d same, %d inter), want %d (%d, 2)", len(resp.Peers), same, inter, k, k-2)
 	}
 
 	// Same shortfall (only 3 same candidates): the reply shrinks so its
