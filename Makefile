@@ -24,8 +24,8 @@ GO ?= go
 #              run) and with an active link fault; the idle numbers gate the
 #              claim that the hooks cost ~nothing without a chaos schedule.
 #   cdn        the urgent-miss path with no edges (every pure-P2P run) and
-#              with a hybrid edge set; edges=0 gates 0 allocs on the send path
-#              (TestCDNIdleHooksZeroAlloc pins the count itself).
+#              with a hybrid edge set (TestCDNIdleHooksZeroAlloc pins 0
+#              allocs on both).
 SUITES = hotpath sched select telemetry fault cdn
 hotpath_bench   = .
 hotpath_pkgs    = ./internal/eventsim ./internal/wire

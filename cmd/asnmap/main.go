@@ -10,8 +10,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/netip"
 	"os"
 	"time"
@@ -22,31 +24,40 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "asnmap:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	table := flag.Bool("table", false, "dump the registered prefixes")
-	wireMode := flag.Bool("wire", false, "resolve through the wire service over a simulated network")
-	flag.Parse()
+// run is the whole command. Every address is parsed before anything is
+// printed.
+func run(args []string, stdout, stderr io.Writer) error {
+	flags := flag.NewFlagSet("asnmap", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	table := flags.Bool("table", false, "dump the registered prefixes")
+	wireMode := flags.Bool("wire", false, "resolve through the wire service over a simulated network")
+	if err := flags.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
 
 	registry := asnmap.SyntheticInternet()
 	if *table {
-		fmt.Printf("%-20s %-8s %-6s %s\n", "PREFIX", "ASN", "ISP", "AS NAME")
+		fmt.Fprintf(stdout, "%-20s %-8s %-6s %s\n", "PREFIX", "ASN", "ISP", "AS NAME")
 		for _, rec := range registry.Records() {
-			fmt.Printf("%-20s %-8d %-6s %s\n", rec.Prefix, rec.ASN, rec.ISP, rec.Name)
+			fmt.Fprintf(stdout, "%-20s %-8d %-6s %s\n", rec.Prefix, rec.ASN, rec.ISP, rec.Name)
 		}
 		return nil
 	}
-	if flag.NArg() == 0 {
+	if flags.NArg() == 0 {
 		return fmt.Errorf("no addresses given (try -table)")
 	}
 
-	addrs := make([]netip.Addr, 0, flag.NArg())
-	for _, arg := range flag.Args() {
+	addrs := make([]netip.Addr, 0, flags.NArg())
+	for _, arg := range flags.Args() {
 		a, err := netip.ParseAddr(arg)
 		if err != nil {
 			return fmt.Errorf("parse %q: %w", arg, err)
@@ -57,9 +68,9 @@ func run() error {
 	if !*wireMode {
 		for _, a := range addrs {
 			if rec, ok := registry.Lookup(a); ok {
-				fmt.Printf("%-16s AS%-6d %-8s %s\n", a, rec.ASN, rec.ISP, rec.Name)
+				fmt.Fprintf(stdout, "%-16s AS%-6d %-8s %s\n", a, rec.ASN, rec.ISP, rec.Name)
 			} else {
-				fmt.Printf("%-16s (no origin AS registered)\n", a)
+				fmt.Fprintf(stdout, "%-16s (no origin AS registered)\n", a)
 			}
 		}
 		return nil
@@ -82,13 +93,12 @@ func run() error {
 	cliEnv.SetHandler(cli)
 
 	for _, a := range addrs {
-		a := a
 		cli.Resolve(a, func(rec asnmap.Record, found bool) {
 			if found {
-				fmt.Printf("%-16s AS%-6d %-8s %s (resolved in %v virtual)\n",
+				fmt.Fprintf(stdout, "%-16s AS%-6d %-8s %s (resolved in %v virtual)\n",
 					a, rec.ASN, rec.ISP, rec.Name, w.Engine.Now())
 			} else {
-				fmt.Printf("%-16s (no origin AS registered)\n", a)
+				fmt.Fprintf(stdout, "%-16s (no origin AS registered)\n", a)
 			}
 		})
 	}

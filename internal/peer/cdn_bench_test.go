@@ -4,30 +4,27 @@ import (
 	"fmt"
 	"net/netip"
 	"testing"
-
-	"pplivesim/internal/wire"
 )
 
 // addBenchEdges installs n CDN edges into a benchSwarm session the way the
-// playlink handler does: affinity order, edge-set membership, pseudo-neighbor
-// entries (set membership first, so addNeighbor keeps them out of the mesh).
+// playlink handler does: origins in affinity order, all ahead of the source,
+// in the neighbor table but out of the mesh.
 func addBenchEdges(c *Client, n int) {
 	s := c.active
-	s.edgeSet = make(map[uint32]bool, n)
+	src := s.origins[len(s.origins)-1]
+	s.origins = s.origins[:0]
 	for i := 0; i < n; i++ {
-		a := netip.AddrFrom4([4]byte{61, 200, 0, byte(1 + i)})
-		s.edges = append(s.edges, a)
-		s.edgeSet[akey(a)] = true
-		s.addNeighbor(a, wire.BufferMap{})
+		s.addOrigin(netip.AddrFrom4([4]byte{61, 200, 0, byte(1 + i)}), originEdge)
 	}
+	s.origins = append(s.origins, src)
 }
 
 // BenchmarkCDNUrgentMiss measures the urgent-miss fallback in pickProvider —
 // the only scheduling path the CDN integration touches. edges=0 is the
-// pure-P2P configuration every legacy scenario runs: the edge hook must be a
-// nil-slice check costing nothing (the bench-compare gate and
-// TestCDNIdleHooksZeroAlloc hold it to zero allocations). edges=3 adds the
-// affinity-order walk a hybrid deployment pays on the same miss.
+// pure-P2P configuration every legacy scenario runs: the origin walk finds
+// the source at once (TestCDNIdleHooksZeroAlloc holds it, and the edges=3
+// walk, to zero allocations). edges=3 adds the affinity-order walk a hybrid
+// deployment pays on the same miss.
 func BenchmarkCDNUrgentMiss(b *testing.B) {
 	for _, edges := range []int{0, 3} {
 		b.Run(fmt.Sprintf("edges=%d", edges), func(b *testing.B) {
@@ -46,7 +43,7 @@ func BenchmarkCDNUrgentMiss(b *testing.B) {
 			if edges == 0 && nb.addr != sourceAddr {
 				b.Fatalf("idle-CDN urgent miss picked %v, want the source", nb.addr)
 			}
-			if edges > 0 && !s.isEdge(nb.addr) {
+			if edges > 0 && nb.origin != originEdge {
 				b.Fatalf("urgent miss with edges picked %v, want an edge", nb.addr)
 			}
 			b.ReportAllocs()
@@ -58,21 +55,26 @@ func BenchmarkCDNUrgentMiss(b *testing.B) {
 	}
 }
 
-// TestCDNIdleHooksZeroAlloc pins the idle-CDN cost contract the benchmark
-// measures: with no edges deployed, the urgent-miss path through the edge
-// hook allocates nothing.
+// TestCDNIdleHooksZeroAlloc pins the cost contract the benchmark measures:
+// the urgent-miss walk over the session's origins allocates nothing, with no
+// edges deployed (the source alone) or with a hybrid edge set in front of it.
 func TestCDNIdleHooksZeroAlloc(t *testing.T) {
-	env, c := benchSwarm(t, 16, 1)
-	s := c.active
-	now := env.now
-	seq := s.buffer.Playhead() + 1500
-	s.buildSchedPlan(seq, seq, now) // warm the plan scratch
-	if got := testing.AllocsPerRun(200, func() {
-		s.buildSchedPlan(seq, seq, now)
-		if s.pickProvider(seq, now, true) == nil {
-			t.Fatal("urgent miss found no provider")
-		}
-	}); got != 0 {
-		t.Errorf("idle CDN urgent-miss path allocates %.1f per op, want 0", got)
+	for _, edges := range []int{0, 3} {
+		t.Run(fmt.Sprintf("edges=%d", edges), func(t *testing.T) {
+			env, c := benchSwarm(t, 16, 1)
+			addBenchEdges(c, edges)
+			s := c.active
+			now := env.now
+			seq := s.buffer.Playhead() + 1500
+			s.buildSchedPlan(seq, seq, now) // warm the plan scratch
+			if got := testing.AllocsPerRun(200, func() {
+				s.buildSchedPlan(seq, seq, now)
+				if s.pickProvider(seq, now, true) == nil {
+					t.Fatal("urgent miss found no provider")
+				}
+			}); got != 0 {
+				t.Errorf("urgent-miss path with %d edges allocates %.1f per op, want 0", edges, got)
+			}
+		})
 	}
 }

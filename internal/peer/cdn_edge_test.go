@@ -2,6 +2,7 @@ package peer
 
 import (
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -34,10 +35,25 @@ func joinWithEdges(t *testing.T, env *fakeEnv, c *Client, edges []netip.Addr) {
 	}
 }
 
+// edgesOf returns the addresses of the session's edge origins, in the order
+// an urgent miss walks them.
+func edgesOf(s *session) []netip.Addr {
+	var out []netip.Addr
+	for _, nb := range s.origins {
+		if nb.origin == originEdge {
+			out = append(out, nb.addr)
+		}
+	}
+	return out
+}
+
+// hasEdge reports whether a is one of the session's edge origins.
+func hasEdge(s *session, a netip.Addr) bool { return slices.Contains(edgesOf(s), a) }
+
 // TestEdgesArePseudoNeighbors checks the structural contract: edges live in
-// the neighbor table (so replies and timeouts are tracked) but never in the
-// sorted mesh order, the referral memory, or the gossip pool — exactly like
-// the source.
+// the neighbor table (so replies and timeouts are tracked) and in the origin
+// list ahead of the source, but never in the sorted mesh order, the referral
+// memory, or the gossip pool — exactly like the source.
 func TestEdgesArePseudoNeighbors(t *testing.T) {
 	env := newFakeEnv("58.32.0.1")
 	c := newClient(t, env, testConfig())
@@ -48,22 +64,28 @@ func TestEdgesArePseudoNeighbors(t *testing.T) {
 		if _, ok := s.neighbors[akey(e)]; !ok {
 			t.Errorf("edge %v missing from the neighbor table", e)
 		}
-		if !s.isEdge(e) {
-			t.Errorf("isEdge(%v) = false", e)
+		if !hasEdge(s, e) {
+			t.Errorf("edge %v missing from the origins", e)
 		}
 	}
+	if got := edgesOf(s); !slices.Equal(got, []netip.Addr{edgeAddr1, edgeAddr2}) {
+		t.Errorf("edge origins = %v, want the playlink's affinity order", got)
+	}
+	if last := s.origins[len(s.origins)-1]; last.origin != originSource || last.addr != sourceAddr {
+		t.Errorf("last origin = %v, want the source %v", last.addr, sourceAddr)
+	}
 	for _, nb := range s.sortedNbs {
-		if s.isEdge(nb.addr) {
+		if hasEdge(s, nb.addr) || nb.origin != meshPeer {
 			t.Errorf("edge %v leaked into the sorted mesh order", nb.addr)
 		}
 	}
 	for _, a := range s.recent {
-		if s.isEdge(a) {
+		if hasEdge(s, a) {
 			t.Errorf("edge %v leaked into the referral memory", a)
 		}
 	}
-	for _, a := range s.sortedNeighborAddrs() {
-		if s.isEdge(a) {
+	for _, a := range s.sampleNeighbors(len(s.neighbors)) {
+		if hasEdge(s, a) {
 			t.Errorf("edge %v leaked into the gossip pool", a)
 		}
 	}
@@ -74,7 +96,7 @@ func TestEdgesArePseudoNeighbors(t *testing.T) {
 	for _, m := range env.sentTo(asker) {
 		if reply, ok := m.(*wire.PeerListReply); ok {
 			for _, p := range reply.Peers {
-				if s.isEdge(p) {
+				if hasEdge(s, p) {
 					t.Errorf("referral reply leaked edge %v", p)
 				}
 			}
@@ -129,8 +151,8 @@ func TestEdgeFallbackOrdering(t *testing.T) {
 }
 
 // TestCrashedEdgePurged checks the timeout path: after failThreshold
-// consecutive expiry rounds the edge is evicted from the affinity order, the
-// edge set, and the neighbor table, and urgent picks fall back to the source.
+// consecutive expiry rounds the edge is evicted from the origins and the
+// neighbor table, and urgent picks fall back to the source.
 func TestCrashedEdgePurged(t *testing.T) {
 	env := newFakeEnv("58.32.0.1")
 	c := newClient(t, env, testConfig())
@@ -152,11 +174,11 @@ func TestCrashedEdgePurged(t *testing.T) {
 		env.now += retryBackoffMax
 	}
 
-	if len(s.edges) != 0 {
-		t.Errorf("edges after purge = %v, want none", s.edges)
+	if got := edgesOf(s); len(got) != 0 {
+		t.Errorf("edges after purge = %v, want none", got)
 	}
-	if s.isEdge(edgeAddr1) {
-		t.Error("purged edge still in edge set")
+	if len(s.origins) != 1 || s.origins[0].addr != sourceAddr {
+		t.Errorf("origins after purge = %d entries, want the source alone", len(s.origins))
 	}
 	if _, ok := s.neighbors[akey(edgeAddr1)]; ok {
 		t.Error("purged edge still in neighbor table")
@@ -191,7 +213,7 @@ func TestEdgeRecoveryResetsStreak(t *testing.T) {
 			t.Fatalf("round %d: streak = %d after a successful reply, want 0", round, nb.failStreak)
 		}
 	}
-	if len(s.edges) != 1 {
+	if len(edgesOf(s)) != 1 {
 		t.Errorf("flaky-but-alive edge was purged")
 	}
 }

@@ -30,8 +30,6 @@ type Config struct {
 	// GossipInterval is how often the client queries neighbors for fresh
 	// peer lists (the paper measures 20 s).
 	GossipInterval time.Duration
-	// GossipFanout is how many neighbors are queried per gossip round.
-	GossipFanout int
 
 	// TrackerIntervalStartup is the tracker re-query period before playback
 	// is satisfactory.
@@ -84,10 +82,6 @@ type Config struct {
 	// NeighborSilence evicts a neighbor not heard from for this long.
 	NeighborSilence time.Duration
 
-	// ServeQueueLimit declines incoming data requests when the host's
-	// uplink backlog exceeds this bound, modeling an overloaded peer.
-	ServeQueueLimit time.Duration
-
 	// LatencyBias enables connect-on-list-arrival semantics: handshakes go
 	// out the moment a list arrives and free slots are claimed by the
 	// earliest acks (so nearby peers win the race). Disabling it (ablation)
@@ -130,7 +124,6 @@ func DefaultConfig(spec stream.Spec, bootstrap netip.Addr) Config {
 		StartupDelay:              20 * time.Second,
 		BufferWindow:              2048,
 		GossipInterval:            20 * time.Second,
-		GossipFanout:              10,
 		TrackerIntervalStartup:    30 * time.Second,
 		TrackerIntervalSteady:     5 * time.Minute,
 		AnnounceInterval:          time.Minute,
@@ -149,7 +142,6 @@ func DefaultConfig(spec stream.Spec, bootstrap netip.Addr) Config {
 		RequestTimeout:            2500 * time.Millisecond,
 		SourcePrefetchProb:        0.015,
 		NeighborSilence:           45 * time.Second,
-		ServeQueueLimit:           serveQueueLimit,
 		LatencyBias:               true,
 		ReferralEnabled:           true,
 		PreferFastNeighbors:       true,

@@ -18,11 +18,11 @@
 // decentralized latency-based referral dynamics, which is the paper's
 // central finding.
 //
-// A client is a viewer, not a channel: all channel-scoped protocol state
-// (buffer, neighbor table, scheduler plan, tracker timers) lives in a
-// per-channel session (see session.go), and the client routes incoming
-// messages to the owning session by wire.ChannelID. Switch tears one session
-// down — withdrawing its tracker registrations — and joins the next channel
+// A client is a viewer, not a channel: it watches one channel at a time, and
+// all channel-scoped protocol state (buffer, neighbor table, scheduler plan,
+// tracker timers) lives in that channel's session (see session.go). Messages
+// for any other channel are dropped. Switch tears the session down —
+// withdrawing its tracker registrations — and joins the next channel
 // directly, which is how the workload layer models the paper's
 // channel-browsing viewers (§5).
 package peer
@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"math/bits"
 	"net/netip"
-	"slices"
 	"time"
 
 	"pplivesim/internal/node"
@@ -78,6 +77,7 @@ type neighbor struct {
 	bufferAt  time.Duration // when the buffer map was received
 	bufferMax uint64        // highest piece set in the map
 	bufferAny bool          // whether the map had any piece at all
+	origin    originKind    // meshPeer, or which origin this entry is
 
 	// outstanding holds the in-flight requests to this neighbor. The count is
 	// capped (MaxOutstandingPerNeighbor) and small, so a flat slice with
@@ -85,7 +85,7 @@ type neighbor struct {
 	outstanding []pendingReq
 
 	// planIdx is this neighbor's row in the current scheduler plan (see
-	// sched.go), -1 when not part of it (the source, or before any tick).
+	// sched.go), -1 when not part of it (an origin, or before any tick).
 	planIdx int
 
 	// Hardening state (cfg.Resilient): consecutive request timeouts, the
@@ -104,6 +104,17 @@ type neighbor struct {
 	replies  uint64
 	bytes    uint64
 }
+
+// originKind tells a session's origins — the CDN edges and the channel
+// source, in the neighbor table but never in the mesh order — from the mesh
+// neighbors.
+type originKind uint8
+
+const (
+	meshPeer     originKind = iota // a regular neighbor
+	originEdge                     // a CDN edge cache
+	originSource                   // the channel's source
+)
 
 // pendingReq tracks one outstanding data request (a batch of count
 // consecutive sub-pieces starting at seq).
@@ -206,8 +217,9 @@ func akey(a netip.Addr) uint32 {
 	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
 }
 
-// Client is one PPLive-style viewer: a set of per-channel sessions plus the
-// cross-channel identity (address, config, protocol counters).
+// Client is one PPLive-style viewer: the session on the channel it watches,
+// plus the identity that outlives channel switches (address, config, protocol
+// counters).
 type Client struct {
 	env node.Env
 	cfg Config
@@ -216,18 +228,10 @@ type Client struct {
 	// scheduler's batched RNG consumes (see randbits.go).
 	prefetch16 uint32
 
-	// sessions holds one session per joined channel; order preserves join
-	// order so every cross-session iteration is deterministic (map range
-	// order is randomized in Go). active is the session currently being
-	// watched — exactly one for a viewer, but Join allows background
-	// sessions to coexist.
-	sessions map[wire.ChannelID]*session
-	order    []wire.ChannelID
-	active   *session
-
-	started    bool
-	stopped    bool
-	everJoined bool // at least one session completed bootstrap contact
+	// active is the session on the watched channel: nil before Start, set by
+	// Start, replaced by Switch, nil again once stopped.
+	active  *session
+	stopped bool
 
 	// closedStats accumulates playback counters from sessions already left,
 	// so BufferStats spans the whole viewing history across switches.
@@ -287,7 +291,6 @@ func New(env node.Env, cfg Config) (*Client, error) {
 		env:        env,
 		cfg:        cfg,
 		prefetch16: prob16(cfg.SourcePrefetchProb),
-		sessions:   make(map[wire.ChannelID]*session),
 	}, nil
 }
 
@@ -306,8 +309,6 @@ func (c *Client) Phase() Phase {
 		return PhaseStopped
 	case c.active != nil:
 		return c.active.phase
-	case c.started:
-		return PhaseBootstrap
 	default:
 		return PhaseInit
 	}
@@ -330,39 +331,19 @@ func (c *Client) TimeToSteady() (time.Duration, bool) {
 // the client has held, including channels already left.
 func (c *Client) BufferStats() stream.Stats {
 	out := c.closedStats
-	for _, ch := range c.order {
-		if s := c.sessions[ch]; s.buffer != nil {
-			out = out.Add(s.buffer.Stats())
-		}
+	if c.active != nil && c.active.buffer != nil {
+		out = out.Add(c.active.buffer.Stats())
 	}
 	return out
 }
 
-// NumNeighbors returns the connected neighbor count across sessions.
+// NumNeighbors returns the size of the active session's neighbor table: the
+// mesh neighbors plus the source and any CDN edges.
 func (c *Client) NumNeighbors() int {
-	n := 0
-	for _, ch := range c.order {
-		n += len(c.sessions[ch].neighbors)
+	if c.active == nil {
+		return 0
 	}
-	return n
-}
-
-// Neighbors returns the connected neighbor addresses: per session in join
-// order, the source first (if connected) then the maintained sorted order.
-// Iterating the neighbor maps here would leak Go's randomized map order into
-// caller behaviour.
-func (c *Client) Neighbors() []netip.Addr {
-	var out []netip.Addr
-	for _, ch := range c.order {
-		s := c.sessions[ch]
-		if s.source.IsValid() {
-			if nb, ok := s.neighbors[akey(s.source)]; ok {
-				out = append(out, nb.addr)
-			}
-		}
-		out = append(out, s.sortedCache...)
-	}
-	return out
+	return len(c.active.neighbors)
 }
 
 // SetOnStopped registers a callback invoked after Stop.
@@ -373,58 +354,29 @@ func (c *Client) SetOnStopped(fn func()) { c.onStopped = fn }
 // the server addresses; the simulation provides the bootstrap address
 // directly.
 func (c *Client) Start() {
-	if c.started || c.stopped {
+	if c.active != nil || c.stopped {
 		return
 	}
-	c.started = true
-	c.join(c.cfg.Channel, false)
+	c.open(c.cfg.Channel, false)
 }
 
-// Join opens a session on spec's channel (no-op if already joined) and makes
-// it the active one. The first join walks the full bootstrap exchange; later
-// joins request the playlink directly, as the real client does once it holds
-// the channel directory.
-func (c *Client) Join(spec stream.Spec) {
-	if c.stopped {
-		return
-	}
-	c.started = true
-	c.join(spec, c.everJoined)
+// open makes a new session on spec's channel the active one and starts its
+// join flow; direct skips the channel-list exchange.
+func (c *Client) open(spec stream.Spec, direct bool) {
+	c.active = newSession(c, spec)
+	c.active.start(direct)
 }
 
-func (c *Client) join(spec stream.Spec, direct bool) {
-	if s, ok := c.sessions[spec.Channel]; ok {
-		c.active = s
-		return
-	}
-	c.everJoined = true
-	s := newSession(c, spec)
-	c.sessions[spec.Channel] = s
-	c.order = append(c.order, spec.Channel)
-	c.active = s
-	s.start(direct)
-}
-
-// Leave closes the session on ch: withdraw its tracker registrations, disarm
-// its timers, and tear down its neighbor table. No-op if not joined.
-func (c *Client) Leave(ch wire.ChannelID) { c.closeSession(ch, true) }
-
-// closeSession tears down the session on ch and folds its playback counters
+// closeActive tears down the active session and folds its playback counters
 // into closedStats. announce=false is a crash: no Leaving withdrawals go out
 // (see session.shutdown).
-func (c *Client) closeSession(ch wire.ChannelID, announce bool) {
-	s, ok := c.sessions[ch]
-	if !ok {
+func (c *Client) closeActive(announce bool) {
+	s := c.active
+	if s == nil {
 		return
 	}
 	s.shutdown(announce)
-	delete(c.sessions, ch)
-	if i := slices.Index(c.order, ch); i >= 0 {
-		c.order = slices.Delete(c.order, i, i+1)
-	}
-	if c.active == s {
-		c.active = nil
-	}
+	c.active = nil
 	if s.buffer != nil {
 		c.closedStats = c.closedStats.Add(s.buffer.Stats())
 	}
@@ -432,25 +384,21 @@ func (c *Client) closeSession(ch wire.ChannelID, announce bool) {
 
 // Switch changes channels: leave the active session and join spec directly,
 // skipping the channel-list exchange (the viewer already browsed the
-// directory). No-op if spec is already the active channel.
+// directory). No-op if spec is already the active channel, before Start, and
+// after Stop.
 func (c *Client) Switch(spec stream.Spec) {
-	if c.stopped || !c.started {
+	if c.active == nil || c.active.spec.Channel == spec.Channel {
 		return
 	}
-	if c.active != nil {
-		if c.active.spec.Channel == spec.Channel {
-			return
-		}
-		c.Leave(c.active.spec.Channel)
-	}
+	c.closeActive(true)
 	c.stats.ChannelSwitches++
-	c.join(spec, true)
+	c.open(spec, true)
 }
 
-// Stop leaves every channel and retires the client permanently.
+// Stop leaves the channel and retires the client permanently.
 func (c *Client) Stop() { c.retire(true) }
 
-// Kill retires the client as an abrupt crash: every session is torn down
+// Kill retires the client as an abrupt crash: the session is torn down
 // locally — timers disarmed, neighbor state dropped — but nothing is sent, so
 // trackers and neighbors only learn of the death through timeouts. This is
 // the fault-injection analogue of Stop.
@@ -460,75 +408,74 @@ func (c *Client) retire(announce bool) {
 	if c.stopped {
 		return
 	}
-	for _, ch := range slices.Clone(c.order) {
-		c.closeSession(ch, announce)
-	}
+	c.closeActive(announce)
 	c.stopped = true
 	if c.onStopped != nil {
 		c.onStopped()
 	}
 }
 
-// HandleMessage implements node.Handler: route the message to the session
-// owning its channel. Messages for channels the client has left (or never
-// joined) are dropped, which is what makes Leave a clean de-registration —
-// late replies and stale gossip from the old swarm cannot resurrect state.
-// Message types a client has no handler for are dropped too.
+// HandleMessage implements node.Handler: hand the message to the active
+// session if it is for the session's channel. Messages for a channel the
+// client has left (or never joined) are dropped, which is what makes leaving
+// a clean de-registration — late replies and stale gossip from the old swarm
+// cannot resurrect state. So is everything before Start or after Stop, and
+// every message type a client has no handler for.
 func (c *Client) HandleMessage(from netip.Addr, msg wire.Message) {
-	if c.stopped {
+	s := c.active
+	if s == nil {
 		return
 	}
+	ch := s.spec.Channel
 	switch m := msg.(type) {
 	case *wire.ChannelListResponse: // the one channel-less message
-		for _, ch := range c.order {
-			c.sessions[ch].handleChannelList(m)
-		}
+		s.handleChannelList(m)
 	case *wire.PlaylinkResponse:
-		if s := c.sessions[m.Channel]; s != nil {
+		if m.Channel == ch {
 			s.handlePlaylink(m)
 		}
 	case *wire.TrackerResponse:
-		if s := c.sessions[m.Channel]; s != nil {
+		if m.Channel == ch {
 			s.handleTrackerResponse(from, m)
 		}
 	case *wire.Handshake:
-		if s := c.sessions[m.Channel]; s != nil {
+		if m.Channel == ch {
 			s.handleHandshake(from, m)
 		}
 	case *wire.HandshakeAck:
-		if s := c.sessions[m.Channel]; s != nil {
+		if m.Channel == ch {
 			s.handleHandshakeAck(from, m)
 		}
 	case *wire.PeerListRequest:
-		if s := c.sessions[m.Channel]; s != nil {
+		if m.Channel == ch {
 			s.handlePeerListRequest(from, m)
 		}
 	case *wire.PeerListReply:
-		if s := c.sessions[m.Channel]; s != nil {
+		if m.Channel == ch {
 			s.handlePeerListReply(from, m)
 		}
 	case *wire.BufferMapAnnounce:
-		if s := c.sessions[m.Channel]; s != nil {
+		if m.Channel == ch {
 			s.handleBufferMap(from, m)
 		}
 	case *wire.DataRequest:
-		if s := c.sessions[m.Channel]; s != nil {
+		if m.Channel == ch {
 			s.handleDataRequest(from, m)
 		}
 	case *wire.DataReply:
-		if s := c.sessions[m.Channel]; s != nil {
+		if m.Channel == ch {
 			s.handleDataReply(from, m)
 		}
 	case *wire.Have:
-		if s := c.sessions[m.Channel]; s != nil {
+		if m.Channel == ch {
 			s.handleHave(from, m)
 		}
 	case *wire.Ping:
-		if s := c.sessions[m.Channel]; s != nil {
+		if m.Channel == ch {
 			s.handlePing(from, m)
 		}
 	case *wire.Pong:
-		if s := c.sessions[m.Channel]; s != nil {
+		if m.Channel == ch {
 			s.handlePong(from, m)
 		}
 	}

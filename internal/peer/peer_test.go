@@ -219,6 +219,7 @@ func TestReferralListAndEnclosedGossip(t *testing.T) {
 	// A third peer asks for our list, enclosing its own.
 	asker := netip.MustParseAddr("60.0.0.9")
 	enclosed := netip.MustParseAddr("60.0.0.10")
+	learned := c.Stats().AddrsLearned
 	c.HandleMessage(asker, &wire.PeerListRequest{Channel: 1, OwnPeers: []netip.Addr{enclosed}})
 	got := env.sentTo(asker)
 	if len(got) != 1 {
@@ -232,9 +233,9 @@ func TestReferralListAndEnclosedGossip(t *testing.T) {
 	if len(reply.Peers) != 2 || reply.Peers[0] != n2 || reply.Peers[1] != n1 {
 		t.Errorf("referral = %v, want [n2 n1]", reply.Peers)
 	}
-	// The enclosed address was absorbed as a candidate.
-	if !c.active.known[akey(enclosed)] {
-		t.Error("enclosed gossip address not learned")
+	// The enclosed list was counted as learned addresses.
+	if got := c.Stats().AddrsLearned - learned; got != 1 {
+		t.Errorf("AddrsLearned grew by %d on a one-address enclosed list, want 1", got)
 	}
 }
 
@@ -644,5 +645,107 @@ func TestWrongChannelIgnored(t *testing.T) {
 	c.HandleMessage(asker, &wire.Handshake{Channel: 99})
 	if got := env.sentTo(asker); len(got) != 0 {
 		t.Errorf("wrong-channel messages answered: %v", got)
+	}
+}
+
+// TestSwitchChangesChannel drives Client.Switch: the old session withdraws
+// from its trackers, the new one asks the bootstrap for its playlink
+// directly, late traffic for the old channel changes nothing, and the
+// playback counters span both sessions. A switch to the watched channel,
+// before Start, or after Stop does nothing.
+func TestSwitchChangesChannel(t *testing.T) {
+	env := newFakeEnv("58.32.0.1")
+	c := newClient(t, env, testConfig())
+	other := stream.DefaultSpec(2, "other", 100)
+	otherSource := netip.MustParseAddr("58.32.9.10")
+
+	noop := func(when string, wantSwitches uint64) {
+		t.Helper()
+		if got := env.take(); len(got) != 0 {
+			t.Errorf("switch %s sent %v", when, kinds(got))
+		}
+		if got := c.Stats().ChannelSwitches; got != wantSwitches {
+			t.Errorf("ChannelSwitches after a switch %s = %d, want %d", when, got, wantSwitches)
+		}
+	}
+	c.Switch(other)
+	noop("before Start", 0)
+	if c.Phase() != PhaseInit {
+		t.Errorf("phase after a switch before Start = %v, want init", c.Phase())
+	}
+
+	join(t, env, c)
+	seq := c.active.buffer.StartSeq()
+	c.HandleMessage(sourceAddr, &wire.DataReply{Channel: 1, Seq: seq, Count: 4, PieceLen: 1380})
+	env.Advance(30 * time.Second)
+	env.take()
+	played := c.BufferStats()
+	if played.Received == 0 {
+		t.Fatalf("first session received nothing: %+v", played)
+	}
+	c.Switch(testChannel())
+	noop("to the watched channel", 0)
+
+	c.Switch(other)
+	leaves := map[netip.Addr]int{}
+	playlinks := 0
+	for _, m := range env.take() {
+		switch msg := m.msg.(type) {
+		case *wire.TrackerAnnounce:
+			if !msg.Leaving || msg.Channel != 1 {
+				t.Errorf("switch sent %+v to %v, want only Leaving announces for channel 1", msg, m.to)
+			}
+			leaves[m.to]++
+		case *wire.PlaylinkRequest:
+			if m.to != bootstrapAddr || msg.Channel != other.Channel {
+				t.Errorf("playlink request %+v to %v, want channel %d to the bootstrap", msg, m.to, other.Channel)
+			}
+			playlinks++
+		default:
+			t.Errorf("switch sent a %v to %v", m.msg.Kind(), m.to)
+		}
+	}
+	for _, tr := range trackerAddrs {
+		if leaves[tr] != 1 {
+			t.Errorf("tracker %v got %d Leaving announces, want 1", tr, leaves[tr])
+		}
+	}
+	if len(leaves) != len(trackerAddrs) || playlinks != 1 {
+		t.Errorf("switch reached %d trackers and sent %d playlink requests, want %d and 1", len(leaves), playlinks, len(trackerAddrs))
+	}
+	if c.Phase() != PhaseBootstrap || c.Stats().ChannelSwitches != 1 {
+		t.Errorf("after the switch: phase %v, %d switches; want bootstrap, 1", c.Phase(), c.Stats().ChannelSwitches)
+	}
+
+	// The new session joins; the old channel's stragglers are dropped.
+	c.HandleMessage(bootstrapAddr, &wire.PlaylinkResponse{Channel: 2, Source: otherSource, Trackers: trackerAddrs[:2]})
+	env.take()
+	before := c.Stats()
+	stale := netip.MustParseAddr("58.32.0.7")
+	c.HandleMessage(trackerAddrs[0], &wire.TrackerResponse{Channel: 1, Peers: []netip.Addr{stale}})
+	c.HandleMessage(stale, &wire.PeerListReply{Channel: 1, Peers: []netip.Addr{stale}})
+	c.HandleMessage(sourceAddr, &wire.DataReply{Channel: 1, Seq: seq + 4, Count: 1, PieceLen: 1380})
+	if got := env.take(); len(got) != 0 {
+		t.Errorf("old-channel traffic sent %v", kinds(got))
+	}
+	if got := c.Stats(); got != before {
+		t.Errorf("old-channel traffic moved the counters: %+v, want %+v", got, before)
+	}
+	if got := c.BufferStats(); got != played {
+		t.Errorf("BufferStats before the new session received = %+v, want the first session's %+v", got, played)
+	}
+
+	seq2 := c.active.buffer.StartSeq()
+	c.HandleMessage(otherSource, &wire.DataReply{Channel: 2, Seq: seq2, Count: 3, PieceLen: 1380})
+	if got := c.BufferStats().Received; got != played.Received+3 {
+		t.Errorf("BufferStats.Received = %d, want %d from the first session plus 3", got, played.Received)
+	}
+
+	c.Stop()
+	env.take()
+	c.Switch(testChannel())
+	noop("after Stop", 1)
+	if c.Phase() != PhaseStopped {
+		t.Errorf("phase after a switch after Stop = %v, want stopped", c.Phase())
 	}
 }

@@ -142,7 +142,6 @@ func (s *session) planNoteSent(nb *neighbor) {
 // scan (guarded by TestPickProviderMatchesReference and the core
 // golden-digest test).
 func (s *session) pickProvider(seq uint64, now time.Duration, urgent bool) *neighbor {
-	_ = now // coverage is proven-only; no extrapolation against the clock
 	off := seq - s.planOrg
 	w, b := int(off/64), int(off%64)
 	stride := s.planWords * 64
@@ -151,8 +150,8 @@ func (s *session) pickProvider(seq uint64, now time.Duration, urgent bool) *neig
 		k += bits.OnesCount64(s.planCand[g*stride+w*64+b] & s.planElig[g])
 	}
 	if k == 0 {
-		// Urgent pieces fall back to the source unconditionally. Non-urgent
-		// pieces may prefetch from the source with small probability: this
+		// Urgent pieces fall back to the origins unconditionally. Non-urgent
+		// pieces may prefetch from them with small probability: this
 		// seeds each fresh piece into a few peers, and the mesh (buffer
 		// maps + referral clusters) spreads it from there. Without the
 		// seeding nobody holds new pieces early and the source degenerates
@@ -160,26 +159,26 @@ func (s *session) pickProvider(seq uint64, now time.Duration, urgent bool) *neig
 		if !urgent && !s.rbits.chance(s.env.Rand(), s.c.prefetch16) {
 			return nil
 		}
-		// CDN edges absorb the miss before the origin: walk the playlink's
-		// affinity order (same-ISP edges first) past any edge in busy/timeout
-		// hold-off. Only when no edge can take the request does the pick fall
-		// through to the source — edge-before-source, always.
-		if nb := s.pickEdge(now); nb != nil {
-			return nb
-		}
-		// With the source suspect, mostly route around it — an optimistic
-		// mesh fallback instead of stalling on a dead server — but let every
-		// sourceProbeEvery-th pick through so recovery is noticed promptly.
-		if s.sourceSuspect() {
-			s.srcProbeCounter++
-			if s.srcProbeCounter%sourceProbeEvery != 0 {
-				if nb := s.optimisticFallback(seq, now); nb != nil {
-					return nb
+		// The origins absorb the miss in order — the playlink's edges in
+		// affinity order (same-ISP first), then the source: edge-before-
+		// source, always. The walk passes any origin in Busy or timeout
+		// hold-off (only edges ever hold off) or without a free request slot.
+		for _, nb := range s.origins {
+			// With the source suspect, mostly route around it — an
+			// optimistic mesh fallback instead of stalling on a dead server —
+			// but let every sourceProbeEvery-th pick through so recovery is
+			// noticed promptly.
+			if nb.origin == originSource && s.sourceSuspect() {
+				s.srcProbeCounter++
+				if s.srcProbeCounter%sourceProbeEvery != 0 {
+					if fb := s.optimisticFallback(seq, now); fb != nil {
+						return fb
+					}
 				}
 			}
-		}
-		if src, ok := s.neighbors[akey(s.source)]; ok && len(src.outstanding) < s.cfg.MaxOutstandingPerNeighbor {
-			return src
+			if nb.backoffUntil <= now && len(nb.outstanding) < s.cfg.MaxOutstandingPerNeighbor {
+				return nb
+			}
 		}
 		return nil
 	}
@@ -198,24 +197,6 @@ func (s *session) pickProvider(seq uint64, now time.Duration, urgent bool) *neig
 		}
 	}
 	return nil // unreachable: k > 0 guarantees a probe hits
-}
-
-// pickEdge returns the first usable CDN edge in the session's affinity
-// order: connected (not purged), not in busy/timeout hold-off, and with a
-// free outstanding slot. Nil when no edges are deployed or none qualify —
-// one nil-slice check on the pure-P2P path.
-func (s *session) pickEdge(now time.Duration) *neighbor {
-	for _, e := range s.edges {
-		nb, ok := s.neighbors[akey(e)]
-		if !ok {
-			continue
-		}
-		if nb.backoffUntil > now || len(nb.outstanding) >= s.cfg.MaxOutstandingPerNeighbor {
-			continue
-		}
-		return nb
-	}
-	return nil
 }
 
 // nthPlanCandidate returns the j-th (0-based) eligible covering neighbor for

@@ -16,7 +16,7 @@ import (
 // contract.
 func (s *session) pickProviderRef(seq uint64, now time.Duration, urgent bool, rb *bitRand) *neighbor {
 	var candidates []*neighbor
-	for _, nb := range s.sortedNeighbors() {
+	for _, nb := range s.sortedNbs {
 		if len(nb.outstanding) >= s.cfg.MaxOutstandingPerNeighbor {
 			continue
 		}
@@ -33,7 +33,9 @@ func (s *session) pickProviderRef(seq uint64, now time.Duration, urgent bool, rb
 		if !urgent && !rb.chance(s.env.Rand(), prob16(s.cfg.SourcePrefetchProb)) {
 			return nil
 		}
-		if src, ok := s.neighbors[akey(s.source)]; ok && len(src.outstanding) < s.cfg.MaxOutstandingPerNeighbor {
+		// The swarms this reference replays deploy no edges: the source is
+		// the only origin.
+		if src := s.origins[len(s.origins)-1]; len(src.outstanding) < s.cfg.MaxOutstandingPerNeighbor {
 			return src
 		}
 		return nil

@@ -14,9 +14,9 @@ import (
 
 // session is one channel's worth of client state: the playback buffer, the
 // neighbor set, discovery bookkeeping, the scheduler plan, and the tracker
-// timers, all keyed by the channel ID the client joined. A client holds one
-// session per joined channel; switching channels tears one session down and
-// starts another while the client (address, uplink, config) persists.
+// timers of the channel the client watches. A client holds one session at a
+// time; switching channels tears it down and starts another while the client
+// (address, uplink, config) persists.
 type session struct {
 	c   *Client
 	env node.Env
@@ -26,16 +26,16 @@ type session struct {
 	spec stream.Spec
 
 	phase    Phase
-	source   netip.Addr
 	trackers []netip.Addr
-	// edges lists the CDN edge caches from the playlink in the bootstrap's
-	// affinity order for this client (same-ISP first); edgeSet marks their
-	// packed keys. Edges are pseudo-neighbors exactly like the source — in
-	// the neighbors map but never in the sorted order — so the plan, gossip,
-	// referral, and trim paths all skip them for free. Empty in pure-P2P
-	// deployments, where every edge code path is a no-op.
-	edges   []netip.Addr
-	edgeSet map[uint32]bool
+	// origins are the providers an urgent miss falls back to, in the order
+	// it tries them: the playlink's CDN edges in the bootstrap's affinity
+	// order for this client (same-ISP first), then the channel source. They
+	// sit in the neighbors map, so replies and timeouts are tracked, but
+	// never in sortedNbs, so the plan, gossip, referral and trim paths all
+	// skip them. An edge is deleted once it fails failThreshold times in a
+	// row; the source stays until shutdown. Pure-P2P deployments have the
+	// source alone.
+	origins []*neighbor
 	// startedAt timestamps the join for the startup-delay metric (time from
 	// first bootstrap contact to the steady-phase transition).
 	startedAt time.Duration
@@ -44,9 +44,7 @@ type session struct {
 	// The per-datagram maps are keyed by the packed IPv4 address (akey):
 	// hashing a 4-byte integer is several times cheaper than the 24-byte
 	// netip.Addr struct, and these maps sit on every message's path.
-	neighbors  map[uint32]*neighbor
-	known      map[uint32]bool // every address ever learned
-	candidates []netip.Addr    // not-yet-tried addresses (FIFO)
+	neighbors map[uint32]*neighbor
 
 	// pending tracks outstanding handshakes as a small ordered slice: it is
 	// bounded by cfg.MaxPending, so linear membership scans beat a map, and
@@ -70,12 +68,12 @@ type session struct {
 	// drift), per BitRing's aliasing precondition.
 	inflight *stream.BitRing
 
-	// sortedCache holds the connected non-source neighbor addresses in
-	// address order, maintained incrementally on membership changes;
-	// sortedNbs holds the corresponding neighbor pointers for the
-	// scheduler's hot path.
-	sortedCache []netip.Addr
-	sortedNbs   []*neighbor
+	// sortedNbs holds the connected mesh neighbors (no origins) in address
+	// order, maintained incrementally on membership changes (binary
+	// insert/remove) rather than re-sorted. Every path that walks or samples
+	// the mesh reads it: the order keeps whole runs reproducible, where map
+	// iteration order is randomized in Go.
+	sortedNbs []*neighbor
 
 	// Scheduler-tick scratch state, reused every SchedInterval so the hot
 	// path stays allocation-free.
@@ -118,7 +116,6 @@ func newSession(c *Client, spec stream.Spec) *session {
 		spec:      spec,
 		phase:     PhaseBootstrap,
 		neighbors: make(map[uint32]*neighbor),
-		known:     make(map[uint32]bool),
 	}
 }
 
@@ -181,11 +178,8 @@ func (s *session) shutdown(announce bool) {
 	for len(s.sortedNbs) > 0 {
 		s.dropNeighbor(s.sortedNbs[len(s.sortedNbs)-1].addr)
 	}
-	if s.source.IsValid() {
-		s.dropNeighbor(s.source)
-	}
-	for _, e := range s.edges {
-		s.dropNeighbor(e)
+	for _, nb := range s.origins {
+		s.dropNeighbor(nb.addr)
 	}
 	s.phase = PhaseStopped
 }
@@ -228,15 +222,7 @@ func (s *session) handlePlaylink(m *wire.PlaylinkResponse) {
 	// scheduler interval past the window, so size the ring for both.
 	drift := int((s.cfg.RequestTimeout+s.cfg.SchedInterval).Seconds()*s.spec.Rate()) + 64
 	s.inflight = stream.NewBitRing(s.cfg.BufferWindow + drift)
-	s.source = m.Source
 	s.trackers = append([]netip.Addr(nil), m.Trackers...)
-	if len(m.Edges) > 0 {
-		s.edges = append([]netip.Addr(nil), m.Edges...)
-		s.edgeSet = make(map[uint32]bool, len(m.Edges))
-		for _, e := range m.Edges {
-			s.edgeSet[akey(e)] = true
-		}
-	}
 	s.phase = PhaseStartup
 	if s.cfg.Resilient {
 		s.trHealth = make([]trackerHealth, len(s.trackers))
@@ -256,17 +242,13 @@ func (s *session) handlePlaylink(m *wire.PlaylinkResponse) {
 		s.cancels = append(s.cancels, s.env.Every(keepaliveInterval, s.keepaliveTick))
 	}
 
-	// The source is always a data neighbor of last resort; CDN edges sit in
+	// The source is always a data provider of last resort; CDN edges sit in
 	// front of it in the urgent fallback order.
-	s.addNeighbor(m.Source, wire.BufferMap{})
-	for _, e := range s.edges {
-		s.addNeighbor(e, wire.BufferMap{})
+	s.origins = make([]*neighbor, 0, len(m.Edges)+1)
+	for _, e := range m.Edges {
+		s.addOrigin(e, originEdge)
 	}
-}
-
-// isEdge reports whether a is one of this session's CDN edge caches.
-func (s *session) isEdge(a netip.Addr) bool {
-	return s.edgeSet != nil && s.edgeSet[akey(a)]
+	s.addOrigin(m.Source, originSource)
 }
 
 // scheduleTrackerQueries (re)installs the periodic tracker query at the given
@@ -320,7 +302,10 @@ func (s *session) queryTrackers() {
 	}
 }
 
-// gossip queries up to GossipFanout random neighbors for their peer lists,
+// gossipFanout is how many neighbors are queried per gossip round.
+const gossipFanout = 10
+
+// gossip queries up to gossipFanout random neighbors for their peer lists,
 // enclosing our own list, per the measured 20-second cadence.
 func (s *session) gossip() {
 	if s.buffer == nil {
@@ -332,7 +317,7 @@ func (s *session) gossip() {
 	s.trimNeighbors()
 	s.maybeSteady()
 
-	targets := s.sampleNeighbors(s.cfg.GossipFanout)
+	targets := s.sampleNeighbors(gossipFanout)
 	if len(targets) == 0 {
 		return
 	}
@@ -349,13 +334,12 @@ func (s *session) gossip() {
 // nearby (in practice same-ISP) peers. With the bias ablated, pruning is
 // random.
 func (s *session) trimNeighbors() {
-	for len(s.sortedNeighbors()) > s.cfg.MaxNeighbors {
+	for len(s.sortedNbs) > s.cfg.MaxNeighbors {
 		var victim *neighbor
 		if s.cfg.LatencyBias {
 			victim = s.worstNeighbor()
 		} else {
-			pool := s.sortedNeighbors()
-			victim = pool[s.env.Rand().Intn(len(pool))]
+			victim = s.sortedNbs[s.env.Rand().Intn(len(s.sortedNbs))]
 		}
 		if victim == nil {
 			return
@@ -372,46 +356,23 @@ func (s *session) ownPeerList() []netip.Addr {
 	return out
 }
 
-// sortedNeighborAddrs returns the connected non-source neighbor addresses in
-// address order — it runs on the data scheduler's hot path. The order is
-// maintained incrementally on add/drop (binary insert/remove) rather than
-// re-sorted. Deterministic ordering keeps whole runs reproducible (map
-// iteration order is randomized in Go). Callers must not mutate the returned
-// slice.
-func (s *session) sortedNeighborAddrs() []netip.Addr {
-	return s.sortedCache
-}
-
-// sortedInsert adds a non-source neighbor to the maintained order.
-func (s *session) sortedInsert(a netip.Addr, nb *neighbor) {
-	i, found := slices.BinarySearchFunc(s.sortedCache, a, netip.Addr.Compare)
-	if found {
-		s.sortedNbs[i] = nb
-		return
-	}
-	s.sortedCache = slices.Insert(s.sortedCache, i, a)
-	s.sortedNbs = slices.Insert(s.sortedNbs, i, nb)
-}
+// cmpNeighborAddr orders sortedNbs by address.
+func cmpNeighborAddr(nb *neighbor, a netip.Addr) int { return nb.addr.Compare(a) }
 
 // sortedRemove drops a neighbor from the maintained order.
 func (s *session) sortedRemove(a netip.Addr) {
-	i, found := slices.BinarySearchFunc(s.sortedCache, a, netip.Addr.Compare)
-	if !found {
-		return
+	if i, found := slices.BinarySearchFunc(s.sortedNbs, a, cmpNeighborAddr); found {
+		s.sortedNbs = slices.Delete(s.sortedNbs, i, i+1)
 	}
-	s.sortedCache = slices.Delete(s.sortedCache, i, i+1)
-	s.sortedNbs = slices.Delete(s.sortedNbs, i, i+1)
 }
 
-// sortedNeighbors returns neighbor pointers in the same deterministic order.
-func (s *session) sortedNeighbors() []*neighbor {
-	return s.sortedNbs
-}
-
-// sampleNeighbors picks up to k distinct connected neighbors uniformly,
-// excluding the source (gossip targets are regular peers).
+// sampleNeighbors picks up to k distinct connected mesh neighbors uniformly
+// (gossip targets are regular peers).
 func (s *session) sampleNeighbors(k int) []netip.Addr {
-	pool := append([]netip.Addr(nil), s.sortedNeighborAddrs()...)
+	pool := make([]netip.Addr, len(s.sortedNbs))
+	for i, nb := range s.sortedNbs {
+		pool[i] = nb.addr
+	}
 	rng := s.env.Rand()
 	if len(pool) <= k {
 		return pool
@@ -421,19 +382,6 @@ func (s *session) sampleNeighbors(k int) []netip.Addr {
 		pool[i], pool[j] = pool[j], pool[i]
 	}
 	return pool[:k]
-}
-
-// learn absorbs peer addresses into the candidate pool.
-func (s *session) learn(addrs []netip.Addr) {
-	self := s.env.Addr()
-	for _, a := range addrs {
-		s.c.stats.AddrsLearned++
-		if a == self || s.known[akey(a)] {
-			continue
-		}
-		s.known[akey(a)] = true
-		s.candidates = append(s.candidates, a)
-	}
 }
 
 // connectFromList implements "randomly selects a number of peers from the
@@ -511,7 +459,7 @@ func (s *session) handleTrackerResponse(from netip.Addr, m *wire.TrackerResponse
 		}
 	}
 	s.c.stats.ListsReceived++
-	s.learn(m.Peers)
+	s.c.stats.AddrsLearned += uint64(len(m.Peers))
 	s.connectFromList(m.Peers)
 }
 
@@ -521,7 +469,7 @@ func (s *session) handleHandshake(from netip.Addr, m *wire.Handshake) {
 	}
 	// Accept inbound connections up to twice the outbound cap: PPLive peers
 	// are generous acceptors, which is what makes clusters highly connected.
-	accept := len(s.sortedNeighborAddrs()) < 2*s.cfg.MaxNeighbors
+	accept := len(s.sortedNbs) < 2*s.cfg.MaxNeighbors
 	ack := &wire.HandshakeAck{
 		Channel:  s.spec.Channel,
 		Accepted: accept,
@@ -548,7 +496,7 @@ func (s *session) handleHandshakeAck(from netip.Addr, m *wire.HandshakeAck) {
 		return
 	}
 	rtt := s.env.Now() - started
-	if len(s.sortedNeighborAddrs()) >= s.cfg.MaxNeighbors {
+	if len(s.sortedNbs) >= s.cfg.MaxNeighbors {
 		// Table full: the newcomer must beat the slowest current neighbor
 		// on measured latency, otherwise the race is lost. This rolling
 		// replacement is what turns connect-on-list-arrival into
@@ -574,8 +522,8 @@ func (s *session) handleHandshakeAck(from netip.Addr, m *wire.HandshakeAck) {
 	s.env.Send(from, &wire.PeerListRequest{Channel: s.spec.Channel, OwnPeers: s.ownPeerList()})
 }
 
-// addNeighbor registers (or refreshes) a connected neighbor and records it
-// as a recent connection for referral.
+// addNeighbor registers (or refreshes) a connected mesh neighbor and records
+// it as a recent connection for referral.
 func (s *session) addNeighbor(a netip.Addr, bm wire.BufferMap) *neighbor {
 	if nb, ok := s.neighbors[akey(a)]; ok {
 		nb.lastHeard = s.env.Now()
@@ -584,26 +532,34 @@ func (s *session) addNeighbor(a netip.Addr, bm wire.BufferMap) *neighbor {
 		}
 		return nb
 	}
-	nb := &neighbor{
-		addr:      a,
-		connected: s.env.Now(),
-		lastHeard: s.env.Now(),
-		planIdx:   -1,
-	}
-	nb.setBuffer(bm, s.env.Now())
-	s.neighbors[akey(a)] = nb
-	if a != s.source && !s.isEdge(a) {
-		s.sortedInsert(a, nb)
-		s.pushRecent(a)
-	}
+	nb := s.newNeighbor(a, bm)
+	i, _ := slices.BinarySearchFunc(s.sortedNbs, a, cmpNeighborAddr)
+	s.sortedNbs = slices.Insert(s.sortedNbs, i, nb)
+	s.pushRecent(a)
 	return nb
 }
 
-// worstNeighbor returns the connected neighbor with the highest latency
-// estimate (excluding the source), or nil if none.
+// addOrigin registers a as the next origin in urgent-miss order.
+func (s *session) addOrigin(a netip.Addr, kind originKind) {
+	nb := s.newNeighbor(a, wire.BufferMap{})
+	nb.origin = kind
+	s.origins = append(s.origins, nb)
+}
+
+// newNeighbor enters a fresh neighbor for a into the table.
+func (s *session) newNeighbor(a netip.Addr, bm wire.BufferMap) *neighbor {
+	now := s.env.Now()
+	nb := &neighbor{addr: a, connected: now, lastHeard: now, planIdx: -1}
+	nb.setBuffer(bm, now)
+	s.neighbors[akey(a)] = nb
+	return nb
+}
+
+// worstNeighbor returns the mesh neighbor with the highest latency estimate,
+// or nil if none.
 func (s *session) worstNeighbor() *neighbor {
 	var worst *neighbor
-	for _, nb := range s.sortedNeighbors() {
+	for _, nb := range s.sortedNbs {
 		if worst == nil || neighborRTTEstimate(nb) > neighborRTTEstimate(worst) {
 			worst = nb
 		}
@@ -633,8 +589,8 @@ func (s *session) handlePeerListRequest(from netip.Addr, m *wire.PeerListRequest
 	if s.buffer == nil {
 		return
 	}
-	// The requester's enclosed list is free gossip: absorb it.
-	s.learn(m.OwnPeers)
+	// The requester's enclosed list is free gossip: count it.
+	s.c.stats.AddrsLearned += uint64(len(m.OwnPeers))
 	if nb, ok := s.neighbors[akey(from)]; ok {
 		nb.lastHeard = s.env.Now()
 	}
@@ -686,7 +642,7 @@ func (s *session) handlePeerListReply(from netip.Addr, m *wire.PeerListReply) {
 	if nb, ok := s.neighbors[akey(from)]; ok {
 		nb.lastHeard = s.env.Now()
 	}
-	s.learn(m.Peers)
+	s.c.stats.AddrsLearned += uint64(len(m.Peers))
 	// "Once the client receives a peer list ... connects to them immediately."
 	s.connectFromList(m.Peers)
 }
@@ -705,8 +661,8 @@ func (s *session) announceBufferMap() {
 		return
 	}
 	bm := s.buffer.Snapshot()
-	for _, a := range s.sortedNeighborAddrs() {
-		s.env.Send(a, &wire.BufferMapAnnounce{Channel: s.spec.Channel, Buffer: bm})
+	for _, nb := range s.sortedNbs {
+		s.env.Send(nb.addr, &wire.BufferMapAnnounce{Channel: s.spec.Channel, Buffer: bm})
 	}
 }
 
@@ -881,11 +837,11 @@ func (s *session) shuffleBlocks(seqs []uint64, blockSize int) {
 	}
 }
 
-// neighborCovers is covers() with the source — and CDN edges, whose
-// out-of-band ingest tracks the live edge just like the origin's encoder —
-// treated as holding everything already emitted.
+// neighborCovers is covers() with the origins — the source, and CDN edges,
+// whose out-of-band ingest tracks the live edge just like the source's
+// encoder — treated as holding everything already emitted.
 func (s *session) neighborCovers(nb *neighbor, seq uint64, now time.Duration) bool {
-	if nb.addr == s.source || s.isEdge(nb.addr) {
+	if nb.origin != meshPeer {
 		return seq <= s.spec.EdgeSeq(now)
 	}
 	return nb.covers(seq)
@@ -902,28 +858,11 @@ func (s *session) expireRequests(now time.Duration) {
 	for _, nb := range s.sortedNbs {
 		s.expireNeighbor(nb, now)
 	}
-	if src, ok := s.neighbors[akey(s.source)]; ok {
-		s.expireNeighbor(src, now)
+	// Backwards — the source, then the edges in reverse affinity order:
+	// expiring an edge can delete it from s.origins in place.
+	for i := len(s.origins) - 1; i >= 0; i-- {
+		s.expireNeighbor(s.origins[i], now)
 	}
-	// Backwards: expiring an edge can purge it from s.edges in place.
-	for i := len(s.edges) - 1; i >= 0; i-- {
-		if nb, ok := s.neighbors[akey(s.edges[i])]; ok {
-			s.expireNeighbor(nb, now)
-		}
-	}
-}
-
-// purgeEdge removes a crashed or evicted edge from the session entirely: out
-// of the affinity order, out of the neighbor table, never picked again.
-func (s *session) purgeEdge(a netip.Addr) {
-	for i, e := range s.edges {
-		if e == a {
-			s.edges = append(s.edges[:i], s.edges[i+1:]...)
-			break
-		}
-	}
-	delete(s.edgeSet, akey(a))
-	s.dropNeighbor(a)
 }
 
 func (s *session) expireNeighbor(nb *neighbor, now time.Duration) {
@@ -945,12 +884,15 @@ func (s *session) expireNeighbor(nb *neighbor, now time.Duration) {
 	// Edges back off and eventually purge regardless of cfg.Resilient: unlike
 	// a mesh neighbor, an edge sits on the urgent path by standing
 	// appointment, so a dead one must be walked past (next edge, then the
-	// source) and evicted after a short streak.
-	if s.isEdge(nb.addr) {
+	// source) and, after a short streak, removed from the origins and the
+	// neighbor table for good.
+	if nb.origin == originEdge {
 		nb.failStreak++
 		nb.backoffUntil = now + backoffDelay(retryBackoff, retryBackoffMax, nb.failStreak, akey(nb.addr))
 		if nb.failStreak >= failThreshold {
-			s.purgeEdge(nb.addr)
+			i := slices.Index(s.origins, nb)
+			s.origins = slices.Delete(s.origins, i, i+1)
+			s.dropNeighbor(nb.addr)
 		}
 		return
 	}
@@ -961,7 +903,7 @@ func (s *session) expireNeighbor(nb *neighbor, now time.Duration) {
 	// the failed provider is penalized with a capped exponential backoff so
 	// retries go elsewhere while it is struggling. Source timeouts feed the
 	// suspect counter instead — the source has no substitute to back off to.
-	if nb.addr == s.source {
+	if nb.origin == originSource {
 		s.srcFails++
 		return
 	}
@@ -1019,7 +961,7 @@ func (s *session) handleDataRequest(from netip.Addr, m *wire.DataRequest) {
 	// the requester quickly. Accepted requests still ride the growing
 	// uplink queue — the application-layer queuing behind the paper's
 	// load-dependent response times.
-	if s.env.UplinkBacklog() > s.cfg.ServeQueueLimit {
+	if s.env.UplinkBacklog() > serveQueueLimit {
 		s.c.stats.DataRequestsShed++
 		s.env.Send(from, &wire.DataReply{
 			Channel:  s.spec.Channel,
@@ -1085,7 +1027,7 @@ func (s *session) handleDataReply(from netip.Addr, m *wire.DataReply) {
 	// Any reply — data, busy, or no-have — proves the sender is alive: reset
 	// its failure streak (and the source-suspect counter for the source).
 	nb.failStreak, nb.backoffUntil = 0, 0
-	if from == s.source {
+	if nb.origin == originSource {
 		s.srcFails = 0
 	}
 
@@ -1106,7 +1048,7 @@ func (s *session) handleDataReply(from netip.Addr, m *wire.DataReply) {
 			// triggered its shed, so the urgent fallback walks on to the
 			// next edge (then the source) instead of re-hitting a saturated
 			// cache.
-			if s.isEdge(from) {
+			if nb.origin == originEdge {
 				nb.backoffUntil = now + shedBacklog
 			}
 		} else {
@@ -1146,7 +1088,7 @@ func (s *session) gossipHave(seq uint64, count uint16, from netip.Addr) {
 	if s.cfg.HintFanout <= 0 {
 		return
 	}
-	pool := s.sortedNeighborAddrs()
+	pool := s.sortedNbs
 	if len(pool) == 0 {
 		return
 	}
@@ -1154,7 +1096,7 @@ func (s *session) gossipHave(seq uint64, count uint16, from netip.Addr) {
 	msg := &wire.Have{Channel: s.spec.Channel, Seq: seq, Count: count}
 	sent := 0
 	for attempts := 0; sent < s.cfg.HintFanout && attempts < 3*s.cfg.HintFanout; attempts++ {
-		a := pool[rng.Intn(len(pool))]
+		a := pool[rng.Intn(len(pool))].addr
 		if a == from {
 			continue
 		}
