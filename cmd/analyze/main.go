@@ -25,21 +25,26 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "analyze:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	jsonOut := flag.Bool("json", false, "emit the full report as JSON instead of text")
-	flag.Parse()
-	if flag.NArg() != 1 {
+// run is the whole command; the trace argument "-" reads standard input.
+func run(args []string, stdout, stderr io.Writer) error {
+	flags := flag.NewFlagSet("analyze", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	jsonOut := flags.Bool("json", false, "emit the full report as JSON instead of text")
+	if err := flags.Parse(args); err != nil {
+		return err
+	}
+	if flags.NArg() != 1 {
 		return fmt.Errorf("usage: analyze [-json] <trace.jsonl|->")
 	}
 
 	var in io.Reader = os.Stdin
-	if name := flag.Arg(0); name != "-" {
+	if name := flags.Arg(0); name != "-" {
 		f, err := os.Open(name)
 		if err != nil {
 			return err
@@ -76,13 +81,13 @@ func run() error {
 	})
 
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		return enc.Encode(rep)
 	}
 
 	title := fmt.Sprintf("offline analysis: probe %s (%s), %d captured datagrams",
 		hdr.Probe, hdr.ProbeISP, len(records))
-	fmt.Println(experiments.ProbeSummary(title, rep))
+	fmt.Fprintln(stdout, experiments.ProbeSummary(title, rep))
 	return nil
 }

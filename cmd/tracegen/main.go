@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"time"
@@ -22,7 +23,7 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "tracegen:", err)
 		os.Exit(1)
 	}
@@ -45,20 +46,30 @@ func probeISP(name string) (pplive.ISP, error) {
 	}
 }
 
-func run() error {
-	channel := flag.String("channel", "popular", "popular or unpopular")
-	scale := flag.Float64("scale", 0.15, "population scale")
-	watch := flag.Duration("watch", 10*time.Minute, "probe watch duration")
-	probe := flag.String("probe", "tele", "probe ISP: tele, cnc, cer, other, mason")
-	seed := flag.Int64("seed", 7, "random seed")
-	out := flag.String("out", "-", "output file (default stdout)")
-	flag.Parse()
+// run is the whole command; "-out -" writes the trace to stdout. The flags
+// are checked before the simulation is built, and -out is created once it
+// has run.
+func run(args []string, stdout, stderr io.Writer) error {
+	flags := flag.NewFlagSet("tracegen", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	channel := flags.String("channel", "popular", "popular or unpopular")
+	scale := flags.Float64("scale", 0.15, "population scale")
+	watch := flags.Duration("watch", 10*time.Minute, "probe watch duration")
+	probe := flags.String("probe", "tele", "probe ISP: tele, cnc, cer, other, mason")
+	seed := flags.Int64("seed", 7, "random seed")
+	out := flags.String("out", "-", "output file (default stdout)")
+	if err := flags.Parse(args); err != nil {
+		return err
+	}
+	if flags.NArg() != 0 {
+		return fmt.Errorf("unexpected argument %q", flags.Arg(0))
+	}
 
 	category, err := probeISP(*probe)
 	if err != nil {
-		return err
+		return fmt.Errorf("-probe: %w", err)
 	}
-	if *scale <= 0 {
+	if !(*scale > 0) {
 		return fmt.Errorf("-scale %g: must be positive", *scale)
 	}
 	if *watch <= 0 {
@@ -72,7 +83,7 @@ func run() error {
 	case "unpopular":
 		sc = pplive.UnpopularScenario(*seed, *scale)
 	default:
-		return fmt.Errorf("unknown channel %q", *channel)
+		return fmt.Errorf("-channel: unknown channel %q", *channel)
 	}
 	sc.Watch = *watch
 	sc.WarmUp = 5 * time.Minute
@@ -99,24 +110,24 @@ func run() error {
 	}
 	sort.Strings(hdr.Trackers)
 
-	sink := os.Stdout
-	if *out != "-" {
-		f, err := os.Create(*out)
-		if err != nil {
+	records := res.Probes[0].Recorder.Records()
+	if *out == "-" {
+		if err := tracefile.Write(stdout, hdr, records); err != nil {
 			return err
 		}
-		defer f.Close()
-		sink = f
-	}
-	records := res.Probes[0].Recorder.Records()
-	if err := tracefile.Write(sink, hdr, records); err != nil {
-		return err
-	}
-	if sink != os.Stdout {
-		if err := sink.Close(); err != nil {
-			return fmt.Errorf("out %s: %w", *out, err)
+	} else {
+		f, err := os.Create(*out)
+		if err != nil {
+			return fmt.Errorf("-out: %w", err)
+		}
+		if err := tracefile.Write(f, hdr, records); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return fmt.Errorf("-out %s: %w", *out, err)
 		}
 	}
-	fmt.Fprintf(os.Stderr, "tracegen: wrote %d records\n", len(records))
+	fmt.Fprintf(stderr, "tracegen: wrote %d records\n", len(records))
 	return nil
 }

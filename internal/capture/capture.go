@@ -84,11 +84,12 @@ func (r *Recorder) Observe(at time.Duration, dir Direction, peerAddr netip.Addr,
 }
 
 // recordOf extracts a datagram's protocol-relevant fields, for the recorder
-// and the online matcher alike. Addrs aliases the message's own peer slice,
-// which may belong to a pooled wire message: the recorder copies it, the
-// matcher passes it on under the Events no-retain contract. A gossip request's
-// enclosed own-list is not analyzed (the paper analyzes returned lists), so
-// it is kept only implicitly via Size.
+// and the online matcher alike. It copies scalars out of the message, which
+// the transport may recycle once the taps return (node.Handler). Addrs
+// aliases the message's own peer slice, which a tap must not keep either: the
+// recorder copies it, the matcher passes it on under the Events no-retain
+// contract. A gossip request's enclosed own-list is not analyzed (the paper
+// analyzes returned lists), so it is kept only implicitly via Size.
 func recordOf(at time.Duration, dir Direction, peerAddr netip.Addr, msg wire.Message, size int) Record {
 	rec := Record{At: at, Dir: dir, Peer: peerAddr, Type: msg.Kind(), Size: size}
 	switch m := msg.(type) {

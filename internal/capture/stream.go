@@ -13,8 +13,9 @@ import (
 //
 // Callbacks run synchronously inside Aggregator.Observe (or Close, for the
 // final unanswered flush). PeerListMatched and TrackerList may hand over an
-// Addrs slice that aliases a pooled wire message; implementations must
-// consume it during the call and never retain it.
+// Addrs slice that aliases the observed wire message, which a tap may not
+// keep past its return; implementations must consume it during the call and
+// never retain it.
 type Events interface {
 	// DataRequest reports every outgoing data request (answered or not) —
 	// the raw "data requests made by our host" count of Figures 11-14(b).

@@ -33,15 +33,21 @@ type Env interface {
 	Every(d time.Duration, fn func()) Cancel
 	// Rand returns the node's deterministic random stream.
 	Rand() *rand.Rand
-	// Send transmits a datagram to another node. Messages must not be
-	// mutated after Send.
+	// Send transmits a datagram to another node. From Send on the message
+	// belongs to the transport and must not be mutated. One made by
+	// wire.NewDataRequest, wire.NewDataReply or wire.NewHave must not be
+	// sent again or kept either: the transport may recycle it once it is
+	// delivered (simnet does, with wire.Release). Any other message is never
+	// recycled, so one value may go to several destinations.
 	Send(to netip.Addr, msg wire.Message)
 	// UplinkBacklog reports how long the node's access uplink is currently
 	// backed up (zero when idle). Serving policies use it to shed load.
 	UplinkBacklog() time.Duration
 }
 
-// Handler consumes datagrams addressed to a node.
+// Handler consumes datagrams addressed to a node. HandleMessage must not
+// keep msg, or anything it points to, after it returns: the transport may
+// recycle the message at once (see Env.Send).
 type Handler interface {
 	HandleMessage(from netip.Addr, msg wire.Message)
 }

@@ -479,13 +479,13 @@ func (s *FlowSwarm) handleDataRequest(i int, from netip.Addr, m *wire.DataReques
 	ch := s.cfg.Spec.Channel
 	pieceLen := uint16(s.cfg.Spec.SubPieceLen)
 	if s.port.UplinkBacklog(i) > serveQueueLimit {
-		s.port.Send(i, from, &wire.DataReply{Channel: ch, Seq: m.Seq, Count: 0, PieceLen: pieceLen, Busy: true})
+		s.port.Send(i, from, wire.NewDataReply(ch, m.Seq, 0, pieceLen, true))
 		return
 	}
 	now := s.port.Now()
 	lo, hi, ok := s.holdings(i, now)
 	if !ok || m.Seq < lo || m.Seq > hi {
-		s.port.Send(i, from, &wire.DataReply{Channel: ch, Seq: m.Seq, Count: 0, PieceLen: pieceLen})
+		s.port.Send(i, from, wire.NewDataReply(ch, m.Seq, 0, pieceLen, false))
 		if k := s.linkIndex(i, from); k >= 0 && now-s.links[k].lastMap >= mapPiggybackMin {
 			s.links[k].lastMap = now
 			s.port.Send(i, from, &wire.BufferMapAnnounce{Channel: ch, Buffer: s.bufferMapAt(i, now)})
@@ -500,5 +500,5 @@ func (s *FlowSwarm) handleDataRequest(i int, from netip.Addr, m *wire.DataReques
 	if run > want {
 		run = want
 	}
-	s.port.Send(i, from, &wire.DataReply{Channel: ch, Seq: m.Seq, Count: uint16(run), PieceLen: pieceLen})
+	s.port.Send(i, from, wire.NewDataReply(ch, m.Seq, uint16(run), pieceLen, false))
 }

@@ -95,12 +95,7 @@ func (o *Origin) Serve(from netip.Addr, msg wire.Message) bool {
 		}
 		if o.env.UplinkBacklog() > shedBacklog {
 			o.shed++
-			o.env.Send(from, &wire.DataReply{
-				Channel:  m.Channel,
-				Seq:      m.Seq,
-				PieceLen: uint16(o.spec.SubPieceLen),
-				Busy:     true,
-			})
+			o.env.Send(from, wire.NewDataReply(m.Channel, m.Seq, 0, uint16(o.spec.SubPieceLen), true))
 			return true
 		}
 		edge := o.Edge(o.env.Now())
@@ -116,12 +111,7 @@ func (o *Origin) Serve(from netip.Addr, msg wire.Message) bool {
 		}
 		o.served++
 		o.servedBytes += run * uint64(o.spec.SubPieceLen)
-		o.env.Send(from, &wire.DataReply{
-			Channel:  m.Channel,
-			Seq:      m.Seq,
-			Count:    uint16(run),
-			PieceLen: uint16(o.spec.SubPieceLen),
-		})
+		o.env.Send(from, wire.NewDataReply(m.Channel, m.Seq, uint16(run), uint16(o.spec.SubPieceLen), false))
 	case *wire.Ping:
 		if m.Channel != o.spec.Channel {
 			return false

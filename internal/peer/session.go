@@ -657,12 +657,14 @@ func (s *session) handleBufferMap(from netip.Addr, m *wire.BufferMapAnnounce) {
 }
 
 func (s *session) announceBufferMap() {
-	if s.buffer == nil {
+	if s.buffer == nil || len(s.sortedNbs) == 0 {
 		return
 	}
-	bm := s.buffer.Snapshot()
+	// One announcement for every neighbour: receivers copy the map
+	// (neighbor.setBuffer), and the message is not a recycled one.
+	msg := &wire.BufferMapAnnounce{Channel: s.spec.Channel, Buffer: s.buffer.Snapshot()}
 	for _, nb := range s.sortedNbs {
-		s.env.Send(nb.addr, &wire.BufferMapAnnounce{Channel: s.spec.Channel, Buffer: bm})
+		s.env.Send(nb.addr, msg)
 	}
 }
 
@@ -937,11 +939,7 @@ func (s *session) sendDataRequest(nb *neighbor, seq uint64, count int, now time.
 		s.c.emitRequest(nb.addr, seq, count)
 		return
 	}
-	s.env.Send(nb.addr, &wire.DataRequest{
-		Channel: s.spec.Channel,
-		Seq:     seq,
-		Count:   uint16(count),
-	})
+	s.env.Send(nb.addr, wire.NewDataRequest(s.spec.Channel, seq, uint16(count)))
 }
 
 // mapPiggybackMin rate-limits, per requester, the buffer map piggybacked on
@@ -963,13 +961,7 @@ func (s *session) handleDataRequest(from netip.Addr, m *wire.DataRequest) {
 	// load-dependent response times.
 	if s.env.UplinkBacklog() > serveQueueLimit {
 		s.c.stats.DataRequestsShed++
-		s.env.Send(from, &wire.DataReply{
-			Channel:  s.spec.Channel,
-			Seq:      m.Seq,
-			Count:    0,
-			PieceLen: uint16(s.spec.SubPieceLen),
-			Busy:     true,
-		})
+		s.env.Send(from, wire.NewDataReply(s.spec.Channel, m.Seq, 0, uint16(s.spec.SubPieceLen), true))
 		return
 	}
 	count := int(m.Count)
@@ -986,12 +978,7 @@ func (s *session) handleDataRequest(from netip.Addr, m *wire.DataRequest) {
 		// fresh buffer map (rate-limited per peer) so the requester's stale
 		// view of us gets corrected at exactly the moment it misfired.
 		s.c.stats.DataRequestsDeclined++
-		s.env.Send(from, &wire.DataReply{
-			Channel:  s.spec.Channel,
-			Seq:      m.Seq,
-			Count:    0,
-			PieceLen: uint16(s.spec.SubPieceLen),
-		})
+		s.env.Send(from, wire.NewDataReply(s.spec.Channel, m.Seq, 0, uint16(s.spec.SubPieceLen), false))
 		now := s.env.Now()
 		if last, ok := s.lastMapTo[akey(from)]; !ok || now-last >= mapPiggybackMin {
 			if s.lastMapTo == nil {
@@ -1006,12 +993,7 @@ func (s *session) handleDataRequest(from netip.Addr, m *wire.DataRequest) {
 		return
 	}
 	s.c.stats.DataRequestsServed++
-	s.env.Send(from, &wire.DataReply{
-		Channel:  s.spec.Channel,
-		Seq:      m.Seq,
-		Count:    uint16(run),
-		PieceLen: uint16(s.spec.SubPieceLen),
-	})
+	s.env.Send(from, wire.NewDataReply(s.spec.Channel, m.Seq, uint16(run), uint16(s.spec.SubPieceLen), false))
 }
 
 func (s *session) handleDataReply(from netip.Addr, m *wire.DataReply) {
@@ -1093,14 +1075,14 @@ func (s *session) gossipHave(seq uint64, count uint16, from netip.Addr) {
 		return
 	}
 	rng := s.env.Rand()
-	msg := &wire.Have{Channel: s.spec.Channel, Seq: seq, Count: count}
 	sent := 0
 	for attempts := 0; sent < s.cfg.HintFanout && attempts < 3*s.cfg.HintFanout; attempts++ {
 		a := pool[rng.Intn(len(pool))].addr
 		if a == from {
 			continue
 		}
-		s.env.Send(a, msg)
+		// One message per target: each delivery releases its own.
+		s.env.Send(a, wire.NewHave(s.spec.Channel, seq, count))
 		sent++
 	}
 }

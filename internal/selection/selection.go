@@ -129,8 +129,8 @@ func NewQuota(res Resolver, maxInterFrac float64) (*Quota, error) {
 	if res == nil {
 		return nil, fmt.Errorf("selection: quota policy needs a resolver")
 	}
-	if maxInterFrac < 0 || maxInterFrac > 1 || math.IsNaN(maxInterFrac) {
-		return nil, fmt.Errorf("selection: quota fraction %g out of [0,1]", maxInterFrac)
+	if err := checkQuotaFrac(maxInterFrac); err != nil {
+		return nil, err
 	}
 	return &Quota{res: res, maxInterFrac: maxInterFrac}, nil
 }
@@ -289,13 +289,13 @@ type ASHop struct {
 	w    [maxHops]float64 // (1+h)^-bias, precomputed
 }
 
-// NewASHop creates an AS-hop policy; bias must be >= 0.
+// NewASHop creates an AS-hop policy; bias must be finite and >= 0.
 func NewASHop(res Resolver, bias float64) (*ASHop, error) {
 	if res == nil {
 		return nil, fmt.Errorf("selection: ashop policy needs a resolver")
 	}
-	if bias < 0 || math.IsNaN(bias) || math.IsInf(bias, 0) {
-		return nil, fmt.Errorf("selection: ashop bias %g must be finite and >= 0", bias)
+	if err := checkBias(bias); err != nil {
+		return nil, err
 	}
 	p := &ASHop{res: res, bias: bias}
 	for h := 0; h < maxHops; h++ {

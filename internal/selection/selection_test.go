@@ -354,11 +354,35 @@ func TestSpecParseRoundTrip(t *testing.T) {
 			t.Fatalf("round trip of %q failed: %+v, %v", tc.in, rt, err)
 		}
 	}
-	for _, bad := range []string{"quota:1.5", "quota:-0.1", "ashop:-1", "nearest", "random:1", "quota:x"} {
+	for _, bad := range []string{"quota:1.5", "quota:-0.1", "ashop:-1", "nearest", "random:1", "quota:x", "quota:NaN", "ashop:NaN", "ashop:Inf"} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted invalid spec", bad)
 		}
 	}
+}
+
+// FuzzParseSpec checks the parse gate against the others: a spec ParseSpec
+// accepts passes Validate, builds its policy, and survives String and a
+// second parse unchanged.
+func FuzzParseSpec(f *testing.F) {
+	for _, s := range []string{"", "random", "quota", "quota:0.25", "ashop:3.5", "quota:NaN", "ashop:NaN", "ashop:Inf"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		sp, err := ParseSpec(s)
+		if err != nil {
+			return
+		}
+		if err := sp.Validate(); err != nil {
+			t.Fatalf("ParseSpec(%q) = %+v, which Validate rejects: %v", s, sp, err)
+		}
+		if _, err := sp.Policy(mapResolver{}); err != nil {
+			t.Fatalf("ParseSpec(%q) = %+v, whose policy does not build: %v", s, sp, err)
+		}
+		if rt, err := ParseSpec(sp.String()); err != nil || rt != sp {
+			t.Fatalf("ParseSpec(%q) = %+v, but ParseSpec(%q) = %+v, %v", s, sp, sp.String(), rt, err)
+		}
+	})
 }
 
 // TestShapeContracts checks every policy's flow-mix shaping: Uniform applies

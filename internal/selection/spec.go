@@ -2,6 +2,7 @@ package selection
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -42,7 +43,7 @@ type Spec struct {
 }
 
 // ParseSpec parses a -selection flag value: "" or "random"; "quota" or
-// "quota:F" with F in [0,1]; "ashop" or "ashop:B" with B >= 0.
+// "quota:F" with F in [0,1]; "ashop" or "ashop:B" with B finite and >= 0.
 func ParseSpec(s string) (Spec, error) {
 	name, arg, hasArg := strings.Cut(s, ":")
 	switch name {
@@ -60,8 +61,8 @@ func ParseSpec(s string) (Spec, error) {
 			}
 			sp.MaxInterFrac = f
 		}
-		if sp.MaxInterFrac < 0 || sp.MaxInterFrac > 1 {
-			return Spec{}, fmt.Errorf("selection: quota fraction %g out of [0,1]", sp.MaxInterFrac)
+		if err := checkQuotaFrac(sp.MaxInterFrac); err != nil {
+			return Spec{}, err
 		}
 		return sp, nil
 	case "ashop":
@@ -73,8 +74,8 @@ func ParseSpec(s string) (Spec, error) {
 			}
 			sp.Bias = b
 		}
-		if sp.Bias < 0 {
-			return Spec{}, fmt.Errorf("selection: ashop bias %g must be >= 0", sp.Bias)
+		if err := checkBias(sp.Bias); err != nil {
+			return Spec{}, err
 		}
 		return sp, nil
 	default:
@@ -115,18 +116,29 @@ func (sp Spec) Validate() error {
 	case KindUniform:
 		return nil
 	case KindQuota:
-		if sp.MaxInterFrac < 0 || sp.MaxInterFrac > 1 {
-			return fmt.Errorf("selection: quota fraction %g out of [0,1]", sp.MaxInterFrac)
-		}
-		return nil
+		return checkQuotaFrac(sp.MaxInterFrac)
 	case KindASHop:
-		if sp.Bias < 0 {
-			return fmt.Errorf("selection: ashop bias %g must be >= 0", sp.Bias)
-		}
-		return nil
+		return checkBias(sp.Bias)
 	default:
 		return fmt.Errorf("selection: unknown kind %d", sp.Kind)
 	}
+}
+
+// checkQuotaFrac is the one gate on a quota fraction, at parse, validation
+// and construction alike: it must be finite and in [0,1].
+func checkQuotaFrac(f float64) error {
+	if !(f >= 0 && f <= 1) { // false for NaN too
+		return fmt.Errorf("selection: quota fraction %g out of [0,1]", f)
+	}
+	return nil
+}
+
+// checkBias is the one gate on an AS-hop bias: it must be finite and >= 0.
+func checkBias(b float64) error {
+	if !(b >= 0) || math.IsInf(b, 1) {
+		return fmt.Errorf("selection: ashop bias %g must be finite and >= 0", b)
+	}
+	return nil
 }
 
 // Names lists the accepted -selection forms for flag help text.

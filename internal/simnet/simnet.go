@@ -622,7 +622,9 @@ var (
 	_ underlay.Receiver = (*Env)(nil)
 )
 
-// Tap observes a datagram at a node boundary.
+// Tap observes a datagram at a node boundary. Like a node.Handler, a tap
+// must not keep msg, or anything it points to, after it returns: a delivered
+// message is recycled as soon as the taps and the handler are done.
 type Tap func(peer netip.Addr, msg wire.Message, size int)
 
 // Addr implements node.Env.
@@ -706,7 +708,10 @@ func (e *Env) Send(to netip.Addr, msg wire.Message) {
 	e.domain.net.Send(e.host, to, size, payload)
 }
 
-// Deliver implements underlay.Receiver for this node.
+// Deliver implements underlay.Receiver for this node: the taps, then the
+// handler, and then the message goes back to the wire pool (wire.Release).
+// A datagram for a closed env is left to the collector, like one the
+// underlay loses, queue-drops or addresses to no host.
 func (e *Env) Deliver(_ *underlay.Host, from netip.Addr, size int, payload any) {
 	if e.closed {
 		return
@@ -721,6 +726,7 @@ func (e *Env) Deliver(_ *underlay.Host, from netip.Addr, size int, payload any) 
 	if e.handler != nil {
 		e.handler.HandleMessage(from, msg)
 	}
+	wire.Release(msg)
 }
 
 // Close detaches the node from the network and disarms its timers. It is
@@ -821,11 +827,13 @@ func (p *LitePort) Retire(addr netip.Addr) {
 	}
 }
 
-// Deliver implements underlay.Receiver for every member of the port.
+// Deliver implements underlay.Receiver for every member of the port; the
+// message goes back to the wire pool once the owner returns.
 func (p *LitePort) Deliver(h *underlay.Host, from netip.Addr, _ int, payload any) {
 	msg, ok := payload.(wire.Message)
 	if !ok {
 		panic(fmt.Sprintf("simnet: non-wire payload %T delivered to %s", payload, h.Addr))
 	}
 	p.owner.HandleLite(int(h.Tag), from, msg)
+	wire.Release(msg)
 }

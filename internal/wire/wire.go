@@ -489,6 +489,7 @@ type DataRequest struct {
 	Channel ChannelID
 	Seq     uint64
 	Count   uint16
+	pooled  bool // made by NewDataRequest; see Release
 }
 
 // Kind implements Message.
@@ -506,6 +507,7 @@ type DataReply struct {
 	Count    uint16
 	PieceLen uint16
 	Busy     bool
+	pooled   bool // made by NewDataReply; see Release
 }
 
 // PayloadLen returns the total video payload carried.
@@ -528,6 +530,7 @@ type Have struct {
 	Channel ChannelID
 	Seq     uint64
 	Count   uint16
+	pooled  bool // made by NewHave; see Release
 }
 
 // Kind implements Message.
