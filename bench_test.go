@@ -9,6 +9,7 @@
 package pplive_test
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -47,11 +48,13 @@ func BenchmarkSection(b *testing.B) {
 func BenchmarkBitTorrentBaseline(b *testing.B) {
 	viewers := workload.PopularPopulation().Scale(0.08)
 	for i := 0; i < b.N; i++ {
-		res, err := bittorrent.RunLocality(int64(600+i), viewers, isp.TELE, 15*time.Minute)
+		start := time.Now()
+		res, err := bittorrent.RunLocality(int64(600+i), viewers, isp.TELE, 15*time.Minute, runtime.GOMAXPROCS(0))
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(100*res.Locality, "locality_%")
+		b.ReportMetric(100*res.Report.TrafficLocality, "locality_%")
 		b.ReportMetric(100*res.Progress, "progress_%")
+		b.ReportMetric(float64(res.Events)/time.Since(start).Seconds(), "events/s")
 	}
 }

@@ -7,6 +7,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"runtime"
 	"time"
 
 	"pplivesim"
@@ -39,13 +40,13 @@ func main() {
 	fmt.Printf("  traffic locality: %.1f%%\n\n", 100*rep.TrafficLocality)
 
 	// Same audience, BitTorrent rules.
-	bt, err := bittorrent.RunLocality(7, viewers, isp.TELE, 25*time.Minute)
+	bt, err := bittorrent.RunLocality(7, viewers, isp.TELE, 25*time.Minute, runtime.GOMAXPROCS(0))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("BitTorrent baseline (tracker-only + tit-for-tat + rarest-first):\n")
 	fmt.Printf("  traffic locality: %.1f%% (probe completed %.0f%% of the file)\n\n",
-		100*bt.Locality, 100*bt.Progress)
+		100*bt.Report.TrafficLocality, 100*bt.Progress)
 
 	fmt.Println("expectation (paper §1): the referral-based overlay localizes traffic far")
 	fmt.Println("above the audience's same-ISP share; the tracker-only overlay stays at it.")

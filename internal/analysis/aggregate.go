@@ -9,6 +9,8 @@ import (
 	"pplivesim/internal/capture"
 	"pplivesim/internal/fit"
 	"pplivesim/internal/isp"
+	"pplivesim/internal/simnet"
+	"pplivesim/internal/wire"
 )
 
 // Aggregate is the streaming telemetry state for one probe (or one shard of
@@ -84,6 +86,31 @@ func NewAggregate(resolver Resolver, source netip.Addr, probeISP isp.ISP) *Aggre
 		listSeries:    make(map[isp.Group][]RTPoint),
 		peers:         make(map[netip.Addr]*PeerActivity),
 	}
+}
+
+// Instrument measures env the way the paper measured its probe hosts: every
+// datagram env receives or sends goes, in capture order, to rec when it is
+// non-nil (the full trace) and to a capture.Aggregator that applies the §3.1
+// matching rules into a new Aggregate for a probe in env's ISP. source is the
+// channel source, trackers the tracker servers and edges the CDN edge caches.
+// Close the matcher before the final Report.
+func Instrument(env *simnet.Env, resolver Resolver, source netip.Addr, trackers map[netip.Addr]bool, edges []netip.Addr, rec *capture.Recorder) (*Aggregate, *capture.Aggregator) {
+	agg := NewAggregate(resolver, source, env.ISP())
+	agg.SetEdges(edges)
+	matcher := capture.NewAggregator(trackers, capture.AggregatorConfig{}, agg)
+	env.TapRecv(func(from netip.Addr, msg wire.Message, size int) {
+		if rec != nil {
+			rec.Observe(env.Now(), capture.In, from, msg, size)
+		}
+		matcher.Observe(env.Now(), capture.In, from, msg, size)
+	})
+	env.TapSend(func(to netip.Addr, msg wire.Message, size int) {
+		if rec != nil {
+			rec.Observe(env.Now(), capture.Out, to, msg, size)
+		}
+		matcher.Observe(env.Now(), capture.Out, to, msg, size)
+	})
+	return agg, matcher
 }
 
 // SetEdges marks the scenario's CDN edge caches so their replies are kept

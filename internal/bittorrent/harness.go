@@ -1,147 +1,88 @@
 package bittorrent
 
 import (
-	"fmt"
+	"net/netip"
 	"time"
 
-	"pplivesim/internal/asnmap"
-	"pplivesim/internal/eventsim"
-	"pplivesim/internal/ipam"
+	"pplivesim/internal/analysis"
 	"pplivesim/internal/isp"
-	"pplivesim/internal/underlay"
+	"pplivesim/internal/simnet"
+	"pplivesim/internal/tracker"
 	"pplivesim/internal/workload"
 )
 
-// LocalityResult summarizes a probe leecher's download by origin ISP,
-// comparable to the streaming system's traffic-locality reports.
-type LocalityResult struct {
-	BytesByISP map[isp.ISP]uint64
-	// Locality is the same-ISP share of downloaded bytes (seed excluded).
-	Locality float64
-	// SeedBytes is what came straight from the initial seed.
-	SeedBytes uint64
+// procDelay is every BT host's per-datagram processing delay.
+const procDelay = 3 * time.Millisecond
+
+// Result is what RunLocality measured.
+type Result struct {
+	// Report is the probe's analysis, booked by the same instrument as a
+	// streaming probe's: TrafficLocality is the same-ISP share of the bytes
+	// it downloaded from peers, and SourceBytes what came from the seed.
+	Report *analysis.Report
 	// Progress is the probe's completion fraction at the horizon.
 	Progress float64
-	// PeersDone counts background leechers that completed.
-	PeersDone int
-	// Events is the engine's processed-event count.
+	// Events is the number of events the world processed.
 	Events uint64
 }
 
-// RunLocality builds a BT swarm over the simulated underlay with the given
-// per-ISP leecher population, one seed (in TELE, like the streaming source),
-// and one probe leecher in probeISP, runs it for the given duration, and
-// reports the probe's download locality. This is the tracker-only baseline
-// the paper contrasts with PPLive's referral-based selection.
-func RunLocality(seed int64, viewers workload.Population, probeISP isp.ISP, duration time.Duration) (*LocalityResult, error) {
-	eng := eventsim.New(seed)
-	network := underlay.New(eng, underlay.DefaultConfig())
-	registry := asnmap.SyntheticInternet()
-	cfg := DefaultConfig()
+// RunLocality runs a BT swarm with the given per-ISP leecher population, one
+// seed (in TELE, like the streaming source) and one probe leecher in probeISP
+// that joins two minutes in, for the given duration, and reports what the
+// probe measured. This is the tracker-only baseline the paper contrasts with
+// PPLive's referral-based selection.
+//
+// The swarm runs on the legacy six-domain world, with the seed and the
+// tracker in TELE's infrastructure domain and the leechers spread
+// round-robin over their category's domains; workers is the number of
+// goroutines running it (simnet.World.Run), and the result is the same for
+// any value.
+func RunLocality(seed int64, viewers workload.Population, probeISP isp.ISP, duration time.Duration, workers int) (*Result, error) {
+	world := simnet.NewShardedWorldN(seed, 0)
+	infra := world.InfraDomain(isp.TELE)
+	trackerEnv, err := infra.Spawn(simnet.HostSpec{ISP: isp.TELE, UploadBps: 8 << 20, ProcDelay: procDelay})
+	if err != nil {
+		return nil, err
+	}
+	trackerEnv.SetHandler(tracker.NewServer(trackerEnv))
 
-	pools := make(map[isp.ISP]*ipam.Pool)
-	newHost := func(category isp.ISP, upload float64) (*underlay.Host, error) {
-		pool, ok := pools[category]
-		if !ok {
-			var err error
-			pool, err = registry.PoolFor(category)
-			if err != nil {
-				return nil, err
-			}
-			pools[category] = pool
-		}
-		addr, err := pool.Alloc()
+	join := func(dom *simnet.Domain, category isp.ISP, upload float64, seed bool, at time.Duration) (*simnet.Env, *Peer, error) {
+		env, err := dom.Spawn(simnet.HostSpec{ISP: category, UploadBps: upload, ProcDelay: procDelay})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return &underlay.Host{
-			Addr:      addr,
-			ISP:       category,
-			UploadBps: upload,
-			ProcDelay: 3 * time.Millisecond,
-		}, nil
+		p := NewPeer(env, trackerEnv.Addr(), seed)
+		env.SetHandler(p)
+		dom.At(at, p.Start)
+		return env, p, nil
 	}
-
-	// Tracker and seed.
-	trackerHost, err := newHost(isp.TELE, 8<<20)
-	if err != nil {
-		return nil, err
-	}
-	swarm, err := New(eng, network, cfg, trackerHost)
-	if err != nil {
-		return nil, err
-	}
-	seedHost, err := newHost(isp.TELE, 4<<20)
-	if err != nil {
-		return nil, err
-	}
-	seedPeer, err := swarm.AddPeer(seedHost, true)
+	seedEnv, _, err := join(infra, isp.TELE, 4<<20, true, 0)
 	if err != nil {
 		return nil, err
 	}
 
 	// Background leechers: joins spread over the first two minutes.
-	rng := eng.NewRand()
-	var background []*Peer
+	rng := world.BuildRand()
 	for _, category := range isp.All() {
+		doms := world.DomainsOf(category)
 		for i := 0; i < viewers[category]; i++ {
-			category := category
 			at := time.Duration(rng.Int63n(int64(2 * time.Minute)))
-			eng.At(at, func() {
-				host, err := newHost(category, workload.UploadCapacity(rng, category))
-				if err != nil {
-					panic(fmt.Sprintf("bittorrent: host: %v", err))
-				}
-				p, err := swarm.AddPeer(host, false)
-				if err != nil {
-					panic(fmt.Sprintf("bittorrent: peer: %v", err))
-				}
-				background = append(background, p)
-			})
+			if _, _, err := join(doms[i%len(doms)], category, workload.UploadCapacity(rng, category), false, at); err != nil {
+				return nil, err
+			}
 		}
 	}
 
-	// Probe leecher joins two minutes in.
-	var probe *Peer
-	eng.At(2*time.Minute, func() {
-		host, err := newHost(probeISP, workload.UploadCapacity(rng, probeISP))
-		if err != nil {
-			panic(fmt.Sprintf("bittorrent: probe host: %v", err))
-		}
-		probe, err = swarm.AddPeer(host, false)
-		if err != nil {
-			panic(fmt.Sprintf("bittorrent: probe: %v", err))
-		}
-	})
-
-	if err := eng.Run(duration); err != nil {
+	probeEnv, probe, err := join(world.DomainsOf(probeISP)[0], probeISP, workload.UploadCapacity(rng, probeISP), false, 2*time.Minute)
+	if err != nil {
 		return nil, err
 	}
+	agg, matcher := analysis.Instrument(probeEnv, world.Registry, seedEnv.Addr(),
+		map[netip.Addr]bool{trackerEnv.Addr(): true}, nil, nil)
 
-	out := &LocalityResult{BytesByISP: make(map[isp.ISP]uint64), Events: eng.Processed()}
-	if probe != nil {
-		out.Progress = probe.Progress()
-		var total uint64
-		for addr, bytes := range probe.BytesFrom() {
-			if addr == seedPeer.Addr() {
-				out.SeedBytes += bytes
-				continue
-			}
-			category := isp.Foreign
-			if got, ok := registry.ISPOf(addr); ok {
-				category = got
-			}
-			out.BytesByISP[category] += bytes
-			total += bytes
-		}
-		if total > 0 {
-			out.Locality = float64(out.BytesByISP[probeISP]) / float64(total)
-		}
+	if err := world.Run(duration, workers); err != nil {
+		return nil, err
 	}
-	for _, p := range background {
-		if p.Done() {
-			out.PeersDone++
-		}
-	}
-	return out, nil
+	matcher.Close()
+	return &Result{Report: agg.Report(), Progress: probe.Progress(), Events: world.EventsProcessed()}, nil
 }

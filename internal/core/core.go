@@ -843,25 +843,11 @@ func (s *Sim) spawnProbe(ds *domainState, slot int, ps ProbeSpec) error {
 	// Streaming telemetry is always on: an online matcher folds every
 	// datagram straight into the probe's bounded aggregate. The full
 	// recorder — the O(datagrams) Wireshark mode — only when opted in.
-	agg := analysis.NewAggregate(s.world.Registry, ch.Source, ps.ISP)
-	agg.SetEdges(s.edgeAddrs)
-	matcher := capture.NewAggregator(s.trackerAddrs, capture.AggregatorConfig{}, agg)
 	var rec *capture.Recorder
 	if ps.FullCapture {
 		rec = capture.NewRecorder(env.Addr())
 	}
-	env.TapRecv(func(from netip.Addr, msg wire.Message, size int) {
-		if rec != nil {
-			rec.Observe(env.Now(), capture.In, from, msg, size)
-		}
-		matcher.Observe(env.Now(), capture.In, from, msg, size)
-	})
-	env.TapSend(func(to netip.Addr, msg wire.Message, size int) {
-		if rec != nil {
-			rec.Observe(env.Now(), capture.Out, to, msg, size)
-		}
-		matcher.Observe(env.Now(), capture.Out, to, msg, size)
-	})
+	agg, matcher := analysis.Instrument(env, s.world.Registry, ch.Source, s.trackerAddrs, s.edgeAddrs, rec)
 	client.Start()
 
 	// Stop at the horizon so the probe's final state is well-defined.

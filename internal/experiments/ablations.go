@@ -77,14 +77,14 @@ func (r *Runner) runAblation(a ablation) (AblationOutcome, error) {
 		},
 	}
 	if a.bitTorrent {
-		tasks = append(tasks, func(int) error {
+		tasks = append(tasks, func(procs int) error {
 			viewers := workload.PopularPopulation().Scale(r.Scale.Fig6Population)
-			bt, err := bittorrent.RunLocality(r.Seed+777, viewers, isp.TELE, r.Scale.Fig6Watch+10*time.Minute)
+			bt, err := bittorrent.RunLocality(r.Seed+777, viewers, isp.TELE, r.Scale.Fig6Watch+10*time.Minute, procs)
 			if err != nil {
 				return err
 			}
-			out.ExtraDetail = fmt.Sprintf("  BitTorrent baseline (tracker-only + tit-for-tat): locality %.1f%% (probe progress %.0f%%)\n",
-				100*bt.Locality, 100*bt.Progress)
+			out.ExtraDetail = fmt.Sprintf("  BitTorrent baseline (tracker-only + tit-for-tat): traffic locality %.1f%%, potential locality %.1f%% (probe progress %.0f%%)\n",
+				100*bt.Report.TrafficLocality, 100*bt.Report.PotentialLocality, 100*bt.Progress)
 			return nil
 		})
 	}

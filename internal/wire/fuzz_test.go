@@ -51,11 +51,16 @@ func fuzzSeeds() []Message {
 		&AsnResponse{Addr: netip.MustParseAddr("58.32.0.1"), Found: true, ASN: 4134, ISP: 1, Name: "CHINANET"},
 		&Ping{Channel: 1, Nonce: 0xDEADBEEF},
 		&Pong{Channel: 1, Nonce: 0xDEADBEEF},
+		&Choke{Channel: 1, Choked: true},
 		&PlaylinkRequest{Channel: 1},
 		&PlaylinkResponse{Channel: 1, Source: netip.MustParseAddr("1.2.3.4"),
 			Trackers: []netip.Addr{netip.MustParseAddr("5.6.7.8")},
 			Edges:    []netip.Addr{netip.MustParseAddr("61.200.0.1")}},
 	}
+	// The baseline swarm's bitfield: a 1200-piece map from 0, half held.
+	bitfield := MakeBufferMap(0, 1200)
+	bitfield.SetRange(0, 599)
+	seeds = append(seeds, &BufferMapAnnounce{Channel: 1, Buffer: bitfield})
 	// Golden-trace-shaped seeds: the shapes the simulator actually puts on
 	// the wire (2048-sub-piece buffer windows, full 60-entry tracker
 	// replies), mirrored by the committed corpus in testdata/fuzz.

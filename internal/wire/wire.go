@@ -69,6 +69,7 @@ const (
 	TAsnResponse
 	TPing
 	TPong
+	TChoke
 	maxType
 )
 
@@ -96,6 +97,7 @@ var kinds = [maxType]struct {
 	TAsnResponse:         {"AsnResponse", func() Message { return new(AsnResponse) }},
 	TPing:                {"Ping", func() Message { return new(Ping) }},
 	TPong:                {"Pong", func() Message { return new(Pong) }},
+	TChoke:               {"Choke", func() Message { return new(Choke) }},
 }
 
 // String returns a short name for the type.
@@ -586,6 +588,18 @@ type Pong struct {
 // Kind implements Message.
 func (*Pong) Kind() Type           { return TPong }
 func (m *Pong) body(c coder) coder { return c.channel(&m.Channel).u32(&m.Nonce) }
+
+// Choke is BitTorrent's choke (Choked) or unchoke: whether the sender now
+// refuses or serves the receiver's data requests. Only the tracker-only
+// baseline swarm (internal/bittorrent) sends it.
+type Choke struct {
+	Channel ChannelID
+	Choked  bool
+}
+
+// Kind implements Message.
+func (*Choke) Kind() Type           { return TChoke }
+func (m *Choke) body(c coder) coder { return c.channel(&m.Channel).flag(&m.Choked) }
 
 // Marshal encodes a message into a self-delimiting datagram.
 func Marshal(m Message) []byte {
