@@ -8,8 +8,10 @@
 // captures via Team Cymru — never from global simulator state. There is one
 // pipeline: capture.Aggregator applies the paper's matching rules to a
 // probe's datagrams and an Aggregate folds the outcomes into the Report's
-// counters. A run drives it online, in bounded memory; Analyze drives it from
-// a recorded trace (capture.Replay), so the two reports cannot differ.
+// counters. A run drives it online, in bounded memory, through the taps
+// Instrument puts on a probe node (a streaming probe's and the BitTorrent
+// baseline's alike); Analyze drives it from a recorded trace
+// (capture.Replay), so the two reports cannot differ.
 package analysis
 
 import (
