@@ -34,11 +34,15 @@ type Env interface {
 	// Rand returns the node's deterministic random stream.
 	Rand() *rand.Rand
 	// Send transmits a datagram to another node. From Send on the message
-	// belongs to the transport and must not be mutated. One made by
-	// wire.NewDataRequest, wire.NewDataReply or wire.NewHave must not be
-	// sent again or kept either: the transport may recycle it once it is
-	// delivered (simnet does, with wire.Release). Any other message is never
-	// recycled, so one value may go to several destinations.
+	// belongs to the transport and must not be mutated. One made by a wire
+	// constructor (wire.NewDataRequest, NewDataReply, NewHave,
+	// NewHandshakeAck, NewPeerListRequest, NewPeerListReply) must not be
+	// kept either: the transport may recycle it once it is delivered or
+	// dropped (simnet does, with wire.Release, once per destination). It
+	// goes to one destination, except a Have whose SetDeliveries declared n
+	// of them: it is sent exactly n times, and the last release recycles
+	// it. Any other message is never recycled, so one value may go to
+	// several destinations.
 	Send(to netip.Addr, msg wire.Message)
 	// UplinkBacklog reports how long the node's access uplink is currently
 	// backed up (zero when idle). Serving policies use it to shed load.

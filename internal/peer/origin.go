@@ -55,15 +55,15 @@ func (o *Origin) Stats() (served, servedBytes, shed uint64) {
 }
 
 // bufferMap returns a map covering the trailing window up to the live edge,
-// all bits set.
-func (o *Origin) bufferMap(now time.Duration) wire.BufferMap {
+// all bits set, in words' storage when it is large enough.
+func (o *Origin) bufferMap(words []uint64, now time.Duration) wire.BufferMap {
 	const window = 2048
 	edge := o.Edge(now)
 	start := uint64(0)
 	if edge+1 > window {
 		start = edge + 1 - window
 	}
-	bm := wire.MakeBufferMap(start, window)
+	bm := wire.ResetBufferMap(words, start, window)
 	if edge >= start {
 		bm.SetRange(start, edge)
 	}
@@ -84,11 +84,9 @@ func (o *Origin) Serve(from netip.Addr, msg wire.Message) bool {
 		if m.Channel != o.spec.Channel {
 			return false
 		}
-		o.env.Send(from, &wire.HandshakeAck{
-			Channel:  m.Channel,
-			Accepted: true,
-			Buffer:   o.bufferMap(o.env.Now()),
-		})
+		ack := wire.NewHandshakeAck(m.Channel, true)
+		ack.Buffer = o.bufferMap(ack.Buffer.Words, o.env.Now())
+		o.env.Send(from, ack)
 	case *wire.DataRequest:
 		if m.Channel != o.spec.Channel {
 			return false

@@ -56,6 +56,16 @@ type session struct {
 	// mutates the sorted order mid-iteration); reused across gossip rounds.
 	evictScratch []netip.Addr
 
+	// addrScratch holds a list of addresses while one handler works on it —
+	// connectFromList's fresh candidates, the gossip and Have targets — so
+	// joining and referral allocate nothing once warm. No two users are ever
+	// live at once: a send never runs a handler before it returns.
+	addrScratch []netip.Addr
+
+	// hs is the session's one handshake. It is not a recycled message, so
+	// every dial sends the same value.
+	hs wire.Handshake
+
 	// recent is the referral source: most recently connected peers first,
 	// deduplicated, capped at cfg.ReferralSize.
 	recent []netip.Addr
@@ -116,6 +126,7 @@ func newSession(c *Client, spec stream.Spec) *session {
 		spec:      spec,
 		phase:     PhaseBootstrap,
 		neighbors: make(map[uint32]*neighbor),
+		hs:        wire.Handshake{Channel: spec.Channel},
 	}
 }
 
@@ -223,6 +234,11 @@ func (s *session) handlePlaylink(m *wire.PlaylinkResponse) {
 	drift := int((s.cfg.RequestTimeout+s.cfg.SchedInterval).Seconds()*s.spec.Rate()) + 64
 	s.inflight = stream.NewBitRing(s.cfg.BufferWindow + drift)
 	s.trackers = append([]netip.Addr(nil), m.Trackers...)
+	// Both lists stay at their bounds for the whole session: the handshake
+	// window drops expired entries in place, and pushRecent inserts before
+	// it trims.
+	s.pending = make([]pendingShake, 0, s.cfg.MaxPending)
+	s.recent = make([]netip.Addr, 0, s.cfg.ReferralSize+1)
 	s.phase = PhaseStartup
 	if s.cfg.Resilient {
 		s.trHealth = make([]trackerHealth, len(s.trackers))
@@ -317,14 +333,9 @@ func (s *session) gossip() {
 	s.trimNeighbors()
 	s.maybeSteady()
 
-	targets := s.sampleNeighbors(gossipFanout)
-	if len(targets) == 0 {
-		return
-	}
-	own := s.ownPeerList()
-	for _, addr := range targets {
+	for _, addr := range s.sampleNeighbors(gossipFanout) {
 		s.c.stats.GossipSent++
-		s.env.Send(addr, &wire.PeerListRequest{Channel: s.spec.Channel, OwnPeers: own})
+		s.env.Send(addr, s.peerListRequest())
 	}
 }
 
@@ -348,12 +359,12 @@ func (s *session) trimNeighbors() {
 	}
 }
 
-// ownPeerList returns the list the client maintains (its recent neighbors),
-// enclosed in gossip requests as the paper describes.
-func (s *session) ownPeerList() []netip.Addr {
-	out := make([]netip.Addr, len(s.recent))
-	copy(out, s.recent)
-	return out
+// peerListRequest returns a peer-list request enclosing the list the client
+// maintains (its recent neighbors), as the paper describes.
+func (s *session) peerListRequest() *wire.PeerListRequest {
+	m := wire.NewPeerListRequest(s.spec.Channel)
+	m.OwnPeers = append(m.OwnPeers, s.recent...)
+	return m
 }
 
 // cmpNeighborAddr orders sortedNbs by address.
@@ -367,12 +378,13 @@ func (s *session) sortedRemove(a netip.Addr) {
 }
 
 // sampleNeighbors picks up to k distinct connected mesh neighbors uniformly
-// (gossip targets are regular peers).
+// (gossip targets are regular peers), into addrScratch.
 func (s *session) sampleNeighbors(k int) []netip.Addr {
-	pool := make([]netip.Addr, len(s.sortedNbs))
-	for i, nb := range s.sortedNbs {
-		pool[i] = nb.addr
+	pool := s.addrScratch[:0]
+	for _, nb := range s.sortedNbs {
+		pool = append(pool, nb.addr)
 	}
+	s.addrScratch = pool
 	rng := s.env.Rand()
 	if len(pool) <= k {
 		return pool
@@ -392,7 +404,7 @@ func (s *session) connectFromList(addrs []netip.Addr) {
 	if s.buffer == nil {
 		return
 	}
-	fresh := make([]netip.Addr, 0, len(addrs))
+	fresh := s.addrScratch[:0]
 	self := s.env.Addr()
 	for _, a := range addrs {
 		if a == self {
@@ -406,6 +418,7 @@ func (s *session) connectFromList(addrs []netip.Addr) {
 		}
 		fresh = append(fresh, a)
 	}
+	s.addrScratch = fresh
 	rng := s.env.Rand()
 	rng.Shuffle(len(fresh), func(i, j int) { fresh[i], fresh[j] = fresh[j], fresh[i] })
 	n := s.cfg.ConnectFanout
@@ -431,7 +444,7 @@ func (s *session) sendHandshake(a netip.Addr) {
 		s.pending = append(s.pending, pendingShake{key: akey(a), at: s.env.Now()})
 	}
 	s.c.stats.HandshakesSent++
-	hs := &wire.Handshake{Channel: s.spec.Channel}
+	hs := &s.hs
 	if s.cfg.LatencyBias {
 		s.env.Send(a, hs)
 		return
@@ -470,12 +483,9 @@ func (s *session) handleHandshake(from netip.Addr, m *wire.Handshake) {
 	// Accept inbound connections up to twice the outbound cap: PPLive peers
 	// are generous acceptors, which is what makes clusters highly connected.
 	accept := len(s.sortedNbs) < 2*s.cfg.MaxNeighbors
-	ack := &wire.HandshakeAck{
-		Channel:  s.spec.Channel,
-		Accepted: accept,
-	}
+	ack := wire.NewHandshakeAck(s.spec.Channel, accept)
 	if accept {
-		ack.Buffer = s.buffer.Snapshot()
+		ack.Buffer = s.buffer.SnapshotInto(ack.Buffer.Words)
 		s.c.stats.InboundAccepted++
 		s.addNeighbor(from, wire.BufferMap{})
 	} else {
@@ -519,7 +529,7 @@ func (s *session) handleHandshakeAck(from netip.Addr, m *wire.HandshakeAck) {
 	// "Upon the establishment of a new connection, the client will first ask
 	// the newly connected peer for its peer list ... then request video data."
 	s.c.stats.GossipSent++
-	s.env.Send(from, &wire.PeerListRequest{Channel: s.spec.Channel, OwnPeers: s.ownPeerList()})
+	s.env.Send(from, s.peerListRequest())
 }
 
 // addNeighbor registers (or refreshes) a connected mesh neighbor and records
@@ -546,10 +556,26 @@ func (s *session) addOrigin(a netip.Addr, kind originKind) {
 	s.origins = append(s.origins, nb)
 }
 
-// newNeighbor enters a fresh neighbor for a into the table.
+// newNeighbor enters a fresh neighbor for a into the table, reusing one the
+// client dropped earlier when it has one: only the storage of its buffer map
+// and its outstanding list carries over.
 func (s *session) newNeighbor(a netip.Addr, bm wire.BufferMap) *neighbor {
 	now := s.env.Now()
-	nb := &neighbor{addr: a, connected: now, lastHeard: now, planIdx: -1}
+	var nb *neighbor
+	if k := len(s.c.freeNbs); k > 0 {
+		nb = s.c.freeNbs[k-1]
+		s.c.freeNbs = s.c.freeNbs[:k-1]
+	} else {
+		nb = new(neighbor)
+	}
+	*nb = neighbor{
+		addr:        a,
+		connected:   now,
+		lastHeard:   now,
+		buffer:      wire.BufferMap{Words: nb.buffer.Words[:0]},
+		outstanding: nb.outstanding[:0],
+		planIdx:     -1,
+	}
 	nb.setBuffer(bm, now)
 	s.neighbors[akey(a)] = nb
 	return nb
@@ -594,22 +620,23 @@ func (s *session) handlePeerListRequest(from netip.Addr, m *wire.PeerListRequest
 	if nb, ok := s.neighbors[akey(from)]; ok {
 		nb.lastHeard = s.env.Now()
 	}
-	reply := &wire.PeerListReply{Channel: s.spec.Channel}
+	reply := wire.NewPeerListReply(s.spec.Channel)
 	if s.cfg.ReferralEnabled {
-		reply.Peers = s.referralList(from)
+		reply.Peers = s.appendReferrals(reply.Peers, from)
 	}
 	s.env.Send(from, reply)
 }
 
-// referralList returns up to ReferralSize recently connected peers, excluding
-// the requester itself. recent never contains this session's own address
-// (pushRecent only records remote non-source neighbors) and keepalive
-// eviction purges dead entries, so a referral can neither bounce the
-// requester back to itself nor hand out a neighbor known to be gone. A
-// configured selection policy then reorders/clamps the reply — Refer is
-// RNG-free, so shaping never perturbs the event trajectory.
-func (s *session) referralList(requester netip.Addr) []netip.Addr {
-	out := make([]netip.Addr, 0, len(s.recent))
+// appendReferrals appends to out up to ReferralSize recently connected
+// peers, excluding the requester itself. recent never contains this
+// session's own address (pushRecent only records remote non-source
+// neighbors) and keepalive eviction purges dead entries, so a referral can
+// neither bounce the requester back to itself nor hand out a neighbor known
+// to be gone. A configured selection policy then reorders/clamps the
+// appended list — Refer is RNG-free, so shaping never perturbs the event
+// trajectory.
+func (s *session) appendReferrals(out []netip.Addr, requester netip.Addr) []netip.Addr {
+	n := len(out)
 	for _, a := range s.recent {
 		if a == requester {
 			continue
@@ -617,7 +644,7 @@ func (s *session) referralList(requester netip.Addr) []netip.Addr {
 		out = append(out, a)
 	}
 	if pol := s.cfg.Selection; pol != nil {
-		out = out[:pol.Refer(out, requester)]
+		out = out[:n+pol.Refer(out[n:], requester)]
 	}
 	return out
 }
@@ -707,9 +734,14 @@ func (s *session) dropNeighbor(a netip.Addr) {
 	}
 	// Invalidate the dropped neighbor's scheduler-plan row so a stale pointer
 	// can never write eligibility bits for whoever inherits the row index.
+	// The plan itself holds indices into sortedNbs, never pointers, and is
+	// rebuilt every tick, so the struct is free for newNeighbor's next entry.
 	nb.planIdx = -1
 	delete(s.neighbors, akey(a))
 	s.sortedRemove(a)
+	if len(s.c.freeNbs) < maxFreeNeighbors {
+		s.c.freeNbs = append(s.c.freeNbs, nb)
+	}
 }
 
 // maybeSteady transitions to the steady phase once playback is satisfactory:
@@ -1075,15 +1107,22 @@ func (s *session) gossipHave(seq uint64, count uint16, from netip.Addr) {
 		return
 	}
 	rng := s.env.Rand()
-	sent := 0
-	for attempts := 0; sent < s.cfg.HintFanout && attempts < 3*s.cfg.HintFanout; attempts++ {
-		a := pool[rng.Intn(len(pool))].addr
-		if a == from {
-			continue
+	targets := s.addrScratch[:0]
+	for attempts := 0; len(targets) < s.cfg.HintFanout && attempts < 3*s.cfg.HintFanout; attempts++ {
+		if a := pool[rng.Intn(len(pool))].addr; a != from {
+			targets = append(targets, a)
 		}
-		// One message per target: each delivery releases its own.
-		s.env.Send(a, wire.NewHave(s.spec.Channel, seq, count))
-		sent++
+	}
+	s.addrScratch = targets
+	if len(targets) == 0 {
+		return
+	}
+	// One message for every target: each delivery releases it once, and the
+	// last release recycles it.
+	m := wire.NewHave(s.spec.Channel, seq, count)
+	m.SetDeliveries(len(targets))
+	for _, a := range targets {
+		s.env.Send(a, m)
 	}
 }
 

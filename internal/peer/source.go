@@ -93,13 +93,13 @@ func (s *Source) HandleMessage(from netip.Addr, msg wire.Message) {
 			return
 		}
 		s.note(from)
-		peers := make([]netip.Addr, 0, len(s.recent))
+		reply := wire.NewPeerListReply(m.Channel)
 		for _, a := range s.recent {
 			if a != from {
-				peers = append(peers, a)
+				reply.Peers = append(reply.Peers, a)
 			}
 		}
-		s.env.Send(from, &wire.PeerListReply{Channel: m.Channel, Peers: peers})
+		s.env.Send(from, reply)
 	case *wire.Ping:
 		// A keepalive is not a client contact: it earns no referral entry.
 		s.origin.Serve(from, msg)

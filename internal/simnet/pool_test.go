@@ -82,14 +82,197 @@ func TestDataPlaneZeroAlloc(t *testing.T) {
 	idle := testing.AllocsPerRun(runs, run)
 	requests, replies, haves = 0, 0, 0
 	allocs := testing.AllocsPerRun(runs, exchange)
-	// A lost datagram leaves its message to the collector, and the pool one
-	// short. The world is deterministic and at seed 7 the underlay loses
-	// none of the measured exchanges' datagrams, so the count is exact.
+	// The world is deterministic and at seed 7 the underlay loses none of
+	// the measured exchanges' datagrams, so the count is exact;
+	// TestDataPlaneZeroAllocLossy measures the drops.
 	if requests != runs+1 || replies != runs+1 || haves != runs+1 {
 		t.Fatalf("%d requests, %d replies, %d haves delivered over %d exchanges", requests, replies, haves, runs+1)
 	}
 	t.Logf("idle World.Run: %.0f allocs; with one exchange: %.0f", idle, allocs)
 	if got := allocs - idle; got != 0 {
 		t.Errorf("one exchange allocates %.2f objects beyond an idle World.Run (%.0f), want 0", got, idle)
+	}
+}
+
+// TestDataPlaneZeroAllocLossy is TestDataPlaneZeroAlloc with drops: a third
+// of every datagram the two domains send is lost, and in the middle of the
+// measured exchanges one Have destination in the requester's domain detaches
+// while a Have to it is in flight and one in the server's domain detaches
+// too. Later Haves to them die at the send and at the barrier. Every dropped
+// message goes back to the pool, so the exchanges still allocate nothing.
+func TestDataPlaneZeroAllocLossy(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items on purpose under the race detector")
+	}
+	w := simnet.NewShardedWorldN(7, simnet.DefaultShards)
+	spawn := func(cat isp.ISP) *simnet.Env {
+		env, err := w.DomainsOf(cat)[0].Spawn(simnet.HostSpec{ISP: cat, UploadBps: 1 << 30})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return env
+	}
+	client, server, buddy, far := spawn(isp.TELE), spawn(isp.CNC), spawn(isp.TELE), spawn(isp.CNC)
+	client.Domain().Network().AddBurstLoss(1.0 / 3)
+	server.Domain().Network().AddBurstLoss(1.0 / 3)
+	detach := false
+	server.SetHandler(node.HandlerFunc(func(from netip.Addr, msg wire.Message) {
+		m := msg.(*wire.DataRequest)
+		server.Send(from, wire.NewDataReply(m.Channel, m.Seq, m.Count, wire.SubPieceSize, false))
+	}))
+	client.SetHandler(node.HandlerFunc(func(_ netip.Addr, msg wire.Message) {
+		m := msg.(*wire.DataReply)
+		have := wire.NewHave(m.Channel, m.Seq, m.Count)
+		have.SetDeliveries(2)
+		client.Send(buddy.Addr(), have)
+		client.Send(far.Addr(), have)
+		if detach {
+			detach = false
+			buddy.Close() // the Have just sent is in flight
+		}
+	}))
+	closeFar := func() { far.Close() }
+
+	var horizon time.Duration
+	run := func() {
+		horizon += time.Second
+		if err := w.Run(horizon, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seq := uint64(0)
+	request := func() {
+		seq++
+		client.Send(server.Addr(), wire.NewDataRequest(1, seq, 1))
+	}
+	// AllocsPerRun divides its count by the runs in integers. A run of ten
+	// exchanges makes a message a tenth of them leak show, where a run of
+	// one would round it away; the event queue's amortized growth, a few
+	// objects in the whole measurement, stays below it.
+	const runs, batch = 50, 10
+	exchanges := 0
+	exchange := func() {
+		if exchanges++; exchanges == runs*batch/2 {
+			detach = true
+			server.Domain().At(horizon+time.Millisecond, closeFar)
+		}
+		client.Domain().At(horizon, request)
+		run()
+	}
+	exchangeBatch := func() {
+		for i := 0; i < batch; i++ {
+			exchange()
+		}
+	}
+	idleBatch := func() {
+		for i := 0; i < batch; i++ {
+			run()
+		}
+	}
+	for i := 0; i < 200; i++ {
+		client.Domain().At(horizon, request)
+		run()
+	}
+	idle := testing.AllocsPerRun(runs, idleBatch)
+	_, lostBefore, _, noHostBefore := w.NetStats()
+	allocs := testing.AllocsPerRun(runs, exchangeBatch)
+	_, lost, _, noHost := w.NetStats()
+	if !buddy.Closed() || !far.Closed() {
+		t.Fatal("the Have destinations did not detach")
+	}
+	if lost == lostBefore || noHost == noHostBefore {
+		t.Fatalf("measured exchanges lost %d datagrams and found no host for %d, want both > 0", lost-lostBefore, noHost-noHostBefore)
+	}
+	t.Logf("%d idle World.Runs: %.0f allocs; with one lossy exchange each: %.0f (%d lost, %d to no host over %d exchanges)",
+		batch, idle, allocs, lost-lostBefore, noHost-noHostBefore, (runs+1)*batch)
+	if got := allocs - idle; got != 0 {
+		t.Errorf("%d lossy exchanges allocate %.2f objects beyond as many idle World.Runs (%.0f), want 0", batch, got, idle)
+	}
+}
+
+// TestDropSitesRelease sends one recycled Have into each of the transport's
+// drop sites in turn and checks that it came back to the wire pool, which
+// zeroes it: the uplink queue bound, no host at the send, random loss and a
+// partition on both the local and the cross-domain path, no host at the
+// barrier's injection, a destination that detaches in flight, and a closed
+// sender.
+func TestDropSitesRelease(t *testing.T) {
+	w := simnet.NewShardedWorldN(7, simnet.DefaultShards)
+	spawn := func(cat isp.ISP, bps float64) *simnet.Env {
+		env, err := w.DomainsOf(cat)[0].Spawn(simnet.HostSpec{ISP: cat, UploadBps: bps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return env
+	}
+	sender, local, remote := spawn(isp.TELE, 1<<30), spawn(isp.TELE, 1<<30), spawn(isp.CNC, 1<<30)
+	slow := spawn(isp.TELE, 1) // one Have keeps its uplink busy past the 8 s queue bound
+	goneLocal, goneRemote := spawn(isp.TELE, 1<<30), spawn(isp.CNC, 1<<30)
+	goneLocal.Close()
+	goneRemote.Close()
+	closed := spawn(isp.TELE, 1<<30)
+	closed.Close()
+	net := sender.Domain().Network()
+
+	var horizon time.Duration
+	for i, c := range []struct {
+		site   string
+		from   *simnet.Env
+		to     netip.Addr
+		before func()        // at the send, before it
+		after  func()        // at the send, after it
+		stat   func() uint64 // the site's drop counter; nil if it has none
+	}{
+		{site: "queue bound", from: slow, to: local.Addr(),
+			before: func() { slow.Send(local.Addr(), &wire.Have{Channel: 1, Seq: 1, Count: 1}) },
+			stat:   func() uint64 { _, _, q, _ := w.NetStats(); return q }},
+		{site: "no host at send", from: sender, to: goneLocal.Addr(),
+			stat: func() uint64 { _, _, _, n := w.NetStats(); return n }},
+		{site: "loss", from: sender, to: local.Addr(),
+			before: func() { net.AddBurstLoss(1) }, after: func() { net.RemoveBurstLoss(1) },
+			stat: func() uint64 { _, l, _, _ := w.NetStats(); return l }},
+		{site: "loss across domains", from: sender, to: remote.Addr(),
+			before: func() { net.AddBurstLoss(1) }, after: func() { net.RemoveBurstLoss(1) },
+			stat: func() uint64 { _, l, _, _ := w.NetStats(); return l }},
+		{site: "partition", from: sender, to: local.Addr(),
+			before: func() { net.ApplyLinkFault(isp.TELE, isp.TELE, 0, 0, true) },
+			after:  func() { net.ClearLinkFault(isp.TELE, isp.TELE, 0, 0, true) },
+			stat:   net.FaultDrops},
+		{site: "partition across domains", from: sender, to: remote.Addr(),
+			before: func() { net.ApplyLinkFault(isp.TELE, isp.CNC, 0, 0, true) },
+			after:  func() { net.ClearLinkFault(isp.TELE, isp.CNC, 0, 0, true) },
+			stat:   net.FaultDrops},
+		{site: "no host at injection", from: sender, to: goneRemote.Addr(),
+			stat: func() uint64 { _, _, _, n := w.NetStats(); return n }},
+		{site: "detached in flight", from: sender, to: local.Addr(),
+			after: func() { local.Close() },
+			stat:  func() uint64 { _, _, _, n := w.NetStats(); return n }},
+		{site: "closed sender", from: closed, to: remote.Addr()},
+	} {
+		m := wire.NewHave(1, uint64(100+i), 1)
+		var before uint64
+		if c.stat != nil {
+			before = c.stat()
+		}
+		send := func() {
+			if c.before != nil {
+				c.before()
+			}
+			c.from.Send(c.to, m)
+			if c.after != nil {
+				c.after()
+			}
+		}
+		c.from.Domain().At(horizon, send)
+		horizon += time.Minute
+		if err := w.Run(horizon, 1); err != nil {
+			t.Fatal(err)
+		}
+		if c.stat != nil && c.stat() == before {
+			t.Errorf("%s: the drop counter did not move", c.site)
+		}
+		if m.Seq != 0 || m.Count != 0 {
+			t.Errorf("%s: the dropped Have (seq %d) was not released", c.site, m.Seq)
+		}
 	}
 }

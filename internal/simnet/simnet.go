@@ -222,6 +222,7 @@ func build(seed int64, reg *asnmap.Registry, parts []part) *World {
 			net:   underlay.New(eng, cfg),
 			pools: make(map[isp.ISP]*ipam.Pool, len(p.pools)),
 		}
+		d.net.SetDiscard(discard)
 		for _, cat := range isp.All() {
 			prefixes, ok := p.pools[cat]
 			if !ok {
@@ -624,7 +625,10 @@ var (
 
 // Tap observes a datagram at a node boundary. Like a node.Handler, a tap
 // must not keep msg, or anything it points to, after it returns: a delivered
-// message is recycled as soon as the taps and the handler are done.
+// message is recycled as soon as the taps and the handler are done, and a
+// recycled peer list or buffer map keeps its storage for its next sender.
+// A send tap may see the same message several times, once per destination
+// of a counted Have (wire.Have.SetDeliveries); it must not mutate it.
 type Tap func(peer netip.Addr, msg wire.Message, size int)
 
 // Addr implements node.Env.
@@ -696,9 +700,18 @@ func (d *Domain) datagram(msg wire.Message) (size int, payload any) {
 	return wire.Size(msg), decoded
 }
 
-// Send implements node.Env.
+// discard is every domain's underlay discard hook: a dropped datagram's
+// message goes back to the wire pool, like a delivered one.
+func discard(payload any) {
+	if msg, ok := payload.(wire.Message); ok {
+		wire.Release(msg)
+	}
+}
+
+// Send implements node.Env. A closed env sends nothing and releases msg.
 func (e *Env) Send(to netip.Addr, msg wire.Message) {
 	if e.closed {
+		wire.Release(msg)
 		return
 	}
 	size, payload := e.domain.datagram(msg)
@@ -710,15 +723,16 @@ func (e *Env) Send(to netip.Addr, msg wire.Message) {
 
 // Deliver implements underlay.Receiver for this node: the taps, then the
 // handler, and then the message goes back to the wire pool (wire.Release).
-// A datagram for a closed env is left to the collector, like one the
-// underlay loses, queue-drops or addresses to no host.
+// A datagram for a closed env goes straight back, like one the underlay
+// loses, queue-drops or addresses to no host (see discard).
 func (e *Env) Deliver(_ *underlay.Host, from netip.Addr, size int, payload any) {
-	if e.closed {
-		return
-	}
 	msg, ok := payload.(wire.Message)
 	if !ok {
 		panic(fmt.Sprintf("simnet: non-wire payload %T delivered to %s", payload, e.host.Addr))
+	}
+	if e.closed {
+		wire.Release(msg)
+		return
 	}
 	for _, tap := range e.recvTaps {
 		tap(from, msg, size)
@@ -804,12 +818,15 @@ func (p *LitePort) Spawn(spec HostSpec) (*underlay.Host, error) {
 }
 
 // Send transmits a message from the member at from, with the same codec
-// check Env.Send applies. A retired member sends nothing.
+// check Env.Send applies. A retired member sends nothing and releases msg.
 func (p *LitePort) Send(from, to netip.Addr, msg wire.Message) {
-	if h, ok := p.domain.net.Lookup(from); ok {
-		size, payload := p.domain.datagram(msg)
-		p.domain.net.Send(h, to, size, payload)
+	h, ok := p.domain.net.Lookup(from)
+	if !ok {
+		wire.Release(msg)
+		return
 	}
+	size, payload := p.domain.datagram(msg)
+	p.domain.net.Send(h, to, size, payload)
 }
 
 // UplinkBacklog is the transmit-queue delay now of the member at addr.

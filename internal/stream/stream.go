@@ -313,8 +313,13 @@ func (b *Buffer) AppendWantRing(dst []uint64, now time.Duration, max int, limit 
 // Snapshot produces a wire buffer map covering the retained window. Bit i of
 // the map covers base+i — a rotation of the ring, assembled a word at a time:
 // each output word is two ring words funnel-shifted by base's bit offset.
-func (b *Buffer) Snapshot() wire.BufferMap {
-	bm := wire.MakeBufferMap(b.base, b.window)
+func (b *Buffer) Snapshot() wire.BufferMap { return b.SnapshotInto(nil) }
+
+// SnapshotInto is Snapshot writing the map's words into words' storage when
+// it is large enough (a recycled message's retained Words), and into a new
+// array otherwise.
+func (b *Buffer) SnapshotInto(words []uint64) wire.BufferMap {
+	bm := wire.ResetBufferMap(words, b.base, b.window)
 	s := b.base % 64
 	for w := range bm.Words {
 		a0 := b.base + uint64(w)*64 - s

@@ -231,6 +231,10 @@ type Network struct {
 	// single-threaded engine a plain slice beats sync.Pool.
 	freeDeliveries []*delivery
 
+	// discard, when set, is handed the payload of every datagram the network
+	// drops (see SetDiscard).
+	discard func(payload any)
+
 	// flt holds active fault-injection perturbations; nil whenever no fault
 	// is in force, so the fault-free send path pays one pointer test and
 	// nothing else (BenchmarkFaultIdleSend pins this).
@@ -356,6 +360,7 @@ var deliverDatagram = func(a any) {
 	n := d.n
 	if dst := d.dst; dst.key != d.to {
 		n.droppedNoHost++
+		n.drop(d.payload)
 	} else {
 		dst.recvDatagrams++
 		dst.recvBytes += uint64(d.size)
@@ -382,6 +387,20 @@ func New(eng *eventsim.Engine, cfg Config) *Network {
 func (n *Network) SetRouter(r Router, domainID int) {
 	n.router = r
 	n.domainID = domainID
+}
+
+// SetDiscard installs fn as the end of every datagram the network drops —
+// lost, partitioned, queue-dropped, or addressed to no host, whether at the
+// send, at a cross-shard injection or on arrival — so a transport can take
+// back a payload it recycles. fn runs where the drop happens, consumes no
+// randomness, and must not send. A delivered payload is the receiver's.
+func (n *Network) SetDiscard(fn func(payload any)) { n.discard = fn }
+
+// drop ends a dropped datagram's payload.
+func (n *Network) drop(payload any) {
+	if n.discard != nil {
+		n.discard(payload)
+	}
 }
 
 // SetRemoteFloor installs a per-destination-domain minimum wire latency for
@@ -511,6 +530,7 @@ func (n *Network) Send(from *Host, to netip.Addr, size int, payload any) bool {
 	}
 	if start-now > n.cfg.MaxQueueDelay {
 		n.droppedQueue++
+		n.drop(payload)
 		return false
 	}
 	departure := start + txTime
@@ -530,6 +550,7 @@ func (n *Network) Send(from *Host, to netip.Addr, size int, payload any) bool {
 			}
 		}
 		n.droppedNoHost++
+		n.drop(payload)
 		return true // accepted by the uplink; lost in the network
 	}
 	// Fault perturbations fold in before the loss draw; a partition drops the
@@ -543,6 +564,7 @@ func (n *Network) Send(from *Host, to netip.Addr, size int, payload any) bool {
 		k := fkey(from.ISP, dst.ISP)
 		if f.partition[k] > 0 {
 			n.droppedFault++
+			n.drop(payload)
 			return true
 		}
 		p += f.addLoss[k] + f.burstLoss
@@ -550,6 +572,7 @@ func (n *Network) Send(from *Host, to netip.Addr, size int, payload any) bool {
 	}
 	if n.rng.Float64() < p {
 		n.droppedLoss++
+		n.drop(payload)
 		return true
 	}
 
@@ -578,6 +601,7 @@ func (n *Network) sendRemote(from *Host, to netip.Addr, rem Remote, departure ti
 		k := fkey(from.ISP, rem.ISP)
 		if f.partition[k] > 0 {
 			n.droppedFault++
+			n.drop(payload)
 			return true
 		}
 		p += f.addLoss[k] + f.burstLoss
@@ -585,6 +609,7 @@ func (n *Network) sendRemote(from *Host, to netip.Addr, rem Remote, departure ti
 	}
 	if n.rng.Float64() < p {
 		n.droppedLoss++
+		n.drop(payload)
 		return true
 	}
 	owd := n.pairOWDAddr(from.Addr, from.ISP, to, rem.ISP)
@@ -612,6 +637,7 @@ func (n *Network) Inject(arrival time.Duration, from, to netip.Addr, size int, p
 	dst := n.hosts.get(toKey)
 	if dst == nil {
 		n.droppedNoHost++
+		n.drop(payload)
 		return
 	}
 	arrival += dst.ProcDelay

@@ -263,6 +263,7 @@ func (m *Handshake) body(c coder) coder { return c.channel(&m.Channel) }
 type HandshakeAck struct {
 	Channel  ChannelID
 	Accepted bool
+	pooled   bool // made by NewHandshakeAck; see Release
 	Buffer   BufferMap
 }
 
@@ -277,6 +278,7 @@ func (m *HandshakeAck) body(c coder) coder {
 // requester encloses the peer list it maintains itself.
 type PeerListRequest struct {
 	Channel  ChannelID
+	pooled   bool // made by NewPeerListRequest; see Release
 	OwnPeers []netip.Addr
 }
 
@@ -287,6 +289,7 @@ func (m *PeerListRequest) body(c coder) coder { return c.channel(&m.Channel).add
 // PeerListReply returns a neighbor's recently connected peers (≤60).
 type PeerListReply struct {
 	Channel ChannelID
+	pooled  bool // made by NewPeerListReply; see Release
 	Peers   []netip.Addr
 }
 
@@ -309,13 +312,19 @@ type BufferMap struct {
 }
 
 // MakeBufferMap returns an all-zero map covering window sub-pieces from start.
-func MakeBufferMap(start uint64, window int) BufferMap {
+func MakeBufferMap(start uint64, window int) BufferMap { return ResetBufferMap(nil, start, window) }
+
+// ResetBufferMap is MakeBufferMap in words' storage, cleared, when it is
+// large enough, and in a new array otherwise.
+func ResetBufferMap(words []uint64, start uint64, window int) BufferMap {
 	nbytes := (window + 7) / 8
-	return BufferMap{
-		Start:   start,
-		Words:   make([]uint64, (nbytes+7)/8),
-		ByteLen: nbytes,
+	if n := (nbytes + 7) / 8; words == nil || cap(words) < n {
+		words = make([]uint64, n)
+	} else {
+		words = words[:n]
+		clear(words)
 	}
+	return BufferMap{Start: start, Words: words, ByteLen: nbytes}
 }
 
 // BufferMapFromBytes builds a map from the byte-granular bitmap encoding (bit
@@ -532,7 +541,8 @@ type Have struct {
 	Channel ChannelID
 	Seq     uint64
 	Count   uint16
-	pooled  bool // made by NewHave; see Release
+	pooled  bool  // made by NewHave; see Release
+	pending int32 // deliveries not yet released; see SetDeliveries
 }
 
 // Kind implements Message.
