@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"pplivesim/internal/fault"
 	"pplivesim/internal/isp"
 	"pplivesim/internal/peer"
 	"pplivesim/internal/workload"
@@ -78,94 +77,6 @@ func flowAccountDigest(t *testing.T, res *Result) uint64 {
 		h.Write(b)
 	}
 	return h.Sum64()
-}
-
-// flowSummary captures everything a flow worker-invariance check compares.
-type flowSummary struct {
-	digest     uint64
-	events     uint64
-	spawned    int
-	continuity float64
-	account    uint64
-}
-
-func runFlowScaled(t *testing.T, sc Scenario, shards, workers int) flowSummary {
-	t.Helper()
-	realWorkers(t, workers)
-	sc.Shards = shards
-	sc.Workers = workers
-	res, err := RunScenario(sc)
-	if err != nil {
-		t.Fatalf("shards %d workers %d: %v", shards, workers, err)
-	}
-	return flowSummary{
-		digest:     goldenDigest(t, res),
-		events:     res.EventsProcessed,
-		spawned:    res.PeersSpawned,
-		continuity: res.Probes[0].Client.BufferStats().Continuity(),
-		account:    flowAccountDigest(t, res),
-	}
-}
-
-// TestFlowTrafficPinned pins the whole flow-level traffic account of the
-// flow-small scenario on the 12-domain scaled partition: every per-ISP
-// transmission and byte total, every response-time group and sketch, and
-// every representative peer's activity. The account never feeds back into
-// the simulation, so nothing else would notice if its booking drifted.
-func TestFlowTrafficPinned(t *testing.T) {
-	sc := smallScenario(7)
-	sc.Name = "flow-small"
-	sc.Fidelity = peer.FidelityFlow
-	sc.Churn = workload.DefaultChurn()
-	sc.Shards = 12
-	sc.Workers = goldenWorkers(t)
-	res, err := RunScenario(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const want = 0x3873fe3bd0e43505
-	if got := flowAccountDigest(t, res); got != want {
-		t.Errorf("flow traffic account digest = %#x, want %#x (the flow account changed)", got, want)
-	}
-}
-
-// TestFlowWorkerInvariance runs flow fidelity on the 12-domain scaled
-// partition at 1 and 4 workers: the probe trajectory AND the barrier-folded
-// flow traffic totals must be bit-identical.
-func TestFlowWorkerInvariance(t *testing.T) {
-	sc := smallScenario(7)
-	sc.Name = "flow-invariance"
-	sc.Fidelity = peer.FidelityFlow
-	sc.Churn = workload.DefaultChurn()
-
-	s1 := runFlowScaled(t, sc, 12, 1)
-	s4 := runFlowScaled(t, sc, 12, 4)
-	if s1 != s4 {
-		t.Errorf("flow fidelity diverges across workers:\n  1 worker : %+v\n  4 workers: %+v", s1, s4)
-	}
-}
-
-// TestFlowKillEquivalence injects a kill-churn fault into flow swarms on the
-// scaled partition: every sub-shard draws kills from its own RNG stream, so
-// the killed set — and the probe's whole trajectory — is worker-count
-// invariant, mirroring the Client-population guarantee.
-func TestFlowKillEquivalence(t *testing.T) {
-	if testing.Short() {
-		t.Skip("scenario-scale test")
-	}
-	sc := smallScenario(7)
-	sc.Name = "flow-kill"
-	sc.Fidelity = peer.FidelityFlow
-	sc.Churn = workload.DefaultChurn()
-	sc.Faults = &fault.Schedule{
-		PeerKills: []fault.PeerKill{{At: sc.WarmUp + 2*time.Minute, Fraction: 0.3, ISP: isp.TELE}},
-	}
-
-	s1 := runFlowScaled(t, sc, 12, 1)
-	s4 := runFlowScaled(t, sc, 12, 4)
-	if s1 != s4 {
-		t.Errorf("flow kill-churn diverges across workers:\n  1 worker : %+v\n  4 workers: %+v", s1, s4)
-	}
 }
 
 func TestFlowFidelityValidation(t *testing.T) {

@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"os"
-	"strconv"
+	"runtime"
 	"testing"
+
+	"pplivesim/internal/simnet"
 )
 
 // TestPaperScalePopularRun executes the full-size popular-channel scenario —
@@ -14,20 +16,16 @@ import (
 //
 //	PPLIVE_PAPER_SCALE=1 go test ./internal/experiments -run TestPaperScalePopularRun -v -timeout 2h
 //
-// PPLIVE_SHARD_WORKERS sets the event-loop worker count; the trajectory and
-// every printed metric are identical at any setting.
+// The run uses one event-loop worker per core, up to the six ISP domains; the
+// trajectory and every printed metric are identical at any worker count.
 func TestPaperScalePopularRun(t *testing.T) {
 	if os.Getenv("PPLIVE_PAPER_SCALE") == "" {
 		t.Skip("set PPLIVE_PAPER_SCALE=1 to run the ~1300-viewer, 2-hour scenario")
 	}
 	r := NewRunner(PaperScale(), 20081011)
-	if ws := os.Getenv("PPLIVE_SHARD_WORKERS"); ws != "" {
-		n, err := strconv.Atoi(ws)
-		if err != nil || n < 1 {
-			t.Fatalf("PPLIVE_SHARD_WORKERS=%q: want a positive integer", ws)
-		}
-		r.Shards = n
-	}
+	// Above simnet.DefaultShards, Shards selects the scaled partition, a
+	// different trajectory.
+	r.Shards = min(runtime.GOMAXPROCS(0), simnet.DefaultShards)
 	out, err := r.Popular()
 	if err != nil {
 		t.Fatal(err)

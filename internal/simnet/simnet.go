@@ -426,16 +426,6 @@ func (w *World) LateInjects() uint64 {
 	return total
 }
 
-// LookupHost finds an attached host by address in any domain.
-func (w *World) LookupHost(addr netip.Addr) (*underlay.Host, bool) {
-	for _, d := range w.domains {
-		if h, ok := d.net.Lookup(addr); ok {
-			return h, true
-		}
-	}
-	return nil, false
-}
-
 // ID returns the domain's shard index.
 func (d *Domain) ID() int { return d.id }
 

@@ -17,7 +17,6 @@ import (
 
 	"pplivesim/internal/isp"
 	"pplivesim/internal/stream"
-	"pplivesim/internal/wire"
 )
 
 // Population is the steady-state concurrent viewer count per ISP.
@@ -291,16 +290,6 @@ func (f FlashCrowd) ArrivalOffset(rng *rand.Rand) time.Duration {
 	return d
 }
 
-// DiurnalFactor returns the within-day population multiplier at time-of-day
-// tod: a smooth curve with a prime-time evening peak (21:00, factor 1.0) and
-// an early-morning trough (09:00 local in the traces' terms, factor 0.4).
-// Composes with DayFactor/ForeignDayFactor for the 28-day generator: day
-// factors set the day's amplitude, this shapes the hours within it.
-func DiurnalFactor(tod time.Duration) float64 {
-	h := math.Mod(tod.Hours(), 24)
-	return 0.7 + 0.3*math.Cos(2*math.Pi*(h-21)/24)
-}
-
 // UploadCapacity draws an access uplink capacity (bytes/sec) for a viewer in
 // the given ISP: 2008-era residential ADSL in China (512 kbit/s – 1 Mbit/s
 // up), campus connectivity on CERNET, and residential broadband abroad
@@ -331,18 +320,6 @@ func PopularSpec() stream.Spec {
 // UnpopularSpec returns the unpopular channel's stream spec.
 func UnpopularSpec() stream.Spec {
 	return stream.DefaultSpec(2, "unpopular-live", 1_200)
-}
-
-// SpecFor returns the spec for a channel ID used by the standard scenarios.
-func SpecFor(ch wire.ChannelID) (stream.Spec, error) {
-	switch ch {
-	case 1:
-		return PopularSpec(), nil
-	case 2:
-		return UnpopularSpec(), nil
-	default:
-		return stream.Spec{}, fmt.Errorf("workload: unknown standard channel %d", ch)
-	}
 }
 
 // DayFactor returns the population multiplier for day d (0-based) of the

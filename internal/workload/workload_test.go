@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -97,19 +96,14 @@ func TestProcDelayBounded(t *testing.T) {
 	}
 }
 
-func TestSpecFor(t *testing.T) {
-	pop, err := SpecFor(1)
-	if err != nil || pop.Name != PopularSpec().Name {
-		t.Errorf("SpecFor(1) = %+v, %v", pop, err)
+// TestChannelSpecs pins the standard scenarios' channel IDs (1 popular,
+// 2 unpopular) and their order on the channel list.
+func TestChannelSpecs(t *testing.T) {
+	pop, unpop := PopularSpec(), UnpopularSpec()
+	if pop.Channel != 1 || unpop.Channel != 2 {
+		t.Errorf("channel IDs = %d, %d, want 1, 2", pop.Channel, unpop.Channel)
 	}
-	unpop, err := SpecFor(2)
-	if err != nil || unpop.Name != UnpopularSpec().Name {
-		t.Errorf("SpecFor(2) = %+v, %v", unpop, err)
-	}
-	if _, err := SpecFor(9); err == nil {
-		t.Error("unknown channel accepted")
-	}
-	if PopularSpec().Rating <= UnpopularSpec().Rating {
+	if pop.Rating <= unpop.Rating {
 		t.Error("popular channel must out-rate unpopular")
 	}
 }
@@ -240,26 +234,5 @@ func TestFlashCrowdArrivalOffsetFrontLoaded(t *testing.T) {
 	// land in the first half of the window.
 	if frac := float64(firstHalf) / n; frac < 0.7 {
 		t.Errorf("first-half arrival share = %v, want front-loaded (>0.7)", frac)
-	}
-}
-
-func TestDiurnalFactor(t *testing.T) {
-	peak := DiurnalFactor(21 * time.Hour)
-	trough := DiurnalFactor(9 * time.Hour)
-	if math.Abs(peak-1.0) > 1e-9 {
-		t.Errorf("prime-time factor = %v, want 1.0", peak)
-	}
-	if math.Abs(trough-0.4) > 1e-9 {
-		t.Errorf("morning trough = %v, want 0.4", trough)
-	}
-	// 24h periodic and always positive.
-	for h := 0; h < 48; h++ {
-		tod := time.Duration(h) * time.Hour
-		if got := DiurnalFactor(tod); got <= 0 || got > 1.0+1e-9 {
-			t.Errorf("DiurnalFactor(%dh) = %v outside (0, 1]", h, got)
-		}
-		if d := DiurnalFactor(tod) - DiurnalFactor(tod+24*time.Hour); math.Abs(d) > 1e-9 {
-			t.Errorf("not 24h periodic at %dh: delta %v", h, d)
-		}
 	}
 }
