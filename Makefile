@@ -74,13 +74,17 @@ perf-test:
 bench-e2e:
 	bash perf/run.sh -workload all -out perf/out/current.json
 
-# Short coverage-guided fuzz pass over the wire codec, seeded from the
-# committed golden-trace corpus (internal/wire/testdata/fuzz). CI runs this on
-# every push; longer local sessions just raise FUZZTIME.
+# Short coverage-guided pass over every fuzz target, FUZZTIME each: the wire
+# codec (seeded from the committed golden-trace corpus in
+# internal/wire/testdata/fuzz), the selection spec parser and the trace-file
+# reader. `go test -fuzz` takes one target in one package per run. CI runs
+# this on every push; longer local sessions just raise FUZZTIME.
 FUZZTIME ?= 10s
 
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzUnmarshal -fuzztime $(FUZZTIME) ./internal/wire/
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/wire/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME) ./internal/selection/
+	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME) ./internal/tracefile/
 
 bench: bench-hotpath
 

@@ -25,6 +25,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"time"
+	"unsafe"
 
 	"pplivesim/internal/asnmap"
 	"pplivesim/internal/eventsim"
@@ -495,10 +496,12 @@ func (d *Domain) Spawn(spec HostSpec) (*Env, error) {
 // fullHost rounds a full node's host record up to the allocator's 128-byte
 // class, whose objects start on a cache-line boundary. Build allocates the
 // hosts of different domains side by side and different workers write them;
-// at the record's own 112 bytes neighbours would share a line.
+// at the record's own 80 bytes (an 80-byte class exists) neighbours would
+// share a line. The pad is computed, so a resized Host keeps the class and
+// one larger than 128 bytes does not compile.
 type fullHost struct {
 	underlay.Host
-	_ [16]byte
+	_ [128 - unsafe.Sizeof(underlay.Host{})]byte
 }
 
 // SpawnAt attaches a host at a specific address in this domain.
@@ -626,9 +629,6 @@ func (e *Env) Addr() netip.Addr { return e.host.Addr }
 
 // ISP returns the host's ISP category.
 func (e *Env) ISP() isp.ISP { return e.host.ISP }
-
-// Host exposes the underlying underlay host (for stats).
-func (e *Env) Host() *underlay.Host { return e.host }
 
 // Domain returns the shard domain the node lives in.
 func (e *Env) Domain() *Domain { return e.domain }

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/netip"
 	"time"
 
@@ -43,6 +44,10 @@ type Line struct {
 	Payload  int      `json:"payload,omitempty"`
 	Addrs    []string `json:"addrs,omitempty"`
 }
+
+// maxAtMicros is the latest capture time a line can hold: one microsecond
+// more overflows time.Duration.
+const maxAtMicros = math.MaxInt64 / int64(time.Microsecond)
 
 // Write serializes a header and records to w.
 func Write(w io.Writer, hdr Header, records []capture.Record) error {
@@ -99,6 +104,10 @@ func Read(r io.Reader) (Header, []capture.Record, error) {
 		var l Line
 		if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
 			return Header{}, nil, fmt.Errorf("tracefile: line %d: %w", lineNo, err)
+		}
+		if l.AtMicros < 0 || l.AtMicros > maxAtMicros || l.Size < 0 || l.Payload < 0 {
+			return Header{}, nil, fmt.Errorf("tracefile: line %d: atMicros %d (max %d), size %d or payload %d out of range",
+				lineNo, l.AtMicros, maxAtMicros, l.Size, l.Payload)
 		}
 		rec := capture.Record{
 			At:      time.Duration(l.AtMicros) * time.Microsecond,

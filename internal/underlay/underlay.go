@@ -61,10 +61,6 @@ type Host struct {
 	// serves apart. The network never reads it.
 	Tag         int32
 	upBusyUntil time.Duration
-
-	// Stats.
-	sentDatagrams, recvDatagrams uint64
-	sentBytes, recvBytes         uint64
 }
 
 // QueueDelay returns the current uplink backlog expressed as time: how long a
@@ -74,11 +70,6 @@ func (h *Host) QueueDelay(now time.Duration) time.Duration {
 		return 0
 	}
 	return h.upBusyUntil - now
-}
-
-// Stats reports cumulative datagram/byte counters for the host.
-func (h *Host) Stats() (sentDatagrams, sentBytes, recvDatagrams, recvBytes uint64) {
-	return h.sentDatagrams, h.sentBytes, h.recvDatagrams, h.recvBytes
 }
 
 // Config tunes the latency, loss, and queuing model. Durations are one-way
@@ -362,8 +353,6 @@ var deliverDatagram = func(a any) {
 		n.droppedNoHost++
 		n.drop(d.payload)
 	} else {
-		dst.recvDatagrams++
-		dst.recvBytes += uint64(d.size)
 		n.delivered++
 		dst.recv.Deliver(dst, d.from, d.size, d.payload)
 	}
@@ -535,8 +524,6 @@ func (n *Network) Send(from *Host, to netip.Addr, size int, payload any) bool {
 	}
 	departure := start + txTime
 	from.upBusyUntil = departure
-	from.sentDatagrams++
-	from.sentBytes += uint64(size)
 
 	// Random loss along the path. The destination's ISP must be resolvable
 	// even if it detaches before arrival; use the current view, falling back

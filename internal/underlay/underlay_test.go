@@ -72,9 +72,9 @@ func TestAttachRejectsKeyZero(t *testing.T) {
 
 // TestHostSize pins the host record a million flow members are made of.
 func TestHostSize(t *testing.T) {
-	if size := unsafe.Sizeof(Host{}); size > 112 {
-		t.Errorf("Host is %d bytes, want <= 112: Addr 24, ISP 8, UploadBps 8, ProcDelay 8, recv 16, "+
-			"key 4, Tag 4, upBusyUntil 8, sent/recv datagram and byte counters 4x8", size)
+	if size := unsafe.Sizeof(Host{}); size != 80 {
+		t.Errorf("Host is %d bytes, want 80: Addr 24, ISP 8, UploadBps 8, ProcDelay 8, recv 16, "+
+			"key 4, Tag 4, upBusyUntil 8", size)
 	}
 }
 
