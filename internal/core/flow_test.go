@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"net/netip"
 	"os"
 	"runtime"
 	"testing"
@@ -11,6 +12,9 @@ import (
 
 	"pplivesim/internal/isp"
 	"pplivesim/internal/peer"
+	"pplivesim/internal/selection"
+	"pplivesim/internal/simnet"
+	"pplivesim/internal/wire"
 	"pplivesim/internal/workload"
 )
 
@@ -213,6 +217,130 @@ func TestFlowChurnZeroAlloc(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Errorf("flow tick + window fold allocates %.2f objects per round, want 0", allocs)
+	}
+}
+
+// TestFlowMessagesZeroAlloc is the allocation gate of what a flow swarm sends
+// through the real port: the periodic buffer-map announce over its live
+// probe-facing links and the sampled tracker announces, and a member's answers
+// to a probe — the handshake ack, the referral reply under a quota policy, the
+// pong and the declined data request with its buffer-map piggyback — each
+// sent, delivered through World.Run and recycled, at 0 allocations per round
+// once warm. The probes are two test hosts, one in the swarm's domain and one
+// in another, so both the local and the cross-domain path carry the replies;
+// the scenario's own probe joins only after the measurement.
+func TestFlowMessagesZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items on purpose under the race detector")
+	}
+	sc := smallScenario(7)
+	sc.Name = "flow-messages-alloc"
+	sc.Fidelity = peer.FidelityFlow
+	sc.Selection = selection.Spec{Kind: selection.KindQuota, MaxInterFrac: 0.25}
+	sc.WarmUp = 24 * time.Hour
+	sim, err := Build(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fd *flowDomain
+	for _, f := range sim.flows {
+		if f.category == isp.TELE {
+			fd = f
+		}
+	}
+	spawn := func(d *simnet.Domain) *simnet.Env {
+		env, err := d.Spawn(simnet.HostSpec{ISP: d.Category(), UploadBps: 1 << 30})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return env
+	}
+	near, far := spawn(fd.ds.dom), spawn(sim.world.DomainsOf(isp.CNC)[0])
+	kinds := map[*simnet.Env]*[wire.TChoke + 1]int{near: {}, far: {}}
+	for env, got := range kinds {
+		env.TapRecv(func(_ netip.Addr, m wire.Message, _ int) { got[m.Kind()]++ })
+	}
+	ch := sc.Spec.Channel
+	handshake := &wire.Handshake{Channel: ch}
+	listRequest := &wire.PeerListRequest{Channel: ch}
+	ping := &wire.Ping{Channel: ch, Nonce: 9}
+	// Far past the live edge: no member holds it.
+	miss := &wire.DataRequest{Channel: ch, Seq: 1 << 40, Count: 1}
+	swarm := fd.swarm
+	link := func() {
+		swarm.Handle(0, near.Addr(), handshake)
+		swarm.Handle(1, far.Addr(), handshake)
+	}
+	// The periodic link announce fires on multiples of five seconds and
+	// stamps each link; a round's calls come half-way between two of them,
+	// so the piggyback's one-second rate limit has always run out.
+	answer := func() {
+		swarm.Handle(0, near.Addr(), handshake)
+		swarm.Handle(0, near.Addr(), listRequest)
+		swarm.Handle(0, near.Addr(), ping)
+		swarm.Handle(0, near.Addr(), miss)
+		swarm.AnnounceLinks()
+		swarm.AnnounceTrackers()
+	}
+	const period = 5 * time.Second
+	horizon := time.Minute
+	if err := sim.world.Run(horizon, 1); err != nil {
+		t.Fatal(err)
+	}
+	fd.ds.dom.At(horizon+period/2, link)
+	run := func() {
+		horizon += period
+		if err := sim.world.Run(horizon, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round := func() {
+		fd.ds.dom.At(horizon+period/2, answer)
+		run()
+	}
+	run()
+	for i := 0; i < 100; i++ {
+		round()
+	}
+
+	const runs, batch = 20, 10
+	idle := testing.AllocsPerRun(runs, func() {
+		for i := 0; i < batch; i++ {
+			run()
+		}
+	})
+	for _, got := range kinds {
+		*got = [wire.TChoke + 1]int{}
+	}
+	_, lostBefore, _, _ := sim.world.NetStats()
+	allocs := testing.AllocsPerRun(runs, func() {
+		for i := 0; i < batch; i++ {
+			round()
+		}
+	})
+	_, lost, _, _ := sim.world.NetStats()
+	lost -= lostBefore
+	const rounds = (runs + 1) * batch
+	nearGot, farGot := kinds[near], kinds[far]
+	for _, c := range []struct {
+		what      string
+		got, want int
+	}{
+		{"handshake acks", nearGot[wire.THandshakeAck], rounds},
+		{"referral replies", nearGot[wire.TPeerListReply], rounds},
+		{"pongs", nearGot[wire.TPong], rounds},
+		{"declines", nearGot[wire.TDataReply], rounds},
+		// The piggyback, the round's announce and the periodic one.
+		{"buffer maps near", nearGot[wire.TBufferMap], 3 * rounds},
+		{"buffer maps far", farGot[wire.TBufferMap], 2 * rounds},
+	} {
+		if c.got > c.want || c.got+int(lost) < c.want {
+			t.Errorf("%d %s over %d rounds with %d datagrams lost, want %d", c.got, c.what, rounds, lost, c.want)
+		}
+	}
+	t.Logf("%d idle World.Runs: %.0f allocs; as %d rounds: %.0f", batch, idle, batch, allocs)
+	if got := allocs - idle; got != 0 {
+		t.Errorf("%d flow message rounds allocate %.2f objects beyond %d idle World.Runs (%.0f), want 0", batch, got, batch, idle)
 	}
 }
 

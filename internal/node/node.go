@@ -35,14 +35,14 @@ type Env interface {
 	Rand() *rand.Rand
 	// Send transmits a datagram to another node. From Send on the message
 	// belongs to the transport and must not be mutated. One made by a wire
-	// constructor (wire.NewDataRequest, NewDataReply, NewHave,
-	// NewHandshakeAck, NewPeerListRequest, NewPeerListReply) must not be
-	// kept either: the transport may recycle it once it is delivered or
-	// dropped (simnet does, with wire.Release, once per destination). It
-	// goes to one destination, except a Have whose SetDeliveries declared n
-	// of them: it is sent exactly n times, and the last release recycles
-	// it. Any other message is never recycled, so one value may go to
-	// several destinations.
+	// constructor (wire.NewDataRequest, NewHave, NewBufferMapAnnounce,
+	// NewTrackerQuery, NewPing and the rest listed in wire's pool.go) must
+	// not be kept either: the transport may recycle it once it is delivered
+	// or dropped (simnet does, with wire.Release, once per destination). It
+	// goes to one destination, except a Have or a BufferMapAnnounce whose
+	// SetDeliveries declared n of them: it is sent exactly n times, and the
+	// last release recycles it. Any other message is never recycled, so one
+	// value may go to several destinations.
 	Send(to netip.Addr, msg wire.Message)
 	// UplinkBacklog reports how long the node's access uplink is currently
 	// backed up (zero when idle). Serving policies use it to shed load.

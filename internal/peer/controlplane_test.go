@@ -9,6 +9,7 @@ import (
 
 	"pplivesim/internal/isp"
 	"pplivesim/internal/simnet"
+	"pplivesim/internal/tracker"
 	"pplivesim/internal/wire"
 )
 
@@ -167,6 +168,145 @@ func TestControlPlaneZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestPeriodicMessagesZeroAlloc is the allocation gate of the messages a
+// session sends on its timers: once warm, a three-target buffer-map announce
+// fan-out (to a neighbor in another domain, one in the sender's own and one no
+// host answers to), a tracker round through a real tracker.Server in a third
+// domain — both sessions announce, one queries and takes in the response —
+// and a keepalive ping and its pong, all sent and delivered through
+// World.Run, allocate nothing.
+func TestPeriodicMessagesZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items on purpose under the race detector")
+	}
+	w := simnet.NewShardedWorldN(7, simnet.DefaultShards)
+	spawn := func(cat isp.ISP) *simnet.Env {
+		env, err := w.DomainsOf(cat)[0].Spawn(simnet.HostSpec{ISP: cat, UploadBps: 1 << 30})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return env
+	}
+	envA, envB, envBuddy, envTrk := spawn(isp.TELE), spawn(isp.CNC), spawn(isp.TELE), spawn(isp.CER)
+	trk := tracker.NewServer(envTrk)
+	envTrk.SetHandler(trk)
+	a, err := New(envA, quietConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := New(envB, quietConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	envA.SetHandler(a)
+	envB.SetHandler(b)
+	joinTB(a)
+	joinTB(b)
+	sa, sb := a.active, b.active
+	addrB := envB.Addr()
+	sa.trackers = []netip.Addr{envTrk.Addr()}
+	sb.trackers = sa.trackers
+	sa.addNeighbor(netip.MustParseAddr("58.32.7.7"), wire.BufferMap{})
+	sa.addNeighbor(envBuddy.Addr(), wire.BufferMap{})
+
+	var maps, pongs, responses int
+	envB.TapRecv(func(_ netip.Addr, m wire.Message, _ int) {
+		if bm, ok := m.(*wire.BufferMapAnnounce); ok && bm.Buffer.ByteLen > 0 {
+			maps++
+		}
+	})
+	envA.TapRecv(func(_ netip.Addr, m wire.Message, _ int) {
+		switch m := m.(type) {
+		case *wire.Pong:
+			pongs++
+		case *wire.TrackerResponse:
+			if len(m.Peers) == 1 && m.Peers[0] == addrB {
+				responses++
+			}
+		}
+	})
+
+	var horizon time.Duration
+	run := func() {
+		horizon += time.Second
+		if err := w.Run(horizon, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	announce := func() { sa.announceBufferMap() }
+	track := func() {
+		sa.announceTrackers(false)
+		sb.announceTrackers(false)
+	}
+	query := func() { sa.queryTrackers() }
+	// b alone has been quiet for the keepalive idle bound, so a pings it,
+	// and nothing else, and b's pong marks it heard again.
+	ping := func() {
+		now := envA.Now()
+		for _, nb := range sa.sortedNbs {
+			nb.lastHeard = now
+		}
+		nb := sa.neighbors[akey(addrB)]
+		nb.lastHeard, nb.lastPing = now-keepaliveIdle, 0
+		sa.keepaliveTick()
+	}
+	cycle := func() {
+		envA.Domain().At(horizon, announce)
+		envA.Domain().At(horizon, track)
+		run()
+		envA.Domain().At(horizon, query)
+		envA.Domain().At(horizon, ping)
+		run()
+	}
+	envA.Domain().At(horizon, func() { sa.sendHandshake(addrB) })
+	run()
+	if _, ok := sa.neighbors[akey(addrB)]; !ok {
+		t.Fatal("setup: b did not accept a's handshake")
+	}
+	for i := 0; i < 200; i++ {
+		cycle()
+	}
+
+	const runs, batch = 50, 10
+	idle := testing.AllocsPerRun(runs, func() {
+		for i := 0; i < 2*batch; i++ {
+			run()
+		}
+	})
+	maps, pongs, responses = 0, 0, 0
+	before := a.Stats()
+	_, lostBefore, _, _ := w.NetStats()
+	allocs := testing.AllocsPerRun(runs, func() {
+		for i := 0; i < batch; i++ {
+			cycle()
+		}
+	})
+	st := a.Stats()
+	_, lost, _, _ := w.NetStats()
+	lost -= lostBefore
+	const cycles = (runs + 1) * batch
+	for _, c := range []struct {
+		what string
+		got  uint64
+	}{
+		{"buffer maps b got", uint64(maps)},
+		{"pongs a got", uint64(pongs)},
+		{"tracker responses listing b", uint64(responses)},
+		{"pings a sent", st.PingsSent - before.PingsSent},
+		{"tracker queries a sent", st.TrackerQueries - before.TrackerQueries},
+	} {
+		// A lost datagram costs at most one outcome; pings and queries do
+		// not depend on the network.
+		if c.got+lost < cycles || c.got > cycles {
+			t.Errorf("%d %s over %d cycles with %d datagrams lost", c.got, c.what, cycles, lost)
+		}
+	}
+	t.Logf("%d idle World.Runs: %.0f allocs; as %d cycles: %.0f", 2*batch, idle, batch, allocs)
+	if got := allocs - idle; got != 0 {
+		t.Errorf("%d periodic-message cycles allocate %.2f objects beyond %d idle World.Runs (%.0f), want 0", batch, got, 2*batch, idle)
+	}
+}
+
 // scribble overwrites every element of s up to its capacity.
 func scribble[T any](s []T, v T) {
 	s = s[:cap(s)]
@@ -203,6 +343,7 @@ func viewOf(s *session, env *fakeEnv, nb netip.Addr) sessionView {
 // transport does, and scribbles over the storage the next sender gets: the
 // neighbor's buffer map, the handshake window, the referral source and the
 // handshakes sent must not change, because a session copies what it keeps.
+// Then the same for a BufferMapAnnounce and the neighbor's map.
 func TestRecycledMessagesNotRetained(t *testing.T) {
 	env := newFakeEnv("58.32.0.1")
 	c := newClient(t, env, testConfig())
@@ -245,6 +386,26 @@ func TestRecycledMessagesNotRetained(t *testing.T) {
 
 	if got := viewOf(s, env, p); !reflect.DeepEqual(got, want) {
 		t.Errorf("session changed after its messages were recycled:\n got %+v\nwant %+v", got, want)
+	}
+
+	// A buffer-map announce replaces the neighbor's view; the view keeps its
+	// words after the announce is recycled and the next sender refills them.
+	announce := wire.NewBufferMapAnnounce(1)
+	announce.Buffer = wire.ResetBufferMap(announce.Buffer.Words, 128, 2048)
+	announce.Buffer.SetRange(300, 1500)
+	c.HandleMessage(p, announce)
+	want = viewOf(s, env, p)
+	if nb := s.neighbors[akey(p)]; !nb.buffer.Has(1500) || nb.buffer.Has(200) {
+		t.Fatal("setup: the announce did not replace the neighbor's map")
+	}
+	words = announce.Buffer.Words
+	wire.Release(announce)
+	scribble(words, ^uint64(0))
+	refill := wire.NewBufferMapAnnounce(1)
+	refill.Buffer = wire.ResetBufferMap(refill.Buffer.Words, 0, 2048)
+	scribble(refill.Buffer.Words, ^uint64(0))
+	if got := viewOf(s, env, p); !reflect.DeepEqual(got, want) {
+		t.Errorf("neighbor view changed after its announce was recycled and refilled:\n got %+v\nwant %+v", got, want)
 	}
 }
 

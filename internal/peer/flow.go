@@ -324,7 +324,7 @@ func (s *FlowSwarm) AnnounceTrackers() {
 		}
 		trk := s.trackers[s.nextTrk%len(s.trackers)]
 		s.nextTrk++
-		s.port.Send(i, trk, &wire.TrackerAnnounce{Channel: s.cfg.Spec.Channel})
+		s.port.Send(i, trk, wire.NewTrackerAnnounce(s.cfg.Spec.Channel, false))
 		sent++
 	}
 }
@@ -337,10 +337,9 @@ func (s *FlowSwarm) AnnounceLinks() {
 	for k := range s.links {
 		l := &s.links[k]
 		l.lastMap = now
-		s.port.Send(int(l.member), l.addr, &wire.BufferMapAnnounce{
-			Channel: s.cfg.Spec.Channel,
-			Buffer:  s.bufferMapAt(int(l.member), now),
-		})
+		m := wire.NewBufferMapAnnounce(s.cfg.Spec.Channel)
+		m.Buffer = s.bufferMapInto(m.Buffer.Words, int(l.member), now)
+		s.port.Send(int(l.member), l.addr, m)
 	}
 }
 
@@ -359,17 +358,19 @@ func (s *FlowSwarm) Handle(i int, from netip.Addr, msg wire.Message) {
 			return
 		}
 		now := s.port.Now()
-		ack := &wire.HandshakeAck{Channel: ch}
+		ack := wire.NewHandshakeAck(ch, false)
 		if s.linkIndex(i, from) >= 0 || s.addLink(i, from, now) {
 			ack.Accepted = true
-			ack.Buffer = s.bufferMapAt(i, now)
+			ack.Buffer = s.bufferMapInto(ack.Buffer.Words, i, now)
 		}
 		s.port.Send(i, from, ack)
 	case *wire.PeerListRequest:
 		if m.Channel != ch {
 			return
 		}
-		s.port.Send(i, from, &wire.PeerListReply{Channel: ch, Peers: s.referralList(i, from)})
+		reply := wire.NewPeerListReply(ch)
+		reply.Peers = s.appendReferrals(reply.Peers, i, from)
+		s.port.Send(i, from, reply)
 	case *wire.DataRequest:
 		if m.Channel != ch {
 			return
@@ -379,7 +380,7 @@ func (s *FlowSwarm) Handle(i int, from netip.Addr, msg wire.Message) {
 		if m.Channel != ch {
 			return
 		}
-		s.port.Send(i, from, &wire.Pong{Channel: ch, Nonce: m.Nonce})
+		s.port.Send(i, from, wire.NewPong(ch, m.Nonce))
 	}
 	// TrackerResponse, BufferMapAnnounce, DataReply, and the rest are
 	// ignored: flow members never fetch — their consumption is accounted at
@@ -415,13 +416,14 @@ func (s *FlowSwarm) addLink(i int, addr netip.Addr, now time.Duration) bool {
 	return true
 }
 
-// referralList is member i's gossip reply: the live entries of its referral
-// row, excluding the member's own row and the requester — a reply can never
-// bounce the requester back to itself or hand out a departed member. A
-// configured selection policy then reorders/clamps the survivors (RNG-free).
-func (s *FlowSwarm) referralList(i int, requester netip.Addr) []netip.Addr {
+// appendReferrals appends member i's gossip reply to out: the live entries of
+// its referral row, excluding the member's own row and the requester — a reply
+// can never bounce the requester back to itself or hand out a departed
+// member. A configured selection policy then reorders/clamps the appended
+// survivors (RNG-free).
+func (s *FlowSwarm) appendReferrals(out []netip.Addr, i int, requester netip.Addr) []netip.Addr {
 	row := s.nbr[i*flowNbrWidth : (i+1)*flowNbrWidth]
-	out := make([]netip.Addr, 0, flowNbrWidth)
+	n := len(out)
 	for _, j := range row {
 		if int(j) == i || !s.alive[j] {
 			continue
@@ -433,7 +435,7 @@ func (s *FlowSwarm) referralList(i int, requester netip.Addr) []netip.Addr {
 		out = append(out, a)
 	}
 	if pol := s.cfg.Selection; pol != nil {
-		out = out[:pol.Refer(out, requester)]
+		out = out[:n+pol.Refer(out[n:], requester)]
 	}
 	return out
 }
@@ -459,15 +461,16 @@ func (s *FlowSwarm) holdings(i int, now time.Duration) (lo, hi uint64, ok bool) 
 	return lo, hi, true
 }
 
-// bufferMapAt materializes member i's holdings as a wire buffer map. This is
-// the only place the flat holdings become bitmap words, and it runs at
-// probe-message cadence, not per member per tick.
-func (s *FlowSwarm) bufferMapAt(i int, now time.Duration) wire.BufferMap {
+// bufferMapInto materializes member i's holdings as a wire buffer map in
+// words' storage (a recycled message's retained Words) when it is large
+// enough. This is the only place the flat holdings become bitmap words, and
+// it runs at probe-message cadence, not per member per tick.
+func (s *FlowSwarm) bufferMapInto(words []uint64, i int, now time.Duration) wire.BufferMap {
 	lo, hi, ok := s.holdings(i, now)
 	if !ok {
-		return wire.MakeBufferMap(s.cfg.Spec.EdgeSeq(now), 0)
+		return wire.ResetBufferMap(words, s.cfg.Spec.EdgeSeq(now), 0)
 	}
-	bm := wire.MakeBufferMap(lo, int(hi-lo+1))
+	bm := wire.ResetBufferMap(words, lo, int(hi-lo+1))
 	bm.SetRange(lo, hi)
 	return bm
 }
@@ -488,7 +491,9 @@ func (s *FlowSwarm) handleDataRequest(i int, from netip.Addr, m *wire.DataReques
 		s.port.Send(i, from, wire.NewDataReply(ch, m.Seq, 0, pieceLen, false))
 		if k := s.linkIndex(i, from); k >= 0 && now-s.links[k].lastMap >= mapPiggybackMin {
 			s.links[k].lastMap = now
-			s.port.Send(i, from, &wire.BufferMapAnnounce{Channel: ch, Buffer: s.bufferMapAt(i, now)})
+			bm := wire.NewBufferMapAnnounce(ch)
+			bm.Buffer = s.bufferMapInto(bm.Buffer.Words, i, now)
+			s.port.Send(i, from, bm)
 		}
 		return
 	}

@@ -114,7 +114,7 @@ func (o *Origin) Serve(from netip.Addr, msg wire.Message) bool {
 		if m.Channel != o.spec.Channel {
 			return false
 		}
-		o.env.Send(from, &wire.Pong{Channel: m.Channel, Nonce: m.Nonce})
+		o.env.Send(from, wire.NewPong(m.Channel, m.Nonce))
 	default:
 		return false
 	}

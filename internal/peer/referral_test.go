@@ -220,7 +220,7 @@ func TestFlowReferralExclusions(t *testing.T) {
 		if !s.alive[i] {
 			continue
 		}
-		for _, p := range s.referralList(i, probe) {
+		for _, p := range s.appendReferrals(nil, i, probe) {
 			if p == probe {
 				t.Fatalf("member %d referred the requester back to itself", i)
 			}
@@ -241,7 +241,7 @@ func TestFlowReferralExclusions(t *testing.T) {
 				continue
 			}
 			req := s.Addr(int(j))
-			for _, p := range s.referralList(i, req) {
+			for _, p := range s.appendReferrals(nil, i, req) {
 				if p == req {
 					t.Fatalf("member %d echoed requester %v from its row", i, req)
 				}
@@ -249,7 +249,7 @@ func TestFlowReferralExclusions(t *testing.T) {
 		}
 		for _, j := range row {
 			if !s.alive[j] {
-				for _, p := range s.referralList(i, probe) {
+				for _, p := range s.appendReferrals(nil, i, probe) {
 					if p == s.Addr(int(j)) {
 						t.Fatalf("member %d referred dead member %d", i, j)
 					}

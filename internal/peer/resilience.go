@@ -104,7 +104,7 @@ func (s *session) keepaliveTick() {
 		if idle >= keepaliveIdle && now-nb.lastPing >= keepaliveInterval {
 			nb.lastPing = now
 			s.c.stats.PingsSent++
-			s.env.Send(nb.addr, &wire.Ping{Channel: s.spec.Channel, Nonce: uint32(now / time.Millisecond)})
+			s.env.Send(nb.addr, wire.NewPing(s.spec.Channel, uint32(now/time.Millisecond)))
 		}
 	}
 	for _, a := range victims {
@@ -132,7 +132,7 @@ func (s *session) handlePing(from netip.Addr, m *wire.Ping) {
 	if nb, ok := s.neighbors[akey(from)]; ok {
 		nb.lastHeard = s.env.Now()
 	}
-	s.env.Send(from, &wire.Pong{Channel: m.Channel, Nonce: m.Nonce})
+	s.env.Send(from, wire.NewPong(m.Channel, m.Nonce))
 }
 
 func (s *session) handlePong(from netip.Addr, m *wire.Pong) {

@@ -175,7 +175,7 @@ func (s *session) start(direct bool) {
 func (s *session) shutdown(announce bool) {
 	if announce {
 		for _, tr := range s.trackers {
-			s.env.Send(tr, &wire.TrackerAnnounce{Channel: s.spec.Channel, Leaving: true})
+			s.env.Send(tr, wire.NewTrackerAnnounce(s.spec.Channel, true))
 		}
 	}
 	for _, cancel := range s.cancels {
@@ -290,7 +290,7 @@ func (s *session) announceTrackers(leaving bool) {
 		if !leaving && s.trHealth != nil && s.trHealth[i].backoffUntil > s.env.Now() {
 			continue
 		}
-		s.env.Send(tr, &wire.TrackerAnnounce{Channel: s.spec.Channel, Leaving: leaving})
+		s.env.Send(tr, wire.NewTrackerAnnounce(s.spec.Channel, leaving))
 	}
 }
 
@@ -314,7 +314,7 @@ func (s *session) queryTrackers() {
 			h.pending = true
 		}
 		s.c.stats.TrackerQueries++
-		s.env.Send(tr, &wire.TrackerQuery{Channel: s.spec.Channel})
+		s.env.Send(tr, wire.NewTrackerQuery(s.spec.Channel))
 	}
 }
 
@@ -688,8 +688,11 @@ func (s *session) announceBufferMap() {
 		return
 	}
 	// One announcement for every neighbour: receivers copy the map
-	// (neighbor.setBuffer), and the message is not a recycled one.
-	msg := &wire.BufferMapAnnounce{Channel: s.spec.Channel, Buffer: s.buffer.Snapshot()}
+	// (neighbor.setBuffer), each delivery releases it once, and the last
+	// release recycles it.
+	msg := wire.NewBufferMapAnnounce(s.spec.Channel)
+	msg.Buffer = s.buffer.SnapshotInto(msg.Buffer.Words)
+	msg.SetDeliveries(len(s.sortedNbs))
 	for _, nb := range s.sortedNbs {
 		s.env.Send(nb.addr, msg)
 	}
@@ -1017,10 +1020,9 @@ func (s *session) handleDataRequest(from netip.Addr, m *wire.DataRequest) {
 				s.lastMapTo = make(map[uint32]time.Duration)
 			}
 			s.lastMapTo[akey(from)] = now
-			s.env.Send(from, &wire.BufferMapAnnounce{
-				Channel: s.spec.Channel,
-				Buffer:  s.buffer.Snapshot(),
-			})
+			msg := wire.NewBufferMapAnnounce(s.spec.Channel)
+			msg.Buffer = s.buffer.SnapshotInto(msg.Buffer.Words)
+			s.env.Send(from, msg)
 		}
 		return
 	}

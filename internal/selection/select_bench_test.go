@@ -3,6 +3,7 @@ package selection
 import (
 	"math/rand"
 	"net/netip"
+	"slices"
 	"testing"
 
 	"pplivesim/internal/isp"
@@ -93,5 +94,84 @@ func TestUniformSampleZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Uniform.Sample allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// referOracle is Quota.Refer as it was first written, with a fresh slice for
+// each pool: the reference the allocation-free partition must match.
+func referOracle(q *Quota, c []netip.Addr, from netip.Addr) int {
+	local, ok := q.res.ISPOf(from)
+	if !ok {
+		return len(c)
+	}
+	same := make([]netip.Addr, 0, len(c))
+	inter := make([]netip.Addr, 0, len(c))
+	for _, a := range c {
+		if cat, ok := q.res.ISPOf(a); ok && cat == local {
+			same = append(same, a)
+		} else {
+			inter = append(inter, a)
+		}
+	}
+	sameN, interN := q.quotaCounts(len(same), len(inter), len(c))
+	n := copy(c, same[:sameN])
+	n += copy(c[n:], inter[:interN])
+	return n
+}
+
+// TestQuotaReferZeroAlloc pins the quota referral at zero allocations for a
+// list of the longest referral length, and checks that it returns what the
+// two-slice oracle returns on random tables: lists of up to 300 entries (so
+// also past the stack buffer), some addresses the resolver does not know,
+// requesters it does and does not know, and quotas from 0 to 1.
+func TestQuotaReferZeroAlloc(t *testing.T) {
+	res := mapResolver{}
+	cats := isp.All()
+	rng := rand.New(rand.NewSource(5))
+	addrs := make([]netip.Addr, 400)
+	for i := range addrs {
+		addrs[i] = netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 1})
+		if rng.Intn(8) > 0 { // one address in eight is unmappable
+			res[addrs[i]] = cats[rng.Intn(len(cats))]
+		}
+	}
+	for trial := 0; trial < 2000; trial++ {
+		frac := []float64{0, 0.25, 0.5, 1, rng.Float64()}[trial%5]
+		q, err := NewQuota(res, frac)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := rng.Intn(301)
+		if trial == 0 {
+			n = len(addrs)
+		}
+		c := make([]netip.Addr, n)
+		for i := range c {
+			c[i] = addrs[rng.Intn(len(addrs))]
+		}
+		from := addrs[rng.Intn(len(addrs))]
+		want := append([]netip.Addr(nil), c...)
+		wantN := referOracle(q, want, from)
+		if got := q.Refer(c, from); got != wantN || !slices.Equal(c[:got], want[:wantN]) {
+			t.Fatalf("trial %d (quota %.2f, %d entries): Refer gives %d %v, the oracle %d %v",
+				trial, frac, n, got, c[:got], wantN, want[:wantN])
+		}
+	}
+
+	q, err := NewQuota(res, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	from := addrs[0]
+	res[from] = isp.TELE
+	list := addrs[:referBound]
+	c := make([]netip.Addr, len(list))
+	var pol Policy = q
+	allocs := testing.AllocsPerRun(200, func() {
+		copy(c, list)
+		pol.Refer(c, from)
+	})
+	if allocs != 0 {
+		t.Fatalf("Quota.Refer of %d entries allocates %.1f/op, want 0", len(list), allocs)
 	}
 }

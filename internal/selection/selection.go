@@ -205,26 +205,32 @@ func (q *Quota) Sample(c []netip.Addr, from netip.Addr, k int, rng *rand.Rand) i
 	return n
 }
 
+// referBound is the longest referral list Quota.Refer partitions without
+// allocating: a referral reply holds at most 255 entries (ReferralSize).
+const referBound = 255
+
 // Refer implements Policy: same-ISP entries first (original order), then
-// inter-ISP entries up to the quota — deterministic, no RNG.
+// inter-ISP entries up to the quota — deterministic, no RNG. The same-ISP
+// entries move to the front of c in place and the inter-ISP ones wait in a
+// stack buffer, so a list of up to referBound entries allocates nothing.
 func (q *Quota) Refer(c []netip.Addr, from netip.Addr) int {
 	local, ok := q.res.ISPOf(from)
 	if !ok {
 		return len(c)
 	}
-	same := make([]netip.Addr, 0, len(c))
-	inter := make([]netip.Addr, 0, len(c))
+	var buf [referBound]netip.Addr
+	inter := buf[:0]
+	nSame := 0
 	for _, a := range c {
 		if cat, ok := q.res.ISPOf(a); ok && cat == local {
-			same = append(same, a)
+			c[nSame] = a
+			nSame++
 		} else {
 			inter = append(inter, a)
 		}
 	}
-	sameN, interN := q.quotaCounts(len(same), len(inter), len(c))
-	n := copy(c, same[:sameN])
-	n += copy(c[n:], inter[:interN])
-	return n
+	sameN, interN := q.quotaCounts(nSame, len(inter), len(c))
+	return sameN + copy(c[sameN:], inter[:interN])
 }
 
 // Shape implements Policy: emergent boost, then rescale the inter-ISP

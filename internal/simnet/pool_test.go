@@ -2,6 +2,7 @@ package simnet_test
 
 import (
 	"net/netip"
+	"reflect"
 	"testing"
 	"time"
 	"unsafe"
@@ -190,12 +191,12 @@ func TestDataPlaneZeroAllocLossy(t *testing.T) {
 	}
 }
 
-// TestDropSitesRelease sends one recycled Have into each of the transport's
-// drop sites in turn and checks that it came back to the wire pool, which
-// zeroes it: the uplink queue bound, no host at the send, random loss and a
-// partition on both the local and the cross-domain path, no host at the
-// barrier's injection, a destination that detaches in flight, and a closed
-// sender.
+// TestDropSitesRelease sends one message of every recycled type into each of
+// the transport's drop sites in turn and checks that it came back to the wire
+// pool, which zeroes it: the uplink queue bound, no host at the send, random
+// loss and a partition on both the local and the cross-domain path, no host
+// at the barrier's injection, a destination that detaches in flight, and a
+// closed sender.
 func TestDropSitesRelease(t *testing.T) {
 	w := simnet.NewShardedWorldN(7, simnet.DefaultShards)
 	spawn := func(cat isp.ISP, bps float64) *simnet.Env {
@@ -249,7 +250,28 @@ func TestDropSitesRelease(t *testing.T) {
 			stat:  func() uint64 { _, _, _, n := w.NetStats(); return n }},
 		{site: "closed sender", from: closed, to: remote.Addr()},
 	} {
-		m := wire.NewHave(1, uint64(100+i), 1)
+		peers := []netip.Addr{local.Addr(), remote.Addr()}
+		request := wire.NewPeerListRequest(1)
+		request.OwnPeers = append(request.OwnPeers, peers...)
+		reply := wire.NewPeerListReply(1)
+		reply.Peers = append(reply.Peers, peers...)
+		response := wire.NewTrackerResponse(1)
+		response.Peers = append(response.Peers, peers...)
+		ack := wire.NewHandshakeAck(1, true)
+		ack.Buffer = wire.ResetBufferMap(ack.Buffer.Words, 64, 512)
+		announce := wire.NewBufferMapAnnounce(1)
+		announce.Buffer = wire.ResetBufferMap(announce.Buffer.Words, 64, 512)
+		msgs := []wire.Message{
+			wire.NewDataRequest(1, uint64(100+i), 1),
+			wire.NewDataReply(1, uint64(100+i), 1, wire.SubPieceSize, false),
+			wire.NewHave(1, uint64(100+i), 1),
+			ack, request, reply, announce,
+			wire.NewTrackerAnnounce(1, false),
+			wire.NewTrackerQuery(1),
+			response,
+			wire.NewPing(1, 7),
+			wire.NewPong(1, 7),
+		}
 		var before uint64
 		if c.stat != nil {
 			before = c.stat()
@@ -258,7 +280,9 @@ func TestDropSitesRelease(t *testing.T) {
 			if c.before != nil {
 				c.before()
 			}
-			c.from.Send(c.to, m)
+			for _, m := range msgs {
+				c.from.Send(c.to, m)
+			}
 			if c.after != nil {
 				c.after()
 			}
@@ -271,8 +295,11 @@ func TestDropSitesRelease(t *testing.T) {
 		if c.stat != nil && c.stat() == before {
 			t.Errorf("%s: the drop counter did not move", c.site)
 		}
-		if m.Seq != 0 || m.Count != 0 {
-			t.Errorf("%s: the dropped Have (seq %d) was not released", c.site, m.Seq)
+		// Every message above has a channel of 1, and Release zeroes it.
+		for _, m := range msgs {
+			if ch := reflect.ValueOf(m).Elem().FieldByName("Channel").Uint(); ch != 0 {
+				t.Errorf("%s: the dropped %s was not released", c.site, m.Kind())
+			}
 		}
 	}
 }

@@ -310,14 +310,11 @@ func (b *Buffer) AppendWantRing(dst []uint64, now time.Duration, max int, limit 
 	return dst
 }
 
-// Snapshot produces a wire buffer map covering the retained window. Bit i of
-// the map covers base+i — a rotation of the ring, assembled a word at a time:
-// each output word is two ring words funnel-shifted by base's bit offset.
-func (b *Buffer) Snapshot() wire.BufferMap { return b.SnapshotInto(nil) }
-
-// SnapshotInto is Snapshot writing the map's words into words' storage when
-// it is large enough (a recycled message's retained Words), and into a new
-// array otherwise.
+// SnapshotInto produces a wire buffer map covering the retained window, in
+// words' storage when it is large enough (a recycled message's retained
+// Words) and in a new array otherwise. Bit i of the map covers base+i — a
+// rotation of the ring, assembled a word at a time: each output word is two
+// ring words funnel-shifted by base's bit offset.
 func (b *Buffer) SnapshotInto(words []uint64) wire.BufferMap {
 	bm := wire.ResetBufferMap(words, b.base, b.window)
 	s := b.base % 64

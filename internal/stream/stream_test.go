@@ -219,7 +219,7 @@ func TestSnapshotMatchesHas(t *testing.T) {
 	for _, seq := range []uint64{0, 3, 7, 64, 100} {
 		b.Mark(seq)
 	}
-	bm := b.Snapshot()
+	bm := b.SnapshotInto(nil)
 	for seq := uint64(0); seq < 128; seq++ {
 		if bm.Has(seq) != b.Has(seq) {
 			t.Fatalf("snapshot disagrees with buffer at %d", seq)
@@ -227,7 +227,7 @@ func TestSnapshotMatchesHas(t *testing.T) {
 	}
 }
 
-// Property: after marking arbitrary in-window sequences, Snapshot agrees
+// Property: after marking arbitrary in-window sequences, SnapshotInto agrees
 // with Has and Want never returns a held piece.
 func TestPropertyBufferConsistency(t *testing.T) {
 	f := func(raw []uint16) bool {
@@ -238,7 +238,7 @@ func TestPropertyBufferConsistency(t *testing.T) {
 		for _, r := range raw {
 			b.Mark(uint64(r) % 1024)
 		}
-		bm := b.Snapshot()
+		bm := b.SnapshotInto(nil)
 		for seq := uint64(0); seq < 1024; seq += 7 {
 			if bm.Has(seq) != b.Has(seq) {
 				return false
@@ -281,7 +281,7 @@ func TestPropertyStatsBounds(t *testing.T) {
 func TestSnapshotIsWireCompatible(t *testing.T) {
 	b := mustBuffer(t, 0, 0, 128)
 	b.Mark(5)
-	ann := &wire.BufferMapAnnounce{Channel: 1, Buffer: b.Snapshot()}
+	ann := &wire.BufferMapAnnounce{Channel: 1, Buffer: b.SnapshotInto(nil)}
 	got, err := wire.Unmarshal(wire.Marshal(ann))
 	if err != nil {
 		t.Fatal(err)

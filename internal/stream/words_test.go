@@ -75,7 +75,7 @@ func TestPropertyAppendWantRingMatchesReference(t *testing.T) {
 	}
 }
 
-// TestPropertySnapshotMatchesReference checks the funnel-shift Snapshot
+// TestPropertySnapshotMatchesReference checks the funnel-shift SnapshotInto
 // against a per-bit rebuild from Has, across random windows and ring
 // rotations (base far from both 0 and a word boundary).
 func TestPropertySnapshotMatchesReference(t *testing.T) {
@@ -96,7 +96,7 @@ func TestPropertySnapshotMatchesReference(t *testing.T) {
 			for i := 0; i < rng.Intn(60); i++ {
 				buf.Mark(lo + uint64(rng.Intn(window)))
 			}
-			bm := buf.Snapshot()
+			bm := buf.SnapshotInto(nil)
 			if bm.Start != buf.base {
 				t.Fatalf("iter %d: snapshot start %d, base %d", iter, bm.Start, buf.base)
 			}

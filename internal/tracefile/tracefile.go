@@ -6,6 +6,7 @@ package tracefile
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -49,12 +50,35 @@ type Line struct {
 // more overflows time.Duration.
 const maxAtMicros = math.MaxInt64 / int64(time.Microsecond)
 
-// Write serializes a header and records to w.
+// maxLine is the longest line, newline included, that Read takes and Write
+// writes.
+const maxLine = 1 << 20
+
+// ErrLineTooLong is what Write returns for a header or record whose line would
+// be longer than Read takes. Strings are written as they are, but invalid
+// UTF-8 and control characters still grow up to sixfold when escaped.
+var ErrLineTooLong = fmt.Errorf("tracefile: line longer than %d bytes", maxLine)
+
+// Write serializes a header and records to w. It writes no line that Read
+// would refuse as too long: it stops at such a line with ErrLineTooLong.
 func Write(w io.Writer, hdr Header, records []capture.Record) error {
 	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
+	var line bytes.Buffer
+	enc := json.NewEncoder(&line)
+	enc.SetEscapeHTML(false)
+	encode := func(v any) error {
+		line.Reset()
+		if err := enc.Encode(v); err != nil {
+			return err
+		}
+		if line.Len() > maxLine {
+			return ErrLineTooLong
+		}
+		_, err := bw.Write(line.Bytes())
+		return err
+	}
 	hdr.Format = FormatV1
-	if err := enc.Encode(hdr); err != nil {
+	if err := encode(hdr); err != nil {
 		return fmt.Errorf("tracefile: write header: %w", err)
 	}
 	for i, rec := range records {
@@ -72,17 +96,19 @@ func Write(w io.Writer, hdr Header, records []capture.Record) error {
 		for _, a := range rec.Addrs {
 			l.Addrs = append(l.Addrs, a.String())
 		}
-		if err := enc.Encode(l); err != nil {
+		if err := encode(l); err != nil {
 			return fmt.Errorf("tracefile: write record %d: %w", i, err)
 		}
 	}
 	return bw.Flush()
 }
 
-// Read parses a trace file back into a header and records.
+// Read parses a trace file back into a header and records. Its line buffer
+// starts small and grows to maxLine, so a short trace does not pay for the
+// longest line.
 func Read(r io.Reader) (Header, []capture.Record, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, maxLine)
 	if !sc.Scan() {
 		if err := sc.Err(); err != nil {
 			return Header{}, nil, err

@@ -2,6 +2,7 @@ package tracefile
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"net/netip"
 	"reflect"
@@ -102,10 +103,54 @@ func TestReadErrors(t *testing.T) {
 	}
 }
 
+// TestWriteLineLimit: Write writes every line Read takes back, up to the
+// 1 MiB limit newline included, and refuses with ErrLineTooLong, not writing
+// it, any line past it. HTML characters are written as they are, so a probe
+// name of 200 000 '<' is a 200 KB line; invalid UTF-8 still grows sixfold.
+func TestWriteLineLimit(t *testing.T) {
+	var empty bytes.Buffer
+	if err := Write(&empty, Header{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	fill := maxLine - empty.Len() // probe-name bytes that make a maxLine line
+	for _, c := range []struct {
+		name, probe string
+		tooLong     bool
+	}{
+		{"200000 '<'", strings.Repeat("<", 200_000), false},
+		{"200000 '&'", strings.Repeat("&", 200_000), false},
+		{"line of the limit", strings.Repeat("x", fill), false},
+		{"line one past the limit", strings.Repeat("x", fill+1), true},
+		{"200000 invalid bytes", strings.Repeat("\xff", 200_000), true},
+	} {
+		var buf bytes.Buffer
+		err := Write(&buf, Header{Probe: c.probe}, sampleRecords())
+		if c.tooLong {
+			if !errors.Is(err, ErrLineTooLong) || buf.Len() != 0 {
+				t.Errorf("%s: Write returned %v after %d bytes, want ErrLineTooLong and nothing written", c.name, err, buf.Len())
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		hdr, records, err := Read(&buf)
+		if err != nil {
+			t.Errorf("%s: Read of the written trace: %v", c.name, err)
+			continue
+		}
+		if hdr.Probe != c.probe || !reflect.DeepEqual(records, sampleRecords()) {
+			t.Errorf("%s: the trace did not read back unchanged", c.name)
+		}
+	}
+}
+
 // FuzzRead checks that whatever Read accepts is a trace: written back out and
-// read again it gives an equal header and equal records. Inputs stay under
-// 64 KiB, so even a line whose every character Write escapes six-fold fits
-// the reader's 1 MiB line limit.
+// read again it gives an equal header and equal records. A string Read accepts
+// is valid UTF-8 with its control characters escaped, so written back it
+// grows at most threefold (U+2028 as \u2028); inputs under a third of the
+// 1 MiB line limit, less room for the header's keys, always fit.
 func FuzzRead(f *testing.F) {
 	var buf bytes.Buffer
 	if err := Write(&buf, sampleHeader(), sampleRecords()); err != nil {
@@ -122,7 +167,7 @@ func FuzzRead(f *testing.F) {
 		f.Add([]byte(hdr + line + "\n"))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 64<<10 {
+		if len(data) > (maxLine-1<<10)/3 {
 			return
 		}
 		hdr, records, err := Read(bytes.NewReader(data))
@@ -208,5 +253,20 @@ func TestPropertyRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50, Rand: rand.New(rand.NewSource(7))}); err != nil {
 		t.Error(err)
+	}
+}
+
+// BenchmarkRead reads the three-record sample trace: what a short trace costs
+// in allocated bytes, which the line buffer's starting size dominates.
+func BenchmarkRead(b *testing.B) {
+	var buf bytes.Buffer
+	if err := Write(&buf, sampleHeader(), sampleRecords()); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := Read(bytes.NewReader(buf.Bytes())); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

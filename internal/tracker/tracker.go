@@ -82,6 +82,9 @@ type Server struct {
 	policy selection.Policy
 
 	channels map[wire.ChannelID]*channelPeers
+	// candidates is handleQuery's scratch: one query's live peers, which the
+	// policy permutes before the reply copies its sample out.
+	candidates []netip.Addr
 
 	// down marks the server as crashed: inbound datagrams are dropped before
 	// any registry mutation or RNG draw, so an outage window perturbs nothing
@@ -181,16 +184,16 @@ func (s *Server) handleQuery(from netip.Addr, m *wire.TrackerQuery) {
 
 	// Expire stale entries, then copy the live ones (minus the requester)
 	// from the maintained address order — already sorted, no per-query sort.
-	var candidates []netip.Addr
+	candidates := s.candidates[:0]
 	if cp != nil {
 		cp.expire(now, DefaultEntryTTL)
-		candidates = make([]netip.Addr, 0, len(cp.order))
 		for _, addr := range cp.order {
 			if addr != from {
 				candidates = append(candidates, addr)
 			}
 		}
 	}
+	s.candidates = candidates
 
 	// Reply composition is delegated to the selection policy; the default
 	// Uniform policy reproduces the paper's locality-unaware partial
@@ -198,11 +201,11 @@ func (s *Server) handleQuery(from netip.Addr, m *wire.TrackerQuery) {
 	// response is sent — the client is waiting on it — and served counts
 	// only addresses actually returned.
 	k := s.policy.Sample(candidates, from, DefaultMaxReply, s.env.Rand())
-	peers := make([]netip.Addr, k)
-	copy(peers, candidates[:k])
+	reply := wire.NewTrackerResponse(m.Channel)
+	reply.Peers = append(reply.Peers, candidates[:k]...)
 	s.served += uint64(k)
 
-	s.env.Send(from, &wire.TrackerResponse{Channel: m.Channel, Peers: peers})
+	s.env.Send(from, reply)
 }
 
 // ChannelDirectory describes one channel as known to the bootstrap server.

@@ -5,24 +5,34 @@ import (
 	"sync/atomic"
 )
 
-// The messages a streaming session sends most recycle: the three per-piece
-// messages — DataRequest, DataReply and Have — and the control plane's
-// HandshakeAck, PeerListRequest and PeerListReply. A sender takes one from
-// its constructor, and the transport that delivered it (or dropped it) hands
-// it back with Release once the receiver has returned. A constructor-made
-// message carries a flag in the struct's padding, so the size and the codec
-// are those of a literal, and Release takes back nothing else: a literal a
-// caller keeps and sends again is never recycled under it.
+// Every message a streaming session sends on a periodic or per-receipt path
+// recycles:
+//   - the data plane: DataRequest, DataReply and Have;
+//   - the buffer-map announcement, BufferMapAnnounce;
+//   - the tracker exchange: TrackerAnnounce, TrackerQuery and TrackerResponse;
+//   - the join and referral path: HandshakeAck, PeerListRequest and
+//     PeerListReply;
+//   - the keepalive: Ping and Pong.
 //
-// The control-plane messages keep their slices' storage across uses: Release
-// truncates Buffer.Words, OwnPeers and Peers to length zero, and the next
-// sender appends into the retained capacity. A receiver that keeps any of
-// their contents must copy it.
+// A sender takes one from its constructor, and the transport that delivered
+// it (or dropped it) hands it back with Release once the receiver has
+// returned. A constructor-made message carries a flag, in the struct's
+// padding where it has any (TrackerQuery, Ping and Pong grow by four bytes),
+// so the codec is that of a literal, and Release takes back nothing else: a
+// literal a caller keeps and sends again is never recycled under it.
+// Of what a session sends, only the join-time messages (the channel list and
+// the playlink) and its one handshake stay literals.
 //
-// A Have may go to several destinations: SetDeliveries sets how many
-// releases it waits for, and the last one recycles it. The count sits in the
-// struct's padding too, and is decremented atomically, because a fan-out's
-// cross-domain deliveries run on other workers.
+// The messages with a slice keep its storage across uses: Release truncates
+// Buffer.Words, OwnPeers and Peers to length zero, and the next sender
+// appends into the retained capacity. A receiver that keeps any of their
+// contents must copy it.
+//
+// A Have or a BufferMapAnnounce may go to several destinations: SetDeliveries
+// sets how many releases it waits for, and the last one recycles it. The count
+// sits in the struct's padding too, and is decremented atomically, because a
+// fan-out's cross-domain deliveries run on other workers. A BufferMapAnnounce
+// has room for the count alone, so a count above zero is its flag.
 //
 // sync.Pool, not a free list per shard domain: a message crossing domains is
 // made on one worker and released on another, and the pool balances that and
@@ -34,6 +44,12 @@ var (
 	ackPool         = sync.Pool{New: func() any { return new(HandshakeAck) }}
 	listRequestPool = sync.Pool{New: func() any { return new(PeerListRequest) }}
 	listReplyPool   = sync.Pool{New: func() any { return new(PeerListReply) }}
+	mapPool         = sync.Pool{New: func() any { return new(BufferMapAnnounce) }}
+	announcePool    = sync.Pool{New: func() any { return new(TrackerAnnounce) }}
+	queryPool       = sync.Pool{New: func() any { return new(TrackerQuery) }}
+	responsePool    = sync.Pool{New: func() any { return new(TrackerResponse) }}
+	pingPool        = sync.Pool{New: func() any { return new(Ping) }}
+	pongPool        = sync.Pool{New: func() any { return new(Pong) }}
 )
 
 // NewDataRequest returns a recycled DataRequest for count sub-pieces from
@@ -94,6 +110,62 @@ func NewPeerListReply(ch ChannelID) *PeerListReply {
 	return m
 }
 
+// NewBufferMapAnnounce returns a recycled BufferMapAnnounce for one
+// destination unless SetDeliveries says otherwise. Its Buffer is empty, with
+// Words keeping the storage of earlier uses for the sender to fill (see
+// stream.Buffer.SnapshotInto). It belongs to the transport from Send on.
+func NewBufferMapAnnounce(ch ChannelID) *BufferMapAnnounce {
+	m := mapPool.Get().(*BufferMapAnnounce)
+	m.Channel, m.pending = ch, 1
+	return m
+}
+
+// SetDeliveries declares that m, made by NewBufferMapAnnounce, goes to n > 0
+// destinations: Release recycles it at the n-th call. The sender calls it
+// before the first Send and then sends m exactly n times.
+func (m *BufferMapAnnounce) SetDeliveries(n int) { m.pending = int32(n) }
+
+// NewTrackerAnnounce returns a recycled TrackerAnnounce, a withdrawal if
+// leaving. It belongs to the transport from Send on.
+func NewTrackerAnnounce(ch ChannelID, leaving bool) *TrackerAnnounce {
+	m := announcePool.Get().(*TrackerAnnounce)
+	*m = TrackerAnnounce{Channel: ch, Leaving: leaving, pooled: true}
+	return m
+}
+
+// NewTrackerQuery returns a recycled TrackerQuery. It belongs to the
+// transport from Send on.
+func NewTrackerQuery(ch ChannelID) *TrackerQuery {
+	m := queryPool.Get().(*TrackerQuery)
+	*m = TrackerQuery{Channel: ch, pooled: true}
+	return m
+}
+
+// NewTrackerResponse returns a recycled TrackerResponse with an empty Peers
+// that keeps the storage of earlier uses: the tracker appends its sample. It
+// belongs to the transport from Send on.
+func NewTrackerResponse(ch ChannelID) *TrackerResponse {
+	m := responsePool.Get().(*TrackerResponse)
+	m.Channel, m.pooled = ch, true
+	return m
+}
+
+// NewPing returns a recycled keepalive Ping. It belongs to the transport from
+// Send on.
+func NewPing(ch ChannelID, nonce uint32) *Ping {
+	m := pingPool.Get().(*Ping)
+	*m = Ping{Channel: ch, Nonce: nonce, pooled: true}
+	return m
+}
+
+// NewPong returns a recycled Pong echoing nonce. It belongs to the transport
+// from Send on.
+func NewPong(ch ChannelID, nonce uint32) *Pong {
+	m := pongPool.Get().(*Pong)
+	*m = Pong{Channel: ch, Nonce: nonce, pooled: true}
+	return m
+}
+
 // Release recycles a message made by one of the constructors above and
 // ignores every other message. Only the transport calls it, once per
 // destination, when the message's receiver has returned or the datagram was
@@ -131,6 +203,36 @@ func Release(m Message) {
 		if m.pooled {
 			*m = PeerListReply{Peers: m.Peers[:0]}
 			listReplyPool.Put(m)
+		}
+	case *BufferMapAnnounce:
+		if atomic.LoadInt32(&m.pending) > 0 && atomic.AddInt32(&m.pending, -1) == 0 {
+			*m = BufferMapAnnounce{Buffer: BufferMap{Words: m.Buffer.Words[:0]}}
+			mapPool.Put(m)
+		}
+	case *TrackerAnnounce:
+		if m.pooled {
+			*m = TrackerAnnounce{}
+			announcePool.Put(m)
+		}
+	case *TrackerQuery:
+		if m.pooled {
+			*m = TrackerQuery{}
+			queryPool.Put(m)
+		}
+	case *TrackerResponse:
+		if m.pooled {
+			*m = TrackerResponse{Peers: m.Peers[:0]}
+			responsePool.Put(m)
+		}
+	case *Ping:
+		if m.pooled {
+			*m = Ping{}
+			pingPool.Put(m)
+		}
+	case *Pong:
+		if m.pooled {
+			*m = Pong{}
+			pongPool.Put(m)
 		}
 	}
 }

@@ -223,6 +223,7 @@ func (m *PlaylinkResponse) body(c coder) coder {
 type TrackerAnnounce struct {
 	Channel ChannelID
 	Leaving bool
+	pooled  bool // made by NewTrackerAnnounce; see Release
 }
 
 // Kind implements Message.
@@ -232,6 +233,7 @@ func (m *TrackerAnnounce) body(c coder) coder { return c.channel(&m.Channel).fla
 // TrackerQuery asks a tracker server for active peers of a channel.
 type TrackerQuery struct {
 	Channel ChannelID
+	pooled  bool // made by NewTrackerQuery; see Release
 }
 
 // Kind implements Message.
@@ -241,6 +243,7 @@ func (m *TrackerQuery) body(c coder) coder { return c.channel(&m.Channel) }
 // TrackerResponse carries a tracker's peer list.
 type TrackerResponse struct {
 	Channel ChannelID
+	pooled  bool // made by NewTrackerResponse; see Release
 	Peers   []netip.Addr
 }
 
@@ -484,6 +487,7 @@ func (bm *BufferMap) read(b []byte) ([]byte, error) {
 // BufferMapAnnounce advertises the sender's buffer map to a neighbor.
 type BufferMapAnnounce struct {
 	Channel ChannelID
+	pending int32 // made by NewBufferMapAnnounce: deliveries not yet released; see Release
 	Buffer  BufferMap
 }
 
@@ -583,6 +587,7 @@ func (m *AsnResponse) body(c coder) coder {
 type Ping struct {
 	Channel ChannelID
 	Nonce   uint32
+	pooled  bool // made by NewPing; see Release
 }
 
 // Kind implements Message.
@@ -593,6 +598,7 @@ func (m *Ping) body(c coder) coder { return c.channel(&m.Channel).u32(&m.Nonce) 
 type Pong struct {
 	Channel ChannelID
 	Nonce   uint32
+	pooled  bool // made by NewPong; see Release
 }
 
 // Kind implements Message.
