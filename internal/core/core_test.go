@@ -12,6 +12,12 @@ import (
 	"pplivesim/internal/workload"
 )
 
+// The tests that run whole scenarios and read only their own results are
+// parallel. Parallel tests start once every sequential test has finished, so
+// they never overlap the allocation and heap gates, which read process-wide
+// counters, or TestPinned, which raises GOMAXPROCS for its rows; meanwhile
+// they keep every core busy instead of running one after another.
+
 // smallScenario is a fast-running swarm for integration tests.
 func smallScenario(seed int64) Scenario {
 	return Scenario{
@@ -89,6 +95,7 @@ func TestScenarioValidatesShardsAndWorkers(t *testing.T) {
 }
 
 func TestEndToEndSmallSwarm(t *testing.T) {
+	t.Parallel()
 	res, err := RunScenario(smallScenario(7))
 	if err != nil {
 		t.Fatal(err)
@@ -131,6 +138,7 @@ func TestEndToEndSmallSwarm(t *testing.T) {
 }
 
 func TestChurnGrowsUniquePeers(t *testing.T) {
+	t.Parallel()
 	sc := smallScenario(5)
 	sc.Churn = workload.Churn{
 		Enabled:          true,
@@ -154,6 +162,7 @@ func TestChurnGrowsUniquePeers(t *testing.T) {
 }
 
 func TestMultipleProbesConcurrent(t *testing.T) {
+	t.Parallel()
 	sc := smallScenario(11)
 	sc.Probes = []ProbeSpec{
 		{Name: "tele", ISP: isp.TELE, FullCapture: true},
@@ -183,6 +192,7 @@ func TestLocalityEmerges(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-minute scenario")
 	}
+	t.Parallel()
 	// Clustering compounds over a session, so give the probe a 20-minute
 	// watch (the paper's probes watched two hours).
 	sc := Scenario{
@@ -240,6 +250,7 @@ func TestContinuityAcrossSeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-minute scenarios")
 	}
+	t.Parallel()
 	sweep := func(name string, seed int64, watch time.Duration, churn workload.Churn, floor float64) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
@@ -283,6 +294,7 @@ func TestContinuityAcrossSeeds(t *testing.T) {
 }
 
 func TestCodecCheckedSmallRun(t *testing.T) {
+	t.Parallel()
 	sim, err := Build(smallScenario(13))
 	if err != nil {
 		t.Fatal(err)

@@ -306,8 +306,10 @@ var pinnedWorkers = [2]int{1, 4}
 func TestPinned(t *testing.T) {
 	// eventsim.Group never starts more workers than GOMAXPROCS, so without
 	// this the 4-worker runs would use two goroutines on a 2-core machine and
-	// one on a single core. The raise lasts until every row has finished; no
-	// other test runs meanwhile, because TestPinned is not parallel. Raised for
+	// one on a single core. Workers that outnumber the cores park at once
+	// while they wait for each other instead of spinning. The raise lasts
+	// until every row has finished; no other test runs meanwhile, because
+	// TestPinned is not parallel and parallel tests wait for it. Raised for
 	// the whole package instead, on a 2-core machine it made the parallel
 	// single-worker subtests of TestContinuityAcrossSeeds about 20 % slower.
 	if prev := runtime.GOMAXPROCS(0); prev < pinnedWorkers[1] {

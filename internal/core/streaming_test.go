@@ -5,6 +5,7 @@ import "testing"
 // TestStreamingModeKeepsNoTrace checks the memory contract of the default
 // telemetry mode: no Recorder exists, yet the report is fully populated.
 func TestStreamingModeKeepsNoTrace(t *testing.T) {
+	t.Parallel()
 	sc := smallScenario(7)
 	sc.Probes = []ProbeSpec{{Name: "tele-probe", ISP: sc.Probes[0].ISP}}
 	res, err := RunScenario(sc)

@@ -46,8 +46,9 @@ type Group struct {
 	// worker without a processor or an engine of its own only adds
 	// hand-offs — and values below 2 run everything on the calling
 	// goroutine. Workers wait for each other by spinning briefly before
-	// they park, so a program that runs several Groups at once should
-	// divide GOMAXPROCS between their Workers rather than give each all.
+	// they park (at once when there are more of them than the machine has
+	// cores), so a program that runs several Groups at once should divide
+	// GOMAXPROCS between their Workers rather than give each all.
 	Workers int
 
 	// Deliver is called once per engine index at every window boundary,
@@ -113,14 +114,26 @@ const noEvent = time.Duration(math.MaxInt64)
 // once, at every budget above, the yields included (a yielding waiter still
 // has to be scheduled to find out it may go on). No budget serves both
 // cases, so the remedy for that one is fewer workers, not a shorter spin.
+//
+// Run can see one such case itself: more workers than the machine has cores,
+// which happens when GOMAXPROCS was raised above them. Its waiters park at
+// once. Four workers on two cores (the internal/core pinned rows, each run
+// alone) took 12–16 CPU-s and 7–10 wall-s per small-swarm run with the
+// budget, 8 CPU-s and 7.5 wall-s parking at once; those rows' whole test
+// went from 322 to 221 CPU-s and from 177 to 119 wall-s.
 const (
 	spinPolls  = 1024
 	spinYields = 512
 )
 
+// cores is the number of processors Run assumes its workers share. A
+// variable so that tests can drive either wait strategy on any machine.
+var cores = runtime.NumCPU()
+
 // sleeper is one goroutine's wait point on the window barrier.
 type sleeper struct {
 	parked atomic.Bool
+	spin   bool // poll and yield before parking; otherwise park at once
 	// wake holds one token so that a waker that saw parked set just before
 	// the sleeper re-checked its condition and moved on never blocks; the
 	// stale token only costs the sleeper one extra re-check later.
@@ -130,15 +143,17 @@ type sleeper struct {
 
 // sleepUntil returns once v reads want: poll, then yield, then park.
 func (s *sleeper) sleepUntil(v *atomic.Uint64, want uint64) {
-	for i := 0; i < spinPolls; i++ {
-		if v.Load() == want {
-			return
+	if s.spin {
+		for i := 0; i < spinPolls; i++ {
+			if v.Load() == want {
+				return
+			}
 		}
-	}
-	for i := 0; i < spinYields; i++ {
-		runtime.Gosched()
-		if v.Load() == want {
-			return
+		for i := 0; i < spinYields; i++ {
+			runtime.Gosched()
+			if v.Load() == want {
+				return
+			}
 		}
 	}
 	for v.Load() != want {
@@ -214,11 +229,12 @@ func (g *Group) Run(horizon time.Duration) error {
 		order:   make([]int, n),
 		helpers: make([]sleeper, workers-1),
 	}
-	r.coord.wake = make(chan struct{}, 1)
+	spin := workers <= cores
+	r.coord.wake, r.coord.spin = make(chan struct{}, 1), spin
 	r.rebalance() // no load measured yet: deals the engines out evenly
 	r.wg.Add(len(r.helpers))
 	for w := range r.helpers {
-		r.helpers[w].wake = make(chan struct{}, 1)
+		r.helpers[w].wake, r.helpers[w].spin = make(chan struct{}, 1), spin
 		go r.help(w + 1)
 	}
 	defer func() {

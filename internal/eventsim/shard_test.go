@@ -107,6 +107,29 @@ func TestGroupWorkerCountInvariance(t *testing.T) {
 	}
 }
 
+// TestGroupWaitStrategies runs the ring with waiters that spin before they
+// park and with waiters that park at once, whatever the machine's core count
+// would pick, and holds both to the 1-worker trajectory.
+func TestGroupWaitStrategies(t *testing.T) {
+	const n = 6
+	withProcs(t, n)
+	prev := cores
+	t.Cleanup(func() { cores = prev })
+	ref := groupPing(t, n, 1, 50*time.Millisecond)
+	for _, c := range []struct {
+		name  string
+		cores int
+	}{{"spin", n}, {"park", 1}} {
+		cores = c.cores
+		got := groupPing(t, n, n, 50*time.Millisecond)
+		for i := range ref {
+			if !slices.Equal(got[i], ref[i]) {
+				t.Fatalf("%s: engine %d: trajectory differs from the 1-worker reference", c.name, i)
+			}
+		}
+	}
+}
+
 // meshRun is one run of the skewed mesh: per-engine event logs plus the
 // window count.
 type meshRun struct {
