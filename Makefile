@@ -48,9 +48,10 @@ BENCHTIME ?= 2s
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './perf/*' ! -path './.*' -exec cat {} + | grep -cv '^[[:space:]]*$$'
 
-# Fast lane: static checks plus every -short test under the race detector.
-# Scenario-scale tests skip themselves in -short mode, so this finishes in
-# about a minute and is the pre-commit gate.
+# Fast lane: static checks plus every -short test under the race detector,
+# the pre-commit gate. Scenario-scale tests skip themselves in -short mode,
+# but the race detector slows the rest: internal/core alone took 1 917 s on
+# 2 vCPUs, above the timeout below.
 fast:
 	$(GO) vet ./...
 	$(GO) test -race -short -timeout 20m ./...
@@ -76,15 +77,17 @@ bench-e2e:
 
 # Short coverage-guided pass over every fuzz target, FUZZTIME each: the wire
 # codec (seeded from the committed golden-trace corpus in
-# internal/wire/testdata/fuzz), the selection spec parser and the trace-file
-# reader. `go test -fuzz` takes one target in one package per run. CI runs
-# this on every push; longer local sessions just raise FUZZTIME.
+# internal/wire/testdata/fuzz), the selection spec parser, the trace-file
+# reader and the fault-schedule validator (seeded from every chaos preset).
+# `go test -fuzz` takes one target in one package per run. CI runs this on
+# every push; longer local sessions just raise FUZZTIME.
 FUZZTIME ?= 10s
 
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime $(FUZZTIME) ./internal/selection/
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME) ./internal/tracefile/
+	$(GO) test -run '^$$' -fuzz '^FuzzValidate$$' -fuzztime $(FUZZTIME) ./internal/fault/
 
 bench: bench-hotpath
 

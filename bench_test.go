@@ -33,7 +33,7 @@ func BenchmarkSection(b *testing.B) {
 	for _, s := range experiments.Sections() {
 		b.Run(s.ID, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				body, err := s.Run(experiments.NewRunner(benchScale(), int64(100+i)), nil)
+				body, err := s.Run(&experiments.Runner{Scale: benchScale(), Seed: int64(100 + i)}, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

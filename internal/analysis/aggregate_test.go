@@ -15,6 +15,28 @@ import (
 	"pplivesim/internal/wire"
 )
 
+// matched collects what capture.Replay matches in a recorded trace.
+type matched struct {
+	Transmissions               []capture.Transmission
+	ListExchanges, TrackerLists []capture.ListExchange
+}
+
+func (m *matched) DataRequest(netip.Addr, time.Duration)    {}
+func (m *matched) DataMatched(tx capture.Transmission)      { m.Transmissions = append(m.Transmissions, tx) }
+func (m *matched) DataUnanswered(netip.Addr, time.Duration) {}
+func (m *matched) PeerListMatched(ex capture.ListExchange) {
+	m.ListExchanges = append(m.ListExchanges, ex)
+}
+func (m *matched) ListUnanswered(netip.Addr, time.Duration) {}
+func (m *matched) TrackerList(ex capture.ListExchange)      { m.TrackerLists = append(m.TrackerLists, ex) }
+
+// match applies the paper's matching rules to a recorded trace.
+func match(records []capture.Record, trackers map[netip.Addr]bool) *matched {
+	m := new(matched)
+	capture.Replay(records, trackers, m)
+	return m
+}
+
 // feedAggregate replays a captured trace into a fresh Aggregate the same way
 // Analyze does.
 func feedAggregate(records []capture.Record, trackers map[netip.Addr]bool, r Resolver) *Aggregate {
@@ -252,7 +274,7 @@ func TestUnsolicitedTrackerResponseOutOfRTStats(t *testing.T) {
 			Addrs: []netip.Addr{cncA}},
 	}
 	trackers := map[netip.Addr]bool{trkA: true}
-	m := capture.Match(records, trackers)
+	m := match(records, trackers)
 	if len(m.TrackerLists) != 1 || !m.TrackerLists[0].Unsolicited {
 		t.Fatalf("precondition: want one unsolicited tracker list, got %+v", m.TrackerLists)
 	}

@@ -91,7 +91,7 @@ func TestEdgeTallyMergeFolds(t *testing.T) {
 	build := func(recs []capture.Record) *Aggregate {
 		agg := NewAggregate(resolver, srcA, isp.TELE)
 		agg.SetEdges([]netip.Addr{edgeA})
-		m := capture.Match(recs, nil)
+		m := match(recs, nil)
 		for _, rec := range recs {
 			if rec.Dir == capture.Out && rec.Type == wire.TDataRequest {
 				agg.DataRequest(rec.Peer, rec.At)

@@ -114,12 +114,16 @@ func TestRecordsSortedByASN(t *testing.T) {
 func TestEveryCategoryHasCapacity(t *testing.T) {
 	r := SyntheticInternet()
 	for _, category := range isp.All() {
-		pool, err := r.PoolFor(category)
-		if err != nil {
+		if _, err := r.PoolFor(category); err != nil {
 			t.Fatalf("PoolFor(%s): %v", category, err)
 		}
-		// Large simulations need tens of thousands of peers per category.
-		if got := pool.Remaining(); got < 100_000 {
+		// Large simulations need tens of thousands of peers per category;
+		// every prefix loses its network and broadcast address.
+		var got uint64
+		for _, p := range r.PrefixesFor(category) {
+			got += p.Size() - 2
+		}
+		if got < 100_000 {
 			t.Errorf("%s pool capacity %d, want >= 100000", category, got)
 		}
 	}

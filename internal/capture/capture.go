@@ -70,9 +70,6 @@ func NewRecorder(self netip.Addr) *Recorder {
 	return &Recorder{self: self}
 }
 
-// Self returns the probe address.
-func (r *Recorder) Self() netip.Addr { return r.self }
-
 // Observe records one datagram. It is shaped to plug directly into
 // simnet.Env taps via closures:
 //
@@ -142,44 +139,17 @@ type ListExchange struct {
 // ResponseTime returns the request→reply latency.
 func (e ListExchange) ResponseTime() time.Duration { return e.RepAt - e.ReqAt }
 
-// Matched is the outcome of running the paper's matching rules over a trace.
-type Matched struct {
-	// Transmissions are matched data request/reply pairs in reply order.
-	Transmissions []Transmission
-	// UnansweredData counts data requests that never got a reply, including
-	// earlier requests superseded by a retransmission of the same sub-piece
-	// (the reply, if any, matches only the latest request).
-	UnansweredData int
-	// ListExchanges are matched peer-list request/reply pairs in reply
-	// order, covering regular-peer gossip only.
-	ListExchanges []ListExchange
-	// UnansweredLists counts peer-list requests that never got a reply
-	// (the paper notes "a non-trivial number of peer-list requests were not
-	// answered").
-	UnansweredLists int
-	// TrackerLists are peer lists received from tracker servers (matched
-	// trivially: tracker responses to our queries).
-	TrackerLists []ListExchange
-}
-
-// Match applies the paper's matching rules to a recorded trace. trackers
-// identifies tracker-server addresses so tracker responses are attributed
-// separately from regular-peer referrals (the X_s vs X_p split of
-// Figures 2-5(b)).
+// Replay applies the paper's matching rules to a recorded trace: it feeds the
+// trace through a fresh default-bounds Aggregator into sink and closes it,
+// flushing what is still pending as unanswered. trackers identifies
+// tracker-server addresses, so tracker responses are reported apart from
+// regular-peer referrals (the X_s vs X_p split of Figures 2-5(b)).
 //
-// The trace is replayed through an Aggregator with the default bounds, so the
-// outcome is exactly what the online matcher decided while the trace was being
-// captured — including the bounds: a reply that arrives more than
+// The outcome is exactly what the online matcher decided while the trace was
+// being captured, bounds included: a reply that arrives more than
 // DefaultPendingTTL after its request finds the request already counted
-// unanswered and is dropped as unsolicited, post hoc as online.
-func Match(records []Record, trackers map[netip.Addr]bool) Matched {
-	var out Matched
-	Replay(records, trackers, (*collector)(&out))
-	return out
-}
-
-// Replay feeds a recorded trace through a fresh default-bounds Aggregator into
-// sink and closes it, flushing what is still pending as unanswered.
+// unanswered and is dropped as unsolicited, post hoc as online. A Record owns
+// its address slice, so a sink may keep the Addrs a replay hands it.
 func Replay(records []Record, trackers map[netip.Addr]bool, sink Events) {
 	a := NewAggregator(trackers, AggregatorConfig{}, sink)
 	for i := range records {
@@ -187,19 +157,3 @@ func Replay(records []Record, trackers map[netip.Addr]bool, sink Events) {
 	}
 	a.Close()
 }
-
-// collector is Matched as an Events sink. It retains the Addrs it is handed,
-// which is sound only for a replay: a Record owns its address slice.
-type collector Matched
-
-func (c *collector) DataRequest(netip.Addr, time.Duration) {}
-
-func (c *collector) DataMatched(tx Transmission) { c.Transmissions = append(c.Transmissions, tx) }
-
-func (c *collector) DataUnanswered(netip.Addr, time.Duration) { c.UnansweredData++ }
-
-func (c *collector) PeerListMatched(ex ListExchange) { c.ListExchanges = append(c.ListExchanges, ex) }
-
-func (c *collector) ListUnanswered(netip.Addr, time.Duration) { c.UnansweredLists++ }
-
-func (c *collector) TrackerList(ex ListExchange) { c.TrackerLists = append(c.TrackerLists, ex) }

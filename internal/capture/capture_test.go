@@ -33,8 +33,8 @@ func TestObserveExtractsFields(t *testing.T) {
 	if len(recs[2].Addrs) != 2 {
 		t.Errorf("list record addrs = %v", recs[2].Addrs)
 	}
-	if r.Len() != 3 || r.Self() != addr("58.32.0.1") {
-		t.Errorf("Len/Self wrong: %d %v", r.Len(), r.Self())
+	if r.Len() != 3 || r.self != addr("58.32.0.1") {
+		t.Errorf("Len/Self wrong: %d %v", r.Len(), r.self)
 	}
 }
 
@@ -46,7 +46,7 @@ func TestMatchDataTransmissions(t *testing.T) {
 		{At: 2500 * time.Millisecond, Dir: In, Peer: peer, Type: wire.TDataReply, Seq: 10, Count: 1, Payload: 1380},
 		// Seq 11 never answered.
 	}
-	m := Match(records, nil)
+	m := match(records, nil)
 	if len(m.Transmissions) != 1 {
 		t.Fatalf("matched %d transmissions, want 1", len(m.Transmissions))
 	}
@@ -66,7 +66,7 @@ func TestMatchSameSeqDifferentPeers(t *testing.T) {
 		{At: 1 * time.Second, Dir: Out, Peer: p2, Type: wire.TDataRequest, Seq: 10},
 		{At: 2 * time.Second, Dir: In, Peer: p2, Type: wire.TDataReply, Seq: 10, Count: 1, Payload: 1380},
 	}
-	m := Match(records, nil)
+	m := match(records, nil)
 	if len(m.Transmissions) != 1 || m.Transmissions[0].Peer != p2 {
 		t.Fatalf("matching crossed peers: %+v", m.Transmissions)
 	}
@@ -89,7 +89,7 @@ func TestMatchRetransmissionCountsSupersededRequest(t *testing.T) {
 		{At: 3 * time.Second, Dir: Out, Peer: peer, Type: wire.TDataRequest, Seq: 10},
 		{At: 3500 * time.Millisecond, Dir: In, Peer: peer, Type: wire.TDataReply, Seq: 10, Count: 1, Payload: 1380},
 	}
-	m := Match(records, nil)
+	m := match(records, nil)
 	if len(m.Transmissions) != 1 {
 		t.Fatalf("matched %d transmissions, want 1", len(m.Transmissions))
 	}
@@ -107,7 +107,7 @@ func TestMatchRetransmissionCountsSupersededRequest(t *testing.T) {
 		{At: 2 * time.Second, Dir: Out, Peer: peer, Type: wire.TDataRequest, Seq: 10},
 		{At: 3 * time.Second, Dir: Out, Peer: peer, Type: wire.TDataRequest, Seq: 10},
 	}
-	if m := Match(records, nil); m.UnansweredData != 3 {
+	if m := match(records, nil); m.UnansweredData != 3 {
 		t.Errorf("unanswered = %d, want 3", m.UnansweredData)
 	}
 }
@@ -128,7 +128,7 @@ func TestMatchUnsolicitedTrackerResponseFlagged(t *testing.T) {
 		{At: 2500 * time.Millisecond, Dir: In, Peer: trk, Type: wire.TTrackerResponse,
 			Addrs: []netip.Addr{addr("2.2.2.2")}},
 	}
-	m := Match(records, trackers)
+	m := match(records, trackers)
 	if len(m.TrackerLists) != 2 {
 		t.Fatalf("tracker lists = %d, want 2", len(m.TrackerLists))
 	}
@@ -158,7 +158,7 @@ func TestMatchPeerListLatestRequestRule(t *testing.T) {
 		{At: 22 * time.Second, Dir: In, Peer: peer, Type: wire.TPeerListReply,
 			Addrs: []netip.Addr{addr("1.1.1.1")}},
 	}
-	m := Match(records, nil)
+	m := match(records, nil)
 	if len(m.ListExchanges) != 1 {
 		t.Fatalf("matched %d list exchanges, want 1", len(m.ListExchanges))
 	}
@@ -177,7 +177,7 @@ func TestMatchUnsolicitedListReplyIgnored(t *testing.T) {
 		{At: 1 * time.Second, Dir: In, Peer: peer, Type: wire.TPeerListReply,
 			Addrs: []netip.Addr{addr("1.1.1.1")}},
 	}
-	m := Match(records, nil)
+	m := match(records, nil)
 	if len(m.ListExchanges) != 0 {
 		t.Errorf("unsolicited reply matched: %+v", m.ListExchanges)
 	}
@@ -195,7 +195,7 @@ func TestMatchTrackerLists(t *testing.T) {
 		{At: 2 * time.Second, Dir: In, Peer: notTrk, Type: wire.TTrackerResponse,
 			Addrs: []netip.Addr{addr("3.3.3.3")}},
 	}
-	m := Match(records, trackers)
+	m := match(records, trackers)
 	if len(m.TrackerLists) != 1 {
 		t.Fatalf("tracker lists = %d, want 1", len(m.TrackerLists))
 	}
@@ -208,7 +208,7 @@ func TestMatchTrackerLists(t *testing.T) {
 }
 
 func TestMatchEmptyTrace(t *testing.T) {
-	m := Match(nil, nil)
+	m := match(nil, nil)
 	if len(m.Transmissions) != 0 || len(m.ListExchanges) != 0 || m.UnansweredData != 0 {
 		t.Errorf("empty trace produced matches: %+v", m)
 	}

@@ -72,7 +72,7 @@ func TestPropertyMatchInvariants(t *testing.T) {
 				requests++
 			}
 		}
-		m := Match(records, nil)
+		m := match(records, nil)
 		if len(m.Transmissions)+m.UnansweredData != requests {
 			return false
 		}
@@ -104,8 +104,8 @@ func TestPropertyMatchIgnoresNoise(t *testing.T) {
 			}
 			noisy = append(noisy, r)
 		}
-		clean := Match(records, nil)
-		withNoise := Match(noisy, nil)
+		clean := match(records, nil)
+		withNoise := match(noisy, nil)
 		return len(clean.Transmissions) == len(withNoise.Transmissions) &&
 			clean.UnansweredData == withNoise.UnansweredData
 	}

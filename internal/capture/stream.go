@@ -9,7 +9,8 @@ import (
 
 // Events receives the incrementally matched trace from an Aggregator: one
 // callback per matching outcome, in capture order. analysis.Aggregate folds
-// the outcomes into bounded aggregates; Match collects them into a Matched.
+// the outcomes into bounded aggregates; Replay runs a recorded trace through
+// the same matcher.
 //
 // Callbacks run synchronously inside Aggregator.Observe (or Close, for the
 // final unanswered flush). PeerListMatched and TrackerList may hand over an

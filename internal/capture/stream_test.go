@@ -10,10 +10,34 @@ import (
 	"pplivesim/internal/wire"
 )
 
-// collectSink reconstructs a Matched from streamed events, so aggregator
-// output can be compared 1:1 against post-hoc Match.
+// matched is the outcome of running the paper's matching rules over a trace.
+type matched struct {
+	// Transmissions are matched data request/reply pairs in reply order.
+	Transmissions []Transmission
+	// UnansweredData counts data requests that never got a reply, including
+	// earlier requests superseded by a retransmission of the same sub-piece
+	// (the reply, if any, matches only the latest request).
+	UnansweredData int
+	// ListExchanges are matched peer-list request/reply pairs in reply
+	// order, covering regular-peer gossip only.
+	ListExchanges []ListExchange
+	// UnansweredLists counts peer-list requests that never got a reply.
+	UnansweredLists int
+	// TrackerLists are peer lists received from tracker servers.
+	TrackerLists []ListExchange
+}
+
+// match replays a recorded trace through the matcher (see Replay).
+func match(records []Record, trackers map[netip.Addr]bool) matched {
+	var sink collectSink
+	Replay(records, trackers, &sink)
+	return sink.m
+}
+
+// collectSink reconstructs a matched from streamed events, so aggregator
+// output can be compared 1:1 against post-hoc match.
 type collectSink struct {
-	m        Matched
+	m        matched
 	requests int
 }
 
@@ -135,14 +159,14 @@ func sortRecordsByTime(records []Record) {
 
 // TestAggregatorMatchesPostHoc is the streaming matcher's equivalence
 // property: over random traces, the outcomes streamed from wire messages
-// reconstruct exactly the Matched that post-hoc Match computes from the
+// reconstruct exactly the matched that post-hoc match computes from the
 // records — same transmissions in the same order, same exchanges, same
 // unanswered tallies. Both run the one Aggregator, so what the equality
 // covers is the message→Record field extraction the two entry points share.
 func TestAggregatorMatchesPostHoc(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		records, trackers := genMixedTrace(seed, 600)
-		want := Match(records, trackers)
+		want := match(records, trackers)
 
 		var sink collectSink
 		agg := NewAggregator(trackers, AggregatorConfig{}, &sink)
@@ -150,7 +174,7 @@ func TestAggregatorMatchesPostHoc(t *testing.T) {
 		agg.Close()
 
 		if !reflect.DeepEqual(sink.m, want) {
-			t.Errorf("seed %d: streamed Matched differs from post-hoc\nstreamed: %+v\npost-hoc: %+v",
+			t.Errorf("seed %d: streamed matched differs from post-hoc\nstreamed: %+v\npost-hoc: %+v",
 				seed, summarize(sink.m), summarize(want))
 		}
 		rawRequests := 0
@@ -165,7 +189,7 @@ func TestAggregatorMatchesPostHoc(t *testing.T) {
 	}
 }
 
-func summarize(m Matched) map[string]int {
+func summarize(m matched) map[string]int {
 	return map[string]int{
 		"transmissions":   len(m.Transmissions),
 		"unansweredData":  m.UnansweredData,
@@ -230,7 +254,7 @@ func TestMatchAppliesPendingTTL(t *testing.T) {
 		{At: late + 2*time.Second, Dir: Out, Peer: peer, Type: wire.TDataRequest, Seq: 2, Count: 1},
 		{At: late + 3*time.Second, Dir: In, Peer: peer, Type: wire.TDataReply, Seq: 2, Count: 1, Payload: 1380},
 	}
-	m := Match(records, nil)
+	m := match(records, nil)
 	if len(m.Transmissions) != 1 || m.Transmissions[0].Seq != 2 || m.UnansweredData != 1 {
 		t.Errorf("data: %d transmissions %+v, %d unanswered; want only seq 2 matched and 1 unanswered",
 			len(m.Transmissions), m.Transmissions, m.UnansweredData)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"net/netip"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +12,28 @@ import (
 	"pplivesim/internal/simnet"
 	"pplivesim/internal/workload"
 )
+
+// matched collects what capture.Replay matches in a recorded trace.
+type matched struct {
+	Transmissions               []capture.Transmission
+	ListExchanges, TrackerLists []capture.ListExchange
+}
+
+func (m *matched) DataRequest(netip.Addr, time.Duration)    {}
+func (m *matched) DataMatched(tx capture.Transmission)      { m.Transmissions = append(m.Transmissions, tx) }
+func (m *matched) DataUnanswered(netip.Addr, time.Duration) {}
+func (m *matched) PeerListMatched(ex capture.ListExchange) {
+	m.ListExchanges = append(m.ListExchanges, ex)
+}
+func (m *matched) ListUnanswered(netip.Addr, time.Duration) {}
+func (m *matched) TrackerList(ex capture.ListExchange)      { m.TrackerLists = append(m.TrackerLists, ex) }
+
+// match applies the paper's matching rules to a recorded trace.
+func match(records []capture.Record, trackers map[netip.Addr]bool) *matched {
+	m := new(matched)
+	capture.Replay(records, trackers, m)
+	return m
+}
 
 // The tests that run whole scenarios and read only their own results are
 // parallel. Parallel tests start once every sequential test has finished, so
@@ -108,7 +131,7 @@ func TestEndToEndSmallSwarm(t *testing.T) {
 		t.Fatal("probe captured nothing")
 	}
 
-	m := capture.Match(p.Recorder.Records(), res.Trackers)
+	m := match(p.Recorder.Records(), res.Trackers)
 	if len(m.Transmissions) < 500 {
 		t.Errorf("matched %d data transmissions, want a healthy data plane (>=500)", len(m.Transmissions))
 	}
@@ -177,7 +200,7 @@ func TestMultipleProbesConcurrent(t *testing.T) {
 		t.Fatalf("probes = %d, want 3", len(res.Probes))
 	}
 	for _, p := range res.Probes {
-		m := capture.Match(p.Recorder.Records(), res.Trackers)
+		m := match(p.Recorder.Records(), res.Trackers)
 		if len(m.Transmissions) == 0 {
 			t.Errorf("probe %s matched no transmissions", p.Name)
 		}
@@ -211,7 +234,7 @@ func TestLocalityEmerges(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := res.Probes[0]
-	m := capture.Match(p.Recorder.Records(), res.Trackers)
+	m := match(p.Recorder.Records(), res.Trackers)
 	var sameISP, total uint64
 	for _, tx := range m.Transmissions {
 		if tx.Peer == res.SourceAddr {

@@ -311,30 +311,3 @@ func (s *Sim) FlowAlive() int {
 	}
 	return total
 }
-
-// FlowLocality returns the intra-ISP fraction of the flow-level background
-// bytes streamed by the given channel's swarms of one viewer category
-// (channel 0 means the scenario's first channel). ok is false when no such
-// swarm exists or it streamed nothing.
-func (r *Result) FlowLocality(channel wire.ChannelID, cat isp.ISP) (frac float64, ok bool) {
-	if channel == 0 && len(r.Channels) > 0 {
-		channel = r.Channels[0].Spec.Channel
-	}
-	for _, ft := range r.FlowTraffic {
-		if ft.Channel != channel || ft.ISP != cat {
-			continue
-		}
-		var total, same uint64
-		for src, b := range ft.Aggregate.BytesSnapshot() {
-			total += b
-			if src == cat {
-				same = b
-			}
-		}
-		if total == 0 {
-			return 0, false
-		}
-		return float64(same) / float64(total), true
-	}
-	return 0, false
-}

@@ -53,7 +53,7 @@ func TestFlowFidelitySmallRun(t *testing.T) {
 		t.Error("probe streamed nothing from flow members")
 	}
 	// Flow-level account: TELE swarm traffic stays ~90% inside TELE.
-	loc, ok := res.FlowLocality(0, isp.TELE)
+	loc, ok := flowLocality(res, isp.TELE)
 	if !ok {
 		t.Fatal("no flow traffic recorded for TELE")
 	}
@@ -63,6 +63,26 @@ func TestFlowFidelitySmallRun(t *testing.T) {
 	if len(res.FlowTraffic) == 0 {
 		t.Error("result carries no flow traffic aggregates")
 	}
+}
+
+// flowLocality returns the intra-ISP fraction of the flow-level background
+// bytes the first channel's swarm of viewer category cat streamed. ok is false
+// when no such swarm exists or it streamed nothing.
+func flowLocality(r *Result, cat isp.ISP) (frac float64, ok bool) {
+	for _, ft := range r.FlowTraffic {
+		if ft.Channel != r.Channels[0].Spec.Channel || ft.ISP != cat {
+			continue
+		}
+		var total, same uint64
+		for src, b := range ft.Aggregate.BytesSnapshot() {
+			total += b
+			if src == cat {
+				same = b
+			}
+		}
+		return float64(same) / float64(total), total > 0
+	}
+	return 0, false
 }
 
 // flowAccountDigest condenses the flow-level traffic account into one

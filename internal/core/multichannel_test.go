@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"pplivesim/internal/capture"
 	"pplivesim/internal/isp"
 	"pplivesim/internal/workload"
 )
@@ -65,7 +64,7 @@ func twoChannelScenario(seed int64) Scenario {
 // paper's methodology.
 func probeLocality(t *testing.T, res *Result, p ProbeResult) (locality, continuity float64) {
 	t.Helper()
-	m := capture.Match(p.Recorder.Records(), res.Trackers)
+	m := match(p.Recorder.Records(), res.Trackers)
 	var sameISP, total uint64
 	for _, tx := range m.Transmissions {
 		if tx.Peer == p.Source {

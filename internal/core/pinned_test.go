@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"pplivesim/internal/analysis"
-	"pplivesim/internal/capture"
 	"pplivesim/internal/cdn"
 	"pplivesim/internal/fault"
 	"pplivesim/internal/isp"
@@ -517,7 +516,7 @@ func checkMeshCarriesStream(t *testing.T, res *Result) {
 	}
 	// The source must stay a seeder, not become the swarm's CDN: the probe
 	// should pull well over half its bytes from regular peers.
-	m := capture.Match(p.Recorder.Records(), res.Trackers)
+	m := match(p.Recorder.Records(), res.Trackers)
 	var sourceBytes, totalBytes uint64
 	for _, tx := range m.Transmissions {
 		totalBytes += uint64(tx.Bytes)

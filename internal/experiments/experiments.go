@@ -145,11 +145,6 @@ func (m *memo[T]) get(f func() (T, error)) (T, error) {
 	return m.val, m.err
 }
 
-// NewRunner creates a runner with the given scale and base seed.
-func NewRunner(scale Scale, seed int64) *Runner {
-	return &Runner{Scale: scale, Seed: seed}
-}
-
 // buildScenario assembles a standard scenario.
 func (r *Runner) buildScenario(name string, popular bool, seedOffset int64, population float64, watch time.Duration) core.Scenario {
 	sc := core.Scenario{

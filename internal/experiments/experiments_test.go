@@ -25,7 +25,7 @@ func TestRunnerCachesRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scenario run")
 	}
-	r := NewRunner(tinyScale(), 1)
+	r := &Runner{Scale: tinyScale(), Seed: 1}
 	first, err := r.Popular()
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +48,7 @@ func TestRenderersProduceAllSections(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scenario run")
 	}
-	r := NewRunner(tinyScale(), 2)
+	r := &Runner{Scale: tinyScale(), Seed: 2}
 	out, err := r.Popular()
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +87,7 @@ func TestFig6ProducesSeries(t *testing.T) {
 	}
 	s := tinyScale()
 	s.Fig6Days = 2
-	r := NewRunner(s, 3)
+	r := &Runner{Scale: s, Seed: 3}
 	s6, err := r.Fig6(nil)
 	if err != nil {
 		t.Fatal(err)

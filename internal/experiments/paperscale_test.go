@@ -22,7 +22,7 @@ func TestPaperScalePopularRun(t *testing.T) {
 	if os.Getenv("PPLIVE_PAPER_SCALE") == "" {
 		t.Skip("set PPLIVE_PAPER_SCALE=1 to run the ~1300-viewer, 2-hour scenario")
 	}
-	r := NewRunner(PaperScale(), 20081011)
+	r := &Runner{Scale: PaperScale(), Seed: 20081011}
 	// Above simnet.DefaultShards, Shards selects the scaled partition, a
 	// different trajectory.
 	r.Shards = min(runtime.GOMAXPROCS(0), simnet.DefaultShards)

@@ -116,13 +116,6 @@ func (s *Schedule) SampleEvery() time.Duration {
 	return DefaultSampleInterval
 }
 
-// Empty reports whether the schedule injects no faults at all.
-func (s *Schedule) Empty() bool {
-	return len(s.SourceCrashes) == 0 && len(s.TrackerOutages) == 0 &&
-		len(s.LinkFaults) == 0 && len(s.BurstLosses) == 0 && len(s.PeerKills) == 0 &&
-		len(s.EdgeCrashes) == 0
-}
-
 // Validate checks the schedule against a scenario's shape: channels is the
 // channel count, trackerGroups the tracker group count, edges the CDN edge
 // count, and horizon the total simulated time.
@@ -159,7 +152,7 @@ func (s *Schedule) Validate(channels, trackerGroups, edges int, horizon time.Dur
 		if err := window("link fault", f.At, f.Recover); err != nil {
 			return err
 		}
-		if f.AddLoss < 0 || f.AddLoss > 1 {
+		if !(f.AddLoss >= 0 && f.AddLoss <= 1) {
 			return fmt.Errorf("fault: link fault AddLoss %v out of [0, 1]", f.AddLoss)
 		}
 		if f.AddDelay < 0 {
@@ -173,7 +166,7 @@ func (s *Schedule) Validate(channels, trackerGroups, edges int, horizon time.Dur
 		if err := window("burst loss", f.At, f.Recover); err != nil {
 			return err
 		}
-		if f.Loss <= 0 || f.Loss > 1 {
+		if !(f.Loss > 0 && f.Loss <= 1) {
 			return fmt.Errorf("fault: burst loss %v out of (0, 1]", f.Loss)
 		}
 	}
@@ -181,7 +174,7 @@ func (s *Schedule) Validate(channels, trackerGroups, edges int, horizon time.Dur
 		if f.ISP != 0 && !f.ISP.Valid() {
 			return fmt.Errorf("fault: peer kill targets invalid ISP %v", f.ISP)
 		}
-		if f.Fraction <= 0 || f.Fraction > 1 {
+		if !(f.Fraction > 0 && f.Fraction <= 1) {
 			return fmt.Errorf("fault: peer kill fraction %v out of (0, 1]", f.Fraction)
 		}
 		if f.At < 0 || f.At >= horizon {

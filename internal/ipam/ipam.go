@@ -194,24 +194,6 @@ func (p *Pool) Alloc() (netip.Addr, error) {
 	return netip.Addr{}, ErrExhausted
 }
 
-// Remaining returns how many addresses the pool can still allocate.
-func (p *Pool) Remaining() uint64 {
-	var total uint64
-	for i := p.cursor; i < len(p.prefixes); i++ {
-		size := p.prefixes[i].Size() - 2 // minus network and broadcast
-		if i == p.cursor {
-			used := uint64(p.next) - 1
-			if used > size {
-				used = size
-			}
-			total += size - used
-		} else {
-			total += size
-		}
-	}
-	return total
-}
-
 // trieNode is a node in the binary prefix trie.
 type trieNode struct {
 	children [2]*trieNode

@@ -290,7 +290,7 @@ func TestServeDataRequest(t *testing.T) {
 	env.take()
 
 	// Give the client a piece: pretend the source replied.
-	seq := c.active.buffer.StartSeq()
+	seq := c.active.buffer.Playhead()
 	c.HandleMessage(sourceAddr, &wire.DataReply{Channel: 1, Seq: seq, Count: 1, PieceLen: 1380})
 	env.take()
 
@@ -316,7 +316,7 @@ func TestNoHaveReplyAndMapPiggyback(t *testing.T) {
 	env.take()
 
 	asker := netip.MustParseAddr("58.32.0.5")
-	c.HandleMessage(asker, &wire.DataRequest{Channel: 1, Seq: c.active.buffer.StartSeq(), Count: 1})
+	c.HandleMessage(asker, &wire.DataRequest{Channel: 1, Seq: c.active.buffer.Playhead(), Count: 1})
 	got := env.sentTo(asker)
 	if len(got) != 2 {
 		t.Fatalf("decline produced %d messages, want no-have + map", len(got))
@@ -334,7 +334,7 @@ func TestBusyShedWhenBacklogged(t *testing.T) {
 	env := newFakeEnv("58.32.0.1")
 	c := newClient(t, env, testConfig())
 	join(t, env, c)
-	seq := c.active.buffer.StartSeq()
+	seq := c.active.buffer.Playhead()
 	c.HandleMessage(sourceAddr, &wire.DataReply{Channel: 1, Seq: seq, Count: 1, PieceLen: 1380})
 	env.take()
 
@@ -368,7 +368,7 @@ func TestSchedulerRequestsFromProvenHolder(t *testing.T) {
 	for i := range bits {
 		bits[i] = 0xff
 	}
-	c.HandleMessage(n1, &wire.BufferMapAnnounce{Channel: 1, Buffer: wire.BufferMapFromBytes(c.active.buffer.StartSeq(), bits)})
+	c.HandleMessage(n1, &wire.BufferMapAnnounce{Channel: 1, Buffer: bufferMapFromBytes(c.active.buffer.Playhead(), bits)})
 	env.take()
 
 	env.Advance(2 * time.Second) // a few scheduler ticks past some emissions
@@ -392,7 +392,7 @@ func TestHaveHintUpdatesCoverageAndPropagates(t *testing.T) {
 	c.HandleMessage(n1, &wire.HandshakeAck{Channel: 1, Accepted: true})
 	env.take()
 
-	seq := c.active.buffer.StartSeq()
+	seq := c.active.buffer.Playhead()
 	c.HandleMessage(n1, &wire.Have{Channel: 1, Seq: seq, Count: 2})
 	nb := c.active.neighbors[akey(n1)]
 	if !nb.covers(seq) || !nb.covers(seq+1) {
@@ -511,7 +511,7 @@ func TestStopAnnouncesLeaving(t *testing.T) {
 			env := newFakeEnv("58.32.0.1")
 			c := newClient(t, env, testConfig())
 			join(t, env, c)
-			seq := c.active.buffer.StartSeq()
+			seq := c.active.buffer.Playhead()
 			c.HandleMessage(sourceAddr, &wire.DataReply{Channel: 1, Seq: seq, Count: 4, PieceLen: 1380})
 			env.Advance(30 * time.Second)
 			env.take()
@@ -566,7 +566,7 @@ func TestRequestTimeoutExpiresAndPenalizes(t *testing.T) {
 	for i := range bits {
 		bits[i] = 0xff
 	}
-	c.HandleMessage(n1, &wire.BufferMapAnnounce{Channel: 1, Buffer: wire.BufferMapFromBytes(c.active.buffer.StartSeq(), bits)})
+	c.HandleMessage(n1, &wire.BufferMapAnnounce{Channel: 1, Buffer: bufferMapFromBytes(c.active.buffer.Playhead(), bits)})
 	env.take()
 	env.Advance(time.Second)
 	env.take()
@@ -675,7 +675,7 @@ func TestSwitchChangesChannel(t *testing.T) {
 	}
 
 	join(t, env, c)
-	seq := c.active.buffer.StartSeq()
+	seq := c.active.buffer.Playhead()
 	c.HandleMessage(sourceAddr, &wire.DataReply{Channel: 1, Seq: seq, Count: 4, PieceLen: 1380})
 	env.Advance(30 * time.Second)
 	env.take()
@@ -735,7 +735,7 @@ func TestSwitchChangesChannel(t *testing.T) {
 		t.Errorf("BufferStats before the new session received = %+v, want the first session's %+v", got, played)
 	}
 
-	seq2 := c.active.buffer.StartSeq()
+	seq2 := c.active.buffer.Playhead()
 	c.HandleMessage(otherSource, &wire.DataReply{Channel: 2, Seq: seq2, Count: 3, PieceLen: 1380})
 	if got := c.BufferStats().Received; got != played.Received+3 {
 		t.Errorf("BufferStats.Received = %d, want %d from the first session plus 3", got, played.Received)

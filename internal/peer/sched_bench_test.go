@@ -54,7 +54,7 @@ func benchSwarm(tb testing.TB, nbs, batch int) (*fakeEnv, *Client) {
 		for j := range bits {
 			bits[j] = byte(mapRng.Intn(256) | mapRng.Intn(256))
 		}
-		nb := c.active.addNeighbor(a, wire.BufferMapFromBytes(ph-64, bits))
+		nb := c.active.addNeighbor(a, bufferMapFromBytes(ph-64, bits))
 		nb.score = time.Duration(50+13*i%400) * time.Millisecond
 		nb.minRTT = nb.score / 2
 	}

@@ -61,6 +61,18 @@ func (s *session) pickProviderRef(seq uint64, now time.Duration, urgent bool, rb
 // and demands pointer-identical choices — including tie-broken argmins,
 // exploration draws, source fallbacks, and eligibility evolving mid-tick as
 // requests are booked.
+// bufferMapFromBytes builds a map from the byte-granular bitmap encoding (bit
+// i of bits[j] covers start+8j+i).
+func bufferMapFromBytes(start uint64, bits []byte) wire.BufferMap {
+	bm := wire.ResetBufferMap(nil, start, 8*len(bits))
+	for i := range 8 * len(bits) {
+		if bits[i/8]>>(i%8)&1 != 0 {
+			bm.Set(start + uint64(i))
+		}
+	}
+	return bm
+}
+
 func TestPickProviderMatchesReference(t *testing.T) {
 	metaRng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 60; trial++ {
@@ -83,7 +95,7 @@ func TestPickProviderMatchesReference(t *testing.T) {
 				}
 				bits[j] = b
 			}
-			nb.setBuffer(wire.BufferMapFromBytes(ph-64, bits), now)
+			nb.setBuffer(bufferMapFromBytes(ph-64, bits), now)
 			nb.score = time.Duration(metaRng.Intn(5)) * 100 * time.Millisecond // 0 = unmeasured
 			nb.outstanding = nb.outstanding[:0]
 			load := metaRng.Intn(c.cfg.MaxOutstandingPerNeighbor + 1)
@@ -263,7 +275,7 @@ func TestPropertyNeighborKnowledgeMatchesReference(t *testing.T) {
 				for j := range bits {
 					bits[j] = byte(rng.Intn(256)) & byte(rng.Intn(256))
 				}
-				nb.setBuffer(wire.BufferMapFromBytes(start, bits), 0)
+				nb.setBuffer(bufferMapFromBytes(start, bits), 0)
 				ref.setBuffer(start, bits)
 			} else {
 				// Proof: short run at or ahead of the cursor; occasionally a

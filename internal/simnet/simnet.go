@@ -743,9 +743,6 @@ func (e *Env) Close() {
 	e.domain.net.Detach(e.host.Addr)
 }
 
-// Closed reports whether the env has been closed.
-func (e *Env) Closed() bool { return e.closed }
-
 // LiteHandler receives messages for flow-fidelity swarm members, addressed
 // by member row index instead of per-member handler objects.
 type LiteHandler interface {

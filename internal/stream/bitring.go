@@ -25,9 +25,6 @@ func NewBitRing(span int) *BitRing {
 	return &BitRing{words: make([]uint64, c/64), cap: c}
 }
 
-// Cap returns the ring capacity in sequences.
-func (r *BitRing) Cap() int { return int(r.cap) }
-
 func (r *BitRing) idx(seq uint64) (int, uint64) {
 	return int((seq % r.cap) / 64), uint64(1) << (seq % 64)
 }

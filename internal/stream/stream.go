@@ -53,11 +53,6 @@ func (s Spec) EdgeSeq(now time.Duration) uint64 {
 	return uint64(now.Seconds() * s.Rate())
 }
 
-// TimeOf returns the instant at which the source emits sub-piece seq.
-func (s Spec) TimeOf(seq uint64) time.Duration {
-	return time.Duration(float64(seq) / s.Rate() * float64(time.Second))
-}
-
 // DefaultSpec returns a 400 kbit/s channel with 1380-byte sub-pieces, typical
 // of 2008-era PPLive SD streams (≈36 sub-pieces per second).
 func DefaultSpec(ch wire.ChannelID, name string, rating uint32) Spec {
@@ -141,9 +136,6 @@ func (b *Buffer) ringIdx(seq uint64) (int, uint64) {
 // Spec returns the channel spec the buffer was built for.
 func (b *Buffer) Spec() Spec { return b.spec }
 
-// StartSeq returns the first sequence this peer plays.
-func (b *Buffer) StartSeq() uint64 { return b.startSeq }
-
 // Playhead returns the next sequence to be consumed.
 func (b *Buffer) Playhead() uint64 { return b.playhead }
 
@@ -223,19 +215,13 @@ func (b *Buffer) AdvanceTo(now time.Duration) {
 	}
 }
 
-// Want returns up to max missing sequences the peer should fetch at now:
-// pieces in [playhead, min(edge, ring end, limit)) not yet held,
+// AppendWant appends to dst up to max missing sequences the peer should fetch
+// at now: pieces in [playhead, min(edge, ring end, limit)) not yet held,
 // nearest-deadline first. limit (0 = unbounded) caps how far ahead of the
 // playhead the caller prefetches. The skip predicate (may be nil) filters
-// sequences the caller has already requested.
-func (b *Buffer) Want(now time.Duration, max int, limit uint64, skip func(uint64) bool) []uint64 {
-	return b.AppendWant(nil, now, max, limit, skip)
-}
-
-// AppendWant is Want appending into dst, so per-tick schedulers can reuse a
-// scratch slice instead of allocating one per invocation. It is the per-piece
-// reference implementation of AppendWantRing (which property tests hold it
-// against); schedulers use the word-based variant.
+// sequences the caller has already requested. It is the per-piece reference
+// implementation of AppendWantRing (which property tests hold it against);
+// schedulers use the word-based variant.
 func (b *Buffer) AppendWant(dst []uint64, now time.Duration, max int, limit uint64, skip func(uint64) bool) []uint64 {
 	if max <= 0 {
 		return dst

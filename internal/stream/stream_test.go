@@ -41,10 +41,15 @@ func TestEdgeSeqRate(t *testing.T) {
 	}
 }
 
+// timeOf returns the instant at which the source emits sub-piece seq.
+func timeOf(s Spec, seq uint64) time.Duration {
+	return time.Duration(float64(seq) / s.Rate() * float64(time.Second))
+}
+
 func TestTimeOfInvertsEdgeSeq(t *testing.T) {
 	s := testSpec()
 	for _, seq := range []uint64{0, 1, 100, 98765} {
-		at := s.TimeOf(seq)
+		at := timeOf(s, seq)
 		if got := s.EdgeSeq(at + time.Millisecond); got < seq {
 			t.Errorf("EdgeSeq(TimeOf(%d)+1ms) = %d, want >= %d", seq, got, seq)
 		}
@@ -74,8 +79,8 @@ func TestNewBufferValidation(t *testing.T) {
 func TestStartSeqIsJoinEdge(t *testing.T) {
 	join := 100 * time.Second
 	b := mustBuffer(t, join, 10*time.Second, 512)
-	if b.StartSeq() != testSpec().EdgeSeq(join) {
-		t.Errorf("StartSeq = %d, want edge at join %d", b.StartSeq(), testSpec().EdgeSeq(join))
+	if b.startSeq != testSpec().EdgeSeq(join) {
+		t.Errorf("StartSeq = %d, want edge at join %d", b.startSeq, testSpec().EdgeSeq(join))
 	}
 }
 
@@ -121,11 +126,11 @@ func TestMarkAheadSlidesWindow(t *testing.T) {
 
 func TestPlayheadAt(t *testing.T) {
 	b := mustBuffer(t, 10*time.Second, 5*time.Second, 512)
-	if got := b.PlayheadAt(12 * time.Second); got != b.StartSeq() {
-		t.Errorf("playhead before delay = %d, want start %d", got, b.StartSeq())
+	if got := b.PlayheadAt(12 * time.Second); got != b.startSeq {
+		t.Errorf("playhead before delay = %d, want start %d", got, b.startSeq)
 	}
 	got := b.PlayheadAt(25 * time.Second) // 10s of playback
-	want := b.StartSeq() + uint64(10*testSpec().Rate())
+	want := b.startSeq + uint64(10*testSpec().Rate())
 	if got < want-1 || got > want+1 {
 		t.Errorf("PlayheadAt(25s) = %d, want ≈%d", got, want)
 	}
@@ -137,7 +142,7 @@ func TestAdvanceToContinuity(t *testing.T) {
 	for seq := uint64(0); seq < 100; seq++ {
 		b.Mark(seq)
 	}
-	at := testSpec().TimeOf(200)
+	at := timeOf(testSpec(), 200)
 	b.AdvanceTo(at)
 	st := b.Stats()
 	if st.PlayedOK != 100 {
@@ -163,7 +168,7 @@ func TestAdvanceKeepsHistory(t *testing.T) {
 	for seq := uint64(0); seq < 300; seq++ {
 		b.Mark(seq)
 	}
-	b.AdvanceTo(testSpec().TimeOf(300))
+	b.AdvanceTo(timeOf(testSpec(), 300))
 	// Playhead ≈300; history keeps ≈[200,300).
 	if !b.Has(250) {
 		t.Error("history piece 250 evicted")
@@ -175,8 +180,8 @@ func TestAdvanceKeepsHistory(t *testing.T) {
 
 func TestWantOrdersByDeadline(t *testing.T) {
 	b := mustBuffer(t, 0, 0, 512)
-	now := testSpec().TimeOf(50)
-	want := b.Want(now, 10, 0, nil)
+	now := timeOf(testSpec(), 50)
+	want := b.AppendWant(nil, now, 10, 0, nil)
 	if len(want) != 10 {
 		t.Fatalf("Want returned %d, want 10", len(want))
 	}
@@ -191,8 +196,8 @@ func TestWantSkipsHeldAndSkipped(t *testing.T) {
 	b := mustBuffer(t, 0, 0, 512)
 	b.Mark(0)
 	b.Mark(2)
-	now := testSpec().TimeOf(50)
-	got := b.Want(now, 3, 0, func(seq uint64) bool { return seq == 1 })
+	now := timeOf(testSpec(), 50)
+	got := b.AppendWant(nil, now, 3, 0, func(seq uint64) bool { return seq == 1 })
 	if len(got) != 3 || got[0] != 3 || got[1] != 4 || got[2] != 5 {
 		t.Errorf("Want = %v, want [3 4 5]", got)
 	}
@@ -200,8 +205,8 @@ func TestWantSkipsHeldAndSkipped(t *testing.T) {
 
 func TestWantBoundedByEdge(t *testing.T) {
 	b := mustBuffer(t, 0, 0, 512)
-	now := testSpec().TimeOf(5)
-	got := b.Want(now, 100, 0, nil)
+	now := timeOf(testSpec(), 5)
+	got := b.AppendWant(nil, now, 100, 0, nil)
 	if len(got) == 0 {
 		t.Fatal("Want empty")
 	}
@@ -209,7 +214,7 @@ func TestWantBoundedByEdge(t *testing.T) {
 	if last := got[len(got)-1]; last > edge {
 		t.Errorf("Want includes %d beyond edge %d", last, edge)
 	}
-	if b.Want(now, 0, 0, nil) != nil {
+	if b.AppendWant(nil, now, 0, 0, nil) != nil {
 		t.Error("Want(max=0) not nil")
 	}
 }
@@ -244,8 +249,8 @@ func TestPropertyBufferConsistency(t *testing.T) {
 				return false
 			}
 		}
-		now := testSpec().TimeOf(600)
-		for _, seq := range b.Want(now, 50, 0, nil) {
+		now := timeOf(testSpec(), 600)
+		for _, seq := range b.AppendWant(nil, now, 50, 0, nil) {
 			if b.Has(seq) {
 				return false
 			}
@@ -268,7 +273,7 @@ func TestPropertyStatsBounds(t *testing.T) {
 		for _, r := range raw {
 			b.Mark(uint64(r))
 		}
-		b.AdvanceTo(testSpec().TimeOf(uint64(adv)))
+		b.AdvanceTo(timeOf(testSpec(), uint64(adv)))
 		st := b.Stats()
 		c := st.Continuity()
 		return c >= 0 && c <= 1 && st.Received <= uint64(len(raw))
@@ -294,8 +299,8 @@ func TestSnapshotIsWireCompatible(t *testing.T) {
 
 func TestWantRespectsLimit(t *testing.T) {
 	b := mustBuffer(t, 0, 0, 512)
-	now := testSpec().TimeOf(100)
-	got := b.Want(now, 50, 5, nil)
+	now := timeOf(testSpec(), 100)
+	got := b.AppendWant(nil, now, 50, 5, nil)
 	if len(got) != 5 {
 		t.Fatalf("Want with limit 5 returned %d pieces", len(got))
 	}

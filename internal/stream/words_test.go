@@ -118,8 +118,8 @@ func TestPropertySnapshotMatchesReference(t *testing.T) {
 // word and unaligned bases.
 func TestBitRingBasics(t *testing.T) {
 	r := NewBitRing(100)
-	if r.Cap() != 192 {
-		t.Fatalf("Cap() = %d, want 192 (100 rounded to words + one pad word)", r.Cap())
+	if int(r.cap) != 192 {
+		t.Fatalf("Cap() = %d, want 192 (100 rounded to words + one pad word)", int(r.cap))
 	}
 	base := uint64(1_000_003)
 	for i := uint64(0); i < 150; i += 3 {

@@ -117,23 +117,6 @@ func (s *Server) SetPolicy(p selection.Policy) {
 	}
 }
 
-// ActivePeers returns the live (non-expired) peers of a channel in address
-// order.
-func (s *Server) ActivePeers(ch wire.ChannelID) []netip.Addr {
-	cp := s.channels[ch]
-	if cp == nil {
-		return nil
-	}
-	now := s.env.Now()
-	out := make([]netip.Addr, 0, len(cp.order))
-	for _, addr := range cp.order {
-		if now-cp.seen[addr] <= DefaultEntryTTL {
-			out = append(out, addr)
-		}
-	}
-	return out
-}
-
 // Stats reports cumulative counters: announces received, queries received,
 // and peer addresses served.
 func (s *Server) Stats() (announces, queries, served uint64) {

@@ -10,6 +10,22 @@ import (
 	"pplivesim/internal/wire"
 )
 
+// activePeers returns the live (non-expired) peers of a channel in address
+// order.
+func activePeers(s *Server, ch wire.ChannelID) []netip.Addr {
+	cp := s.channels[ch]
+	if cp == nil {
+		return nil
+	}
+	var out []netip.Addr
+	for _, addr := range cp.order {
+		if s.env.Now()-cp.seen[addr] <= DefaultEntryTTL {
+			out = append(out, addr)
+		}
+	}
+	return out
+}
+
 // testRig spawns a tracker server plus a capture-all client env.
 type testRig struct {
 	world  *simnet.World
@@ -103,12 +119,12 @@ func TestLeaveRemoves(t *testing.T) {
 	a := netip.AddrFrom4([4]byte{58, 40, 0, 1})
 	rig.server.HandleMessage(a, &wire.TrackerAnnounce{Channel: 1})
 	rig.server.HandleMessage(a, &wire.TrackerAnnounce{Channel: 1, Leaving: true})
-	if got := rig.server.ActivePeers(1); len(got) != 0 {
+	if got := activePeers(rig.server, 1); len(got) != 0 {
 		t.Errorf("ActivePeers = %v after leave, want empty", got)
 	}
 	// Leaving an unknown channel must not panic or create state.
 	rig.server.HandleMessage(a, &wire.TrackerAnnounce{Channel: 99, Leaving: true})
-	if got := rig.server.ActivePeers(99); len(got) != 0 {
+	if got := activePeers(rig.server, 99); len(got) != 0 {
 		t.Errorf("phantom channel created: %v", got)
 	}
 }
@@ -117,11 +133,11 @@ func TestEntryExpiry(t *testing.T) {
 	rig := newRig(t)
 	a := netip.AddrFrom4([4]byte{58, 40, 0, 1})
 	rig.server.HandleMessage(a, &wire.TrackerAnnounce{Channel: 1})
-	if got := rig.server.ActivePeers(1); len(got) != 1 {
+	if got := activePeers(rig.server, 1); len(got) != 1 {
 		t.Fatalf("ActivePeers = %v, want 1 entry", got)
 	}
 	rig.run(t, DefaultEntryTTL+time.Second)
-	if got := rig.server.ActivePeers(1); len(got) != 0 {
+	if got := activePeers(rig.server, 1); len(got) != 0 {
 		t.Errorf("ActivePeers = %v after TTL, want empty", got)
 	}
 	// A query after expiry returns no peers.
@@ -269,7 +285,7 @@ func TestChannelSwitchLeavesRegistry(t *testing.T) {
 	switcher := netip.AddrFrom4([4]byte{58, 40, 0, 9})
 
 	rig.server.HandleMessage(switcher, &wire.TrackerAnnounce{Channel: 1})
-	if got := rig.server.ActivePeers(1); len(got) != 1 || got[0] != switcher {
+	if got := activePeers(rig.server, 1); len(got) != 1 || got[0] != switcher {
 		t.Fatalf("channel 1 registry = %v, want [%v]", got, switcher)
 	}
 
@@ -277,10 +293,10 @@ func TestChannelSwitchLeavesRegistry(t *testing.T) {
 	rig.server.HandleMessage(switcher, &wire.TrackerAnnounce{Channel: 1, Leaving: true})
 	rig.server.HandleMessage(switcher, &wire.TrackerAnnounce{Channel: 2})
 
-	if got := rig.server.ActivePeers(1); len(got) != 0 {
+	if got := activePeers(rig.server, 1); len(got) != 0 {
 		t.Errorf("channel 1 registry after leave = %v, want empty", got)
 	}
-	if got := rig.server.ActivePeers(2); len(got) != 1 || got[0] != switcher {
+	if got := activePeers(rig.server, 2); len(got) != 1 || got[0] != switcher {
 		t.Errorf("channel 2 registry = %v, want [%v]", got, switcher)
 	}
 
@@ -322,7 +338,7 @@ func TestSilentDepartureExpiresWithinTTL(t *testing.T) {
 		rig.server.HandleMessage(alive, &wire.TrackerAnnounce{Channel: 1})
 	}
 
-	if got := rig.server.ActivePeers(1); len(got) != 1 || got[0] != alive {
+	if got := activePeers(rig.server, 1); len(got) != 1 || got[0] != alive {
 		t.Errorf("registry after TTL = %v, want only %v", got, alive)
 	}
 	rig.client.Send(rig.srvEnv.Addr(), &wire.TrackerQuery{Channel: 1})
@@ -358,7 +374,7 @@ func TestOutageDropsInboundThenRecovers(t *testing.T) {
 	if announces, queries, _ := rig.server.Stats(); announces != 0 || queries != 0 {
 		t.Errorf("downed tracker counted traffic: %d announces, %d queries", announces, queries)
 	}
-	if got := rig.server.ActivePeers(1); len(got) != 0 {
+	if got := activePeers(rig.server, 1); len(got) != 0 {
 		t.Errorf("announce registered while down: %v", got)
 	}
 

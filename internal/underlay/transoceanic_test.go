@@ -42,8 +42,8 @@ func TestTransoceanicBandwidthPenalty(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	domesticOWD := net.PairOWD(tele, tele2)
-	oceanOWD := net.PairOWD(tele, foreign)
+	domesticOWD := pairOWD(net, tele, tele2)
+	oceanOWD := pairOWD(net, tele, foreign)
 	wantPenalty := time.Duration(float64(payload) / float64(cfg.TransoceanicBps) * float64(time.Second))
 
 	if got := teleAt - domesticOWD; got > time.Millisecond {
@@ -76,7 +76,7 @@ func TestTransoceanicPenaltyDisabled(t *testing.T) {
 	if err := eng.Run(time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if got := at - net.PairOWD(tele, foreign); got > time.Millisecond {
+	if got := at - pairOWD(net, tele, foreign); got > time.Millisecond {
 		t.Errorf("penalty applied despite being disabled: %v", got)
 	}
 }

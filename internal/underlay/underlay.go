@@ -172,7 +172,7 @@ func (c *Config) lossProb(a, b isp.ISP) float64 {
 // ISP categories can see: the regime base scaled by the bottom of the
 // per-pair spread. It uses the identical float expression as the per-pair
 // multiplier (mult = 1 + spread·(2u−1) at u = 0), so it is an exact lower
-// bound on PairOWD, never off by a rounding ulp. Sharded worlds derive their
+// bound on pairOWD, never off by a rounding ulp. Sharded worlds derive their
 // conservative lookahead from the minimum of this over cross-shard pairs.
 func (c *Config) MinPairOWD(a, b isp.ISP) time.Duration {
 	base := c.baseOWD(a, b)
@@ -481,17 +481,12 @@ func pairKey(a, b netip.Addr) uint64 {
 	return h
 }
 
-// PairOWD returns the stable (jitter-free) one-way delay between two hosts:
-// the regime base scaled by the deterministic per-pair distance multiplier.
-// This is the ground-truth proximity that trace-based RTT estimation should
-// approximate.
-func (n *Network) PairOWD(a, b *Host) time.Duration {
-	return n.pairOWDAddr(a.Addr, a.ISP, b.Addr, b.ISP)
-}
-
-// pairOWDAddr is PairOWD keyed by address and ISP category, usable for
-// destinations whose *Host lives on another shard.
-func (n *Network) pairOWDAddr(aAddr netip.Addr, aISP isp.ISP, bAddr netip.Addr, bISP isp.ISP) time.Duration {
+// pairOWD returns the stable (jitter-free) one-way delay between the hosts
+// at aAddr and bAddr, of categories aISP and bISP: the regime base scaled by
+// the deterministic per-pair distance multiplier. This is the ground-truth
+// proximity that trace-based RTT estimation should approximate. It needs no
+// *Host, so it serves destinations on another shard too.
+func (n *Network) pairOWD(aAddr netip.Addr, aISP isp.ISP, bAddr netip.Addr, bISP isp.ISP) time.Duration {
 	base := n.cfg.baseOWD(aISP, bISP)
 	key := pairKey(aAddr, bAddr)
 	// Map the hash to [1-spread, 1+spread].
@@ -540,70 +535,23 @@ func (n *Network) Send(from *Host, to netip.Addr, size int, payload any) bool {
 		n.drop(payload)
 		return true // accepted by the uplink; lost in the network
 	}
-	// Fault perturbations fold in before the loss draw; a partition drops the
-	// datagram without consuming randomness, so the RNG stream stays aligned
-	// for the surviving traffic (deterministic per engine at any worker
-	// count). Added delay only ever increases the arrival, so the PDES
-	// lookahead bound still holds.
-	p := n.cfg.lossProb(from.ISP, dst.ISP)
-	var faultDelay time.Duration
-	if f := n.flt; f != nil {
-		k := fkey(from.ISP, dst.ISP)
-		if f.partition[k] > 0 {
-			n.droppedFault++
-			n.drop(payload)
-			return true
-		}
-		p += f.addLoss[k] + f.burstLoss
-		faultDelay = f.addDelay[k]
+	if arrival, ok := n.path(from, dst.Addr, dst.ISP, departure, size, payload); ok {
+		n.scheduleDelivery(dst, toKey, from.Addr, size, payload, arrival+dst.ProcDelay)
 	}
-	if n.rng.Float64() < p {
-		n.droppedLoss++
-		n.drop(payload)
-		return true
-	}
-
-	owd := n.PairOWD(from, dst)
-	jitter := time.Duration(n.rng.ExpFloat64() * n.cfg.JitterFrac * float64(owd))
-	arrival := departure + owd + jitter + faultDelay + dst.ProcDelay
-	if n.cfg.TransoceanicBps > 0 && from.ISP.Domestic() != dst.ISP.Domestic() {
-		arrival += time.Duration(float64(size) / n.cfg.TransoceanicBps * float64(time.Second))
-	}
-
-	n.scheduleDelivery(dst, toKey, from.Addr, size, payload, arrival)
 	return true
 }
 
-// sendRemote is the cross-shard tail of Send. Loss, distance, and jitter are
-// all decided sender-side — loss class and pair distance are pure functions
-// of the two addresses' ISP categories, so the destination's *Host is not
-// needed — and the datagram is handed to the router with its wire-arrival
-// time. The destination shard adds its receiver ProcDelay (and existence
-// check) when the barrier injects it; those per-host properties are only
-// readable over there.
+// sendRemote is the cross-shard tail of Send. The path is decided
+// sender-side — loss class and pair distance are pure functions of the two
+// addresses' ISP categories, so the destination's *Host is not needed — and
+// the datagram is handed to the router with its wire-arrival time. The
+// destination shard adds its receiver ProcDelay (and existence check) when
+// the barrier injects it; those per-host properties are only readable over
+// there.
 func (n *Network) sendRemote(from *Host, to netip.Addr, rem Remote, departure time.Duration, size int, payload any) bool {
-	p := n.cfg.lossProb(from.ISP, rem.ISP)
-	var faultDelay time.Duration
-	if f := n.flt; f != nil {
-		k := fkey(from.ISP, rem.ISP)
-		if f.partition[k] > 0 {
-			n.droppedFault++
-			n.drop(payload)
-			return true
-		}
-		p += f.addLoss[k] + f.burstLoss
-		faultDelay = f.addDelay[k]
-	}
-	if n.rng.Float64() < p {
-		n.droppedLoss++
-		n.drop(payload)
+	arrival, ok := n.path(from, to, rem.ISP, departure, size, payload)
+	if !ok {
 		return true
-	}
-	owd := n.pairOWDAddr(from.Addr, from.ISP, to, rem.ISP)
-	jitter := time.Duration(n.rng.ExpFloat64() * n.cfg.JitterFrac * float64(owd))
-	arrival := departure + owd + jitter + faultDelay
-	if n.cfg.TransoceanicBps > 0 && from.ISP.Domestic() != rem.ISP.Domestic() {
-		arrival += time.Duration(float64(size) / n.cfg.TransoceanicBps * float64(time.Second))
 	}
 	if n.remoteFloor != nil {
 		if fl := n.remoteFloor(rem.Domain); arrival-departure < fl {
@@ -612,6 +560,42 @@ func (n *Network) sendRemote(from *Host, to netip.Addr, rem Remote, departure ti
 	}
 	n.router.Forward(n.domainID, rem.Domain, arrival, from.Addr, to, size, payload)
 	return true
+}
+
+// path decides the fate of a datagram that left from's uplink at departure
+// for address to, of category toISP. It returns the wire arrival, or ok false
+// when the datagram was dropped (counted, and its payload released).
+//
+// Fault perturbations fold in before the loss draw; a partition drops the
+// datagram without consuming randomness, so the RNG stream stays aligned for
+// the surviving traffic (deterministic per engine at any worker count). Added
+// delay only ever increases the arrival, so the PDES lookahead bound still
+// holds.
+func (n *Network) path(from *Host, to netip.Addr, toISP isp.ISP, departure time.Duration, size int, payload any) (arrival time.Duration, ok bool) {
+	p := n.cfg.lossProb(from.ISP, toISP)
+	var faultDelay time.Duration
+	if f := n.flt; f != nil {
+		k := fkey(from.ISP, toISP)
+		if f.partition[k] > 0 {
+			n.droppedFault++
+			n.drop(payload)
+			return 0, false
+		}
+		p += f.addLoss[k] + f.burstLoss
+		faultDelay = f.addDelay[k]
+	}
+	if n.rng.Float64() < p {
+		n.droppedLoss++
+		n.drop(payload)
+		return 0, false
+	}
+	owd := n.pairOWD(from.Addr, from.ISP, to, toISP)
+	jitter := time.Duration(n.rng.ExpFloat64() * n.cfg.JitterFrac * float64(owd))
+	arrival = departure + owd + jitter + faultDelay
+	if n.cfg.TransoceanicBps > 0 && from.ISP.Domestic() != toISP.Domestic() {
+		arrival += time.Duration(float64(size) / n.cfg.TransoceanicBps * float64(time.Second))
+	}
+	return arrival, true
 }
 
 // Inject delivers a datagram forwarded from another shard. The arrival time

@@ -11,6 +11,11 @@ import (
 	"pplivesim/internal/isp"
 )
 
+// pairOWD is the stable one-way delay between two attached hosts.
+func pairOWD(n *Network, a, b *Host) time.Duration {
+	return n.pairOWD(a.Addr, a.ISP, b.Addr, b.ISP)
+}
+
 func newTestNet(t *testing.T) (*eventsim.Engine, *Network) {
 	t.Helper()
 	eng := eventsim.New(1)
@@ -103,7 +108,7 @@ func TestDelivery(t *testing.T) {
 	if gotFrom != a.Addr || gotPayload != "hello" {
 		t.Errorf("delivered (%v,%v), want (%v,hello)", gotFrom, gotPayload, a.Addr)
 	}
-	owd := net.PairOWD(a, b)
+	owd := pairOWD(net, a, b)
 	tx := time.Duration(float64(1000) / a.UploadBps * float64(time.Second))
 	if want := owd + tx; at != want {
 		t.Errorf("arrival at %v, want %v", at, want)
@@ -157,9 +162,9 @@ func TestLatencyRegimeOrdering(t *testing.T) {
 	cnc := mkHost("60.0.0.1", isp.CNC)
 	foreign := mkHost("129.174.0.1", isp.Foreign)
 
-	intra := net.PairOWD(tele1, tele2)
-	inter := net.PairOWD(tele1, cnc)
-	ocean := net.PairOWD(tele1, foreign)
+	intra := pairOWD(net, tele1, tele2)
+	inter := pairOWD(net, tele1, cnc)
+	ocean := pairOWD(net, tele1, foreign)
 
 	// With PairSpread 0.45 the regimes can overlap at the extremes for a
 	// single pair, but base values are ordered; check against worst case by
@@ -169,9 +174,9 @@ func TestLatencyRegimeOrdering(t *testing.T) {
 		p := mkHost(netip.AddrFrom4([4]byte{58, 33, byte(i), 1}).String(), isp.TELE)
 		q := mkHost(netip.AddrFrom4([4]byte{60, 1, byte(i), 1}).String(), isp.CNC)
 		r := mkHost(netip.AddrFrom4([4]byte{129, 174, byte(i), 1}).String(), isp.Foreign)
-		sumIntra += net.PairOWD(tele1, p)
-		sumInter += net.PairOWD(tele1, q)
-		sumOcean += net.PairOWD(tele1, r)
+		sumIntra += pairOWD(net, tele1, p)
+		sumInter += pairOWD(net, tele1, q)
+		sumOcean += pairOWD(net, tele1, r)
 	}
 	if !(sumIntra < sumInter && sumInter < sumOcean) {
 		t.Errorf("mean OWD ordering violated: intra=%v inter=%v ocean=%v",
@@ -186,12 +191,12 @@ func TestPairOWDSymmetricAndStable(t *testing.T) {
 	_, net := newTestNet(t)
 	a := mkHost("58.32.0.1", isp.TELE)
 	b := mkHost("58.32.99.2", isp.TELE)
-	d1 := net.PairOWD(a, b)
-	d2 := net.PairOWD(b, a)
+	d1 := pairOWD(net, a, b)
+	d2 := pairOWD(net, b, a)
 	if d1 != d2 {
 		t.Errorf("PairOWD asymmetric: %v vs %v", d1, d2)
 	}
-	if d3 := net.PairOWD(a, b); d3 != d1 {
+	if d3 := pairOWD(net, a, b); d3 != d1 {
 		t.Errorf("PairOWD unstable: %v vs %v", d3, d1)
 	}
 }
@@ -203,8 +208,8 @@ func TestTeleCncPenalty(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		cnc := mkHost(netip.AddrFrom4([4]byte{60, 0, byte(i), 2}).String(), isp.CNC)
 		cer := mkHost(netip.AddrFrom4([4]byte{59, 64, byte(i), 2}).String(), isp.CER)
-		cncSum += net.PairOWD(tele, cnc)
-		cerSum += net.PairOWD(tele, cer)
+		cncSum += pairOWD(net, tele, cnc)
+		cerSum += pairOWD(net, tele, cer)
 	}
 	if cncSum <= cerSum {
 		t.Errorf("TELE↔CNC mean OWD %v not above TELE↔CER %v", cncSum/50, cerSum/50)
@@ -371,7 +376,7 @@ func TestJitterNonNegativeAndDeterministic(t *testing.T) {
 		t.Fatalf("runs delivered %d vs %d", len(a1), len(a2))
 	}
 	base := New(eventsim.New(77), DefaultConfig())
-	owd := base.PairOWD(mkHost("58.32.0.1", isp.TELE), mkHost("58.32.0.2", isp.TELE))
+	owd := pairOWD(base, mkHost("58.32.0.1", isp.TELE), mkHost("58.32.0.2", isp.TELE))
 	for i := range a1 {
 		if a1[i] != a2[i] {
 			t.Fatalf("non-deterministic arrival %d: %v vs %v", i, a1[i], a2[i])

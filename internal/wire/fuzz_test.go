@@ -42,7 +42,7 @@ func fuzzSeeds() []Message {
 		&PlaylinkResponse{Channel: 1, Source: netip.MustParseAddr("1.2.3.4"),
 			Trackers: []netip.Addr{netip.MustParseAddr("5.6.7.8")}},
 		&TrackerResponse{Channel: 1, Peers: []netip.Addr{netip.MustParseAddr("9.9.9.9")}},
-		&HandshakeAck{Channel: 1, Accepted: true, Buffer: BufferMapFromBytes(10, []byte{0xff})},
+		&HandshakeAck{Channel: 1, Accepted: true, Buffer: bufferMapFromBytes(10, []byte{0xff})},
 		&PeerListRequest{Channel: 1, OwnPeers: []netip.Addr{netip.MustParseAddr("2.2.2.2")}},
 		&DataRequest{Channel: 1, Seq: 99, Count: 4},
 		&DataReply{Channel: 1, Seq: 99, Count: 1, PieceLen: 690},

@@ -38,44 +38,66 @@ import (
 // made on one worker and released on another, and the pool balances that and
 // drops what it holds at GC.
 var (
-	requestPool     = sync.Pool{New: func() any { return new(DataRequest) }}
-	replyPool       = sync.Pool{New: func() any { return new(DataReply) }}
-	havePool        = sync.Pool{New: func() any { return new(Have) }}
-	ackPool         = sync.Pool{New: func() any { return new(HandshakeAck) }}
-	listRequestPool = sync.Pool{New: func() any { return new(PeerListRequest) }}
-	listReplyPool   = sync.Pool{New: func() any { return new(PeerListReply) }}
-	mapPool         = sync.Pool{New: func() any { return new(BufferMapAnnounce) }}
-	announcePool    = sync.Pool{New: func() any { return new(TrackerAnnounce) }}
-	queryPool       = sync.Pool{New: func() any { return new(TrackerQuery) }}
-	responsePool    = sync.Pool{New: func() any { return new(TrackerResponse) }}
-	pingPool        = sync.Pool{New: func() any { return new(Ping) }}
-	pongPool        = sync.Pool{New: func() any { return new(Pong) }}
+	requests     pool[DataRequest]
+	replies      pool[DataReply]
+	haves        pool[Have]
+	acks         pool[HandshakeAck]
+	listRequests pool[PeerListRequest]
+	listReplies  pool[PeerListReply]
+	maps         pool[BufferMapAnnounce]
+	announces    pool[TrackerAnnounce]
+	queries      pool[TrackerQuery]
+	responses    pool[TrackerResponse]
+	pings        pool[Ping]
+	pongs        pool[Pong]
 )
+
+// pool recycles one message type.
+type pool[T any] struct{ p sync.Pool }
+
+// get returns a released message, or a new zero one.
+func (p *pool[T]) get() *T {
+	if m, ok := p.p.Get().(*T); ok {
+		return m
+	}
+	return new(T)
+}
+
+// fill returns a recycled message set to v.
+func (p *pool[T]) fill(v T) *T {
+	m := p.get()
+	*m = v
+	return m
+}
+
+// put recycles m, reset to zero, when last reports that a constructor made m
+// and this is its last release. zero is the type's zero value, or for the
+// messages with a slice, that value keeping the slice's storage.
+func (p *pool[T]) put(m *T, last bool, zero T) {
+	if last {
+		*m = zero
+		p.p.Put(m)
+	}
+}
 
 // NewDataRequest returns a recycled DataRequest for count sub-pieces from
 // seq. It belongs to the transport from Send on (see node.Env.Send).
 func NewDataRequest(ch ChannelID, seq uint64, count uint16) *DataRequest {
-	m := requestPool.Get().(*DataRequest)
-	*m = DataRequest{Channel: ch, Seq: seq, Count: count, pooled: true}
-	return m
+	return requests.fill(DataRequest{Channel: ch, Seq: seq, Count: count, pooled: true})
 }
 
 // NewDataReply returns a recycled DataReply: count sub-pieces of pieceLen
 // bytes from seq, or with count 0 a miss that busy marks as a shed. It
 // belongs to the transport from Send on (see node.Env.Send).
 func NewDataReply(ch ChannelID, seq uint64, count, pieceLen uint16, busy bool) *DataReply {
-	m := replyPool.Get().(*DataReply)
-	*m = DataReply{Channel: ch, Seq: seq, Count: count, PieceLen: pieceLen, Busy: busy, pooled: true}
-	return m
+	return replies.fill(DataReply{Channel: ch, Seq: seq, Count: count, PieceLen: pieceLen, Busy: busy, pooled: true})
 }
 
 // NewHave returns a recycled Have hint for count sub-pieces from seq, for one
 // destination unless SetDeliveries says otherwise. It belongs to the
 // transport from Send on (see node.Env.Send).
 func NewHave(ch ChannelID, seq uint64, count uint16) *Have {
-	m := havePool.Get().(*Have)
-	*m = Have{Channel: ch, Seq: seq, Count: count, pooled: true, pending: 1}
-	return m
+	return haves.fill(Have{Channel: ch, Seq: seq, Count: count, pooled: true, pending: 1})
 }
 
 // SetDeliveries declares that m, made by NewHave, goes to n destinations:
@@ -87,7 +109,7 @@ func (m *Have) SetDeliveries(n int) { m.pending = int32(n) }
 // Words keeping the storage of earlier uses for the sender to fill (see
 // stream.Buffer.SnapshotInto). It belongs to the transport from Send on.
 func NewHandshakeAck(ch ChannelID, accepted bool) *HandshakeAck {
-	m := ackPool.Get().(*HandshakeAck)
+	m := acks.get()
 	m.Channel, m.Accepted, m.pooled = ch, accepted, true
 	return m
 }
@@ -96,7 +118,7 @@ func NewHandshakeAck(ch ChannelID, accepted bool) *HandshakeAck {
 // OwnPeers that keeps the storage of earlier uses: the sender appends its
 // list. It belongs to the transport from Send on.
 func NewPeerListRequest(ch ChannelID) *PeerListRequest {
-	m := listRequestPool.Get().(*PeerListRequest)
+	m := listRequests.get()
 	m.Channel, m.pooled = ch, true
 	return m
 }
@@ -105,7 +127,7 @@ func NewPeerListRequest(ch ChannelID) *PeerListRequest {
 // keeps the storage of earlier uses: the sender appends its list. It belongs
 // to the transport from Send on.
 func NewPeerListReply(ch ChannelID) *PeerListReply {
-	m := listReplyPool.Get().(*PeerListReply)
+	m := listReplies.get()
 	m.Channel, m.pooled = ch, true
 	return m
 }
@@ -115,7 +137,7 @@ func NewPeerListReply(ch ChannelID) *PeerListReply {
 // Words keeping the storage of earlier uses for the sender to fill (see
 // stream.Buffer.SnapshotInto). It belongs to the transport from Send on.
 func NewBufferMapAnnounce(ch ChannelID) *BufferMapAnnounce {
-	m := mapPool.Get().(*BufferMapAnnounce)
+	m := maps.get()
 	m.Channel, m.pending = ch, 1
 	return m
 }
@@ -128,24 +150,20 @@ func (m *BufferMapAnnounce) SetDeliveries(n int) { m.pending = int32(n) }
 // NewTrackerAnnounce returns a recycled TrackerAnnounce, a withdrawal if
 // leaving. It belongs to the transport from Send on.
 func NewTrackerAnnounce(ch ChannelID, leaving bool) *TrackerAnnounce {
-	m := announcePool.Get().(*TrackerAnnounce)
-	*m = TrackerAnnounce{Channel: ch, Leaving: leaving, pooled: true}
-	return m
+	return announces.fill(TrackerAnnounce{Channel: ch, Leaving: leaving, pooled: true})
 }
 
 // NewTrackerQuery returns a recycled TrackerQuery. It belongs to the
 // transport from Send on.
 func NewTrackerQuery(ch ChannelID) *TrackerQuery {
-	m := queryPool.Get().(*TrackerQuery)
-	*m = TrackerQuery{Channel: ch, pooled: true}
-	return m
+	return queries.fill(TrackerQuery{Channel: ch, pooled: true})
 }
 
 // NewTrackerResponse returns a recycled TrackerResponse with an empty Peers
 // that keeps the storage of earlier uses: the tracker appends its sample. It
 // belongs to the transport from Send on.
 func NewTrackerResponse(ch ChannelID) *TrackerResponse {
-	m := responsePool.Get().(*TrackerResponse)
+	m := responses.get()
 	m.Channel, m.pooled = ch, true
 	return m
 }
@@ -153,17 +171,13 @@ func NewTrackerResponse(ch ChannelID) *TrackerResponse {
 // NewPing returns a recycled keepalive Ping. It belongs to the transport from
 // Send on.
 func NewPing(ch ChannelID, nonce uint32) *Ping {
-	m := pingPool.Get().(*Ping)
-	*m = Ping{Channel: ch, Nonce: nonce, pooled: true}
-	return m
+	return pings.fill(Ping{Channel: ch, Nonce: nonce, pooled: true})
 }
 
 // NewPong returns a recycled Pong echoing nonce. It belongs to the transport
 // from Send on.
 func NewPong(ch ChannelID, nonce uint32) *Pong {
-	m := pongPool.Get().(*Pong)
-	*m = Pong{Channel: ch, Nonce: nonce, pooled: true}
-	return m
+	return pongs.fill(Pong{Channel: ch, Nonce: nonce, pooled: true})
 }
 
 // Release recycles a message made by one of the constructors above and
@@ -175,64 +189,29 @@ func NewPong(ch ChannelID, nonce uint32) *Pong {
 func Release(m Message) {
 	switch m := m.(type) {
 	case *DataRequest:
-		if m.pooled {
-			*m = DataRequest{}
-			requestPool.Put(m)
-		}
+		requests.put(m, m.pooled, DataRequest{})
 	case *DataReply:
-		if m.pooled {
-			*m = DataReply{}
-			replyPool.Put(m)
-		}
+		replies.put(m, m.pooled, DataReply{})
 	case *Have:
-		if m.pooled && atomic.AddInt32(&m.pending, -1) == 0 {
-			*m = Have{}
-			havePool.Put(m)
-		}
+		haves.put(m, m.pooled && atomic.AddInt32(&m.pending, -1) == 0, Have{})
 	case *HandshakeAck:
-		if m.pooled {
-			*m = HandshakeAck{Buffer: BufferMap{Words: m.Buffer.Words[:0]}}
-			ackPool.Put(m)
-		}
+		acks.put(m, m.pooled, HandshakeAck{Buffer: BufferMap{Words: m.Buffer.Words[:0]}})
 	case *PeerListRequest:
-		if m.pooled {
-			*m = PeerListRequest{OwnPeers: m.OwnPeers[:0]}
-			listRequestPool.Put(m)
-		}
+		listRequests.put(m, m.pooled, PeerListRequest{OwnPeers: m.OwnPeers[:0]})
 	case *PeerListReply:
-		if m.pooled {
-			*m = PeerListReply{Peers: m.Peers[:0]}
-			listReplyPool.Put(m)
-		}
+		listReplies.put(m, m.pooled, PeerListReply{Peers: m.Peers[:0]})
 	case *BufferMapAnnounce:
-		if atomic.LoadInt32(&m.pending) > 0 && atomic.AddInt32(&m.pending, -1) == 0 {
-			*m = BufferMapAnnounce{Buffer: BufferMap{Words: m.Buffer.Words[:0]}}
-			mapPool.Put(m)
-		}
+		last := atomic.LoadInt32(&m.pending) > 0 && atomic.AddInt32(&m.pending, -1) == 0
+		maps.put(m, last, BufferMapAnnounce{Buffer: BufferMap{Words: m.Buffer.Words[:0]}})
 	case *TrackerAnnounce:
-		if m.pooled {
-			*m = TrackerAnnounce{}
-			announcePool.Put(m)
-		}
+		announces.put(m, m.pooled, TrackerAnnounce{})
 	case *TrackerQuery:
-		if m.pooled {
-			*m = TrackerQuery{}
-			queryPool.Put(m)
-		}
+		queries.put(m, m.pooled, TrackerQuery{})
 	case *TrackerResponse:
-		if m.pooled {
-			*m = TrackerResponse{Peers: m.Peers[:0]}
-			responsePool.Put(m)
-		}
+		responses.put(m, m.pooled, TrackerResponse{Peers: m.Peers[:0]})
 	case *Ping:
-		if m.pooled {
-			*m = Ping{}
-			pingPool.Put(m)
-		}
+		pings.put(m, m.pooled, Ping{})
 	case *Pong:
-		if m.pooled {
-			*m = Pong{}
-			pongPool.Put(m)
-		}
+		pongs.put(m, m.pooled, Pong{})
 	}
 }

@@ -4,7 +4,35 @@ import (
 	"bytes"
 	"net/netip"
 	"testing"
+	"unsafe"
 )
+
+// TestPooledMessageSizes pins the size of every recycled struct: the pooled
+// flag and the delivery count live in padding, so recycling must not grow a
+// message that a fan-out or a full link carries by the thousand.
+func TestPooledMessageSizes(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"DataRequest", unsafe.Sizeof(DataRequest{}), 24},
+		{"DataReply", unsafe.Sizeof(DataReply{}), 24},
+		{"Have", unsafe.Sizeof(Have{}), 24},
+		{"HandshakeAck", unsafe.Sizeof(HandshakeAck{}), 48},
+		{"PeerListRequest", unsafe.Sizeof(PeerListRequest{}), 32},
+		{"PeerListReply", unsafe.Sizeof(PeerListReply{}), 32},
+		{"BufferMapAnnounce", unsafe.Sizeof(BufferMapAnnounce{}), 48},
+		{"TrackerAnnounce", unsafe.Sizeof(TrackerAnnounce{}), 8},
+		{"TrackerQuery", unsafe.Sizeof(TrackerQuery{}), 8},
+		{"TrackerResponse", unsafe.Sizeof(TrackerResponse{}), 32},
+		{"Ping", unsafe.Sizeof(Ping{}), 12},
+		{"Pong", unsafe.Sizeof(Pong{}), 12},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s is %d bytes, want %d", c.name, c.got, c.want)
+		}
+	}
+}
 
 // TestRecycledMessages: a constructor-made message encodes exactly like the
 // literal with the same fields, Release zeroes it, and Release leaves every

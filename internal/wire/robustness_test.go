@@ -145,7 +145,7 @@ func nonCanonicalDatagrams() []namedDatagram {
 	return []namedDatagram{
 		{"TrackerAnnounce.Leaving = 2", edited(&TrackerAnnounce{Channel: 1, Leaving: true}, setByte(4, 2))},
 		{"HandshakeAck.Accepted = 0xff", edited(&HandshakeAck{Channel: 1, Accepted: true,
-			Buffer: BufferMapFromBytes(10, []byte{0xff})}, setByte(4, 0xff))},
+			Buffer: bufferMapFromBytes(10, []byte{0xff})}, setByte(4, 0xff))},
 		{"DataReply.Busy = 3", edited(&DataReply{Channel: 1, Seq: 9, Busy: true}, setByte(16, 3))},
 		{"AsnResponse.Found = 2", edited(&AsnResponse{Addr: addr("58.32.0.1"), Found: true, ASN: 4134,
 			ISP: 1, Name: "CHINANET"}, setByte(4, 2))},

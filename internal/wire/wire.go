@@ -330,17 +330,6 @@ func ResetBufferMap(words []uint64, start uint64, window int) BufferMap {
 	return BufferMap{Start: start, Words: words, ByteLen: nbytes}
 }
 
-// BufferMapFromBytes builds a map from the byte-granular bitmap encoding (bit
-// i of bits[j] covers start+8j+i). A nil bits yields the empty map.
-func BufferMapFromBytes(start uint64, bits []byte) BufferMap {
-	bm := BufferMap{Start: start, ByteLen: len(bits)}
-	if bits == nil {
-		return bm
-	}
-	bm.Words = bytesToWords(nil, bits)
-	return bm
-}
-
 // Bytes returns the byte-granular bitmap encoding (nil for an empty map).
 func (bm *BufferMap) Bytes() []byte {
 	if bm.ByteLen == 0 {

@@ -53,10 +53,10 @@ func TestRoundTripAllTypes(t *testing.T) {
 		&TrackerQuery{Channel: 7},
 		&TrackerResponse{Channel: 7, Peers: []netip.Addr{addr("1.2.3.4"), addr("5.6.7.8")}},
 		&Handshake{Channel: 7},
-		&HandshakeAck{Channel: 7, Accepted: true, Buffer: BufferMapFromBytes(100, []byte{0xff, 0x01})},
+		&HandshakeAck{Channel: 7, Accepted: true, Buffer: bufferMapFromBytes(100, []byte{0xff, 0x01})},
 		&PeerListRequest{Channel: 7, OwnPeers: []netip.Addr{addr("9.9.9.9")}},
 		&PeerListReply{Channel: 7, Peers: []netip.Addr{addr("2.2.2.2"), addr("3.3.3.3")}},
-		&BufferMapAnnounce{Channel: 7, Buffer: BufferMapFromBytes(42, []byte{0x0f})},
+		&BufferMapAnnounce{Channel: 7, Buffer: bufferMapFromBytes(42, []byte{0x0f})},
 		&DataRequest{Channel: 7, Seq: 123456789, Count: 1},
 		&DataReply{Channel: 7, Seq: 123456789, Count: 1, PieceLen: SubPieceSize},
 		&DataReply{Channel: 7, Seq: 42, Count: 16, PieceLen: SubPieceSize},
@@ -300,7 +300,7 @@ func TestPropertyBufferMapRoundTrip(t *testing.T) {
 		if len(bits) > 512 {
 			bits = bits[:512]
 		}
-		m := &BufferMapAnnounce{Channel: 1, Buffer: BufferMapFromBytes(start, bits)}
+		m := &BufferMapAnnounce{Channel: 1, Buffer: bufferMapFromBytes(start, bits)}
 		got, err := Unmarshal(Marshal(m))
 		if err != nil {
 			return false
@@ -322,6 +322,16 @@ func TestPropertyBufferMapRoundTrip(t *testing.T) {
 	}
 }
 
+// bufferMapFromBytes builds a map from the byte-granular bitmap encoding (bit
+// i of bits[j] covers start+8j+i). A nil bits yields the empty map.
+func bufferMapFromBytes(start uint64, bits []byte) BufferMap {
+	bm := BufferMap{Start: start, ByteLen: len(bits)}
+	if bits != nil {
+		bm.Words = bytesToWords(nil, bits)
+	}
+	return bm
+}
+
 // Property: the word-based primitives agree with a per-bit reference model
 // over random windows and offsets, including partial trailing words and
 // probes below/above the window.
@@ -332,7 +342,7 @@ func TestPropertyBufferMapWordOps(t *testing.T) {
 		nbytes := rng.Intn(70)
 		bits := make([]byte, nbytes)
 		rng.Read(bits)
-		bm := BufferMapFromBytes(start, bits)
+		bm := bufferMapFromBytes(start, bits)
 
 		ref := make(map[uint64]bool)
 		for k, c := range bits {
