@@ -98,7 +98,7 @@ func replayTelemetryTrace(n int, peers []netip.Addr, emit func(at time.Duration,
 // runFullCapture runs the opt-in pipeline: record every datagram, then match
 // and analyze post hoc. It returns everything the pipeline keeps alive.
 func runFullCapture(n int, peers []netip.Addr, resolver stubResolver) (*capture.Recorder, *Report) {
-	rec := capture.NewRecorder(srcA)
+	rec := new(capture.Recorder)
 	replayTelemetryTrace(n, peers, rec.Observe)
 	rep := Analyze(Input{
 		Records:  rec.Records(),

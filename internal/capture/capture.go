@@ -5,8 +5,8 @@
 // The paper matched data requests and replies "based on the IP addresses and
 // transmission sub-piece sequence numbers", and matched each peer-list reply
 // "to the latest request designated to the same IP address" (§3.1). Both
-// rules are implemented once, in Aggregator, which applies them online; Match
-// replays a recorded trace through it.
+// rules are implemented once, in Aggregator, which applies them online; Replay
+// feeds a recorded trace through it.
 package capture
 
 import (
@@ -59,15 +59,10 @@ type Record struct {
 	Addrs []netip.Addr
 }
 
-// Recorder accumulates a probe host's trace.
+// Recorder accumulates a probe host's trace. The zero value is an empty
+// recorder.
 type Recorder struct {
-	self    netip.Addr
 	records []Record
-}
-
-// NewRecorder creates a recorder for the probe at self.
-func NewRecorder(self netip.Addr) *Recorder {
-	return &Recorder{self: self}
 }
 
 // Observe records one datagram. It is shaped to plug directly into
@@ -105,9 +100,6 @@ func recordOf(at time.Duration, dir Direction, peerAddr netip.Addr, msg wire.Mes
 // Records returns the trace in capture order. The returned slice is the
 // recorder's backing store; callers must not mutate it.
 func (r *Recorder) Records() []Record { return r.records }
-
-// Len returns the number of captured datagrams.
-func (r *Recorder) Len() int { return len(r.records) }
 
 // Transmission is one matched data request/reply pair ("a data transmission
 // consists of a pair of data request and reply", §3.2).

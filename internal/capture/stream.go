@@ -100,11 +100,9 @@ func (q *pendQueue) pop() {
 	}
 }
 
-func (q *pendQueue) len() int { return len(q.items) - q.head }
-
 // Aggregator applies the paper's §3.1 matching rules online, one datagram at
 // a time, emitting outcomes to an Events sink as soon as they are decided.
-// It is the only implementation of those rules — Match replays a Recorder's
+// It is the only implementation of those rules — Replay feeds a Recorder's
 // trace through it — and holds only the currently pending requests, bounded
 // by AggregatorConfig (TTL eviction plus a hard entry cap), instead of an
 // unbounded []Record.
@@ -136,7 +134,7 @@ type Aggregator struct {
 }
 
 // NewAggregator creates a streaming matcher feeding sink. trackers
-// identifies tracker-server addresses (as in Match).
+// identifies tracker-server addresses (as in Replay).
 func NewAggregator(trackers map[netip.Addr]bool, cfg AggregatorConfig, sink Events) *Aggregator {
 	if cfg.PendingTTL <= 0 {
 		cfg.PendingTTL = DefaultPendingTTL
@@ -350,17 +348,4 @@ func (a *Aggregator) Close() {
 	a.dataQ = pendQueue{}
 	a.trackerQ = pendQueue{}
 	a.listQ = pendQueue{}
-}
-
-// Pending returns the current pending-entry counts (data, peer-list,
-// tracker). Queue lengths may exceed these transiently because superseded
-// and matched entries leave stale queue slots until they age out; the
-// returned counts are the live table sizes that the bounds apply to.
-func (a *Aggregator) Pending() (data, lists, trackers int) {
-	return len(a.pendingData), a.listN, a.trackerN
-}
-
-// queueLen reports raw queue lengths, including stale slots (for tests).
-func (a *Aggregator) queueLen() (data, lists, trackers int) {
-	return a.dataQ.len(), a.listQ.len(), a.trackerQ.len()
 }

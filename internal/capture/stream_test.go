@@ -34,6 +34,13 @@ func match(records []Record, trackers map[netip.Addr]bool) matched {
 	return sink.m
 }
 
+// pending returns a's live pending-entry counts (data, peer-list, tracker):
+// the table sizes the bounds apply to. Queue lengths may exceed them, because
+// superseded and matched entries leave stale queue slots until they age out.
+func pending(a *Aggregator) (data, lists, trackers int) {
+	return len(a.pendingData), a.listN, a.trackerN
+}
+
 // collectSink reconstructs a matched from streamed events, so aggregator
 // output can be compared 1:1 against post-hoc match.
 type collectSink struct {
@@ -209,13 +216,13 @@ func TestAggregatorTTLEviction(t *testing.T) {
 
 	agg.Observe(0, Out, peer, &wire.DataRequest{Seq: 1, Count: 1}, 0)
 	agg.Observe(100*time.Millisecond, Out, peer, &wire.PeerListRequest{}, 0)
-	if d, l, _ := agg.Pending(); d != 1 || l != 1 {
+	if d, l, _ := pending(agg); d != 1 || l != 1 {
 		t.Fatalf("pending = (%d,%d), want (1,1)", d, l)
 	}
 
 	// Any observation past the TTL triggers eviction of both.
 	agg.Observe(2*time.Second, In, peer, &wire.BufferMapAnnounce{}, 0)
-	if d, l, _ := agg.Pending(); d != 0 || l != 0 {
+	if d, l, _ := pending(agg); d != 0 || l != 0 {
 		t.Errorf("pending after TTL = (%d,%d), want (0,0)", d, l)
 	}
 	if sink.m.UnansweredData != 1 || sink.m.UnansweredLists != 1 {
@@ -281,11 +288,11 @@ func TestAggregatorMaxPendingBound(t *testing.T) {
 		p := netip.AddrFrom4([4]byte{58, 32, 1, byte(i + 1)})
 		agg.Observe(time.Duration(i)*time.Millisecond, Out, p, &wire.DataRequest{Seq: uint64(i), Count: 1}, 0)
 		agg.Observe(time.Duration(i)*time.Millisecond, Out, p, &wire.PeerListRequest{}, 0)
-		if d, l, _ := agg.Pending(); d > 4 || l > 4 {
+		if d, l, _ := pending(agg); d > 4 || l > 4 {
 			t.Fatalf("pending = (%d,%d) exceeds MaxPending 4", d, l)
 		}
 	}
-	if d, l, _ := agg.Pending(); d != 4 || l != 4 {
+	if d, l, _ := pending(agg); d != 4 || l != 4 {
 		t.Errorf("final pending = (%d,%d), want (4,4)", d, l)
 	}
 	if sink.m.UnansweredData != 6 || sink.m.UnansweredLists != 6 {
@@ -341,7 +348,7 @@ func TestAggregatorQueueCompaction(t *testing.T) {
 	if len(sink.m.Transmissions) != 5000 || sink.m.UnansweredData != 0 {
 		t.Fatalf("compaction broke matching: %+v", summarize(sink.m))
 	}
-	if d, _, _ := agg.queueLen(); d > 2100 {
+	if d := len(agg.dataQ.items) - agg.dataQ.head; d > 2100 {
 		t.Errorf("data queue holds %d slots; compaction is not keeping up", d)
 	}
 	agg.Close()

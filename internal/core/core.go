@@ -845,7 +845,7 @@ func (s *Sim) spawnProbe(ds *domainState, slot int, ps ProbeSpec) error {
 	// recorder — the O(datagrams) Wireshark mode — only when opted in.
 	var rec *capture.Recorder
 	if ps.FullCapture {
-		rec = capture.NewRecorder(env.Addr())
+		rec = new(capture.Recorder)
 	}
 	agg, matcher := analysis.Instrument(env, s.world.Registry, ch.Source, s.trackerAddrs, s.edgeAddrs, rec)
 	client.Start()
@@ -899,7 +899,7 @@ func (s *Sim) Run() (*Result, error) {
 		return nil, fmt.Errorf("run scenario %q: %w", sc.Name, err)
 	}
 	// Flush the streaming matchers: requests still pending at the horizon
-	// become unanswered, exactly as post-hoc Match tallies leftovers.
+	// become unanswered, exactly as a post-hoc Replay tallies leftovers.
 	for i := range s.probes {
 		if m := s.probes[i].matcher; m != nil {
 			m.Close()

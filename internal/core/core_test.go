@@ -127,7 +127,7 @@ func TestEndToEndSmallSwarm(t *testing.T) {
 		t.Fatalf("probes = %d, want 1", len(res.Probes))
 	}
 	p := res.Probes[0]
-	if p.Recorder.Len() == 0 {
+	if len(p.Recorder.Records()) == 0 {
 		t.Fatal("probe captured nothing")
 	}
 

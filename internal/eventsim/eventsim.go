@@ -18,7 +18,7 @@
 // chunk per occupied bucket, and once warm it allocates nothing. Cancellation
 // is lazy — a stopped timer marks its slab item dead and the queue entry is
 // skipped (and its slot reclaimed) when it surfaces; when dead entries pile
-// up they are compacted out eagerly so Pending always reflects live load.
+// up they are compacted out eagerly so the queue reflects live load.
 package eventsim
 
 import (
@@ -191,10 +191,6 @@ func (e *Engine) NewRand() *rand.Rand {
 
 // Processed returns the number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
-
-// Pending returns the number of live scheduled events. Cancelled events
-// awaiting lazy removal are not counted.
-func (e *Engine) Pending() int { return e.live }
 
 // allocSlot takes a slab cell from the free list, growing the slab if empty.
 func (e *Engine) allocSlot() int32 {
@@ -396,7 +392,7 @@ func (e *Engine) fire(ent entry) {
 
 // maybeCompact sweeps dead entries out of the queue once they outnumber the
 // live ones, so cancel-heavy workloads (retransmission timers) cannot bloat
-// the queue or skew capacity planning built on Pending.
+// the queue.
 func (e *Engine) maybeCompact() {
 	if e.dead < 64 || e.dead <= e.live {
 		return

@@ -71,8 +71,8 @@ func (m *orderModel) next() *refTimer {
 
 func (m *orderModel) check(where string) {
 	m.t.Helper()
-	if got := m.e.Pending(); got != len(m.pend) {
-		m.t.Fatalf("%s: Pending() = %d, reference has %d", where, got, len(m.pend))
+	if got := m.e.live; got != len(m.pend) {
+		m.t.Fatalf("%s: %d live events, reference has %d", where, got, len(m.pend))
 	}
 	if got := m.e.Now(); got != m.now {
 		m.t.Fatalf("%s: Now() = %v, reference at %v", where, got, m.now)
@@ -290,7 +290,7 @@ func TestWheelStorageFollowsPending(t *testing.T) {
 		for i := 0; i < burst; i++ {
 			e.AtArg(at+time.Duration(i)*time.Microsecond, fn, nil)
 		}
-		peak = max(peak, e.Pending())
+		peak = max(peak, e.live)
 		n := 0
 		for _, w := range e.occupied {
 			n += bits.OnesCount64(w)

@@ -157,8 +157,8 @@ func TestTimersStopAfterClose(t *testing.T) {
 		t.Errorf("timer fired %d times, want 3 before close", count)
 	}
 	// The engine must drain completely (no immortal periodic timers).
-	if pending := w.Engine.Pending(); pending != 0 {
-		t.Errorf("%d events still pending after close", pending)
+	if at, ok := w.Engine.NextAt(); ok {
+		t.Errorf("an event is still pending at %v after close", at)
 	}
 }
 

@@ -51,8 +51,3 @@ func (r *BitRing) Has(seq uint64) bool {
 func (r *BitRing) Word(alignedSeq uint64) uint64 {
 	return r.words[(alignedSeq%r.cap)/64]
 }
-
-// Reset unmarks everything.
-func (r *BitRing) Reset() {
-	clear(r.words)
-}
