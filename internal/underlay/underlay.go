@@ -535,8 +535,8 @@ func (n *Network) Send(from *Host, to netip.Addr, size int, payload any) bool {
 		n.drop(payload)
 		return true // accepted by the uplink; lost in the network
 	}
-	if arrival, ok := n.path(from, dst.Addr, dst.ISP, departure, size, payload); ok {
-		n.scheduleDelivery(dst, toKey, from.Addr, size, payload, arrival+dst.ProcDelay)
+	if delay, ok := n.path(from, dst.Addr, dst.ISP, size, payload); ok {
+		n.scheduleDelivery(dst, toKey, from.Addr, size, payload, departure+delay+dst.ProcDelay)
 	}
 	return true
 }
@@ -549,29 +549,28 @@ func (n *Network) Send(from *Host, to netip.Addr, size int, payload any) bool {
 // the barrier injects it; those per-host properties are only readable over
 // there.
 func (n *Network) sendRemote(from *Host, to netip.Addr, rem Remote, departure time.Duration, size int, payload any) bool {
-	arrival, ok := n.path(from, to, rem.ISP, departure, size, payload)
+	delay, ok := n.path(from, to, rem.ISP, size, payload)
 	if !ok {
 		return true
 	}
 	if n.remoteFloor != nil {
-		if fl := n.remoteFloor(rem.Domain); arrival-departure < fl {
-			arrival = departure + fl
-		}
+		delay = max(delay, n.remoteFloor(rem.Domain))
 	}
-	n.router.Forward(n.domainID, rem.Domain, arrival, from.Addr, to, size, payload)
+	n.router.Forward(n.domainID, rem.Domain, departure+delay, from.Addr, to, size, payload)
 	return true
 }
 
-// path decides the fate of a datagram that left from's uplink at departure
-// for address to, of category toISP. It returns the wire arrival, or ok false
-// when the datagram was dropped (counted, and its payload released).
+// path decides the fate of a datagram that leaves from's uplink for address
+// to, of category toISP. It returns the wire delay from departure to
+// arrival, or ok false when the datagram was dropped (counted, and its
+// payload released).
 //
 // Fault perturbations fold in before the loss draw; a partition drops the
 // datagram without consuming randomness, so the RNG stream stays aligned for
 // the surviving traffic (deterministic per engine at any worker count). Added
 // delay only ever increases the arrival, so the PDES lookahead bound still
 // holds.
-func (n *Network) path(from *Host, to netip.Addr, toISP isp.ISP, departure time.Duration, size int, payload any) (arrival time.Duration, ok bool) {
+func (n *Network) path(from *Host, to netip.Addr, toISP isp.ISP, size int, payload any) (delay time.Duration, ok bool) {
 	p := n.cfg.lossProb(from.ISP, toISP)
 	var faultDelay time.Duration
 	if f := n.flt; f != nil {
@@ -591,11 +590,11 @@ func (n *Network) path(from *Host, to netip.Addr, toISP isp.ISP, departure time.
 	}
 	owd := n.pairOWD(from.Addr, from.ISP, to, toISP)
 	jitter := time.Duration(n.rng.ExpFloat64() * n.cfg.JitterFrac * float64(owd))
-	arrival = departure + owd + jitter + faultDelay
+	delay = owd + jitter + faultDelay
 	if n.cfg.TransoceanicBps > 0 && from.ISP.Domestic() != toISP.Domestic() {
-		arrival += time.Duration(float64(size) / n.cfg.TransoceanicBps * float64(time.Second))
+		delay += time.Duration(float64(size) / n.cfg.TransoceanicBps * float64(time.Second))
 	}
-	return arrival, true
+	return delay, true
 }
 
 // Inject delivers a datagram forwarded from another shard. The arrival time
