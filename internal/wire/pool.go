@@ -38,30 +38,30 @@ import (
 // made on one worker and released on another, and the pool balances that and
 // drops what it holds at GC.
 var (
-	requests     pool[DataRequest]
-	replies      pool[DataReply]
-	haves        pool[Have]
-	acks         pool[HandshakeAck]
-	listRequests pool[PeerListRequest]
-	listReplies  pool[PeerListReply]
-	maps         pool[BufferMapAnnounce]
-	announces    pool[TrackerAnnounce]
-	queries      pool[TrackerQuery]
-	responses    pool[TrackerResponse]
-	pings        pool[Ping]
-	pongs        pool[Pong]
+	requests     = newPool[DataRequest]()
+	replies      = newPool[DataReply]()
+	haves        = newPool[Have]()
+	acks         = newPool[HandshakeAck]()
+	listRequests = newPool[PeerListRequest]()
+	listReplies  = newPool[PeerListReply]()
+	maps         = newPool[BufferMapAnnounce]()
+	announces    = newPool[TrackerAnnounce]()
+	queries      = newPool[TrackerQuery]()
+	responses    = newPool[TrackerResponse]()
+	pings        = newPool[Ping]()
+	pongs        = newPool[Pong]()
 )
 
 // pool recycles one message type.
 type pool[T any] struct{ p sync.Pool }
 
-// get returns a released message, or a new zero one.
-func (p *pool[T]) get() *T {
-	if m, ok := p.p.Get().(*T); ok {
-		return m
-	}
-	return new(T)
+// newPool returns an empty pool that makes a zero T when it has none.
+func newPool[T any]() *pool[T] {
+	return &pool[T]{sync.Pool{New: func() any { return new(T) }}}
 }
+
+// get returns a released message, or a new zero one.
+func (p *pool[T]) get() *T { return p.p.Get().(*T) }
 
 // fill returns a recycled message set to v.
 func (p *pool[T]) fill(v T) *T {
