@@ -2,6 +2,7 @@ package peer
 
 import (
 	"fmt"
+	"math"
 	"net/netip"
 	"time"
 
@@ -194,6 +195,11 @@ func (c *Config) Validate() error {
 	}
 	if c.MaxOutstanding <= 0 || c.MaxOutstandingPerNeighbor <= 0 {
 		return fmt.Errorf("peer: non-positive outstanding limits")
+	}
+	// A session's request table links its MaxOutstanding slots by int16
+	// index (see session.reqs).
+	if c.MaxOutstanding > math.MaxInt16 {
+		return fmt.Errorf("peer: max outstanding %d out of range (limit %d)", c.MaxOutstanding, math.MaxInt16)
 	}
 	if c.RequestTimeout <= 0 || c.NeighborSilence <= 0 || c.HandshakeTimeout <= 0 {
 		return fmt.Errorf("peer: non-positive timeout")

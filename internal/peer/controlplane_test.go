@@ -427,13 +427,14 @@ func TestRecycledNeighborStartsClean(t *testing.T) {
 	s.sendDataRequest(nb, 10, 1, env.now)
 	nb.score, nb.minRTT, nb.failStreak, nb.backoffUntil = time.Second, time.Second, 3, time.Hour
 	nb.lastPing, nb.requests, nb.replies, nb.bytes = time.Minute, 5, 4, 1000
-	if nb.planIdx < 0 || len(nb.outstanding) != 1 {
-		t.Fatalf("setup: plan row %d, %d outstanding", nb.planIdx, len(nb.outstanding))
+	if nb.planIdx < 0 || nb.reqCount != 1 {
+		t.Fatalf("setup: plan row %d, %d outstanding", nb.planIdx, nb.reqCount)
 	}
-	total := s.outstandingTotal
+	total, free := s.outstandingTotal, freeSlots(s)
 	s.dropNeighbor(old)
-	if s.outstandingTotal != total-1 || s.inflight.Has(10) {
-		t.Errorf("dropping left %d of %d requests outstanding (seq 10 in flight: %v)", s.outstandingTotal, total, s.inflight.Has(10))
+	if s.outstandingTotal != total-1 || s.inflight.Has(10) || freeSlots(s) != free+1 {
+		t.Errorf("dropping left %d of %d requests outstanding (seq 10 in flight: %v, %d of %d table slots free)",
+			s.outstandingTotal, total, s.inflight.Has(10), freeSlots(s), free+1)
 	}
 
 	// An inbound handshake sets nothing but the entry itself (an accepted
@@ -445,14 +446,14 @@ func TestRecycledNeighborStartsClean(t *testing.T) {
 	if got != nb {
 		t.Fatal("the dropped neighbor struct was not reused")
 	}
-	if cap(got.buffer.Words) == 0 || cap(got.outstanding) == 0 {
-		t.Error("the recycled neighbor lost its storage")
+	if cap(got.buffer.Words) == 0 {
+		t.Error("the recycled neighbor lost its buffer-map storage")
 	}
 	clean := *got
-	clean.buffer.Words, clean.outstanding = nil, nil
-	want := neighbor{addr: fresh, connected: env.now, lastHeard: env.now, bufferAt: env.now, planIdx: -1}
-	if !reflect.DeepEqual(clean, want) || len(got.buffer.Words) != 0 || len(got.outstanding) != 0 {
-		t.Errorf("recycled neighbor = %+v (%d words, %d outstanding), want %+v and nothing else",
-			clean, len(got.buffer.Words), len(got.outstanding), want)
+	clean.buffer.Words = nil
+	want := neighbor{addr: fresh, connected: env.now, lastHeard: env.now, bufferAt: env.now, reqHead: -1, planIdx: -1}
+	if !reflect.DeepEqual(clean, want) || len(got.buffer.Words) != 0 {
+		t.Errorf("recycled neighbor = %+v (%d words), want %+v and nothing else",
+			clean, len(got.buffer.Words), want)
 	}
 }

@@ -1,6 +1,7 @@
 package peer
 
 import (
+	"math"
 	"net/netip"
 	"testing"
 	"time"
@@ -77,6 +78,9 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.BatchCount = 0 },
 		func(c *Config) { c.BatchCount = 100 },
 		func(c *Config) { c.MaxOutstanding = 0 },
+		func(c *Config) { c.MaxOutstandingPerNeighbor = 0 },
+		// The request table links its slots by int16 index.
+		func(c *Config) { c.MaxOutstanding = math.MaxInt16 + 1 },
 		func(c *Config) { c.RequestTimeout = 0 },
 	}
 	for i, mutate := range cases {
@@ -85,6 +89,11 @@ func TestConfigValidation(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
+	}
+	largest := testConfig()
+	largest.MaxOutstanding = math.MaxInt16
+	if err := largest.Validate(); err != nil {
+		t.Errorf("the largest request table rejected: %v", err)
 	}
 }
 
@@ -572,19 +581,19 @@ func TestRequestTimeoutExpiresAndPenalizes(t *testing.T) {
 	env.take()
 
 	nb := c.active.neighbors[akey(n1)]
-	sentRequests := len(nb.outstanding)
-	if sentRequests == 0 {
+	sent := nb.reqCount
+	if sent == 0 {
 		t.Fatal("no outstanding requests to expire")
 	}
+	before := c.Stats().RequestTimeouts
 	env.Advance(10 * time.Second) // well past RequestTimeout
-	if len(nb.outstanding) != 0 && c.Stats().RequestTimeouts == 0 {
-		t.Error("requests never expired")
+	// Every request booked before the jump expired; the ticks since may
+	// have booked fresh ones, each of them in the table.
+	if got := c.Stats().RequestTimeouts - before; got < uint64(sent) {
+		t.Errorf("%d timeouts counted, want at least the %d requests sent", got, sent)
 	}
-	if c.Stats().RequestTimeouts == 0 {
-		t.Error("timeouts not counted")
-	}
-	if c.active.outstandingTotal < 0 {
-		t.Errorf("outstandingTotal went negative: %d", c.active.outstandingTotal)
+	if s := c.active; s.outstandingTotal+freeSlots(s) != s.cfg.MaxOutstanding {
+		t.Errorf("%d outstanding + %d free table slots, want %d", s.outstandingTotal, freeSlots(s), s.cfg.MaxOutstanding)
 	}
 }
 

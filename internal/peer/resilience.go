@@ -157,7 +157,7 @@ func (s *session) optimisticFallback(seq uint64, now time.Duration) *neighbor {
 	rate := s.spec.Rate()
 	for _, key := range s.planOrder {
 		nb := s.sortedNbs[int(key&1023)]
-		if len(nb.outstanding) >= s.cfg.MaxOutstandingPerNeighbor || nb.backoffUntil > now {
+		if int(nb.reqCount) >= s.cfg.MaxOutstandingPerNeighbor || nb.backoffUntil > now {
 			continue
 		}
 		if !nb.bufferAny {

@@ -139,8 +139,8 @@ func TestKeepaliveEvictsDeadNeighborTeardown(t *testing.T) {
 	if nb.planIdx != -1 {
 		t.Errorf("evicted neighbor planIdx = %d, want -1", nb.planIdx)
 	}
-	if len(nb.outstanding) != 0 {
-		t.Errorf("evicted neighbor keeps %d outstanding requests", len(nb.outstanding))
+	if nb.reqCount != 0 || nb.reqHead != -1 {
+		t.Errorf("evicted neighbor keeps %d outstanding requests (chain head %d)", nb.reqCount, nb.reqHead)
 	}
 	if s.inFlight(seq) {
 		t.Error("evicted neighbor's request still marked in flight")

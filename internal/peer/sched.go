@@ -22,9 +22,12 @@ import (
 // LeadingZeros64 walk. Neighbor sets beyond 64 spill into additional groups.
 
 // resizeU64 returns a slice of length n, reusing s's storage when possible.
+// It grows the storage at least twofold, so a want range or a neighbor table
+// creeping up a word at a time reallocates only a logarithmic number of
+// times. The contents are not kept: every caller overwrites all n entries.
 func resizeU64(s []uint64, n int) []uint64 {
 	if cap(s) < n {
-		return make([]uint64, n)
+		return make([]uint64, n, max(n, 2*cap(s)))
 	}
 	return s[:n]
 }
@@ -84,7 +87,7 @@ func (s *session) buildSchedPlan(first, last uint64, now time.Duration) {
 		for i := g * 64; i < (g+1)*64 && i < len(nbs); i++ {
 			// backoffUntil is only ever non-zero under cfg.Resilient: a
 			// neighbor in timeout backoff is ineligible for the whole tick.
-			if len(nbs[i].outstanding) < s.cfg.MaxOutstandingPerNeighbor && nbs[i].backoffUntil <= now {
+			if int(nbs[i].reqCount) < s.cfg.MaxOutstandingPerNeighbor && nbs[i].backoffUntil <= now {
 				elig |= 1 << (63 - uint(i-g*64))
 			}
 		}
@@ -120,7 +123,7 @@ func (s *session) buildSchedPlan(first, last uint64, now time.Duration) {
 
 // planNoteSent updates the eligibility mask after a request was booked on nb.
 func (s *session) planNoteSent(nb *neighbor) {
-	if nb.planIdx < 0 || len(nb.outstanding) < s.cfg.MaxOutstandingPerNeighbor {
+	if nb.planIdx < 0 || int(nb.reqCount) < s.cfg.MaxOutstandingPerNeighbor {
 		return
 	}
 	g, i := nb.planIdx/64, uint(nb.planIdx%64)
@@ -176,7 +179,7 @@ func (s *session) pickProvider(seq uint64, now time.Duration, urgent bool) *neig
 					}
 				}
 			}
-			if nb.backoffUntil <= now && len(nb.outstanding) < s.cfg.MaxOutstandingPerNeighbor {
+			if nb.backoffUntil <= now && int(nb.reqCount) < s.cfg.MaxOutstandingPerNeighbor {
 				return nb
 			}
 		}

@@ -65,8 +65,8 @@ func benchSwarm(tb testing.TB, nbs, batch int) (*fakeEnv, *Client) {
 // coverage) so every benchmark iteration schedules the same full batch.
 func resetSched(c *Client) {
 	for _, nb := range c.active.neighbors {
-		for len(nb.outstanding) > 0 {
-			c.active.clearOutstanding(nb, len(nb.outstanding)-1)
+		for nb.reqHead >= 0 {
+			c.active.clearOutstanding(nb, -1, nb.reqHead)
 		}
 	}
 }
