@@ -117,6 +117,12 @@ type Config struct {
 // flow member, declines data requests Busy.
 const serveQueueLimit = 2500 * time.Millisecond
 
+// maxInflightSpan bounds the span, in sub-pieces, of a session's in-flight
+// ring (session.inflight), 128 KiB of bits: the buffer window plus what the
+// channel emits over RequestTimeout and one SchedInterval. The defaults need
+// about 2 200 at the paper's bitrates.
+const maxInflightSpan = 1 << 20
+
 // DefaultConfig returns full-fidelity (probe-grade) client settings.
 func DefaultConfig(spec stream.Spec, bootstrap netip.Addr) Config {
 	return Config{
@@ -203,6 +209,12 @@ func (c *Config) Validate() error {
 	}
 	if c.RequestTimeout <= 0 || c.NeighborSilence <= 0 || c.HandshakeTimeout <= 0 {
 		return fmt.Errorf("peer: non-positive timeout")
+	}
+	// Summed as seconds, so two huge intervals cannot overflow a Duration.
+	linger := c.RequestTimeout.Seconds() + c.SchedInterval.Seconds()
+	if span := float64(c.BufferWindow) + 64 + linger*c.Channel.Rate(); span > maxInflightSpan {
+		return fmt.Errorf("peer: buffer window %d plus request timeout %v and scheduler interval %v at %.1f sub-pieces/s need an in-flight ring of %.0f sub-pieces (limit %d)",
+			c.BufferWindow, c.RequestTimeout, c.SchedInterval, c.Channel.Rate(), span, maxInflightSpan)
 	}
 	return nil
 }

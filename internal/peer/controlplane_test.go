@@ -13,17 +13,22 @@ import (
 	"pplivesim/internal/wire"
 )
 
-// quietConfig is testConfig with every periodic timer a year apart, so a
-// session does nothing a test does not make it do.
+// quietInterval is quietConfig's timer period: longer than the simulated
+// hour its longest test runs, and inside Config.Validate's in-flight ring
+// bound (about eight hours at testChannel's rate).
+const quietInterval = 4 * time.Hour
+
+// quietConfig is testConfig with every periodic timer quietInterval apart,
+// so a session does nothing a test does not make it do. A test on it checks
+// that its clock stays short of quietInterval.
 func quietConfig() Config {
-	const year = 365 * 24 * time.Hour
 	cfg := testConfig()
-	cfg.GossipInterval = year
-	cfg.SchedInterval = year
-	cfg.BufferMapInterval = year
-	cfg.AnnounceInterval = year
-	cfg.TrackerIntervalStartup = year
-	cfg.TrackerIntervalSteady = year
+	cfg.GossipInterval = quietInterval
+	cfg.SchedInterval = quietInterval
+	cfg.BufferMapInterval = quietInterval
+	cfg.AnnounceInterval = quietInterval
+	cfg.TrackerIntervalStartup = quietInterval
+	cfg.TrackerIntervalSteady = quietInterval
 	return cfg
 }
 
@@ -161,6 +166,9 @@ func TestControlPlaneZeroAlloc(t *testing.T) {
 	if havesSent != 6*cycles || havesGot == 0 || havesWrong != 0 {
 		t.Errorf("%d Haves sent, %d delivered (%d of them recycled early) over %d six-target fan-outs",
 			havesSent, havesGot, havesWrong, cycles)
+	}
+	if horizon >= quietInterval {
+		t.Errorf("the clock reached %v, past quietConfig's timers", horizon)
 	}
 	t.Logf("%d idle World.Runs: %.0f allocs; as %d cycles: %.0f", 3*batch, idle, batch, allocs)
 	if got := allocs - idle; got != 0 {
@@ -301,6 +309,9 @@ func TestPeriodicMessagesZeroAlloc(t *testing.T) {
 			t.Errorf("%d %s over %d cycles with %d datagrams lost", c.got, c.what, cycles, lost)
 		}
 	}
+	if horizon >= quietInterval {
+		t.Errorf("the clock reached %v, past quietConfig's timers", horizon)
+	}
 	t.Logf("%d idle World.Runs: %.0f allocs; as %d cycles: %.0f", 2*batch, idle, batch, allocs)
 	if got := allocs - idle; got != 0 {
 		t.Errorf("%d periodic-message cycles allocate %.2f objects beyond %d idle World.Runs (%.0f), want 0", batch, got, 2*batch, idle)
@@ -409,10 +420,10 @@ func TestRecycledMessagesNotRetained(t *testing.T) {
 	}
 }
 
-// TestRecycledNeighborStartsClean: a neighbor struct the session dropped is
-// the next one it adds, and nothing of its previous occupant carries over —
-// no outstanding request, no plan row, no scores, no failure streak or
-// backoff, no buffer coverage.
+// TestRecycledNeighborStartsClean: the neighbor table slot the session freed
+// is the next one it fills, and nothing of its previous occupant carries over
+// — no outstanding request, no plan row, no scores, no failure streak or
+// backoff, no buffer coverage — but the slot's own buffer-map storage.
 func TestRecycledNeighborStartsClean(t *testing.T) {
 	env := newFakeEnv("58.32.0.1")
 	c := newClient(t, env, resilientConfig())
@@ -431,6 +442,7 @@ func TestRecycledNeighborStartsClean(t *testing.T) {
 		t.Fatalf("setup: plan row %d, %d outstanding", nb.planIdx, nb.reqCount)
 	}
 	total, free := s.outstandingTotal, freeSlots(s)
+	words := nb.buffer.Words[:1]
 	s.dropNeighbor(old)
 	if s.outstandingTotal != total-1 || s.inflight.Has(10) || freeSlots(s) != free+1 {
 		t.Errorf("dropping left %d of %d requests outstanding (seq 10 in flight: %v, %d of %d table slots free)",
@@ -443,11 +455,11 @@ func TestRecycledNeighborStartsClean(t *testing.T) {
 	fresh := netip.MustParseAddr("58.32.0.3")
 	c.HandleMessage(fresh, &wire.Handshake{Channel: 1})
 	got := s.neighbors[akey(fresh)]
-	if got != nb {
-		t.Fatal("the dropped neighbor struct was not reused")
+	if got != nb || slotIndex(s, got) < 0 {
+		t.Fatalf("the freed slot %d was not reused (got slot %d)", slotIndex(s, nb), slotIndex(s, got))
 	}
-	if cap(got.buffer.Words) == 0 {
-		t.Error("the recycled neighbor lost its buffer-map storage")
+	if cap(got.buffer.Words) != cap(words) || &got.buffer.Words[:1][0] != &words[0] {
+		t.Error("the recycled neighbor lost its slot's buffer-map storage")
 	}
 	clean := *got
 	clean.buffer.Words = nil

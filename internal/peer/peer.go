@@ -205,13 +205,6 @@ func (nb *neighbor) covers(seq uint64) bool {
 	return nb.buffer.Has(seq)
 }
 
-// maxFreeNeighbors bounds a client's free list. A gossip round's trim can
-// drop a whole table's excess at once, and every struct kept also keeps the
-// storage it grew. Unbounded, the lists held thousands of idle structs in a
-// flash crowd and raised peak RSS by about 9 %; 16 keeps most of the reuse
-// for about a tenth of that memory.
-const maxFreeNeighbors = 16
-
 // akey packs an IPv4 address into the uint32 key used by the per-datagram
 // maps. The simulation's address plan is IPv4-only; the zero Addr (source
 // unset during bootstrap) folds to 0, which ipam never allocates.
@@ -242,11 +235,6 @@ type Client struct {
 	// closedStats accumulates playback counters from sessions already left,
 	// so BufferStats spans the whole viewing history across switches.
 	closedStats stream.Stats
-
-	// freeNbs holds up to maxFreeNeighbors of the neighbor structs its
-	// sessions dropped, for newNeighbor to reuse with their buffer-map
-	// storage.
-	freeNbs []*neighbor
 
 	// emitRequest, when set, replaces the wire send for scheduled data
 	// requests; benchmarks use it to measure scheduling cost without the
@@ -421,7 +409,6 @@ func (c *Client) retire(announce bool) {
 	}
 	c.closeActive(announce)
 	c.stopped = true
-	c.freeNbs = nil
 	if c.onStopped != nil {
 		c.onStopped()
 	}

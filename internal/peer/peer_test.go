@@ -82,6 +82,13 @@ func TestConfigValidation(t *testing.T) {
 		// The request table links its slots by int16 index.
 		func(c *Config) { c.MaxOutstanding = math.MaxInt16 + 1 },
 		func(c *Config) { c.RequestTimeout = 0 },
+		// The in-flight ring spans the buffer window plus what the channel
+		// emits over RequestTimeout and one SchedInterval.
+		func(c *Config) { c.SchedInterval = 365 * 24 * time.Hour },
+		func(c *Config) { c.RequestTimeout = 365 * 24 * time.Hour },
+		func(c *Config) { c.RequestTimeout, c.SchedInterval = math.MaxInt64, math.MaxInt64 },
+		func(c *Config) { c.BufferWindow = maxInflightSpan },
+		func(c *Config) { c.Channel.BitrateBps = math.MaxInt32 },
 	}
 	for i, mutate := range cases {
 		cfg := testConfig()
@@ -94,6 +101,21 @@ func TestConfigValidation(t *testing.T) {
 	largest.MaxOutstanding = math.MaxInt16
 	if err := largest.Validate(); err != nil {
 		t.Errorf("the largest request table rejected: %v", err)
+	}
+	quiet := quietConfig()
+	if err := quiet.Validate(); err != nil {
+		t.Errorf("quietConfig rejected: %v", err)
+	}
+	// The ring's bound falls between two whole-second scheduler intervals.
+	room := (maxInflightSpan-float64(good.BufferWindow+64))/testChannel().Rate() - good.RequestTimeout.Seconds()
+	in, out := testConfig(), testConfig()
+	in.SchedInterval = time.Duration(room) * time.Second
+	out.SchedInterval = in.SchedInterval + time.Second
+	if err := in.Validate(); err != nil {
+		t.Errorf("scheduler interval %v, the longest whose ring fits, rejected: %v", in.SchedInterval, err)
+	}
+	if err := out.Validate(); err == nil {
+		t.Errorf("scheduler interval %v, whose ring is past the bound, accepted", out.SchedInterval)
 	}
 }
 

@@ -350,15 +350,12 @@ func TestRequestTableZeroAlloc(t *testing.T) {
 	c.emitRequest = func(netip.Addr, uint64, int) {}
 	s := c.active
 	// One fresh neighbor per run (the warm-up run included), made before
-	// the count starts with a buffer map that spans the replies; then a full
-	// free list, so the drops keep nothing.
+	// the count starts with a buffer map that spans the replies. With the
+	// source they fit the neighbor table, whose slots the drops free.
 	fresh := make([]netip.Addr, runs+1)
 	for i := range fresh {
 		fresh[i] = netip.AddrFrom4([4]byte{58, 32, 1, byte(i + 2)})
 		s.addNeighbor(fresh[i], wire.MakeBufferMap(s.buffer.Playhead(), cfg.BufferWindow))
-	}
-	for len(c.freeNbs) < maxFreeNeighbors {
-		c.freeNbs = append(c.freeNbs, new(neighbor))
 	}
 	per := cfg.MaxOutstandingPerNeighbor
 	replies := make([]wire.DataReply, per/2)

@@ -92,6 +92,17 @@ type session struct {
 	// iteration order is randomized in Go.
 	sortedNbs []*neighbor
 
+	// nbSlots is the neighbor table: every neighbor of the session, mesh
+	// peer or origin, is one of its slots, made once on playlink, and nbFree
+	// stacks the unused ones. The protocol bounds the mesh at 2*MaxNeighbors
+	// (handleHandshake accepts only below it; handleHandshakeAck adds below
+	// MaxNeighbors or in place of the worst neighbor) and the origins at the
+	// playlink's edges plus the source, so the table holds them all. Each
+	// slot's buffer map owns a fixed run of one shared word array, so
+	// setBuffer and learnHas refill it in place.
+	nbSlots []neighbor
+	nbFree  []*neighbor
+
 	// Scheduler-tick scratch state, reused every SchedInterval so the hot
 	// path stays allocation-free.
 	wantScratch []uint64
@@ -127,13 +138,12 @@ type session struct {
 // newSession creates an un-started session for spec's channel.
 func newSession(c *Client, spec stream.Spec) *session {
 	return &session{
-		c:         c,
-		env:       c.env,
-		cfg:       &c.cfg,
-		spec:      spec,
-		phase:     PhaseBootstrap,
-		neighbors: make(map[uint32]*neighbor),
-		hs:        wire.Handshake{Channel: spec.Channel},
+		c:     c,
+		env:   c.env,
+		cfg:   &c.cfg,
+		spec:  spec,
+		phase: PhaseBootstrap,
+		hs:    wire.Handshake{Channel: spec.Channel},
 	}
 }
 
@@ -237,7 +247,8 @@ func (s *session) handlePlaylink(m *wire.PlaylinkResponse) {
 	s.buffer = buf
 	// In-flight sequences live between (playhead − timeout drift) and the
 	// prefetch bound: expired requests linger up to RequestTimeout plus one
-	// scheduler interval past the window, so size the ring for both.
+	// scheduler interval past the window, so size the ring for both
+	// (Config.Validate holds the sum to maxInflightSpan).
 	drift := int((s.cfg.RequestTimeout+s.cfg.SchedInterval).Seconds()*s.spec.Rate()) + 64
 	s.inflight = stream.NewBitRing(s.cfg.BufferWindow + drift)
 	s.reqs = make([]pendingReq, s.cfg.MaxOutstanding)
@@ -245,6 +256,9 @@ func (s *session) handlePlaylink(m *wire.PlaylinkResponse) {
 		s.reqs[i].next = int16(i + 1)
 	}
 	s.reqs[len(s.reqs)-1].next = -1
+	// A slot for every mesh neighbor the protocol admits and every origin
+	// (see nbSlots).
+	s.makeNeighborTable(2*s.cfg.MaxNeighbors + len(m.Edges) + 1)
 	s.trackers = append([]netip.Addr(nil), m.Trackers...)
 	// Both lists stay at their bounds for the whole session: the handshake
 	// window drops expired entries in place, and pushRecent inserts before
@@ -277,6 +291,23 @@ func (s *session) handlePlaylink(m *wire.PlaylinkResponse) {
 		s.addOrigin(e, originEdge)
 	}
 	s.addOrigin(m.Source, originSource)
+}
+
+// makeNeighborTable makes the session's neighbor table of n slots, the map
+// that finds them by address and the mesh order. Every slot's buffer map gets
+// room for the larger of an announced map and the knowledge window.
+func (s *session) makeNeighborTable(n int) {
+	words := (max(s.cfg.BufferWindow, knowledgeWindow) + 63) / 64
+	backing := make([]uint64, n*words)
+	s.nbSlots = make([]neighbor, n)
+	s.nbFree = make([]*neighbor, n)
+	for i := range s.nbSlots {
+		nb := &s.nbSlots[i]
+		nb.buffer.Words = backing[i*words : i*words : (i+1)*words]
+		s.nbFree[i] = nb
+	}
+	s.neighbors = make(map[uint32]*neighbor, n)
+	s.sortedNbs = make([]*neighbor, 0, 2*s.cfg.MaxNeighbors)
 }
 
 // scheduleTrackerQueries (re)installs the periodic tracker query at the given
@@ -568,15 +599,16 @@ func (s *session) addOrigin(a netip.Addr, kind originKind) {
 	s.origins = append(s.origins, nb)
 }
 
-// newNeighbor enters a fresh neighbor for a into the table, reusing one the
-// client dropped earlier when it has one: only the storage of its buffer map
-// carries over.
+// newNeighbor enters a fresh neighbor for a into a free slot of the table:
+// only the storage of the slot's buffer map carries over. The protocol never
+// empties the table (see nbSlots); a neighbor added past it by hand is made
+// fresh.
 func (s *session) newNeighbor(a netip.Addr, bm wire.BufferMap) *neighbor {
 	now := s.env.Now()
 	var nb *neighbor
-	if k := len(s.c.freeNbs); k > 0 {
-		nb = s.c.freeNbs[k-1]
-		s.c.freeNbs = s.c.freeNbs[:k-1]
+	if k := len(s.nbFree); k > 0 {
+		nb = s.nbFree[k-1]
+		s.nbFree = s.nbFree[:k-1]
 	} else {
 		nb = new(neighbor)
 	}
@@ -754,8 +786,10 @@ func (s *session) dropNeighbor(a netip.Addr) {
 	nb.planIdx = -1
 	delete(s.neighbors, akey(a))
 	s.sortedRemove(a)
-	if len(s.c.freeNbs) < maxFreeNeighbors {
-		s.c.freeNbs = append(s.c.freeNbs, nb)
+	// A neighbor made past the table joins the stack only while there is
+	// room, so the stack never outgrows the table.
+	if len(s.nbFree) < cap(s.nbFree) {
+		s.nbFree = append(s.nbFree, nb)
 	}
 }
 
