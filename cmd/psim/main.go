@@ -1,6 +1,7 @@
 // Command psim runs a single P2P live-streaming scenario and prints the
 // probe-side analysis: the locality panels, response-time groups,
-// contribution fits, and rank–RTT correlation for each probe.
+// contribution fits, rank–RTT correlation and playback continuity for each
+// probe.
 //
 // Usage:
 //
@@ -198,6 +199,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		title := fmt.Sprintf("=== probe %s (%s) ===", p.Name, p.ISP)
 		fmt.Fprintln(stdout, experiments.ProbeSummary(title, rep))
+		fmt.Fprintf(stdout, "playback continuity: %.3f\n\n", p.Client.BufferStats().Continuity())
 		if sc.Faults != nil {
 			summary, err := experiments.ResilienceSummary(res, p.Name)
 			if err != nil {

@@ -31,3 +31,28 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestRunPrintsProbeReport: a small run prints the scenario header, the
+// completion line and the probe's block, with its locality and continuity.
+func TestRunPrintsProbeReport(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scenario run")
+	}
+	var stdout, stderr bytes.Buffer
+	args := []string{"-scale", "0.05", "-watch", "3m", "-warmup", "2m", "-probes", "tele"}
+	if err := run(args, &stdout, &stderr); err != nil {
+		t.Fatalf("run(%v) = %v\n%s", args, err, stderr.String())
+	}
+	out := stdout.String()
+	for _, want := range []string{
+		"scenario popular:",
+		"\ncompleted:",
+		"\n=== probe tele (TELE) ===\n",
+		"traffic locality (same-ISP share of downloaded bytes):",
+		"\nplayback continuity: ",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("stdout lacks %q:\n%s", want, out)
+		}
+	}
+}

@@ -205,14 +205,10 @@ type trieNode struct {
 // semantics, like a routing table or an IP→ASN database.
 type Trie struct {
 	root trieNode
-	n    int
 }
 
 // NewTrie returns an empty trie.
 func NewTrie() *Trie { return &Trie{} }
-
-// Len returns the number of prefixes inserted.
-func (t *Trie) Len() int { return t.n }
 
 // Insert associates label with the prefix, replacing any existing label on
 // the exact same prefix.
@@ -225,9 +221,6 @@ func (t *Trie) Insert(p Prefix, label int) {
 			node.children[bit] = &trieNode{}
 		}
 		node = node.children[bit]
-	}
-	if !node.hasValue {
-		t.n++
 	}
 	node.hasValue = true
 	node.value = label

@@ -127,9 +127,6 @@ func TestTrieLongestPrefixMatch(t *testing.T) {
 			t.Errorf("Lookup(%s) = (%d,%v), want (%d,%v)", tt.addr, got, ok, tt.want, tt.found)
 		}
 	}
-	if tr.Len() != 3 {
-		t.Errorf("Len() = %d, want 3", tr.Len())
-	}
 }
 
 func TestTrieReplaceExact(t *testing.T) {
@@ -137,9 +134,6 @@ func TestTrieReplaceExact(t *testing.T) {
 	p := MustParsePrefix("172.16.0.0/12")
 	tr.Insert(p, 1)
 	tr.Insert(p, 9)
-	if tr.Len() != 1 {
-		t.Errorf("Len() = %d after replacing, want 1", tr.Len())
-	}
 	got, ok := tr.Lookup(netip.MustParseAddr("172.16.5.5"))
 	if !ok || got != 9 {
 		t.Errorf("Lookup = (%d,%v), want (9,true)", got, ok)

@@ -4,8 +4,8 @@
 // Protocol logic is written against the Env interface — a clock for timers,
 // a datagram sender, and a deterministic random stream — so the same
 // implementation runs over the discrete-event simulated underlay
-// (internal/simnet) and over real UDP sockets (internal/udpnet, used by the
-// examples).
+// (internal/simnet) and over real UDP sockets (internal/udpnet, used by
+// examples/realnet).
 package node
 
 import (

@@ -25,8 +25,7 @@ func slotIndex(s *session, nb *neighbor) int {
 
 // checkNeighborTable checks s's neighbor table after any step:
 //   - every live neighbor, in the map, the mesh order or the origins, is a
-//     slot of the table, so the table never ran out and newNeighbor never
-//     made one past it;
+//     slot of the table;
 //   - the free stack holds the other slots, each once;
 //   - the map holds exactly the mesh order and the origins, under their
 //     own keys, and the mesh order is sorted and within 2*MaxNeighbors;

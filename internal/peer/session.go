@@ -601,17 +601,17 @@ func (s *session) addOrigin(a netip.Addr, kind originKind) {
 
 // newNeighbor enters a fresh neighbor for a into a free slot of the table:
 // only the storage of the slot's buffer map carries over. The protocol never
-// empties the table (see nbSlots); a neighbor added past it by hand is made
-// fresh.
+// empties the table (see nbSlots).
 func (s *session) newNeighbor(a netip.Addr, bm wire.BufferMap) *neighbor {
 	now := s.env.Now()
-	var nb *neighbor
-	if k := len(s.nbFree); k > 0 {
-		nb = s.nbFree[k-1]
-		s.nbFree = s.nbFree[:k-1]
-	} else {
-		nb = new(neighbor)
+	k := len(s.nbFree)
+	if k == 0 {
+		// The table holds every neighbor the protocol admits; running out is
+		// a programming error.
+		panic(fmt.Sprintf("peer: neighbor table of %d slots is full", len(s.nbSlots)))
 	}
+	nb := s.nbFree[k-1]
+	s.nbFree = s.nbFree[:k-1]
 	*nb = neighbor{
 		addr:      a,
 		connected: now,
@@ -782,15 +782,12 @@ func (s *session) dropNeighbor(a netip.Addr) {
 	// Invalidate the dropped neighbor's scheduler-plan row so a stale pointer
 	// can never write eligibility bits for whoever inherits the row index.
 	// The plan itself holds indices into sortedNbs, never pointers, and is
-	// rebuilt every tick, so the struct is free for newNeighbor's next entry.
+	// rebuilt every tick, so the slot goes back on the free stack for
+	// newNeighbor's next entry.
 	nb.planIdx = -1
 	delete(s.neighbors, akey(a))
 	s.sortedRemove(a)
-	// A neighbor made past the table joins the stack only while there is
-	// room, so the stack never outgrows the table.
-	if len(s.nbFree) < cap(s.nbFree) {
-		s.nbFree = append(s.nbFree, nb)
-	}
+	s.nbFree = append(s.nbFree, nb)
 }
 
 // maybeSteady transitions to the steady phase once playback is satisfactory:

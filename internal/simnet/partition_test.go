@@ -192,8 +192,8 @@ func TestPartitionTables(t *testing.T) {
 					t.Errorf("domain %s spawns\n got %s\nwant %s", d.Name(), got, want.spawns)
 				}
 			}
-			if w.router != nil && w.router.trie.Len() != routes {
-				t.Errorf("router holds %d routes, want %d", w.router.trie.Len(), routes)
+			if w.router != nil && len(w.router.entries) != routes {
+				t.Errorf("router holds %d routes, want %d", len(w.router.entries), routes)
 			}
 		})
 	}

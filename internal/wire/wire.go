@@ -11,7 +11,7 @@
 // Messages marshal to a compact binary format: a fixed header (magic,
 // version, type, body length) followed by the body and a CRC32 trailer.
 // The same encoding drives both the simulated underlay (which only needs
-// WireSize) and the real-UDP transport used by the examples.
+// WireSize) and the real-UDP transport used by examples/realnet.
 //
 // A message is declared in two places: its struct with Kind and body, where
 // body walks the fields in wire order through the coder's primitives, and

@@ -10,11 +10,13 @@
 //
 // The top-level API runs scenarios and analyzes probe traces:
 //
-//	sc := pplive.PopularScenario(42, 1.0)
+//	sc := pplive.PopularScenario(42, 0.03) // seed, population scale
 //	sc.Probes = []pplive.ProbeSpec{{Name: "tele", ISP: pplive.TELE}}
 //	res, err := pplive.RunScenario(sc)
-//	rep := pplive.AnalyzeProbe(res, 0)
-//	fmt.Printf("traffic locality: %.2f\n", rep.TrafficLocality)
+//	rep, err := pplive.AnalyzeProbe(res, 0)
+//	fmt.Println(rep.TrafficLocality > rep.PotentialLocality)
+//
+// ExampleRunScenario is this snippet in full, and `go test` runs it.
 //
 // Experiment presets mirroring every figure and table of the paper are the
 // rows of internal/experiments.Sections; `cmd/experiments` regenerates them
