@@ -1,13 +1,13 @@
 // Command analyze runs the paper's full offline analysis pipeline over a
-// saved probe trace (produced by cmd/tracegen): request/reply matching,
-// IP→ASN resolution against the synthetic registry, and every figure
-// statistic — the same workflow the authors applied to their Wireshark
-// captures.
+// saved probe trace (what `psim -trace DIR` writes, one DIR/<probe>.jsonl per
+// probe): request/reply matching, IP→ASN resolution against the synthetic
+// registry, and every figure statistic — the same workflow the authors
+// applied to their Wireshark captures.
 //
 // Usage:
 //
-//	analyze trace.jsonl
-//	tracegen -out - | analyze -
+//	analyze [-json] DIR/tele.jsonl
+//	analyze [-json] - < DIR/tele.jsonl
 package main
 
 import (

@@ -39,24 +39,25 @@ func TestRunUsage(t *testing.T) {
 	}
 }
 
-// TestTracegenRoundTrip: a trace written by cmd/tracegen (tiny audience,
-// short watch, the probe in full capture) reads back whole: the text report
-// counts every record the file holds, and -json emits the report as JSON
-// with the probe's data transmissions in it.
-func TestTracegenRoundTrip(t *testing.T) {
+// TestTraceRoundTrip: a trace written by `psim -trace` (tiny audience, short
+// watch, the probe in full capture) reads back whole: the text report counts
+// every record the file holds, and -json emits the report as JSON with the
+// probe's data transmissions in it.
+func TestTraceRoundTrip(t *testing.T) {
 	gobin := filepath.Join(runtime.GOROOT(), "bin", "go")
 	if _, err := os.Stat(gobin); err != nil {
-		t.Skipf("no go command to build cmd/tracegen: %v", err)
+		t.Skipf("no go command to build cmd/psim: %v", err)
 	}
 	dir := t.TempDir()
-	tracegen := filepath.Join(dir, "tracegen")
-	if out, err := exec.Command(gobin, "build", "-o", tracegen, "pplivesim/cmd/tracegen").CombinedOutput(); err != nil {
-		t.Fatalf("build tracegen: %v\n%s", err, out)
+	psim := filepath.Join(dir, "psim")
+	if out, err := exec.Command(gobin, "build", "-o", psim, "pplivesim/cmd/psim").CombinedOutput(); err != nil {
+		t.Fatalf("build psim: %v\n%s", err, out)
 	}
-	trace := filepath.Join(dir, "trace.jsonl")
-	if out, err := exec.Command(tracegen, "-scale", "0.005", "-watch", "20s", "-out", trace).CombinedOutput(); err != nil {
-		t.Fatalf("tracegen: %v\n%s", err, out)
+	args := []string{"-probes", "tele", "-scale", "0.005", "-watch", "20s", "-warmup", "1m", "-trace", dir}
+	if out, err := exec.Command(psim, args...).CombinedOutput(); err != nil {
+		t.Fatalf("psim: %v\n%s", err, out)
 	}
+	trace := filepath.Join(dir, "tele.jsonl")
 	f, err := os.Open(trace)
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +68,7 @@ func TestTracegenRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(records) == 0 {
-		t.Fatal("tracegen wrote no records")
+		t.Fatal("psim wrote no records")
 	}
 
 	var text, stderr bytes.Buffer

@@ -76,31 +76,35 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return nil
 	}
 
-	// Wire mode: stand up the service and a caching client on a simulated
-	// network and resolve through them.
-	w := simnet.NewWorld(1)
+	// Wire mode: stand up the service in a TELE domain and a caching client
+	// in the CNC domain of a simulated world and resolve through them. The
+	// client asks from an event, so each query crosses the barrier that closes
+	// the window it was sent in.
+	w := simnet.NewShardedWorldN(1, 1)
 	w.CodecCheck = true
-	srvEnv, err := w.Spawn(simnet.HostSpec{ISP: isp.TELE, UploadBps: 1 << 20})
+	srvEnv, err := w.DomainsOf(isp.TELE)[0].Spawn(simnet.HostSpec{ISP: isp.TELE, UploadBps: 1 << 20})
 	if err != nil {
 		return err
 	}
 	srvEnv.SetHandler(asnmap.NewService(srvEnv, registry))
-	cliEnv, err := w.Spawn(simnet.HostSpec{ISP: isp.CNC, UploadBps: 1 << 20})
+	cliEnv, err := w.DomainsOf(isp.CNC)[0].Spawn(simnet.HostSpec{ISP: isp.CNC, UploadBps: 1 << 20})
 	if err != nil {
 		return err
 	}
 	cli := asnmap.NewClient(cliEnv, srvEnv.Addr())
 	cliEnv.SetHandler(cli)
 
-	for _, a := range addrs {
-		cli.Resolve(a, func(rec asnmap.Record, found bool) {
-			if found {
-				fmt.Fprintf(stdout, "%-16s AS%-6d %-8s %s (resolved in %v virtual)\n",
-					a, rec.ASN, rec.ISP, rec.Name, w.Engine.Now())
-			} else {
-				fmt.Fprintf(stdout, "%-16s (no origin AS registered)\n", a)
-			}
-		})
-	}
-	return w.Engine.Run(time.Minute)
+	cliEnv.After(0, func() {
+		for _, a := range addrs {
+			cli.Resolve(a, func(rec asnmap.Record, found bool) {
+				if found {
+					fmt.Fprintf(stdout, "%-16s AS%-6d %-8s %s (resolved in %v virtual)\n",
+						a, rec.ASN, rec.ISP, rec.Name, cliEnv.Now())
+				} else {
+					fmt.Fprintf(stdout, "%-16s (no origin AS registered)\n", a)
+				}
+			})
+		}
+	})
+	return w.Run(time.Minute, 1)
 }

@@ -10,6 +10,7 @@
 //	     [-no-preference] [-switch-fraction 0.35] [-median-dwell 4m]
 //	     [-fault source-crash|tracker-outage|link-degrade|partition|burst-loss|kill-churn|combo]
 //	     [-fidelity mixed|full|flow] [-selection random|quota:F|ashop:B]
+//	     [-trace DIR]
 //
 // With -fidelity flow the background population runs as struct-of-arrays
 // flow swarms — millions of peers in bounded memory — while probes keep
@@ -23,6 +24,10 @@
 // With -channel multi the popular and unpopular channels run concurrently,
 // a fraction of viewers browses between them (-switch-fraction, -median-dwell),
 // and every requested probe is placed twice: once pinned to each channel.
+//
+// With -trace every probe also keeps its full packet trace, the paper's
+// capture-then-analyze mode, and after the run psim saves it as
+// DIR/<probe>.jsonl, which cmd/analyze reads back. DIR must exist.
 package main
 
 import (
@@ -31,6 +36,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
+	"sort"
 	"strings"
 	"time"
 
@@ -38,6 +45,7 @@ import (
 	"pplivesim/internal/experiments"
 	"pplivesim/internal/isp"
 	"pplivesim/internal/simnet"
+	"pplivesim/internal/tracefile"
 )
 
 func main() {
@@ -47,8 +55,8 @@ func main() {
 	}
 }
 
-// run is the whole command. Every flag is checked before the simulation is
-// built.
+// run is the whole command. Every flag, and the scenario they make, is
+// checked before anything is printed.
 func run(args []string, stdout, stderr io.Writer) error {
 	flags := flag.NewFlagSet("psim", flag.ContinueOnError)
 	flags.SetOutput(stderr)
@@ -67,14 +75,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 	faultName := flags.String("fault", "", "inject a chaos preset: "+strings.Join(pplive.FaultPresetNames(), ", "))
 	fidelityName := flags.String("fidelity", "mixed", "background population fidelity: "+strings.Join(pplive.FidelityNames(), ", "))
 	selectionName := flags.String("selection", "random", "peer selection policy: "+strings.Join(pplive.SelectionNames(), ", "))
+	traceDir := flags.String("trace", "", "save each probe's full packet trace as `DIR`/<probe>.jsonl for cmd/analyze (DIR must exist)")
 	if err := flags.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil
 		}
 		return err
 	}
+	if flags.NArg() != 0 {
+		return fmt.Errorf("unexpected argument %q", flags.Arg(0))
+	}
 
-	if *scale <= 0 {
+	if !(*scale > 0) {
 		return fmt.Errorf("-scale %g: must be positive", *scale)
 	}
 	if *watch <= 0 {
@@ -85,6 +97,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if *shards < 1 || *shards > simnet.MaxShards {
 		return fmt.Errorf("-shards %d: want 1..%d", *shards, simnet.MaxShards)
+	}
+	if !(*switchFrac >= 0 && *switchFrac <= 1) {
+		return fmt.Errorf("-switch-fraction %g: want 0..1", *switchFrac)
+	}
+	if *traceDir != "" {
+		if fi, err := os.Stat(*traceDir); err != nil {
+			return fmt.Errorf("-trace: %w", err)
+		} else if !fi.IsDir() {
+			return fmt.Errorf("-trace %s: not a directory", *traceDir)
+		}
 	}
 
 	var sc pplive.Scenario
@@ -100,7 +122,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		sc.Switching.SwitcherFraction = *switchFrac
 		sc.Switching.MedianDwell = *dwell
 	default:
-		return fmt.Errorf("unknown channel %q", *channel)
+		return fmt.Errorf("-channel: unknown channel %q", *channel)
 	}
 	sc.Watch = *watch
 	sc.WarmUp = *warmup
@@ -122,8 +144,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	sc.Selection = selSpec
 
+	seen := make(map[string]bool)
 	for _, name := range strings.Split(*probesFlag, ",") {
 		name = strings.TrimSpace(name)
+		if name == "" {
+			continue
+		}
+		if seen[name] {
+			return fmt.Errorf("-probes: probe %q given twice", name)
+		}
+		seen[name] = true
 		var category pplive.ISP
 		switch name {
 		case "tele":
@@ -136,8 +166,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 			category = isp.OtherCN
 		case "mason", "foreign":
 			category = isp.Foreign
-		case "":
-			continue
 		default:
 			return fmt.Errorf("-probes: unknown probe %q", name)
 		}
@@ -145,13 +173,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 			// One instance of each probe per channel, pinned there for the run.
 			for _, ch := range sc.Channels {
 				sc.Probes = append(sc.Probes, pplive.ProbeSpec{
-					Name:    fmt.Sprintf("%s-%s", name, ch.Spec.Name),
-					ISP:     category,
-					Channel: ch.Spec.Channel,
+					Name:        fmt.Sprintf("%s-%s", name, ch.Spec.Name),
+					ISP:         category,
+					Channel:     ch.Spec.Channel,
+					FullCapture: *traceDir != "",
 				})
 			}
 		} else {
-			sc.Probes = append(sc.Probes, pplive.ProbeSpec{Name: name, ISP: category})
+			sc.Probes = append(sc.Probes, pplive.ProbeSpec{Name: name, ISP: category, FullCapture: *traceDir != ""})
 		}
 	}
 	if len(sc.Probes) == 0 {
@@ -163,6 +192,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return fmt.Errorf("-fault: %w", err)
 		}
 		sc.Faults = fs
+	}
+	if err := sc.Validate(); err != nil {
+		return err
 	}
 
 	viewers := 0
@@ -192,6 +224,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintln(stdout)
 	}
 
+	var trackers []string
+	for t := range res.Trackers {
+		trackers = append(trackers, t.String())
+	}
+	// Sorted, so a trace file is byte-identical across runs of one seed.
+	sort.Strings(trackers)
+
 	for i, p := range res.Probes {
 		rep, err := pplive.AnalyzeProbe(res, i)
 		if err != nil {
@@ -207,6 +246,34 @@ func run(args []string, stdout, stderr io.Writer) error {
 			}
 			fmt.Fprintln(stdout, "resilience:\n"+summary)
 		}
+		if *traceDir != "" {
+			path := filepath.Join(*traceDir, p.Name+".jsonl")
+			if err := writeTrace(path, &p, trackers); err != nil {
+				return err
+			}
+			fmt.Fprintf(stdout, "trace: %d records in %s\n\n", len(p.Recorder.Records()), path)
+		}
 	}
 	return nil
+}
+
+// writeTrace saves probe p's full capture at path, under a header that holds
+// the probe's own channel and source.
+func writeTrace(path string, p *pplive.ProbeResult, trackers []string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	hdr := tracefile.Header{
+		Probe:    p.Name,
+		ProbeISP: p.ISP.String(),
+		Source:   p.Source.String(),
+		Trackers: trackers,
+		Channel:  uint32(p.Channel),
+	}
+	if err := tracefile.Write(f, hdr, p.Recorder.Records()); err != nil {
+		f.Close()
+		return fmt.Errorf("write %s: %w", path, err)
+	}
+	return f.Close()
 }

@@ -2,12 +2,18 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+
+	"pplivesim/internal/tracefile"
 )
 
-// TestRunRejectsBadFlags: a bad flag value is an error that names the flag,
-// returned before any simulation is built (so nothing is printed).
+// TestRunRejectsBadFlags: a bad flag value, or a scenario the flags make
+// invalid, is an error that names the flag, returned before any simulation is
+// built (so nothing is printed and no trace is written).
 func TestRunRejectsBadFlags(t *testing.T) {
 	cases := []struct {
 		args []string
@@ -17,7 +23,21 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{[]string{"-selection", "x"}, "-selection"},
 		{[]string{"-fault", "x"}, "-fault"},
 		{[]string{"-probes", "tele,x"}, "-probes"},
+		{[]string{"-probes", "tele,tele"}, "-probes"},
+		{[]string{"-probes", "tele,tele", "-channel", "multi"}, "-probes"},
+		{[]string{"-channel", "x"}, "-channel"},
+		{[]string{"-channel", "multi", "-switch-fraction", "2"}, "-switch-fraction"},
+		{[]string{"-channel", "multi", "-switch-fraction", "NaN"}, "-switch-fraction"},
+		// Left to Scenario.Validate, which runs before the header is printed.
+		{[]string{"-channel", "multi", "-median-dwell", "0s"}, "median dwell"},
 		{[]string{"-shards", "300"}, "-shards"},
+		{[]string{"-scale", "0"}, "-scale"},
+		{[]string{"-scale", "-1"}, "-scale"},
+		{[]string{"-scale", "NaN"}, "-scale"},
+		{[]string{"-watch", "0s"}, "-watch"},
+		{[]string{"-watch", "-1m"}, "-watch"},
+		{[]string{"-trace", filepath.Join(t.TempDir(), "missing")}, "-trace"},
+		{[]string{"extra"}, "extra"},
 		{[]string{"-nosuchflag"}, "nosuchflag"},
 	}
 	for _, c := range cases {
@@ -52,6 +72,46 @@ func TestRunPrintsProbeReport(t *testing.T) {
 		"\nplayback continuity: ",
 	} {
 		if !strings.Contains(out, want) {
+			t.Errorf("stdout lacks %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestRunWritesTraces: with -trace, a tiny two-channel run saves one trace per
+// probe that reads back with as many records as psim reports, under a header
+// naming that probe's own channel and source.
+func TestRunWritesTraces(t *testing.T) {
+	dir := t.TempDir()
+	var stdout, stderr bytes.Buffer
+	args := []string{"-channel", "multi", "-probes", "cnc", "-scale", "0.005", "-watch", "20s", "-warmup", "1m", "-trace", dir}
+	if err := run(args, &stdout, &stderr); err != nil {
+		t.Fatalf("run(%v) = %v\n%s", args, err, stderr.String())
+	}
+	out := stdout.String()
+	for _, c := range []struct {
+		probe, source string
+		channel       uint32
+	}{
+		{"cnc-popular-live", "58.32.0.6", 1},
+		{"cnc-unpopular-live", "58.32.0.7", 2},
+	} {
+		path := filepath.Join(dir, c.probe+".jsonl")
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hdr, records, err := tracefile.Read(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if hdr.Probe != c.probe || hdr.ProbeISP != "CNC" || hdr.Source != c.source || hdr.Channel != c.channel || len(hdr.Trackers) == 0 {
+			t.Errorf("%s header = %+v, want probe %s of CNC on channel %d, source %s and the trackers", path, hdr, c.probe, c.channel, c.source)
+		}
+		if len(records) == 0 {
+			t.Errorf("%s holds no records", path)
+		}
+		if want := "trace: " + strconv.Itoa(len(records)) + " records in " + path + "\n"; !strings.Contains(out, want) {
 			t.Errorf("stdout lacks %q:\n%s", want, out)
 		}
 	}

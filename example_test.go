@@ -3,6 +3,9 @@ package pplive_test
 import (
 	"fmt"
 	"log"
+	"os"
+	"strings"
+	"testing"
 	"time"
 
 	"pplivesim"
@@ -35,4 +38,37 @@ func ExampleRunScenario() {
 	// probe ISP: TELE
 	// traffic locality above potential locality: true
 	// playback continuity at least 0.95: true
+}
+
+// TestReadmeLibraryBlock: README's "As a library" block is the body of
+// ExampleRunScenario, de-indented, its "// Output:" lines included, so the
+// documented snippet is the one `go test` runs.
+func TestReadmeLibraryBlock(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(readme), "As a library")
+	_, block, ok2 := strings.Cut(section, "```go\n")
+	block, _, ok3 := strings.Cut(block, "```")
+	if !ok || !ok2 || !ok3 {
+		t.Fatal("README.md has no go block after \"As a library\"")
+	}
+
+	src, err := os.ReadFile("example_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, body, ok := strings.Cut(string(src), "func ExampleRunScenario() {\n")
+	body, _, ok2 = strings.Cut(body, "\n}\n")
+	if !ok || !ok2 {
+		t.Fatal("example_test.go has no ExampleRunScenario body")
+	}
+	var want strings.Builder
+	for _, line := range strings.Split(body, "\n") {
+		want.WriteString(strings.TrimPrefix(line, "\t") + "\n")
+	}
+	if block != want.String() {
+		t.Errorf("README.md \"As a library\" block differs from ExampleRunScenario's body.\nREADME:\n%s\nExample:\n%s", block, want.String())
+	}
 }

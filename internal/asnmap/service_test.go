@@ -10,99 +10,116 @@ import (
 	"pplivesim/internal/simnet"
 )
 
-// newServicePair spawns a service and a client in a fresh world.
-func newServicePair(t *testing.T) (*simnet.World, *asnmap.Service, *asnmap.Client) {
+// servicePair is a service in a TELE domain and its caching client in the
+// CNC domain of a fresh world, so every query crosses a window barrier.
+type servicePair struct {
+	w      *simnet.World
+	svc    *asnmap.Service
+	cli    *asnmap.Client
+	cliEnv *simnet.Env
+}
+
+func newServicePair(t *testing.T) *servicePair {
 	t.Helper()
-	w := simnet.NewWorld(1)
+	w := simnet.NewShardedWorldN(1, 1)
 	w.CodecCheck = true
-	srvEnv, err := w.Spawn(simnet.HostSpec{ISP: isp.TELE, UploadBps: 1 << 20})
+	srvEnv, err := w.DomainsOf(isp.TELE)[0].Spawn(simnet.HostSpec{ISP: isp.TELE, UploadBps: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	svc := asnmap.NewService(srvEnv, asnmap.SyntheticInternet())
 	srvEnv.SetHandler(svc)
 
-	cliEnv, err := w.Spawn(simnet.HostSpec{ISP: isp.CNC, UploadBps: 1 << 20})
+	cliEnv, err := w.DomainsOf(isp.CNC)[0].Spawn(simnet.HostSpec{ISP: isp.CNC, UploadBps: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cli := asnmap.NewClient(cliEnv, srvEnv.Addr())
 	cliEnv.SetHandler(cli)
-	return w, svc, cli
+	return &servicePair{w: w, svc: svc, cli: cli, cliEnv: cliEnv}
+}
+
+// resolve asks the client from an event on its own domain, as a node would:
+// a query sent between runs would wait in its mailbox for the next barrier.
+func (p *servicePair) resolve(addr netip.Addr, done func(asnmap.Record, bool)) {
+	p.cliEnv.After(0, func() { p.cli.Resolve(addr, done) })
+}
+
+// run runs the world to the instant until; no datagram may reach its domain
+// after its delivery time.
+func (p *servicePair) run(t *testing.T, until time.Duration) {
+	t.Helper()
+	if err := p.w.Run(until, 1); err != nil {
+		t.Fatal(err)
+	}
+	if n := p.w.LateInjects(); n != 0 {
+		t.Fatalf("%d datagrams injected after their delivery time", n)
+	}
 }
 
 func TestServiceResolvesOverWire(t *testing.T) {
-	w, svc, cli := newServicePair(t)
+	p := newServicePair(t)
 	var gotRec asnmap.Record
 	gotFound := false
-	cli.Resolve(netip.MustParseAddr("58.40.1.2"), func(rec asnmap.Record, found bool) {
-		gotRec, gotFound = rec, found
+	var at time.Duration
+	p.resolve(netip.MustParseAddr("58.40.1.2"), func(rec asnmap.Record, found bool) {
+		gotRec, gotFound, at = rec, found, p.cliEnv.Now()
 	})
-	if err := w.Engine.Run(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	p.run(t, 10*time.Second)
 	if !gotFound {
 		t.Fatal("resolution failed")
 	}
 	if gotRec.ISP != isp.TELE || gotRec.ASN != 4134 {
 		t.Errorf("record = %+v, want CHINANET", gotRec)
 	}
-	if svc.Queries() == 0 {
-		t.Error("service served no queries")
+	if p.svc.Queries() != 1 || at >= time.Second {
+		t.Errorf("service served %d queries, answer at %v; want one round trip, well under the 2s retry", p.svc.Queries(), at)
 	}
 }
 
 func TestServiceMiss(t *testing.T) {
-	w, _, cli := newServicePair(t)
+	p := newServicePair(t)
 	found := true
-	cli.Resolve(netip.MustParseAddr("192.0.2.1"), func(_ asnmap.Record, ok bool) { found = ok })
-	if err := w.Engine.Run(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	p.resolve(netip.MustParseAddr("192.0.2.1"), func(_ asnmap.Record, ok bool) { found = ok })
+	p.run(t, 10*time.Second)
 	if found {
 		t.Error("unregistered address resolved")
 	}
 }
 
 func TestClientCachesAnswers(t *testing.T) {
-	w, svc, cli := newServicePair(t)
+	p := newServicePair(t)
 	addr := netip.MustParseAddr("60.1.2.3")
 	answers := 0
-	cli.Resolve(addr, func(asnmap.Record, bool) { answers++ })
-	if err := w.Engine.Run(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	queriesAfterFirst := svc.Queries()
-	cli.Resolve(addr, func(asnmap.Record, bool) { answers++ })
-	cli.Resolve(addr, func(asnmap.Record, bool) { answers++ })
-	if err := w.Engine.Run(20 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	p.resolve(addr, func(asnmap.Record, bool) { answers++ })
+	p.run(t, 10*time.Second)
+	queriesAfterFirst := p.svc.Queries()
+	p.resolve(addr, func(asnmap.Record, bool) { answers++ })
+	p.resolve(addr, func(asnmap.Record, bool) { answers++ })
+	p.run(t, 20*time.Second)
 	if answers != 3 {
 		t.Errorf("answers = %d, want 3", answers)
 	}
-	if svc.Queries() != queriesAfterFirst {
-		t.Errorf("cache miss: queries went %d → %d", queriesAfterFirst, svc.Queries())
+	if p.svc.Queries() != queriesAfterFirst {
+		t.Errorf("cache miss: queries went %d → %d", queriesAfterFirst, p.svc.Queries())
 	}
-	if cli.CacheSize() != 1 {
-		t.Errorf("cache size = %d, want 1", cli.CacheSize())
+	if p.cli.CacheSize() != 1 {
+		t.Errorf("cache size = %d, want 1", p.cli.CacheSize())
 	}
 }
 
 func TestConcurrentResolvesCoalesce(t *testing.T) {
-	w, _, cli := newServicePair(t)
+	p := newServicePair(t)
 	addr := netip.MustParseAddr("59.66.0.1")
 	answers := 0
 	for i := 0; i < 5; i++ {
-		cli.Resolve(addr, func(_ asnmap.Record, ok bool) {
+		p.resolve(addr, func(_ asnmap.Record, ok bool) {
 			if ok {
 				answers++
 			}
 		})
 	}
-	if err := w.Engine.Run(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	p.run(t, 10*time.Second)
 	if answers != 5 {
 		t.Errorf("answers = %d, want all 5 waiters called", answers)
 	}

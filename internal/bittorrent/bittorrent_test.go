@@ -18,28 +18,31 @@ import (
 	"pplivesim/internal/workload"
 )
 
-// testSwarm is a one-domain world with a tracker, for the protocol tests.
+// testSwarm is a world with a tracker and TELE peers, all in its first TELE
+// domain, for the protocol tests.
 type testSwarm struct {
 	t       *testing.T
 	world   *simnet.World
+	dom     *simnet.Domain
 	tracker netip.Addr
 }
 
 func newTestSwarm(t *testing.T) *testSwarm {
 	t.Helper()
-	w := simnet.NewWorld(1)
-	env, err := w.Spawn(simnet.HostSpec{ISP: isp.TELE, UploadBps: 8 << 20})
+	w := simnet.NewShardedWorldN(1, 1)
+	dom := w.DomainsOf(isp.TELE)[0]
+	env, err := dom.Spawn(simnet.HostSpec{ISP: isp.TELE, UploadBps: 8 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	env.SetHandler(tracker.NewServer(env))
-	return &testSwarm{t: t, world: w, tracker: env.Addr()}
+	return &testSwarm{t: t, world: w, dom: dom, tracker: env.Addr()}
 }
 
 // join spawns a started TELE peer.
 func (s *testSwarm) join(up float64, seed bool) (*Peer, *simnet.Env) {
 	s.t.Helper()
-	env, err := s.world.Spawn(simnet.HostSpec{ISP: isp.TELE, UploadBps: up})
+	env, err := s.dom.Spawn(simnet.HostSpec{ISP: isp.TELE, UploadBps: up})
 	if err != nil {
 		s.t.Fatal(err)
 	}
@@ -117,7 +120,7 @@ func TestChokedPeerNotServed(t *testing.T) {
 	seed, _ := s.join(2<<20, true)
 	// A direct request from an unknown (never handshaked) address: the seed
 	// must ignore it.
-	stranger, err := s.world.Spawn(simnet.HostSpec{ISP: isp.TELE, UploadBps: 1 << 20})
+	stranger, err := s.dom.Spawn(simnet.HostSpec{ISP: isp.TELE, UploadBps: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +140,7 @@ func TestChokedPeerNotServed(t *testing.T) {
 // idle spawns a TELE peer that is not started: it talks only when spoken to.
 func (s *testSwarm) idle() *Peer {
 	s.t.Helper()
-	env, err := s.world.Spawn(simnet.HostSpec{ISP: isp.TELE, UploadBps: 1 << 20})
+	env, err := s.dom.Spawn(simnet.HostSpec{ISP: isp.TELE, UploadBps: 1 << 20})
 	if err != nil {
 		s.t.Fatal(err)
 	}

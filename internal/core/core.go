@@ -209,10 +209,17 @@ func (s *Scenario) Validate() error {
 	if len(s.Probes) == 0 {
 		return fmt.Errorf("core: scenario %q has no probes", s.Name)
 	}
+	names := make(map[string]bool, len(s.Probes))
 	for _, ps := range s.Probes {
 		if channelIndex(set, ps.Channel) < 0 {
 			return fmt.Errorf("core: scenario %q probe %q watches unknown channel %d", s.Name, ps.Name, ps.Channel)
 		}
+		// A probe's name is its handle: reports, resilience tables and
+		// trace files are looked up and named by it.
+		if names[ps.Name] {
+			return fmt.Errorf("core: scenario %q repeats probe name %q", s.Name, ps.Name)
+		}
+		names[ps.Name] = true
 	}
 	if s.ArrivalWindow <= 0 || s.WarmUp <= 0 || s.Watch <= 0 {
 		return fmt.Errorf("core: scenario %q has non-positive timing", s.Name)
@@ -740,12 +747,8 @@ func (s *Sim) applyBehaviour(cfg *peer.Config) {
 	cfg.ReferralEnabled = !b.DisableReferral
 	cfg.LatencyBias = !b.DisableLatencyBias
 	cfg.PreferFastNeighbors = !b.DisablePreference
-	// Referral replies follow the scenario's selection policy. The uniform
-	// default is left as nil — the legacy zero-overhead pass-through — so
-	// golden trajectories can't be perturbed by the indirection.
-	if s.scenario.Selection.Kind != selection.KindUniform {
-		cfg.Selection = s.policy
-	}
+	// Referral replies follow the scenario's selection policy.
+	cfg.Selection = s.policy
 	// Chaos runs harden every peer; fault-free runs leave it off so their
 	// trajectories stay bit-identical to pre-resilience builds.
 	cfg.Resilient = s.scenario.Faults != nil

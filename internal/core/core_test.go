@@ -75,6 +75,11 @@ func TestScenarioValidation(t *testing.T) {
 	if _, err := Build(sc); err == nil {
 		t.Error("no probes accepted")
 	}
+	sc = smallScenario(1)
+	sc.Probes = append(sc.Probes, ProbeSpec{Name: sc.Probes[0].Name, ISP: isp.Foreign})
+	if err := sc.Validate(); err == nil || !strings.Contains(err.Error(), "repeats probe name") {
+		t.Errorf("repeated probe name: error %v, want one naming the repeat", err)
+	}
 }
 
 // TestScenarioValidatesShardsAndWorkers pins the bounds Validate puts on the

@@ -123,9 +123,7 @@ func (s *Sim) buildFlowPopulation(set []ChannelSpec) error {
 				}
 				ds := &s.doms[dom.ID()]
 				fcfg := peer.DefaultFlowConfig(ch.Spec)
-				if sc.Selection.Kind != selection.KindUniform {
-					fcfg.Selection = s.policy
-				}
+				fcfg.Selection = s.policy
 				if sc.Churn.Enabled {
 					fcfg.MeanSession = sc.Churn.MeanSession
 					fcfg.ReplacementDelay = sc.Churn.ReplacementDelay

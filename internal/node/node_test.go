@@ -32,7 +32,7 @@ func TestHandlerFuncForwards(t *testing.T) {
 // for contract tests below.
 func spawn(t *testing.T, w *simnet.World) *simnet.Env {
 	t.Helper()
-	env, err := w.Spawn(simnet.HostSpec{ISP: isp.TELE, UploadBps: 1 << 20})
+	env, err := w.DomainsOf(isp.TELE)[0].Spawn(simnet.HostSpec{ISP: isp.TELE, UploadBps: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func spawn(t *testing.T, w *simnet.World) *simnet.Env {
 // on: After fires once at the scheduled instant, Every fires repeatedly one
 // period apart, and Cancel reports whether the timer was still pending.
 func TestEnvContractTimers(t *testing.T) {
-	w := simnet.NewWorld(1)
+	w := simnet.NewShardedWorldN(1, 1)
 	env := spawn(t, w)
 
 	var afterAt time.Duration
@@ -68,7 +68,7 @@ func TestEnvContractTimers(t *testing.T) {
 		t.Error("second cancel reported true")
 	}
 
-	w.Engine.Run(2 * time.Second)
+	w.Run(2*time.Second, 1)
 
 	if afterAt != 50*time.Millisecond {
 		t.Errorf("After fired at %v, want 50ms", afterAt)
@@ -87,7 +87,7 @@ func TestEnvContractTimers(t *testing.T) {
 // TestEnvContractSendAndRand exercises datagram exchange between two Envs
 // through the node interfaces alone, and the determinism of Rand.
 func TestEnvContractSendAndRand(t *testing.T) {
-	w := simnet.NewWorld(7)
+	w := simnet.NewShardedWorldN(7, 1)
 	a, b := spawn(t, w), spawn(t, w)
 	if a.Addr() == b.Addr() {
 		t.Fatalf("spawned nodes share address %v", a.Addr())
@@ -109,7 +109,7 @@ func TestEnvContractSendAndRand(t *testing.T) {
 	}))
 
 	a.Send(b.Addr(), &wire.Handshake{Channel: 3})
-	w.Engine.Run(5 * time.Second)
+	w.Run(5*time.Second, 1)
 
 	if len(got) != 1 || from != a.Addr() {
 		t.Fatalf("b received %d messages from %v, want 1 from %v", len(got), from, a.Addr())
@@ -119,7 +119,7 @@ func TestEnvContractSendAndRand(t *testing.T) {
 	}
 
 	// Rand streams are deterministic per world seed and node spawn order.
-	w2 := simnet.NewWorld(7)
+	w2 := simnet.NewShardedWorldN(7, 1)
 	a2 := spawn(t, w2)
 	r1, r2 := a.Rand(), a2.Rand()
 	for i := 0; i < 8; i++ {

@@ -98,11 +98,11 @@ type Config struct {
 	// with faster observed service. Disabling it schedules uniformly.
 	PreferFastNeighbors bool
 
-	// Selection shapes referral replies (the ReferralEnabled path). nil is
-	// the legacy behaviour — recency order passed through untouched, zero
-	// RNG draws — which the pinned golden digests depend on. Referral
-	// shaping is deterministic for every policy (selection.Policy.Refer
-	// never draws), so a biased policy here stays worker-count invariant.
+	// Selection shapes referral replies (the ReferralEnabled path). The
+	// default, selection.Uniform, passes the recency order through
+	// untouched. Referral shaping is deterministic for every policy
+	// (selection.Policy.Refer never draws), so a biased policy here stays
+	// worker-count invariant.
 	Selection selection.Policy
 
 	// Resilient enables the fault-tolerance protocol extensions (see
@@ -152,6 +152,7 @@ func DefaultConfig(spec stream.Spec, bootstrap netip.Addr) Config {
 		LatencyBias:               true,
 		ReferralEnabled:           true,
 		PreferFastNeighbors:       true,
+		Selection:                 selection.Uniform{},
 	}
 }
 
@@ -209,6 +210,9 @@ func (c *Config) Validate() error {
 	}
 	if c.RequestTimeout <= 0 || c.NeighborSilence <= 0 || c.HandshakeTimeout <= 0 {
 		return fmt.Errorf("peer: non-positive timeout")
+	}
+	if c.Selection == nil {
+		return fmt.Errorf("peer: no selection policy (selection.Uniform passes referrals through)")
 	}
 	// Summed as seconds, so two huge intervals cannot overflow a Duration.
 	linger := c.RequestTimeout.Seconds() + c.SchedInterval.Seconds()

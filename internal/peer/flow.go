@@ -44,9 +44,9 @@ type FlowConfig struct {
 	MeanSession      time.Duration
 	ReplacementDelay time.Duration
 
-	// Selection shapes referral replies, mirroring Config.Selection. nil is
-	// the legacy pass-through; any policy's Refer is RNG-free, so shaping
-	// never touches the swarm's deterministic draw stream.
+	// Selection shapes referral replies, mirroring Config.Selection; any
+	// policy's Refer is RNG-free, so shaping never touches the swarm's
+	// deterministic draw stream.
 	Selection selection.Policy
 }
 
@@ -76,11 +76,16 @@ const (
 // DefaultFlowConfig returns a flow swarm for spec without churn and with the
 // pass-through referral policy.
 func DefaultFlowConfig(spec stream.Spec) FlowConfig {
-	return FlowConfig{Spec: spec}
+	return FlowConfig{Spec: spec, Selection: selection.Uniform{}}
 }
 
 // Validate checks the config for usability.
-func (c *FlowConfig) Validate() error { return c.Spec.Validate() }
+func (c *FlowConfig) Validate() error {
+	if c.Selection == nil {
+		return fmt.Errorf("peer: flow swarm has no selection policy (selection.Uniform passes referrals through)")
+	}
+	return c.Spec.Validate()
+}
 
 // flowNbrWidth is the per-member neighbor row width: the referral sample a
 // member hands to a gossiping probe. Full clients refer up to ReferralSize
@@ -434,10 +439,7 @@ func (s *FlowSwarm) appendReferrals(out []netip.Addr, i int, requester netip.Add
 		}
 		out = append(out, a)
 	}
-	if pol := s.cfg.Selection; pol != nil {
-		out = out[:n+pol.Refer(out[n:], requester)]
-	}
-	return out
+	return out[:n+s.cfg.Selection.Refer(out[n:], requester)]
 }
 
 // holdings returns the contiguous sub-piece interval member i holds at now.

@@ -89,6 +89,8 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.RequestTimeout, c.SchedInterval = math.MaxInt64, math.MaxInt64 },
 		func(c *Config) { c.BufferWindow = maxInflightSpan },
 		func(c *Config) { c.Channel.BitrateBps = math.MaxInt32 },
+		// selection.Uniform is the pass-through; there is no nil policy.
+		func(c *Config) { c.Selection = nil },
 	}
 	for i, mutate := range cases {
 		cfg := testConfig()
@@ -116,6 +118,15 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if err := out.Validate(); err == nil {
 		t.Errorf("scheduler interval %v, whose ring is past the bound, accepted", out.SchedInterval)
+	}
+
+	flow := DefaultFlowConfig(flowTestSpec())
+	if err := flow.Validate(); err != nil {
+		t.Errorf("default flow config invalid: %v", err)
+	}
+	flow.Selection = nil
+	if err := flow.Validate(); err == nil {
+		t.Error("flow config without a selection policy accepted")
 	}
 }
 

@@ -687,10 +687,7 @@ func (s *session) appendReferrals(out []netip.Addr, requester netip.Addr) []neti
 		}
 		out = append(out, a)
 	}
-	if pol := s.cfg.Selection; pol != nil {
-		out = out[:n+pol.Refer(out[n:], requester)]
-	}
-	return out
+	return out[:n+s.cfg.Selection.Refer(out[n:], requester)]
 }
 
 // forgetRecent purges a from the referral source — used when a is discovered

@@ -25,7 +25,7 @@ func (r *liteRecorder) HandleLite(i int, _ netip.Addr, msg wire.Message) {
 // count as dropped-no-host and never reach the cell's new occupant, and every
 // datagram sent must still be accounted for exactly once.
 func TestLiteCellReuseDropsInFlight(t *testing.T) {
-	w := simnet.NewWorld(11)
+	w := simnet.NewShardedWorldN(11, 1)
 	dom := w.Domains()[0]
 	sender := spawn(t, w, isp.TELE)
 	owner := &liteRecorder{}
@@ -59,7 +59,7 @@ func TestLiteCellReuseDropsInFlight(t *testing.T) {
 	for i := 0; i < perMember; i++ {
 		sender.Send(fresh.Addr, &wire.Ping{Channel: 1, Nonce: 2})
 	}
-	if err := w.Engine.Run(time.Minute); err != nil {
+	if err := w.Run(time.Minute, 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -79,10 +79,10 @@ func TestLiteCellReuseDropsInFlight(t *testing.T) {
 		t.Errorf("delivered %d + loss %d + queue %d + no-host %d = %d, want %d sent",
 			delivered, loss, queue, noHost, sum, 2*perMember)
 	}
-	if _, ok := w.Network.Lookup(oldAddr); ok {
+	if _, ok := dom.Network().Lookup(oldAddr); ok {
 		t.Error("retired address still attached")
 	}
-	if h, ok := w.Network.Lookup(fresh.Addr); !ok || h != fresh {
+	if h, ok := dom.Network().Lookup(fresh.Addr); !ok || h != fresh {
 		t.Error("new occupant not attached under its own address")
 	}
 }

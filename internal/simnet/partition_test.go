@@ -13,7 +13,7 @@ import (
 
 // wantDomain is one domain of a pinned world. pools lists, in allocation
 // order, the "CATEGORY:prefix" ranges the domain's table row owns (in a
-// sharded world these are also exactly the prefixes routed to it); spawns
+// world these are also exactly the prefixes routed to it); spawns
 // lists the first three "CATEGORY:address" results of Spawn for every
 // category the domain hosts.
 type wantDomain struct {
@@ -24,7 +24,6 @@ type wantDomain struct {
 }
 
 const (
-	allTELE    = "TELE:58.32.0.0/11 TELE:114.80.0.0/12 TELE:222.64.0.0/11 TELE:61.128.0.0/10"
 	allCNC     = "CNC:60.0.0.0/11 CNC:218.56.0.0/13 CNC:221.192.0.0/12 CNC:124.64.0.0/13"
 	allCER     = "CER:59.64.0.0/12 CER:202.112.0.0/13"
 	allOtherCN = "OtherCN:211.90.0.0/15 OtherCN:210.51.0.0/16 OtherCN:61.232.0.0/14 OtherCN:222.240.0.0/13"
@@ -72,24 +71,18 @@ func teleRow(name, net24, pools string) wantDomain {
 	return wantDomain{name, isp.TELE, pools, three(isp.TELE, net24)}
 }
 
-// TestPartitionTables pins what the single table-driven builder produces for
-// every kind of world — domain names and categories, the address ranges each
-// domain owns and is routed, the lookahead, and the first addresses Spawn
-// hands out — as literals read off the three separate constructors this
-// builder replaced.
+// TestPartitionTables pins what the table-driven builder produces for the
+// legacy and the scaled partition — domain names and categories, the address
+// ranges each domain owns and is routed, the lookahead, and the first
+// addresses Spawn hands out — as literals read off the separate constructors
+// this builder replaced.
 func TestPartitionTables(t *testing.T) {
 	cases := []struct {
 		name      string
-		shards    int // -1: the single-domain world
+		shards    int
 		lookahead time.Duration
 		domains   []wantDomain
 	}{
-		{
-			name: "single", shards: -1,
-			domains: []wantDomain{{"all", 0,
-				allTELE + " " + allCNC + " " + allCER + " " + allOtherCN + " " + allForeign,
-				three(isp.TELE, "58.32.0") + " " + spawnCNC + " " + spawnCER + " " + spawnOtherCN + " " + spawnForeign}},
-		},
 		{name: "shards=0", shards: 0, lookahead: 6600 * time.Microsecond, domains: legacyDomains},
 		{name: "shards=6", shards: 6, lookahead: 6600 * time.Microsecond, domains: legacyDomains},
 		{
@@ -123,25 +116,22 @@ func TestPartitionTables(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			w := NewWorld(7)
-			if tc.shards >= 0 {
-				w = NewShardedWorldN(7, tc.shards)
-				// The table's ranges in allocation order, which routing cannot
-				// see: a reordering inside a row would only surface once a
-				// million-member run exhausts the row's first range.
-				for i, p := range partition(asnmap.SyntheticInternet(), tc.shards) {
-					var entries []string
-					for _, cat := range isp.All() {
-						for _, pfx := range p.pools[cat] {
-							entries = append(entries, cat.String()+":"+pfx.String())
-						}
-					}
-					if got := strings.Join(entries, " "); i >= len(tc.domains) || got != tc.domains[i].pools {
-						t.Errorf("table row %d (%s) = %s", i, p.name, got)
+			w := NewShardedWorldN(7, tc.shards)
+			// The table's ranges in allocation order, which routing cannot
+			// see: a reordering inside a row would only surface once a
+			// million-member run exhausts the row's first range.
+			for i, p := range partition(asnmap.SyntheticInternet(), tc.shards) {
+				var entries []string
+				for _, cat := range isp.All() {
+					for _, pfx := range p.pools[cat] {
+						entries = append(entries, cat.String()+":"+pfx.String())
 					}
 				}
+				if got := strings.Join(entries, " "); i >= len(tc.domains) || got != tc.domains[i].pools {
+					t.Errorf("table row %d (%s) = %s", i, p.name, got)
+				}
 			}
-			if got := w.Lookahead(); got != tc.lookahead {
+			if got := w.lookahead; got != tc.lookahead {
 				t.Errorf("lookahead = %v, want %v", got, tc.lookahead)
 			}
 			if len(w.Domains()) != len(tc.domains) {
@@ -156,9 +146,6 @@ func TestPartitionTables(t *testing.T) {
 				for _, entry := range strings.Fields(want.pools) {
 					cat, cidr, _ := strings.Cut(entry, ":")
 					pfx := ipam.MustParsePrefix(cidr)
-					if w.router == nil {
-						continue
-					}
 					routes++
 					// First and last address of the range: the boundaries the
 					// trie has to get right.
@@ -192,7 +179,7 @@ func TestPartitionTables(t *testing.T) {
 					t.Errorf("domain %s spawns\n got %s\nwant %s", d.Name(), got, want.spawns)
 				}
 			}
-			if w.router != nil && len(w.router.entries) != routes {
+			if len(w.router.entries) != routes {
 				t.Errorf("router holds %d routes, want %d", len(w.router.entries), routes)
 			}
 		})

@@ -44,8 +44,8 @@ func TestScaledPartitionShape(t *testing.T) {
 	// The widened lookahead: TELE sub-shard pairs are floored at TELE's
 	// IntraOWD, which becomes the new minimum over all cross-domain pairs.
 	cfg := underlay.DefaultConfig()
-	if w.Lookahead() != cfg.IntraOWD[isp.TELE] {
-		t.Errorf("lookahead = %v, want %v", w.Lookahead(), cfg.IntraOWD[isp.TELE])
+	if w.lookahead != cfg.IntraOWD[isp.TELE] {
+		t.Errorf("lookahead = %v, want %v", w.lookahead, cfg.IntraOWD[isp.TELE])
 	}
 }
 
@@ -62,8 +62,8 @@ func TestLegacyPartitionUnchangedForSmallShards(t *testing.T) {
 				t.Errorf("shards=%d: domain %d = %s/%v, want %s/%v", shards, i, d.Name(), d.Category(), r.Name(), r.Category())
 			}
 		}
-		if w.Lookahead() != ref.Lookahead() {
-			t.Errorf("shards=%d: lookahead %v, want %v", shards, w.Lookahead(), ref.Lookahead())
+		if w.lookahead != ref.lookahead {
+			t.Errorf("shards=%d: lookahead %v, want %v", shards, w.lookahead, ref.lookahead)
 		}
 		if w.infra != nil || w.floors != nil {
 			t.Errorf("shards=%d: legacy world must have no infra domain or floors", shards)

@@ -1,17 +1,17 @@
 // Package simnet binds protocol nodes (internal/node) to the discrete-event
 // engine (internal/eventsim) and the simulated underlay (internal/underlay).
 //
-// A World owns one or more shard domains. Each Domain has its own engine,
-// underlay network, address pool, and RNG streams; nodes spawned in a domain
-// live entirely on that domain's event loop. A single-domain world (NewWorld)
-// behaves exactly like the classic one-engine simulator and exposes the
-// engine and network directly. A sharded world (NewShardedWorldN) partitions
-// the synthetic internet by ISP — the paper's locality structure becomes the
+// A World (NewShardedWorldN) owns the shard domains. Each Domain has its own
+// engine, underlay network, address pool, and RNG streams; nodes spawned in a
+// domain live entirely on that domain's event loop. The world partitions the
+// synthetic internet by ISP — the paper's locality structure becomes the
 // unit of parallelism — and runs the domains in conservative lockstep
 // windows whose lookahead is the minimum cross-domain underlay latency:
 // intra-ISP traffic (the vast majority, which is the paper's whole point)
 // never crosses a shard, and cross-domain datagrams are exchanged at window
 // barriers, always arriving at least one lookahead after they were sent.
+// Nodes therefore send from events: a datagram for another domain sent
+// between runs waits in its mailbox for the next barrier.
 //
 // With CodecCheck enabled, every datagram is round-tripped through the wire
 // codec before delivery, proving the simulation exchanges exactly what the
@@ -38,12 +38,6 @@ import (
 
 // World wires together engines, underlays, and the address plan.
 type World struct {
-	// Engine and Network are the single-domain fast path: for worlds built
-	// with NewWorld they alias domain 0's engine and network, preserving the
-	// classic one-engine API. They are nil for sharded worlds, whose callers
-	// go through Domains.
-	Engine   *eventsim.Engine
-	Network  *underlay.Network
 	Registry *asnmap.Registry
 
 	// CodecCheck round-trips every datagram through the wire codec before
@@ -58,8 +52,8 @@ type World struct {
 	// (Shards > DefaultShards); nil otherwise.
 	infra *Domain
 	// floors holds the per-(src,dst)-domain synthetic minimum wire latency of
-	// a scaled partition, indexed src*len(domains)+dst; nil for legacy and
-	// single-domain worlds (whose trajectories must stay bit-identical).
+	// a scaled partition, indexed src*len(domains)+dst; nil for the legacy
+	// partition (whose trajectories must stay bit-identical).
 	floors []time.Duration
 	// barrierHooks run single-threaded at every window barrier, after the
 	// mailboxes have been drained.
@@ -74,14 +68,13 @@ type World struct {
 type Domain struct {
 	id    int
 	name  string
-	cat   isp.ISP // zero for the single-domain world and the infra domain
+	cat   isp.ISP // zero for the infra domain
 	world *World
 	eng   *eventsim.Engine
 	net   *underlay.Network
 	// pools allocates the domain's addresses per host category: one entry
-	// for a viewer domain, every category for the single-domain world, and
-	// the carved tail blocks (trackers and bootstrap per category) for the
-	// infrastructure domain.
+	// for a viewer domain, and the carved tail blocks (trackers and bootstrap
+	// per category) for the infrastructure domain.
 	pools map[isp.ISP]*ipam.Pool
 
 	// Lite members live in storage the domain owns: liteChunk is the unused
@@ -107,23 +100,12 @@ func mixSeed(seed int64, salt int) int64 {
 
 // part is one row of a partition table: a domain and the address ranges it
 // owns, listed per host category in allocation order. cat is the one category
-// a viewer domain holds; it is zero for a row that hosts several — the
-// single-domain world's only row and a scaled partition's INFRA row.
+// a viewer domain holds; it is zero for a scaled partition's INFRA row, which
+// hosts several.
 type part struct {
 	name  string
 	cat   isp.ISP
 	pools map[isp.ISP][]ipam.Prefix
-}
-
-// NewWorld builds a single-domain world: a one-row partition table holding
-// every category of the synthetic internet address plan.
-func NewWorld(seed int64) *World {
-	reg := asnmap.SyntheticInternet()
-	all := part{name: "all", pools: make(map[isp.ISP][]ipam.Prefix)}
-	for _, cat := range isp.All() {
-		all.pools[cat] = reg.PrefixesFor(cat)
-	}
-	return build(seed, reg, []part{all})
 }
 
 // buildSalt decorrelates the build-time RNG from per-domain engine seeds.
@@ -195,25 +177,18 @@ func partition(reg *asnmap.Registry, shards int) []part {
 	return append(parts, infra)
 }
 
-// build wires one domain per row of the table. A one-row table is the classic
-// single-engine simulator: the engine runs on the world seed itself and there
-// is no router, so nothing is ever forwarded.
+// build wires one domain per row of the table, each on its own engine seed,
+// and routes every row's prefixes to it.
 func build(seed int64, reg *asnmap.Registry, parts []part) *World {
 	cfg := underlay.DefaultConfig()
+	n := len(parts)
 	w := &World{
 		Registry:  reg,
 		buildRand: rand.New(rand.NewSource(mixSeed(seed, buildSalt))),
 	}
-	n := len(parts)
-	if n > 1 {
-		w.router = &router{world: w, trie: ipam.NewTrie(), boxes: make([][]xmsg, n*n)}
-	}
+	w.router = &router{world: w, trie: ipam.NewTrie(), boxes: make([][]xmsg, n*n)}
 	for id, p := range parts {
-		engSeed := seed
-		if w.router != nil {
-			engSeed = mixSeed(seed, id)
-		}
-		eng := eventsim.New(engSeed)
+		eng := eventsim.New(mixSeed(seed, id))
 		d := &Domain{
 			id:    id,
 			name:  p.name,
@@ -230,19 +205,13 @@ func build(seed int64, reg *asnmap.Registry, parts []part) *World {
 				continue
 			}
 			d.pools[cat] = ipam.NewPool(prefixes...)
-			if w.router != nil {
-				for _, pfx := range prefixes {
-					w.router.addRoute(pfx, id, cat)
-				}
+			for _, pfx := range prefixes {
+				w.router.addRoute(pfx, id, cat)
 			}
 		}
-		if w.router == nil {
-			w.Engine, w.Network = d.eng, d.net
-		} else {
-			d.net.SetRouter(w.router, id)
-			if p.cat == 0 {
-				w.infra = d
-			}
+		d.net.SetRouter(w.router, id)
+		if p.cat == 0 {
+			w.infra = d
 		}
 		w.domains = append(w.domains, d)
 	}
@@ -318,11 +287,7 @@ const infraCarveBits = 20
 func (w *World) Domains() []*Domain { return w.domains }
 
 // DomainsOf returns the domains holding the given ISP category, in id order.
-// Single-domain worlds return the sole domain for every category.
 func (w *World) DomainsOf(category isp.ISP) []*Domain {
-	if w.router == nil {
-		return w.domains
-	}
 	var out []*Domain
 	for _, d := range w.domains {
 		if d.cat == category {
@@ -331,10 +296,6 @@ func (w *World) DomainsOf(category isp.ISP) []*Domain {
 	}
 	return out
 }
-
-// Lookahead returns the conservative synchronization window of a sharded
-// world (zero for single-domain worlds).
-func (w *World) Lookahead() time.Duration { return w.lookahead }
 
 // InfraDomain returns the domain that should host infrastructure services
 // (bootstrap, trackers, sources) whose addresses belong to the given
@@ -348,9 +309,8 @@ func (w *World) InfraDomain(category isp.ISP) *Domain {
 }
 
 // OnBarrier registers fn to run single-threaded at every window barrier of a
-// sharded run, after the cross-domain mailboxes have been drained. Scenario
-// code uses this to fold per-domain telemetry aggregates without locking.
-// Single-domain worlds never invoke the hooks (they have no barriers).
+// run, after the cross-domain mailboxes have been drained. Scenario code uses
+// this to fold per-domain telemetry aggregates without locking.
 func (w *World) OnBarrier(fn func()) { w.barrierHooks = append(w.barrierHooks, fn) }
 
 // BuildRand returns the world's build-time RNG for single-threaded scenario
@@ -358,19 +318,15 @@ func (w *World) OnBarrier(fn func()) { w.barrierHooks = append(w.barrierHooks, f
 // domain's event-time streams.
 func (w *World) BuildRand() *rand.Rand { return w.buildRand }
 
-// Run executes the world to the horizon. For sharded worlds, workers is the
-// number of goroutines executing synchronization windows (eventsim.Group caps
-// it at GOMAXPROCS and the domain count); values below 2 run everything on
-// the calling goroutine. Every window runs the domains, then drains each
-// domain's inbound mailboxes (flushDst, one call per destination, in
-// parallel across destinations), then runs the OnBarrier hooks
-// single-threaded. The trajectory — every event, draw, and delivery — is
+// Run executes the world to the horizon. workers is the number of goroutines
+// executing synchronization windows (eventsim.Group caps it at GOMAXPROCS and
+// the domain count); values below 2 run everything on the calling goroutine.
+// Every window runs the domains, then drains each domain's inbound mailboxes
+// (flushDst, one call per destination, in parallel across destinations), then
+// runs the OnBarrier hooks single-threaded. The trajectory — every event, draw, and delivery — is
 // identical for any worker count, because the window schedule and each
 // destination's drain order are pure functions of barrier state.
 func (w *World) Run(horizon time.Duration, workers int) error {
-	if w.router == nil {
-		return w.Engine.Run(horizon)
-	}
 	g := &eventsim.Group{
 		Engines:   make([]*eventsim.Engine, len(w.domains)),
 		Lookahead: w.lookahead,
@@ -434,8 +390,8 @@ func (d *Domain) ID() int { return d.id }
 // for the split).
 func (d *Domain) Name() string { return d.name }
 
-// Category returns the domain's ISP category (zero for the single-domain
-// world).
+// Category returns the domain's ISP category (zero for the infrastructure
+// domain).
 func (d *Domain) Category() isp.ISP { return d.cat }
 
 // Engine returns the domain's event engine.
@@ -469,30 +425,6 @@ type HostSpec struct {
 	ProcDelay time.Duration // per-datagram application processing delay
 }
 
-// Spawn allocates an address, attaches a host, and returns the node's
-// environment. On a single-domain world any category spawns in the sole
-// domain; sharded callers use Domain.Spawn. The handler may be installed
-// later via SetHandler (services typically construct themselves around the
-// env).
-func (w *World) Spawn(spec HostSpec) (*Env, error) {
-	return w.domains[0].Spawn(spec)
-}
-
-// SpawnAt attaches a host at a specific address (which must belong to the
-// registry so analysis can resolve it).
-func (w *World) SpawnAt(addr netip.Addr, spec HostSpec) (*Env, error) {
-	return w.domains[0].SpawnAt(addr, spec)
-}
-
-// Spawn allocates an address in this domain and attaches a host.
-func (d *Domain) Spawn(spec HostSpec) (*Env, error) {
-	addr, err := d.allocAddr(spec.ISP)
-	if err != nil {
-		return nil, err
-	}
-	return d.SpawnAt(addr, spec)
-}
-
 // fullHost rounds a full node's host record up to the allocator's 128-byte
 // class, whose objects start on a cache-line boundary. Build allocates the
 // hosts of different domains side by side and different workers write them;
@@ -504,8 +436,14 @@ type fullHost struct {
 	_ [128 - unsafe.Sizeof(underlay.Host{})]byte
 }
 
-// SpawnAt attaches a host at a specific address in this domain.
-func (d *Domain) SpawnAt(addr netip.Addr, spec HostSpec) (*Env, error) {
+// Spawn allocates an address in this domain, attaches a host, and returns
+// the node's environment. The handler may be installed later via SetHandler
+// (services typically construct themselves around the env).
+func (d *Domain) Spawn(spec HostSpec) (*Env, error) {
+	addr, err := d.allocAddr(spec.ISP)
+	if err != nil {
+		return nil, err
+	}
 	host := &(&fullHost{Host: underlay.Host{
 		Addr:      addr,
 		ISP:       spec.ISP,

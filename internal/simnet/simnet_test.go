@@ -19,9 +19,10 @@ func (r *recorder) HandleMessage(_ netip.Addr, msg wire.Message) {
 	r.got = append(r.got, msg)
 }
 
+// spawn attaches a host of the category in the first domain that holds it.
 func spawn(t *testing.T, w *simnet.World, category isp.ISP) *simnet.Env {
 	t.Helper()
-	env, err := w.Spawn(simnet.HostSpec{ISP: category, UploadBps: 1 << 20})
+	env, err := w.DomainsOf(category)[0].Spawn(simnet.HostSpec{ISP: category, UploadBps: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +30,7 @@ func spawn(t *testing.T, w *simnet.World, category isp.ISP) *simnet.Env {
 }
 
 func TestSpawnAllocatesResolvableAddrs(t *testing.T) {
-	w := simnet.NewWorld(1)
+	w := simnet.NewShardedWorldN(1, 1)
 	for _, category := range isp.All() {
 		env := spawn(t, w, category)
 		got, ok := w.Registry.ISPOf(env.Addr())
@@ -43,13 +44,13 @@ func TestSpawnAllocatesResolvableAddrs(t *testing.T) {
 }
 
 func TestSendDeliversToHandler(t *testing.T) {
-	w := simnet.NewWorld(2)
+	w := simnet.NewShardedWorldN(2, 1)
 	a := spawn(t, w, isp.TELE)
 	b := spawn(t, w, isp.TELE)
 	rec := &recorder{}
 	b.SetHandler(rec)
 	a.Send(b.Addr(), &wire.Handshake{Channel: 5})
-	if err := w.Engine.Run(5 * time.Second); err != nil {
+	if err := w.Run(5*time.Second, 1); err != nil {
 		t.Fatal(err)
 	}
 	if len(rec.got) != 1 {
@@ -62,15 +63,17 @@ func TestSendDeliversToHandler(t *testing.T) {
 }
 
 func TestCodecCheckRoundTripsPayloads(t *testing.T) {
-	w := simnet.NewWorld(3)
+	w := simnet.NewShardedWorldN(3, 1)
 	w.CodecCheck = true
 	a := spawn(t, w, isp.TELE)
 	b := spawn(t, w, isp.CNC)
 	rec := &recorder{}
 	b.SetHandler(rec)
 	sentMsg := &wire.PeerListReply{Channel: 1, Peers: []netip.Addr{a.Addr()}}
-	a.Send(b.Addr(), sentMsg)
-	if err := w.Engine.Run(5 * time.Second); err != nil {
+	// Sent from an event: a cross-domain datagram waits in its mailbox for
+	// the barrier that closes the window it was sent in.
+	a.After(0, func() { a.Send(b.Addr(), sentMsg) })
+	if err := w.Run(5*time.Second, 1); err != nil {
 		t.Fatal(err)
 	}
 	if len(rec.got) != 1 {
@@ -88,7 +91,7 @@ func TestCodecCheckRoundTripsPayloads(t *testing.T) {
 }
 
 func TestTapsObserveBothDirections(t *testing.T) {
-	w := simnet.NewWorld(4)
+	w := simnet.NewShardedWorldN(4, 1)
 	a := spawn(t, w, isp.TELE)
 	b := spawn(t, w, isp.TELE)
 	b.SetHandler(&recorder{})
@@ -106,7 +109,7 @@ func TestTapsObserveBothDirections(t *testing.T) {
 		recvs++
 	})
 	a.Send(b.Addr(), &wire.Handshake{Channel: 1})
-	if err := w.Engine.Run(5 * time.Second); err != nil {
+	if err := w.Run(5*time.Second, 1); err != nil {
 		t.Fatal(err)
 	}
 	if sends != 1 || recvs != 1 {
@@ -115,7 +118,7 @@ func TestTapsObserveBothDirections(t *testing.T) {
 }
 
 func TestCloseSilencesNode(t *testing.T) {
-	w := simnet.NewWorld(5)
+	w := simnet.NewShardedWorldN(5, 1)
 	a := spawn(t, w, isp.TELE)
 	b := spawn(t, w, isp.TELE)
 	rec := &recorder{}
@@ -128,7 +131,7 @@ func TestCloseSilencesNode(t *testing.T) {
 	}
 	b.Close() // idempotent
 	a.Send(b.Addr(), &wire.Handshake{Channel: 1})
-	if err := w.Engine.Run(10 * time.Second); err != nil {
+	if err := w.Run(10*time.Second, 1); err != nil {
 		t.Fatal(err)
 	}
 	if len(rec.got) != 0 {
@@ -139,31 +142,31 @@ func TestCloseSilencesNode(t *testing.T) {
 	}
 	// Closed node can no longer send.
 	b.Send(a.Addr(), &wire.Handshake{Channel: 1})
-	if w.Network.NumHosts() != 1 {
-		t.Errorf("hosts = %d after close, want 1", w.Network.NumHosts())
+	if n := a.Domain().Network().NumHosts(); n != 1 {
+		t.Errorf("hosts = %d after close, want 1", n)
 	}
 }
 
 func TestTimersStopAfterClose(t *testing.T) {
-	w := simnet.NewWorld(6)
+	w := simnet.NewShardedWorldN(6, 1)
 	a := spawn(t, w, isp.TELE)
 	count := 0
 	a.Every(time.Second, func() { count++ })
-	w.Engine.At(3500*time.Millisecond, a.Close)
-	if err := w.Engine.Run(time.Minute); err != nil {
+	a.Domain().At(3500*time.Millisecond, a.Close)
+	if err := w.Run(time.Minute, 1); err != nil {
 		t.Fatal(err)
 	}
 	if count != 3 {
 		t.Errorf("timer fired %d times, want 3 before close", count)
 	}
 	// The engine must drain completely (no immortal periodic timers).
-	if at, ok := w.Engine.NextAt(); ok {
+	if at, ok := a.Domain().Engine().NextAt(); ok {
 		t.Errorf("an event is still pending at %v after close", at)
 	}
 }
 
 func TestUplinkBacklogVisible(t *testing.T) {
-	w := simnet.NewWorld(7)
+	w := simnet.NewShardedWorldN(7, 1)
 	a := spawn(t, w, isp.TELE)
 	b := spawn(t, w, isp.TELE)
 	b.SetHandler(&recorder{})

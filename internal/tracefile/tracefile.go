@@ -1,7 +1,7 @@
 // Package tracefile persists probe packet traces as JSON lines, one
 // captured datagram per line — the workflow of the paper's methodology,
-// where Wireshark captures were saved and analyzed offline. cmd/tracegen
-// writes this format and cmd/analyze consumes it.
+// where Wireshark captures were saved and analyzed offline. `psim -trace DIR`
+// writes one such file per probe and cmd/analyze consumes it.
 package tracefile
 
 import (

@@ -37,16 +37,16 @@ type testRig struct {
 
 func newRig(t *testing.T) *testRig {
 	t.Helper()
-	w := simnet.NewWorld(1)
+	w := simnet.NewShardedWorldN(1, 1)
 	w.CodecCheck = true
-	srvEnv, err := w.Spawn(simnet.HostSpec{ISP: isp.TELE, UploadBps: 1 << 20})
+	srvEnv, err := w.DomainsOf(isp.TELE)[0].Spawn(simnet.HostSpec{ISP: isp.TELE, UploadBps: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	server := NewServer(srvEnv)
 	srvEnv.SetHandler(server)
 
-	client, err := w.Spawn(simnet.HostSpec{ISP: isp.TELE, UploadBps: 1 << 20})
+	client, err := w.DomainsOf(isp.TELE)[0].Spawn(simnet.HostSpec{ISP: isp.TELE, UploadBps: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func (f handlerFunc) HandleMessage(from netip.Addr, msg wire.Message) { f(from, 
 
 func (r *testRig) run(t *testing.T, d time.Duration) {
 	t.Helper()
-	if err := r.world.Engine.Run(r.world.Engine.Now() + d); err != nil {
+	if err := r.world.Run(r.world.Now()+d, 1); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -177,9 +177,9 @@ func TestMaxReplyBound(t *testing.T) {
 }
 
 func TestBootstrapChannelListAndPlaylink(t *testing.T) {
-	w := simnet.NewWorld(2)
+	w := simnet.NewShardedWorldN(2, 1)
 	w.CodecCheck = true
-	bsEnv, err := w.Spawn(simnet.HostSpec{ISP: isp.TELE, UploadBps: 1 << 20})
+	bsEnv, err := w.DomainsOf(isp.TELE)[0].Spawn(simnet.HostSpec{ISP: isp.TELE, UploadBps: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,17 +205,21 @@ func TestBootstrapChannelListAndPlaylink(t *testing.T) {
 		t.Error("duplicate AddChannel did not error")
 	}
 
-	client, err := w.Spawn(simnet.HostSpec{ISP: isp.CNC, UploadBps: 1 << 20})
+	client, err := w.DomainsOf(isp.CNC)[0].Spawn(simnet.HostSpec{ISP: isp.CNC, UploadBps: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var inbox []wire.Message
 	client.SetHandler(handlerFunc(func(_ netip.Addr, msg wire.Message) { inbox = append(inbox, msg) }))
 
-	client.Send(bsEnv.Addr(), &wire.ChannelListRequest{})
-	client.Send(bsEnv.Addr(), &wire.PlaylinkRequest{Channel: 5})
-	client.Send(bsEnv.Addr(), &wire.PlaylinkRequest{Channel: 42}) // unknown
-	if err := w.Engine.Run(10 * time.Second); err != nil {
+	// Sent from an event, so the barrier closing its window forwards the
+	// requests to the bootstrap's domain.
+	client.After(0, func() {
+		client.Send(bsEnv.Addr(), &wire.ChannelListRequest{})
+		client.Send(bsEnv.Addr(), &wire.PlaylinkRequest{Channel: 5})
+		client.Send(bsEnv.Addr(), &wire.PlaylinkRequest{Channel: 42}) // unknown
+	})
+	if err := w.Run(10*time.Second, 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -253,8 +257,8 @@ func TestBootstrapChannelListAndPlaylink(t *testing.T) {
 }
 
 func TestBootstrapRejectsEmptyGroup(t *testing.T) {
-	w := simnet.NewWorld(3)
-	env, err := w.Spawn(simnet.HostSpec{ISP: isp.TELE, UploadBps: 1 << 20})
+	w := simnet.NewShardedWorldN(3, 1)
+	env, err := w.DomainsOf(isp.TELE)[0].Spawn(simnet.HostSpec{ISP: isp.TELE, UploadBps: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
